@@ -149,36 +149,6 @@ def np_cyclic_nearest_preceding_writer(segments: np.ndarray) -> np.ndarray:
     return running[..., n - 1 : 2 * n - 1] % n
 
 
-def np_cyclic_segmented_and(conditions: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Vectorized cyclic segmented AND scan (the paper's Figure 5 circuit).
-
-    ``out[i]`` is True iff every position from the nearest cyclically
-    preceding segment position through ``i-1`` (inclusive of the segment
-    position) meets its condition.  Operates on 1-D arrays.
-    """
-    conditions = np.asarray(conditions, dtype=bool)
-    segments = np.asarray(segments, dtype=bool)
-    n = conditions.shape[0]
-    if not segments.any():
-        raise ValueError("requires at least one segment bit")
-    start = int(np.max(np.nonzero(segments)[0]))
-    order = (start + 1 + np.arange(n)) % n  # positions after the start segment
-    # rotate so the scan is a plain (noncyclic) segmented AND starting at `start`
-    conds = conditions[np.concatenate(([start], order[:-1]))]
-    segs = segments[np.concatenate(([start], order[:-1]))]
-    out_rot = np.empty(n, dtype=bool)
-    acc = True
-    for k in range(n):  # small n per call; rows vectorized by caller when needed
-        if segs[k]:
-            acc = bool(conds[k])
-        else:
-            acc = acc and bool(conds[k])
-        out_rot[k] = acc
-    out = np.empty(n, dtype=bool)
-    out[order] = out_rot
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Netlist builders
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """The Ultrascalar processors: the paper's primary contribution.
 
-Three cycle-accurate behavioural models share one scheduling policy —
-the policy the paper proves all three microarchitectures implement:
+The paper's three designs share one scheduling policy and differ only
+in how stations refill, so one cycle-accurate engine models all three:
 
-* :class:`repro.ultrascalar.ring.RingProcessor` — the Ultrascalar I:
-  a wrap-around ring of execution stations connected by per-register
-  CSPP circuits, with per-station refill.  With ``cluster_size > 1`` it
-  becomes the **hybrid**: clusters of stations refill as a unit, exactly
-  as the paper's clusters behave like "super execution stations".
-* :class:`repro.ultrascalar.us2.BatchProcessor` — the Ultrascalar II:
-  a non-wrap-around grid datapath; a batch of ``n`` instructions issues
-  out of order, and the stations refill only when the whole batch has
-  finished ("stations idle waiting for everyone to finish").
+* :class:`repro.ultrascalar.ring.RingProcessor` — a wrap-around ring of
+  execution stations connected by per-register CSPP circuits.  With
+  ``cluster_size=1`` it is the Ultrascalar I (per-station refill); with
+  ``1 < cluster_size < n`` it is the **hybrid**, whose clusters refill
+  as a unit like "super execution stations"; with one cluster of ``n``
+  stations it is the Ultrascalar II, whose batch never wraps and
+  refills only when the whole batch has finished ("stations idle
+  waiting for everyone to finish").
 * :mod:`repro.ultrascalar.vector_engine` — a NumPy-vectorized
   implementation of the ring datapath for large-``n`` studies,
   bit-equivalent to :class:`RingProcessor` on register workloads.
@@ -33,7 +32,6 @@ from repro.ultrascalar.ring import RingProcessor
 from repro.ultrascalar.scheduler import SchedulerCircuit, prioritized_grants
 from repro.ultrascalar.station import Station, StationState
 from repro.ultrascalar.trace_view import render_pipeline, stall_breakdown
-from repro.ultrascalar.us2 import BatchProcessor
 
 __all__ = [
     "CachedMemory",
@@ -52,5 +50,4 @@ __all__ = [
     "StationState",
     "render_pipeline",
     "stall_breakdown",
-    "BatchProcessor",
 ]

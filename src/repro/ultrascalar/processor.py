@@ -6,7 +6,7 @@ the processors are in their VLSI complexities."  Behaviourally the one
 place they differ is station refill: per-station (Ultrascalar I),
 whole-batch (Ultrascalar II, no wrap-around), or per-cluster (hybrid).
 The factories at the bottom build exactly those three configurations
-over the shared engine components.
+of the one ring engine: cluster size 1, ``n`` and ``C``.
 """
 
 from __future__ import annotations
@@ -197,15 +197,18 @@ def make_ultrascalar2(
     tracer=None,
     cycle_hook=None,
 ):
-    """Build an Ultrascalar II: no wrap-around; the station batch refills
-    only when every station in it has finished."""
-    from repro.ultrascalar.us2 import BatchProcessor
+    """Build an Ultrascalar II: the ring with one cluster of ``n``
+    stations, so it never wraps and the station batch refills only when
+    every station in it has finished."""
+    from repro.ultrascalar.ring import RingProcessor
 
-    return BatchProcessor(
+    config = config or ProcessorConfig()
+    return RingProcessor(
         program=program,
-        config=config or ProcessorConfig(),
+        config=config,
         predictor=predictor if predictor is not None else _default_predictor(program),
         memory=memory if memory is not None else IdealMemory(),
+        cluster_size=config.window_size,
         initial_registers=initial_registers,
         tracer=tracer,
         cycle_hook=cycle_hook,

@@ -1,4 +1,4 @@
-"""The Ultrascalar ring processor (Ultrascalar I and the hybrid).
+"""The Ultrascalar ring processor: Ultrascalar I, Ultrascalar II and the hybrid.
 
 A wrap-around ring of ``n`` execution stations.  Register values flow
 from each writer to younger readers through one CSPP circuit per
@@ -20,18 +20,46 @@ The model is cycle-accurate with respect to the paper's timing rules:
 * a station is deallocated and refilled once it and every older
   station have finished.
 
-With ``cluster_size = C > 1`` the ring refills C stations at a time —
-the hybrid's clusters acting as "super execution stations".  The
-scheduling policy is otherwise identical, as the paper requires.
+The paper's three designs have "identical scheduling policies" and
+differ only in how stations refill, which here is the cluster size
+``C``: stations free ``C`` at a time, once all ``C`` have committed.
+
+* ``C = 1`` is the Ultrascalar I: per-station refill.
+* ``1 < C < n`` is the hybrid: clusters act as "super execution
+  stations" and refill as a unit.
+* ``C = n`` is the Ultrascalar II: one cluster of ``n`` stations, the
+  batch.  The ring never wraps, which is the US-II's non-wrap-around
+  datapath, and "stations idle waiting for everyone to finish before
+  refilling".  A station's arguments come from the nearest preceding
+  writer in the batch, the routing :func:`repro.circuits.grid.
+  route_arguments` computes for the US-II grid.
+
+A partly filled leading cluster also frees once its stations have
+committed and fetch can deliver nothing more (stalled, or HALT fetched):
+the US-II's "batch full or no more" rule, without which a program that
+ends without HALT would never drain.
+
+The simulation is event-driven, so the host work per cycle follows
+state changes rather than ``n``:
+
+* the occupied stations are a contiguous run of the ring, kept as the
+  oldest position, a count and a commit pointer;
+* at fetch each station links to its producers through a per-register
+  last-writer table — CSPP's nearest preceding writer — and a producer
+  finishing wakes its consumers for the cycle its value arrives;
+* the three Figure 5 conditions are cursors: the oldest unfinished
+  store, memory operation and control transfer;
+* executing stations and memory requests are kept in their own maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections import deque
+from operator import attrgetter
 
-from repro.circuits.cspp import cyclic_segmented_and
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.frontend.fetch import FetchUnit
+from repro.frontend.fetch import FetchedInstruction, FetchUnit
 from repro.isa.interpreter import StepOutcome, alu_result, branch_taken
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -39,22 +67,25 @@ from repro.telemetry.session import resolve_tracer
 from repro.telemetry.tracer import Tracer
 from repro.ultrascalar.memsys import MemorySystem
 from repro.ultrascalar.processor import ProcessorConfig, ProcessorResult, TimingRecord
-from repro.ultrascalar.station import Station, StationState
+from repro.ultrascalar.station import DecodedInstruction, Station, StationState
 from repro.util.bitops import to_unsigned, tree_level_distance
 
+EMPTY = StationState.EMPTY
+WAITING = StationState.WAITING
+EXECUTING = StationState.EXECUTING
+MEMORY = StationState.MEMORY
+DONE = StationState.DONE
 
-@dataclass
-class _RegView:
-    """One station's incoming register view: value and ready per register.
+#: cursor value when no station holds back younger ones
+NONE_PENDING = sys.maxsize
 
-    ``writers[r]`` is the producing station, or ``None`` when the value
-    comes from the committed register file — used by the self-timed mode
-    to charge distance-dependent forwarding latency.
-    """
+_by_seq = attrgetter("seq")
 
-    values: list[int]
-    ready: list[bool]
-    writers: list["Station | None"] | None = None
+
+def _drop_squashed(queue) -> None:
+    """Pop squashed (cleared) stations off the young end of *queue*."""
+    while queue and queue[-1].state is EMPTY:
+        queue.pop()
 
 
 class RingProcessor:
@@ -84,6 +115,8 @@ class RingProcessor:
 
         self.stations = [Station(i) for i in range(self.n)]
         self.oldest = 0  # ring position holding the oldest instruction
+        self.count = 0  # occupied stations, from `oldest` on
+        self.committed_count = 0  # of those, committed and not yet freed
         self.committed_regs = list(initial_registers or [0] * self.L)
         if len(self.committed_regs) != self.L:
             raise ValueError("initial register file has wrong size")
@@ -93,7 +126,12 @@ class RingProcessor:
         # opt-in per-cycle observer (see repro.verify.invariants); None in
         # normal runs, so the only cost is one attribute test per cycle
         self._cycle_hook = cycle_hook
-        self._refill_mode = "per_station" if cluster_size == 1 else "per_cluster"
+        if cluster_size == self.n:
+            self._refill_mode = "whole_batch"
+        elif cluster_size == 1:
+            self._refill_mode = "per_station"
+        else:
+            self._refill_mode = "per_cluster"
         self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
         self.cycle = 0
         self.seq = 0
@@ -103,92 +141,41 @@ class RingProcessor:
         self.squashed = 0
         self.mispredictions = 0
         self.forwarded_loads = 0
-        self._cancelled_requests: set[int] = set()
         # self-timed bookkeeping: where and when each committed register
         # value was physically produced (commitment does not teleport
         # data; it still flows from the producing station's position)
         self._reg_source_pos: list[int | None] = [None] * self.L
         self._reg_source_cycle: list[int] = [0] * self.L
 
+        self._decoded: list[DecodedInstruction | None] = [None] * len(program)
+        self._opcode_fields: dict[Opcode, tuple] = {}
+        # per register, its youngest allocated writer: the nearest
+        # preceding writer CSPP routes the next fetched station's value from
+        self._writer: list[Station | None] = [None] * self.L
+        # WAITING stations whose operands have all arrived, by kind
+        self._ready_alu: list[Station] = []
+        self._ready_loads: list[Station] = []
+        self._ready_stores: list[Station] = []
+        # cycle -> stations whose last operand arrives that cycle
+        self._arrivals: dict[int, list[Station]] = {}
+        # cycle -> EXECUTING stations whose functional unit finishes then
+        self._finishing: dict[int, list[Station]] = {}
+        self._alu_busy = 0  # EXECUTING stations holding a shared ALU
+        self._in_memory: dict[int, Station] = {}  # request id -> station
+        # not yet DONE, oldest first: the Figure 5 conditions' cursors
+        self._stores: deque[Station] = deque()
+        self._memory_ops: deque[Station] = deque()
+        self._controls: deque[Station] = deque()
+        # address -> youngest issued store to it (memory renaming)
+        self._last_store: dict[int, Station] = {}
+
     # ------------------------------------------------------------------
     # ring helpers
     # ------------------------------------------------------------------
 
-    def _ring_order(self) -> list[int]:
-        """Station positions from oldest to youngest slot."""
-        return [(self.oldest + k) % self.n for k in range(self.n)]
-
-    def _occupied_in_order(self) -> list[Station]:
-        """Occupied stations oldest-first (a contiguous prefix of the ring)."""
-        stations = []
-        for pos in self._ring_order():
-            station = self.stations[pos]
-            if not station.occupied:
-                break
-            stations.append(station)
-        return stations
-
-    # ------------------------------------------------------------------
-    # per-cycle phases
-    # ------------------------------------------------------------------
-
-    def _phase_fetch(self) -> None:
-        """Refill empty stations from the fetch unit.
-
-        Because clusters free as a unit (see :meth:`_phase_commit`), the
-        empty positions always form the contiguous tail of the ring
-        order, so filling them in order preserves ring contiguity.
-        """
-        order = self._ring_order()
-        occupied = len(self._occupied_in_order())
-        free_positions = order[occupied:]
-        budget = min(self.config.fetch_width, len(free_positions))
-        if budget == 0 or self.fetch.stalled():
-            if self._tracing:
-                if self.fetch.stalled():
-                    self.tracer.count("fetch.stall_cycles.starved")
-                else:
-                    self.tracer.count("fetch.stall_cycles.window_full")
-            return
-        fetched = self.fetch.fetch_cycle(budget=budget)
-        if self._tracing and fetched:
-            self.tracer.count("fetch.cycles_active")
-            self.tracer.count("fetch.instructions", len(fetched))
-        for fetched_inst, pos in zip(fetched, free_positions):
-            self.stations[pos].load(fetched_inst, self.seq, self.cycle)
-            self.seq += 1
-
-    def _register_views(self, occupied: list[Station]) -> list[_RegView]:
-        """Each occupied station's incoming register view (CSPP semantics).
-
-        Walk from the oldest: the committed register file is the oldest
-        station's insertion; each station then overlays its own write
-        (ready iff DONE).
-        """
-        track_writers = self.config.self_timed or self._tracing
-        values = list(self.committed_regs)
-        ready = [True] * self.L
-        writers: list[Station | None] = [None] * self.L
-        views: list[_RegView] = []
-        for station in occupied:
-            views.append(
-                _RegView(
-                    values=list(values),
-                    ready=list(ready),
-                    writers=list(writers) if track_writers else None,
-                )
-            )
-            reg = station.writes_register
-            if reg is not None:
-                if station.done and station.result is not None:
-                    values[reg] = station.result
-                    ready[reg] = True
-                else:
-                    values[reg] = 0
-                    ready[reg] = False
-                if track_writers:
-                    writers[reg] = station
-        return views
+    def occupied_stations(self) -> list[Station]:
+        """Occupied stations oldest-first (a contiguous run of the ring)."""
+        return [self.stations[(self.oldest + k) % self.n] for k in range(self.count)]
 
     def _forward_latency(self, producer_pos: int, consumer_pos: int) -> int:
         """Cycles for a result to travel producer -> consumer.
@@ -203,286 +190,378 @@ class RingProcessor:
             return 1
         return max(1, tree_level_distance(producer_pos, consumer_pos))
 
-    def _source_ready(self, view: _RegView, reg: int, consumer: Station) -> bool:
-        """Is register *reg* usable by *consumer* this cycle?"""
-        if not view.ready[reg]:
-            return False
-        # Writers may be tracked for telemetry alone; only the self-timed
-        # mode charges distance-dependent latency.
-        if view.writers is None or not self.config.self_timed:
-            return True
-        writer = view.writers[reg]
-        if writer is not None:
-            latency = self._forward_latency(writer.index, consumer.index)
-            return self.cycle >= writer.complete_cycle + latency
-        # committed value: still in flight from the station that produced
-        # it (initial register values have no producer and are ready)
-        source_pos = self._reg_source_pos[reg]
-        if source_pos is None:
-            return True
-        latency = self._forward_latency(source_pos, consumer.index)
-        return self.cycle >= self._reg_source_cycle[reg] + latency
+    def _operand(self, producer: Station | None, reg: int) -> int:
+        """The value of *reg* a station linked to *producer* reads.
 
-    def _ordering_conditions(
-        self, occupied: list[Station]
-    ) -> tuple[list[bool], list[bool], list[bool]]:
-        """The three Figure 5 CSPP conditions for each occupied station.
-
-        Returns (stores_done, mem_done, branches_resolved): per station,
-        whether all *older* stations have finished their stores / all
-        memory operations / resolved their control transfers.
+        A producer still allocated supplies its result; once it has
+        been deallocated its value is in the committed register file,
+        which the oldest station inserts into the CSPP.
         """
-        count = len(occupied)
-        if count == 0:
-            return [], [], []
-        store_ok = []
-        mem_ok = []
-        branch_ok = []
-        for station in occupied:
-            inst = station.fetched.instruction
-            store_ok.append(not inst.is_store or station.done)
-            mem_ok.append(not inst.is_memory or station.done)
-            branch_ok.append(not inst.is_control or station.done)
-        # Cyclic segmented AND with the oldest station raising its segment
-        # bit: output[i] = AND of conditions of all older stations.  The
-        # circuit's wrap-around output at the oldest station itself is
-        # ignored, exactly as the oldest station "does not latch incoming
-        # values" in the register datapath: it has no older stations, so
-        # its conditions hold vacuously.
-        segments = [i == 0 for i in range(count)]
-        stores = cyclic_segmented_and(store_ok, segments)
-        mems = cyclic_segmented_and(mem_ok, segments)
-        branches = cyclic_segmented_and(branch_ok, segments)
-        stores[0] = mems[0] = branches[0] = True
-        return stores, mems, branches
+        if producer is None or producer.state is EMPTY:
+            return self.committed_regs[reg]
+        return producer.result
 
-    def _alu_grants(self, occupied: list[Station], candidates: list[bool]) -> list[bool]:
-        """Shared-ALU arbitration (Memo 2): grant the oldest requesters.
+    @staticmethod
+    def _first_pending(queue: deque[Station]) -> int:
+        """Seq of the oldest station in *queue* not yet DONE."""
+        while queue:
+            state = queue[0].state
+            if state is not DONE and state is not EMPTY:
+                return queue[0].seq
+            queue.popleft()  # finished, or since deallocated
+        return NONE_PENDING
 
-        Returns per-occupied-station permission to start executing on an
-        ALU this cycle.  With ``num_alus=None`` every candidate is
-        granted (one ALU per station, as the paper's layouts replicate).
+    def ordering_cursors(self) -> tuple[int, int, int]:
+        """The Figure 5 CSPP conditions as cursors.
+
+        Returns the seqs of the oldest unfinished store, unfinished
+        memory operation and unresolved control transfer
+        (:data:`NONE_PENDING` when there is none).  All stations older
+        than a station have finished their stores iff its seq is at most
+        the first cursor, and likewise for the other two.
         """
-        from repro.isa.opcodes import OpClass
-        from repro.ultrascalar.scheduler import prioritized_grants
-
-        if self.config.num_alus is None:
-            return list(candidates)
-        busy = sum(
-            1
-            for s in occupied
-            if s.state is StationState.EXECUTING
-            and s.fetched.instruction.op.op_class is not OpClass.SYSTEM
-        )
-        free = max(0, self.config.num_alus - busy)
-        requests = [
-            candidates[i]
-            and occupied[i].fetched.instruction.op.op_class is not OpClass.SYSTEM
-            for i in range(len(occupied))
-        ]
-        if free == 0:
-            grants = [False] * len(occupied)
-        else:
-            grants = prioritized_grants(requests, oldest=0, num_alus=free)
-        # SYSTEM ops (NOP/HALT) need no ALU and always proceed
-        for i in range(len(occupied)):
-            if candidates[i] and not requests[i]:
-                grants[i] = True
-        return grants
-
-    def _find_forwarding_store(
-        self, occupied: list[Station], idx: int, address: int
-    ) -> Station | None:
-        """Nearest preceding store to *address* (memory renaming).
-
-        Only called when all preceding stores are DONE, so every earlier
-        store's address is known — the disambiguation the paper's CSPP
-        ordering circuits provide.
-        """
-        for earlier in reversed(occupied[:idx]):
-            inst = earlier.fetched.instruction
-            if inst.is_store and earlier.address == address:
-                return earlier
-        return None
-
-    def _phase_issue(self, occupied: list[Station], views: list[_RegView]) -> None:
-        stores_done, mem_done, branches_resolved = self._ordering_conditions(occupied)
-
-        # pass 1: who could issue this cycle?
-        ready_operands: dict[int, tuple[int, ...]] = {}
-        candidates = [False] * len(occupied)
-        for idx, station in enumerate(occupied):
-            if station.state is not StationState.WAITING:
-                continue
-            inst = station.fetched.instruction
-            view = views[idx]
-            operands = []
-            all_ready = True
-            for reg in (inst.rs1, inst.rs2):
-                if reg is None:
-                    continue
-                if not self._source_ready(view, reg, station):
-                    all_ready = False
-                    break
-                operands.append(view.values[reg])
-            if not all_ready:
-                continue
-            if inst.is_load and not stores_done[idx]:
-                continue
-            if inst.is_store and not (mem_done[idx] and branches_resolved[idx]):
-                continue
-            candidates[idx] = True
-            ready_operands[idx] = tuple(operands)
-
-        # pass 2: shared-ALU arbitration (memory ops use the memory
-        # network, not the ALU pool)
-        alu_ok = self._alu_grants(
-            occupied,
-            [
-                candidates[i] and not occupied[i].fetched.instruction.is_memory
-                for i in range(len(occupied))
-            ],
+        return (
+            self._first_pending(self._stores),
+            self._first_pending(self._memory_ops),
+            self._first_pending(self._controls),
         )
 
-        issued = 0
-        for idx, station in enumerate(occupied):
-            if not candidates[idx]:
-                continue
-            inst = station.fetched.instruction
-            if not inst.is_memory and not alu_ok[idx]:
-                if self._tracing:
-                    self.tracer.count("issue.alu_denied")
-                continue  # no free ALU this cycle; retry next cycle
-            operands = ready_operands[idx]
-            station.operands = operands
-            station.issue_cycle = self.cycle
-            issued += 1
+    # ------------------------------------------------------------------
+    # per-cycle phases
+    # ------------------------------------------------------------------
+
+    def _phase_fetch(self) -> None:
+        """Refill empty stations from the fetch unit.
+
+        Because clusters free as a unit (see :meth:`_phase_commit`), the
+        empty positions always form the contiguous tail of the ring
+        order, so filling them in order preserves ring contiguity.
+        """
+        budget = min(self.config.fetch_width, self.n - self.count)
+        if budget == 0 or self.fetch.stalled():
             if self._tracing:
-                self._trace_issue(station, views[idx], inst)
-            if inst.is_load:
-                station.address = to_unsigned(operands[0] + inst.imm)
-                forwarder = (
-                    self._find_forwarding_store(occupied, idx, station.address)
-                    if self.config.store_forwarding
-                    else None
-                )
-                if forwarder is not None:
-                    # memory renaming: take the store's data directly
-                    self.forwarded_loads += 1
-                    if self._tracing:
-                        self.tracer.count("mem.store_forward_hits")
-                    station.result = forwarder.operands[1]
-                    station.state = StationState.EXECUTING
-                    station.remaining = 1
+                if self.fetch.stalled():
+                    self.tracer.count("fetch.stall_cycles.starved")
                 else:
-                    station.memory_request_id = self.memory.submit_load(
-                        station.address, leaf=station.index
-                    )
-                    station.state = StationState.MEMORY
-            elif inst.is_store:
-                station.address = to_unsigned(operands[0] + inst.imm)
-                station.memory_request_id = self.memory.submit_store(
-                    station.address, operands[1], leaf=station.index
-                )
-                station.state = StationState.MEMORY
+                    self.tracer.count("fetch.stall_cycles.window_full")
+            return
+        fetched = self.fetch.fetch_cycle(budget=budget)
+        if self._tracing and fetched:
+            self.tracer.count("fetch.cycles_active")
+            self.tracer.count("fetch.instructions", len(fetched))
+        for fetched_inst in fetched:
+            self._allocate(fetched_inst)
+
+    def _allocate(self, fetched: FetchedInstruction) -> None:
+        """Load *fetched* into the next free station and link its operands."""
+        decoded = self._decoded[fetched.static_index]
+        if decoded is None:
+            decoded = self._decode(fetched)
+        pos = (self.oldest + self.count) % self.n
+        station = Station(
+            pos,
+            fetched=fetched,
+            state=WAITING,
+            seq=self.seq,
+            fetch_cycle=self.cycle,
+            decoded=decoded,
+        )
+        self.stations[pos] = station
+        self.count += 1
+        self.seq += 1
+
+        # Link each source to its nearest preceding writer.  A finished
+        # producer's value arrives a forwarding latency after it
+        # completed; an unfinished one will wake this station.
+        self_timed = self.config.self_timed
+        ready_cycle = 0
+        pending = 0
+        producers = []
+        for reg in decoded.sources:
+            producer = self._writer[reg]
+            if producer is not None and producer.state is EMPTY:
+                producer = None  # deallocated: the register file holds it
+            producers.append(producer)
+            if producer is None:
+                source_pos = self._reg_source_pos[reg]
+                if self_timed and source_pos is not None:
+                    arrival = self._reg_source_cycle[reg] + self._forward_latency(source_pos, pos)
+                    ready_cycle = max(ready_cycle, arrival)
+            elif producer.state is DONE:
+                arrival = producer.complete_cycle + self._forward_latency(producer.index, pos)
+                ready_cycle = max(ready_cycle, arrival)
             else:
-                station.state = StationState.EXECUTING
-                station.remaining = self.config.latencies.latency_of(inst.op)
+                pending += 1
+                producer.consumers.append(station)
+        station.producers = tuple(producers)
+        station.pending = pending
+        station.ready_cycle = ready_cycle
+
+        dest = decoded.dest
+        if dest is not None:
+            station.prev_writer = self._writer[dest]
+            self._writer[dest] = station
+        if decoded.is_memory:
+            self._memory_ops.append(station)
+            if decoded.is_store:
+                self._stores.append(station)
+        elif decoded.is_control:
+            self._controls.append(station)
+        if not pending:
+            self._schedule(station)
+
+    def _decode(self, fetched: FetchedInstruction) -> DecodedInstruction:
+        """Decode a static instruction on its first fetch."""
+        inst = fetched.instruction
+        fields = self._opcode_fields.get(inst.op)
+        if fields is None:
+            fields = DecodedInstruction.opcode_fields(inst, self.config.latencies)
+            self._opcode_fields[inst.op] = fields
+        decoded = self._decoded[fetched.static_index] = DecodedInstruction.of(inst, fields)
+        return decoded
+
+    def _schedule(self, station: Station) -> None:
+        """Make *station* issuable from its ``ready_cycle`` on."""
+        if station.ready_cycle > self.cycle:
+            self._arrivals.setdefault(station.ready_cycle, []).append(station)
+            return
+        decoded = station.decoded
+        if decoded.is_load:
+            self._ready_loads.append(station)
+        elif decoded.is_store:
+            self._ready_stores.append(station)
+        else:
+            self._ready_alu.append(station)
+
+    def _wake_consumers(self, producer: Station) -> None:
+        """*producer* just finished: its value starts towards each consumer."""
+        for consumer in producer.consumers:
+            if consumer.state is not WAITING:
+                continue  # squashed
+            arrival = producer.complete_cycle + self._forward_latency(
+                producer.index, consumer.index
+            )
+            if arrival > consumer.ready_cycle:
+                consumer.ready_cycle = arrival
+            consumer.pending -= 1
+            if not consumer.pending:
+                self._schedule(consumer)
+        producer.consumers = []
+
+    def _phase_issue(self) -> None:
+        arrived = self._arrivals.pop(self.cycle, None)
+        if arrived:
+            for station in arrived:
+                if station.state is WAITING:
+                    self._schedule(station)
+        issued = 0
+
+        # Shared-ALU arbitration (Memo 2): the oldest requesters win the
+        # ALUs that stations executing since earlier cycles leave free;
+        # NOP and HALT need none.  (It runs before memory operations
+        # issue: a store-forwarded load holds an ALU from the next cycle.)
+        pool = self._ready_alu
+        if pool:
+            pool.sort(key=_by_seq)
+            num_alus = self.config.num_alus
+            free = len(pool) if num_alus is None else num_alus - self._alu_busy
+            denied = []
+            for station in pool:
+                if station.decoded.uses_alu:
+                    if free <= 0:
+                        denied.append(station)
+                        continue
+                    free -= 1
+                self._issue_execute(station)
+                issued += 1
+            if self._tracing and denied:
+                self.tracer.count("issue.alu_denied", len(denied))
+            self._ready_alu = denied
+
+        # Loads wait for every older store; a store waits for every older
+        # memory operation and control transfer.  A load and a store
+        # never both pass in one cycle, so memory requests leave in age
+        # order.
+        loads = self._ready_loads
+        if loads:
+            loads.sort(key=_by_seq)
+            first_store = self._first_pending(self._stores)
+            passed = 0
+            for station in loads:
+                if station.seq > first_store:
+                    break
+                self._issue_load(station)
+                passed += 1
+            del loads[:passed]
+            issued += passed
+        stores = self._ready_stores
+        if stores:
+            stores.sort(key=_by_seq)
+            oldest = stores[0]
+            older_memory_done = oldest.seq == self._first_pending(self._memory_ops)
+            if older_memory_done and oldest.seq < self._first_pending(self._controls):
+                self._issue_store(oldest)
+                del stores[0]
+                issued += 1
         if self._tracing and issued:
             self.tracer.count("issue.cycles_active")
             self.tracer.count("issue.instructions", issued)
 
-    def _trace_issue(self, station: Station, view: _RegView, inst) -> None:
+    def _begin_issue(self, station: Station) -> tuple[int, ...]:
+        """Read *station*'s operands through its producer links."""
+        operands = tuple(
+            [
+                self._operand(producer, reg)
+                for reg, producer in zip(station.decoded.sources, station.producers)
+            ]
+        )
+        station.operands = operands
+        station.issue_cycle = self.cycle
+        if self._tracing:
+            self._trace_issue(station)
+        return operands
+
+    def _start_executing(self, station: Station, latency: int) -> None:
+        station.state = EXECUTING
+        if station.decoded.uses_alu:
+            self._alu_busy += 1
+        self._finishing.setdefault(self.cycle + latency - 1, []).append(station)
+
+    def _issue_execute(self, station: Station) -> None:
+        self._begin_issue(station)
+        self._start_executing(station, station.decoded.latency)
+
+    def _issue_load(self, station: Station) -> None:
+        operands = self._begin_issue(station)
+        address = to_unsigned(operands[0] + station.decoded.imm)
+        station.address = address
+        if self.config.store_forwarding:
+            # memory renaming: stores issue in age order and all older
+            # ones have, so the youngest store issued to this address is
+            # the nearest preceding one — if it is still allocated
+            forwarder = self._last_store.get(address)
+            if forwarder is not None and forwarder.state is not EMPTY:
+                self.forwarded_loads += 1
+                if self._tracing:
+                    self.tracer.count("mem.store_forward_hits")
+                station.result = forwarder.operands[1]
+                self._start_executing(station, 1)
+                return
+        request_id = self.memory.submit_load(address, leaf=station.index)
+        station.memory_request_id = request_id
+        station.state = MEMORY
+        self._in_memory[request_id] = station
+
+    def _issue_store(self, station: Station) -> None:
+        operands = self._begin_issue(station)
+        address = to_unsigned(operands[0] + station.decoded.imm)
+        station.address = address
+        request_id = self.memory.submit_store(address, operands[1], leaf=station.index)
+        station.memory_request_id = request_id
+        station.state = MEMORY
+        self._in_memory[request_id] = station
+        if self.config.store_forwarding:
+            self._last_store[address] = station
+
+    def _trace_issue(self, station: Station) -> None:
         """Record forwarding provenance and memory traffic for one issue."""
-        for reg in (inst.rs1, inst.rs2):
-            if reg is None:
-                continue
-            writer = view.writers[reg] if view.writers is not None else None
-            if writer is not None:
-                hops = tree_level_distance(writer.index, station.index)
+        decoded = station.decoded
+        for producer in station.producers:
+            if producer is not None and producer.state is not EMPTY:
+                hops = tree_level_distance(producer.index, station.index)
                 self.tracer.count("forward.from_station")
                 self.tracer.count(f"forward.hops.{hops}")
                 self.tracer.count(
                     "forward.latency_cycles",
-                    self._forward_latency(writer.index, station.index),
+                    self._forward_latency(producer.index, station.index),
                 )
             else:
                 self.tracer.count("forward.from_regfile")
-        if inst.is_load:
+        if decoded.is_load:
             self.tracer.count("mem.loads")
-        elif inst.is_store:
+        elif decoded.is_store:
             self.tracer.count("mem.stores")
 
-    def _phase_execute(self, occupied: list[Station]) -> None:
-        """Advance functional units; resolve branches; handle squashes."""
-        for idx, station in enumerate(occupied):
-            if station.state is not StationState.EXECUTING:
-                continue
-            station.remaining -= 1
-            if station.remaining > 0:
-                continue
-            inst = station.fetched.instruction
-            station.state = StationState.DONE
+    def _phase_execute(self) -> None:
+        """Finish functional units; resolve branches; handle squashes."""
+        finishing = self._finishing.pop(self.cycle, None)
+        if not finishing:
+            return
+        finishing.sort(key=_by_seq)
+        for station in finishing:
+            if station.state is not EXECUTING:
+                continue  # squashed
+            decoded = station.decoded
+            station.state = DONE
             station.complete_cycle = self.cycle
-            op = inst.op
-            if inst.is_branch:
-                station.taken = branch_taken(op, station.operands[0], station.operands[1])
-                actual_next = inst.target if station.taken else station.fetched.static_index + 1
-                if station.taken != station.fetched.predicted_taken:
+            if decoded.uses_alu:
+                self._alu_busy -= 1
+            if decoded.is_branch:
+                operands = station.operands
+                station.taken = branch_taken(decoded.op, operands[0], operands[1])
+                fetched = station.fetched
+                if station.taken != fetched.predicted_taken:
+                    actual_next = decoded.target if station.taken else fetched.static_index + 1
                     self._mispredict(station, actual_next)
                     return  # younger stations were squashed; stop this phase
-            elif op is Opcode.J:
+            elif decoded.op is Opcode.J:
                 station.taken = True
-            elif op in (Opcode.HALT, Opcode.NOP):
-                pass
-            elif inst.is_load:
-                pass  # store-forwarded load: result preset at issue
-            else:
+            elif decoded.uses_alu and not decoded.is_load:
+                # (NOP and HALT compute nothing; a store-forwarded load's
+                # result was preset at issue)
+                operands = station.operands
                 station.result = alu_result(
-                    op,
-                    station.operands[0] if station.operands else 0,
-                    station.operands[1] if len(station.operands) > 1 else 0,
-                    inst.imm,
+                    decoded.op,
+                    operands[0] if operands else 0,
+                    operands[1] if len(operands) > 1 else 0,
+                    decoded.imm,
                 )
+            if station.consumers:
+                self._wake_consumers(station)
 
     def _mispredict(self, station: Station, actual_next: int) -> None:
         """Squash everything younger than *station* and redirect fetch."""
         self.mispredictions += 1
-        order = self._ring_order()
-        past_branch = False
-        for pos in order:
-            current = self.stations[pos]
-            if past_branch and current.occupied:
-                if current.memory_request_id is not None and not current.done:
-                    self._cancelled_requests.add(current.memory_request_id)
-                current.clear()
-                self.squashed += 1
-            if current is station:
-                past_branch = True
+        keep = (station.index - self.oldest) % self.n + 1
+        for k in range(self.count - 1, keep - 1, -1):  # youngest first
+            current = self.stations[(self.oldest + k) % self.n]
+            if current.state is MEMORY:
+                self._in_memory.pop(current.memory_request_id, None)
+            elif current.state is EXECUTING and current.decoded.uses_alu:
+                self._alu_busy -= 1
+            dest = current.decoded.dest
+            if dest is not None:
+                self._writer[dest] = current.prev_writer
+            current.clear()
+            self.squashed += 1
+        self.count = keep
+        for queue in (
+            self._stores,
+            self._memory_ops,
+            self._controls,
+            self._ready_alu,
+            self._ready_loads,
+            self._ready_stores,
+        ):
+            _drop_squashed(queue)
         # rewind the fetch sequence numbering to just after the branch
         self.seq = station.seq + 1
         self.fetch.redirect(actual_next)
 
-    def _phase_memory(self, occupied: list[Station]) -> None:
+    def _phase_memory(self) -> None:
         completions = self.memory.tick()
         if not completions:
             return
-        by_request = {
-            station.memory_request_id: station
-            for station in occupied
-            if station.state is StationState.MEMORY
-        }
         for request_id, value in completions.items():
-            if request_id in self._cancelled_requests:
-                self._cancelled_requests.discard(request_id)
-                continue
-            station = by_request.get(request_id)
+            station = self._in_memory.pop(request_id, None)
             if station is None:
-                continue
-            station.state = StationState.DONE
+                continue  # squashed
+            station.state = DONE
             station.complete_cycle = self.cycle
-            if station.fetched.instruction.is_load:
+            if station.decoded.is_load:
                 station.result = value
+                if station.consumers:
+                    self._wake_consumers(station)
 
     def _phase_commit(self) -> None:
         """Commit finished oldest instructions; deallocate whole clusters.
@@ -494,81 +573,83 @@ class RingProcessor:
         station" behaviour.  With ``cluster_size == 1`` this is exactly
         the Ultrascalar I's per-station reuse.
         """
-        for pos in self._ring_order():
-            station = self.stations[pos]
-            if not station.occupied:
+        while self.committed_count < self.count:
+            station = self.stations[(self.oldest + self.committed_count) % self.n]
+            if station.state is not DONE:
                 break
-            if station.committed:
-                continue
-            if not station.done:
-                break
-            inst = station.fetched.instruction
-            reg = station.writes_register
-            if reg is not None and station.result is not None:
-                self.committed_regs[reg] = station.result
-                self._reg_source_pos[reg] = station.index
-                self._reg_source_cycle[reg] = station.complete_cycle
-            taken = station.taken
-            next_pc = station.fetched.static_index + 1
-            if inst.is_control and taken:
-                next_pc = inst.target
-            self.committed.append(
-                StepOutcome(
-                    static_index=station.fetched.static_index,
-                    instruction=inst,
-                    operand_values=station.operands,
-                    result=station.result,
-                    address=station.address,
-                    taken=taken,
-                    next_pc=next_pc,
-                )
-            )
-            self.timings.append(
-                TimingRecord(
-                    seq=station.seq,
-                    static_index=station.fetched.static_index,
-                    instruction=inst,
-                    fetch_cycle=station.fetch_cycle,
-                    issue_cycle=station.issue_cycle,
-                    complete_cycle=station.complete_cycle,
-                    commit_cycle=self.cycle,
-                )
-            )
-            if inst.is_branch:
-                self.predictor.update(station.fetched.static_index, bool(taken))
-            if inst.is_halt:
-                self.halted = True
-            station.committed = True
-            if self._tracing:
-                self.tracer.count("commit.instructions")
-                self.tracer.event(
-                    str(inst),
-                    cat="instruction",
-                    ts=station.issue_cycle,
-                    dur=station.complete_cycle - station.issue_cycle + 1,
-                    tid=station.index,
-                    seq=station.seq,
-                    static_index=station.fetched.static_index,
-                    fetch_cycle=station.fetch_cycle,
-                    commit_cycle=self.cycle,
-                )
+            self._commit(station)
+            self.committed_count += 1
 
-        # Deallocate leading fully-committed clusters.  `oldest` is always
-        # cluster-aligned: the initial fill starts at position 0 and
-        # clusters free as aligned units.
-        while True:
-            members = [
-                self.stations[(self.oldest + k) % self.n]
-                for k in range(self.cluster_size)
-            ]
-            if not all(s.occupied and s.committed for s in members):
-                break
-            for s in members:
-                s.clear()
-            self.oldest = (self.oldest + self.cluster_size) % self.n
-            if self._tracing:
-                self.tracer.count(f"fetch.refills.{self._refill_mode}")
-                self.tracer.count("fetch.refilled_stations", self.cluster_size)
+        # `oldest` is always cluster-aligned: the initial fill starts at
+        # position 0 and clusters free as aligned units.
+        while self.committed_count >= self.cluster_size:
+            self._free(self.cluster_size)
+        if self.count and self.committed_count == self.count and self.fetch.stalled():
+            self._free(self.count)  # partly filled, and nothing more will come
+
+    def _commit(self, station: Station) -> None:
+        decoded = station.decoded
+        fetched = station.fetched
+        reg = decoded.dest
+        if reg is not None and station.result is not None:
+            self.committed_regs[reg] = station.result
+            self._reg_source_pos[reg] = station.index
+            self._reg_source_cycle[reg] = station.complete_cycle
+        taken = station.taken
+        next_pc = fetched.static_index + 1
+        if decoded.is_control and taken:
+            next_pc = decoded.target
+        self.committed.append(
+            StepOutcome(
+                static_index=fetched.static_index,
+                instruction=fetched.instruction,
+                operand_values=station.operands,
+                result=station.result,
+                address=station.address,
+                taken=taken,
+                next_pc=next_pc,
+            )
+        )
+        self.timings.append(
+            TimingRecord(
+                seq=station.seq,
+                static_index=fetched.static_index,
+                instruction=fetched.instruction,
+                fetch_cycle=station.fetch_cycle,
+                issue_cycle=station.issue_cycle,
+                complete_cycle=station.complete_cycle,
+                commit_cycle=self.cycle,
+            )
+        )
+        if decoded.is_branch:
+            self.predictor.update(fetched.static_index, bool(taken))
+        if decoded.is_halt:
+            self.halted = True
+        station.committed = True
+        if self._tracing:
+            self.tracer.count("commit.instructions")
+            self.tracer.event(
+                str(fetched.instruction),
+                cat="instruction",
+                ts=station.issue_cycle,
+                dur=station.complete_cycle - station.issue_cycle + 1,
+                tid=station.index,
+                seq=station.seq,
+                static_index=fetched.static_index,
+                fetch_cycle=station.fetch_cycle,
+                commit_cycle=self.cycle,
+            )
+
+    def _free(self, stations: int) -> None:
+        """Deallocate the leading cluster's first *stations* stations."""
+        for k in range(stations):
+            self.stations[(self.oldest + k) % self.n].clear()
+        self.oldest = (self.oldest + self.cluster_size) % self.n
+        self.count -= stations
+        self.committed_count -= stations
+        if self._tracing:
+            self.tracer.count(f"fetch.refills.{self._refill_mode}")
+            self.tracer.count("fetch.refilled_stations", stations)
 
     # ------------------------------------------------------------------
     # driving
@@ -577,21 +658,19 @@ class RingProcessor:
     def step(self) -> None:
         """Advance the processor one clock cycle."""
         self._phase_fetch()
-        occupied = self._occupied_in_order()
         if self._tracing:
             self.tracer.count("cycles")
-            self.tracer.count("commit.window_occupancy", len(occupied))
-        views = self._register_views(occupied)
-        self._phase_issue(occupied, views)
-        self._phase_execute(occupied)
-        self._phase_memory(self._occupied_in_order())
+            self.tracer.count("commit.window_occupancy", self.count)
+        self._phase_issue()
+        self._phase_execute()
+        self._phase_memory()
         self._phase_commit()
         if self._cycle_hook is not None:
             self._cycle_hook(self)
         self.cycle += 1
 
     def _idle(self) -> bool:
-        return self.fetch.stalled() and not any(s.occupied for s in self.stations)
+        return self.count == 0 and self.fetch.stalled()
 
     def run(self) -> ProcessorResult:
         """Run to completion (HALT committed, or program exhausted)."""

@@ -1,10 +1,10 @@
 """Engine-internal invariant checking (the opt-in per-cycle observer).
 
-An :class:`InvariantChecker` is a callable passed as the engines'
-``cycle_hook``; both :class:`~repro.ultrascalar.ring.RingProcessor` and
-:class:`~repro.ultrascalar.us2.BatchProcessor` invoke it once at the end
-of every :meth:`step`.  Normal runs pass no hook, so they execute
-exactly the pre-verification code.
+An :class:`InvariantChecker` is a callable passed as the engine's
+``cycle_hook``; :class:`~repro.ultrascalar.ring.RingProcessor` — which
+models all three designs — invokes it once at the end of every
+:meth:`step`.  Normal runs pass no hook, so they execute exactly the
+pre-verification code.
 
 Checked properties (violations raise :class:`InvariantViolation`):
 
@@ -16,22 +16,27 @@ Checked properties (violations raise :class:`InvariantViolation`):
   ready bit asserted into the prefix network), it stays DONE until the
   station is deallocated or squashed; a ready bit never de-asserts while
   the same instruction occupies the station.
-* **Ordering-condition consistency** (ring) — the engine's CSPP-derived
-  Figure 5 conditions (stores done / memory done / branches resolved for
-  all older stations) equal a naive O(n²) recomputation; the segmented
-  prefix circuit and the specification walk must agree every cycle.
-* **Single-writer-per-column routing** (US-II grid) — the batch's
-  register views equal :func:`repro.circuits.grid.route_arguments`, the
-  behavioural reference for the grid network: each station's arguments
-  come from the *nearest* preceding writer column (of which each station
-  contributes at most one), else the incoming register file.
+* **Ordering-cursor consistency** — the engine's Figure 5 cursors (the
+  oldest unfinished store, memory operation and control transfer) equal
+  a naive walk of the occupied stations.
+* **Producer links equal CSPP routing** — for every occupied station and
+  every register it reads, a walk of the occupied stations in CSPP
+  order (oldest first, the committed register file inserted at the
+  oldest) gives the nearest preceding writer.  The engine's producer
+  link must be that writer (or the register file).  A WAITING station
+  must read the walk's value through the link wherever it is ready and
+  count the rest as pending; an issued, uncommitted station must have
+  issued with exactly the walk's values.  For the one-cluster ring (the
+  Ultrascalar II) this walk is the grid routing
+  :func:`repro.circuits.grid.route_arguments` computes.
+
+Each check is O(n + registers read) per cycle.
 """
 
 from __future__ import annotations
 
-from repro.circuits.grid import RegisterBinding, route_arguments
-from repro.ultrascalar.ring import RingProcessor
-from repro.ultrascalar.us2 import BatchProcessor
+from repro.ultrascalar.ring import NONE_PENDING, RingProcessor
+from repro.ultrascalar.station import StationState
 
 
 class InvariantViolation(AssertionError):
@@ -49,7 +54,7 @@ class InvariantChecker:
 
     def __init__(self) -> None:
         self.checks = 0
-        #: per engine id: last observed (seq, done) per station position
+        #: per engine id: position -> seq of each station DONE last cycle
         self._done_seen: dict[int, dict[int, int]] = {}
         #: per engine id: committed-stream length already validated
         self._commit_cursor: dict[int, int] = {}
@@ -58,14 +63,11 @@ class InvariantChecker:
 
     def __call__(self, engine) -> None:
         if isinstance(engine, RingProcessor):
-            stations = engine._occupied_in_order()
+            stations = engine.occupied_stations()
             self._check_commit_fifo(engine)
             self._check_done_monotonic(engine, stations)
-            self._check_ring_ordering(engine, stations)
-        elif isinstance(engine, BatchProcessor):
-            self._check_commit_fifo(engine)
-            self._check_done_monotonic(engine, engine.batch)
-            self._check_batch_routing(engine)
+            self._check_ordering_cursors(engine, stations)
+            self._check_producer_links(engine, stations)
 
     # ------------------------------------------------------------------
 
@@ -97,86 +99,98 @@ class InvariantChecker:
     def _check_done_monotonic(self, engine, stations) -> None:
         """A DONE (ready) station stays DONE until deallocated/squashed."""
         self.checks += 1
-        seen = self._done_seen.setdefault(id(engine), {})
-        current: dict[int, int] = {}
-        for station in stations:
-            if station.done:
-                current[station.index] = station.seq
+        seen = self._done_seen.get(id(engine), {})
+        by_position = {station.index: station for station in stations}
         for position, seq in seen.items():
-            still_here = any(s.index == position and s.seq == seq for s in stations)
-            if still_here and current.get(position) != seq:
+            station = by_position.get(position)
+            if station is not None and station.seq == seq and not station.done:
                 self._fail(
                     engine,
                     f"ready bit de-asserted: station {position} (seq {seq}) "
                     "was DONE and is no longer",
                 )
-        self._done_seen[id(engine)] = current
+        self._done_seen[id(engine)] = {s.index: s.seq for s in stations if s.done}
 
-    def _check_ring_ordering(self, engine: RingProcessor, occupied) -> None:
-        """Engine's CSPP ordering conditions equal the naive walk."""
+    def _check_ordering_cursors(self, engine: RingProcessor, stations) -> None:
+        """Engine's Figure 5 cursors equal the naive walk."""
         self.checks += 1
-        if not occupied:
-            return
-        got = engine._ordering_conditions(occupied)
-        stores, mems, branches = [], [], []
-        store_ok = mem_ok = branch_ok = True
-        for station in occupied:
-            stores.append(store_ok)
-            mems.append(mem_ok)
-            branches.append(branch_ok)
+        want = [NONE_PENDING, NONE_PENDING, NONE_PENDING]
+        for station in stations:
+            if station.done:
+                continue
             inst = station.fetched.instruction
-            store_ok = store_ok and (not inst.is_store or station.done)
-            mem_ok = mem_ok and (not inst.is_memory or station.done)
-            branch_ok = branch_ok and (not inst.is_control or station.done)
-        want = (stores, mems, branches)
-        if tuple(got) != want:
-            for name, g, w in zip(("stores", "mem", "branches"), got, want):
-                if g != w:
-                    self._fail(
-                        engine,
-                        f"CSPP {name}-ordering condition diverged from the "
-                        f"specification walk: circuit {g}, walk {w}",
-                    )
-
-    def _check_batch_routing(self, engine: BatchProcessor) -> None:
-        """Batch register views equal the grid network's routed arguments."""
-        self.checks += 1
-        batch = engine.batch
-        if not batch:
-            return
-        writes: list[RegisterBinding | None] = []
-        reads: list[list[int]] = []
-        for station in batch:
-            reg = station.writes_register
-            if reg is None:
-                writes.append(None)
-            else:
-                published = station.done and station.result is not None
-                writes.append(
-                    RegisterBinding(
-                        reg=reg,
-                        value=station.result if published else 0,
-                        ready=published,
-                    )
+            if inst.is_store and want[0] == NONE_PENDING:
+                want[0] = station.seq
+            if inst.is_memory and want[1] == NONE_PENDING:
+                want[1] = station.seq
+            if inst.is_control and want[2] == NONE_PENDING:
+                want[2] = station.seq
+        got = engine.ordering_cursors()
+        for name, g, w in zip(("stores", "mem", "branches"), got, want):
+            if g != w:
+                self._fail(
+                    engine,
+                    f"CSPP {name}-ordering cursor diverged from the "
+                    f"specification walk: engine seq {g}, walk seq {w}",
                 )
-            reads.append(list(station.fetched.instruction.reads))
-        routed = route_arguments(
-            engine.L,
-            [(value, True) for value in engine.registers],
-            writes,
-            reads,
-        )
-        views = engine._register_views()
-        for idx, (station, requested) in enumerate(zip(batch, reads)):
-            for port, reg in enumerate(requested):
-                want = routed.arguments[idx][port]
-                got = (views[idx].values[reg], views[idx].ready[reg])
-                if got != want:
+
+    def _check_producer_links(self, engine: RingProcessor, stations) -> None:
+        """Producer links equal the CSPP walk, and so do the values read."""
+        self.checks += 1
+        writer = [None] * engine.L  # nearest preceding writer so far
+        for station in stations:
+            waiting = station.state is StationState.WAITING
+            reads = station.fetched.instruction.reads
+            pending = 0
+            for port, (reg, link) in enumerate(zip(reads, station.producers)):
+                want = writer[reg]
+                if link is not None and not link.occupied:
+                    link = None  # deallocated: reads the register file
+                if link is not want:
                     self._fail(
                         engine,
-                        f"grid routing diverged at station {idx} r{reg}: "
-                        f"view {got}, route_arguments {want}",
+                        f"station {station.index} (seq {station.seq}) links "
+                        f"r{reg} to {_describe(link)}, CSPP routes it from "
+                        f"{_describe(want)}",
                     )
+                if station.committed:
+                    continue  # younger commits may have overwritten the register file
+                if want is None:
+                    value = engine.committed_regs[reg]
+                elif want.done:
+                    value = want.result
+                elif waiting:
+                    pending += 1
+                    continue
+                else:
+                    self._fail(
+                        engine,
+                        f"station {station.index} (seq {station.seq}) issued "
+                        f"before {_describe(want)} produced r{reg}",
+                    )
+                got = engine._operand(link, reg) if waiting else station.operands[port]
+                if got != value:
+                    self._fail(
+                        engine,
+                        f"station {station.index} (seq {station.seq}) reads "
+                        f"r{reg} = {got} through its producer link, CSPP "
+                        f"routes {value}",
+                    )
+            if waiting and station.pending != pending:
+                self._fail(
+                    engine,
+                    f"station {station.index} (seq {station.seq}) waits on "
+                    f"{station.pending} operands, CSPP shows {pending} not ready",
+                )
+            reg = station.writes_register
+            if reg is not None:
+                writer[reg] = station
+
+
+def _describe(station) -> str:
+    if station is None:
+        return "the register file"
+    return f"station {station.index} (seq {station.seq})"
 
 
 def checked_run(engine, checker: InvariantChecker | None = None):

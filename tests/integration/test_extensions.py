@@ -12,7 +12,13 @@ import pytest
 
 from repro.isa import assemble
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
+from repro.telemetry import CountingTracer
+from repro.ultrascalar import (
+    IdealMemory,
+    ProcessorConfig,
+    make_ultrascalar1,
+    make_ultrascalar2,
+)
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -170,3 +176,45 @@ class TestConfigValidation:
     def test_num_alus_positive(self):
         with pytest.raises(ValueError):
             ProcessorConfig(num_alus=0)
+
+
+class TestUltrascalar2HonoursKnobs:
+    """The Ultrascalar II is the ring with one cluster of n stations, so
+    the shared-ALU, store-forwarding and self-timed knobs change its
+    timing just as they change the Ultrascalar I's."""
+
+    @staticmethod
+    def run_us2(workload, load_latency=1, tracer=None, **config_kwargs):
+        config = ProcessorConfig(window_size=16, fetch_width=8, **config_kwargs)
+        memory = IdealMemory(load_latency=load_latency)
+        memory.load_image(workload.memory_image)
+        processor = make_ultrascalar2(
+            workload.program, config, memory=memory,
+            initial_registers=workload.registers_for(), tracer=tracer,
+        )
+        return processor.run()
+
+    def test_shared_alus(self):
+        workload = random_ilp(96, 0.8, seed=3)
+        plain = self.run_us2(workload)
+        tracer = CountingTracer()
+        pooled = self.run_us2(workload, tracer=tracer, num_alus=1)
+        assert_golden(workload, pooled)
+        assert pooled.cycles > plain.cycles
+        assert tracer.snapshot()["issue.alu_denied"] > 0
+
+    def test_store_forwarding(self):
+        workload = store_load_pairs(6)
+        plain = self.run_us2(workload, load_latency=8)
+        forwarded = self.run_us2(workload, load_latency=8, store_forwarding=True)
+        assert_golden(workload, forwarded)
+        assert plain.forwarded_loads == 0
+        assert forwarded.forwarded_loads > 0
+        assert forwarded.cycles < plain.cycles
+
+    def test_self_timed(self):
+        workload = spaced_chain(48, 8)
+        global_clock = self.run_us2(workload)
+        self_timed = self.run_us2(workload, self_timed=True)
+        assert_golden(workload, self_timed)
+        assert self_timed.cycles > global_clock.cycles

@@ -8,6 +8,7 @@ window sizes, cluster sizes, predictors, and memory systems.
 import pytest
 
 from repro.frontend.branch_predictor import AlwaysNotTaken, AlwaysTaken, BimodalPredictor
+from repro.isa import assemble
 from repro.isa.interpreter import MachineState, run_program
 from repro.memory.interleaved_cache import InterleavedCache
 from repro.network.fattree import FatTree, bandwidth_constant
@@ -19,6 +20,7 @@ from repro.ultrascalar import (
     make_ultrascalar1,
     make_ultrascalar2,
 )
+from repro.verify.invariants import checked_run
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -198,3 +200,57 @@ class TestThroughputOrdering:
         result = build(workload, "us1", window=1).run()
         # one station: fetch, execute, commit one instruction at a time
         assert result.ipc <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["us2", "hyb"])
+class TestProgramsWithoutHalt:
+    """A program that runs off its end still drains: the last, partly
+    filled cluster (or batch) frees once nothing more can be fetched."""
+
+    def test_three_instructions_without_halt_finish(self, kind):
+        program = assemble(
+            """
+            addi r1, r0, 1
+            addi r2, r1, 2
+            add  r3, r1, r2
+            """
+        )
+        config = ProcessorConfig(window_size=8, fetch_width=4, max_cycles=100)
+        if kind == "us2":
+            processor = make_ultrascalar2(program, config)
+        else:
+            processor = make_hybrid(program, 2, config)
+        result = processor.run()
+        assert result.instructions_committed == 3
+        assert result.cycles < 20
+        assert result.registers[1:4] == [1, 3, 4]
+        assert not result.halted
+
+
+@pytest.mark.parametrize("kind", ["us1", "us2", "hyb"])
+def test_squash_restores_nearest_writer(kind):
+    """A wrong-path writer of r1 is squashed; the correct-path reader must
+    link back to the older, still-running writer (the slow divide), not
+    to the register file."""
+    program = assemble(
+        """
+        li   r2, 100
+        li   r3, 7
+        div  r1, r2, r3
+        beq  r0, r0, skip
+        addi r1, r0, 99
+    skip:
+        addi r4, r1, 1
+        halt
+        """
+    )
+    config = ProcessorConfig(window_size=8, fetch_width=8)
+    if kind == "us1":
+        processor = make_ultrascalar1(program, config, predictor=AlwaysNotTaken())
+    elif kind == "us2":
+        processor = make_ultrascalar2(program, config, predictor=AlwaysNotTaken())
+    else:
+        processor = make_hybrid(program, 4, config, predictor=AlwaysNotTaken())
+    result = checked_run(processor)
+    assert result.mispredictions == 1
+    assert result.registers[4] == 100 // 7 + 1

@@ -1,15 +1,14 @@
-"""Property: the BatchProcessor's register-view walk equals the grid
-network's behavioural router — closing the loop between the Ultrascalar
-II processor model and the Figure 7/8 circuits."""
+"""Property: the Ultrascalar II — the ring with one cluster of ``n``
+stations — routes every argument exactly as the grid network's
+behavioural router does, closing the loop between the processor model
+and the Figure 7/8 circuits."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.frontend.branch_predictor import AlwaysNotTaken
-from repro.frontend.fetch import FetchUnit
 from repro.isa import Instruction, Opcode, Program
-from repro.ultrascalar import IdealMemory, ProcessorConfig
-from repro.ultrascalar.us2 import BatchProcessor
+from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar2
 
 L = 6
 REGS = st.integers(0, L - 1)
@@ -36,29 +35,25 @@ def batch_programs(draw):
 @given(batch_programs(), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_batch_views_equal_grid_router(program, cycles):
-    """At an arbitrary mid-execution cycle, the processor's view walk and
-    the circuits' route_arguments agree on every argument."""
+    """At an arbitrary mid-execution cycle, the stations' producer-link
+    reads and the circuits' route_arguments agree on every argument."""
     config = ProcessorConfig(window_size=8, fetch_width=8)
-    processor = BatchProcessor(
-        program,
-        config,
-        predictor=AlwaysNotTaken(),
-        memory=IdealMemory(),
-        fetch_unit=FetchUnit(program, AlwaysNotTaken(), width=8),
+    processor = make_ultrascalar2(
+        program, config, predictor=AlwaysNotTaken(), memory=IdealMemory()
     )
+    assert processor.cluster_size == config.window_size
     for _ in range(cycles):
         if processor.halted:
             break
         processor.step()
-    if not processor.batch:
+    batch = processor.occupied_stations()
+    if not batch:
         return
 
-    views = processor._register_views()
-
-    initial = [(value, True) for value in processor.registers]
+    initial = [(value, True) for value in processor.committed_regs]
     writes = []
     reads = []
-    for station in processor.batch:
+    for station in batch:
         reg = station.writes_register
         if reg is None:
             writes.append(None)
@@ -70,17 +65,13 @@ def test_batch_views_equal_grid_router(program, cycles):
                     station.done and station.result is not None,
                 )
             )
-        inst = station.fetched.instruction
-        reads.append([inst.rs1 if inst.rs1 is not None else 0,
-                      inst.rs2 if inst.rs2 is not None else 0])
+        reads.append(list(station.fetched.instruction.reads))
 
     routed = route_arguments(L, initial, writes, reads)
-    for index, station in enumerate(processor.batch):
-        inst = station.fetched.instruction
-        for port, reg in enumerate((inst.rs1, inst.rs2)):
-            if reg is None:
-                continue
+    for index, station in enumerate(batch):
+        for port, (reg, producer) in enumerate(zip(reads[index], station.producers)):
             grid_value, grid_ready = routed.arguments[index][port]
-            assert views[index].ready[reg] == grid_ready
+            live = producer is not None and producer.occupied
+            assert (not live or producer.done) == grid_ready
             if grid_ready:
-                assert views[index].values[reg] == grid_value
+                assert processor._operand(producer, reg) == grid_value

@@ -1,7 +1,7 @@
 """Unit tests for the differential-verification subsystem (repro.verify).
 
 The centerpiece is the mutation test: inject a forwarding bug into the
-US-I register-view walk and show that the fuzzer (a) detects the
+ring engine's producer-link read and show that the fuzzer (a) detects the
 divergence against the architectural oracle, (b) shrinks the failing
 program to a minimal reproducer (at most 8 instructions), and (c) the
 recorded reproducer replays the failure.
@@ -127,21 +127,19 @@ class TestInvariantChecker:
 def _forwarding_bug(monkeypatch):
     """Install the classic bug: DONE station forwards a stale value.
 
-    A station that writes r1 asserts its ready bit but the overlaid
-    value stays the committed register file's (pre-write) value — a
-    broken result bus, invisible to anything but differential testing.
+    A station reading r1 through its producer link gets the committed
+    register file's (pre-write) value although the producer has
+    finished — a broken result bus, invisible to anything but
+    differential testing.
     """
-    healthy = RingProcessor._register_views
+    healthy = RingProcessor._operand
 
-    def buggy(self, occupied):
-        views = healthy(self, occupied)
-        stale = list(self.committed_regs)
-        for view in views:
-            if view.ready[1]:
-                view.values[1] = stale[1]
-        return views
+    def buggy(self, producer, reg):
+        if reg == 1 and producer is not None and producer.done:
+            return self.committed_regs[1]
+        return healthy(self, producer, reg)
 
-    monkeypatch.setattr(RingProcessor, "_register_views", buggy)
+    monkeypatch.setattr(RingProcessor, "_operand", buggy)
 
 
 class TestMutationCatchAndShrink:
