@@ -12,8 +12,8 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 
 * ``engine`` — full-program throughput of the three paper designs
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
-  way users drive them, across window sizes;
-* ``vector`` — the NumPy-vectorized large-*n* ring engine;
+  way users drive them, across window sizes, plus us1 at the wide
+  windows (64 and 512 stations) the large-*n* experiments sweep;
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
 * ``network`` — the Ultrascalar II argument-routing reference;
@@ -80,6 +80,7 @@ def _engine_thunk(design: str, window: int, count: int) -> Callable[[], Any]:
     from repro.workloads.generators import random_ilp
 
     workload = random_ilp(count, 0.5, seed=1999)
+    # the default fetch width (4) for every engine row
     processor = build_processor(design, ProcessorConfig(window_size=window))
     program = workload.program
     registers = workload.registers_for()
@@ -90,67 +91,30 @@ def _engine_thunk(design: str, window: int, count: int) -> Callable[[], Any]:
     return thunk
 
 
+def _register_engine(name: str, design: str, window: int, count: int, quick: bool) -> None:
+    register(
+        Benchmark(
+            name=name,
+            group="engine",
+            title=f"{design} end-to-end run, window {window}",
+            make=lambda: _engine_thunk(design, window, count),
+            quick=quick,
+            metadata={
+                "design": design,
+                "window_size": window,
+                "instructions": count,
+                "seed": 1999,
+            },
+        )
+    )
+
+
 def _register_engines() -> None:
     for design in ("us1", "us2", "hybrid"):
         for window, count, quick in ((8, 48, True), (32, 192, False)):
-            register(
-                Benchmark(
-                    name=f"engine.{design}.w{window}",
-                    group="engine",
-                    title=f"{design} end-to-end run, window {window}",
-                    make=(
-                        lambda design=design, window=window, count=count:
-                        _engine_thunk(design, window, count)
-                    ),
-                    quick=quick,
-                    metadata={
-                        "design": design,
-                        "window_size": window,
-                        "instructions": count,
-                        "seed": 1999,
-                    },
-                )
-            )
-
-
-# ----------------------------------------------------------------------
-# vector engine
-
-
-def _vector_thunk(window: int, count: int) -> Callable[[], Any]:
-    from repro.ultrascalar.vector_engine import VectorRingEngine
-    from repro.workloads.generators import random_ilp
-
-    workload = random_ilp(count, 0.5, seed=1999)
-    program = workload.program
-    registers = workload.registers_for()
-
-    def thunk() -> None:
-        VectorRingEngine(
-            program, window_size=window, fetch_width=4,
-            initial_registers=list(registers),
-        ).run()
-
-    return thunk
-
-
-def _register_vector() -> None:
+            _register_engine(f"engine.{design}.w{window}", design, window, count, quick)
     for window, count, quick in ((64, 256, True), (512, 2048, False)):
-        register(
-            Benchmark(
-                name=f"vector.ring.n{window}",
-                group="vector",
-                title=f"vector ring engine, {window} stations",
-                make=lambda window=window, count=count: _vector_thunk(window, count),
-                quick=quick,
-                metadata={
-                    "design": "vector",
-                    "window_size": window,
-                    "instructions": count,
-                    "seed": 1999,
-                },
-            )
-        )
+        _register_engine(f"engine.us1.n{window}", "us1", window, count, quick)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +286,6 @@ def _register_verify() -> None:
 
 
 _register_engines()
-_register_vector()
 _register_cspp()
 _register_network()
 _register_isa()

@@ -7,18 +7,19 @@ infinite instruction window"; "Patt et al argue that a window size of
 parallelism available in a thousand-wide instruction window ... is not
 well understood."
 
-With the vectorized ring engine, we run that study on synthetic
-dependence graphs: IPC versus window size (8 → 2048) for a range of
-dependence densities.  The curves saturate at each workload's dataflow
-limit — low-density code keeps gaining IPC deep into thousand-wide
-windows, which is precisely the regime the Ultrascalar is built for.
+The event-driven ring engine (Ultrascalar I) runs that study on
+synthetic dependence graphs: IPC versus window size (8 → 2048) for a
+range of dependence densities.  The curves saturate at each workload's
+dataflow limit — low-density code keeps gaining IPC deep into
+thousand-wide windows, which is precisely the regime the Ultrascalar
+is built for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ultrascalar.vector_engine import VectorRingEngine
+from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
 from repro.workloads import random_ilp
 
@@ -89,7 +90,7 @@ def run(
     sizes: list[int] | None = None,
     instructions: int = 4000,
 ) -> IlpLimitsResult:
-    """Sweep (density, window size); IPC from the vector engine."""
+    """Sweep (density, window size); IPC from the Ultrascalar I ring."""
     densities = densities or [0.2, 0.5, 0.8]
     windows = sizes or [8, 32, 128, 512, 2048]
     curves = []
@@ -97,11 +98,13 @@ def run(
         workload = random_ilp(instructions, density, seed=int(1000 * density) + 7)
         ipcs = []
         for window in windows:
-            engine = VectorRingEngine(
-                workload.program, window, min(window, 64),
-                initial_registers=workload.registers_for(),
+            processor = build_processor(
+                "us1", ProcessorConfig(window_size=window, fetch_width=min(window, 64))
             )
-            ipcs.append(engine.run().ipc)
+            result = processor.run(
+                workload.program, initial_registers=workload.registers_for()
+            )
+            ipcs.append(result.ipc)
         curves.append(IlpCurve(density=density, windows=windows, ipc=ipcs))
     return IlpLimitsResult(curves=curves)
 
@@ -116,7 +119,7 @@ def report(
     windows = outcome.curves[0].windows
     table = Table(
         ["dependence density"] + [f"n={w}" for w in windows],
-        title="E15 — IPC vs window size at large n (vector engine; "
+        title="E15 — IPC vs window size at large n (Ultrascalar I; "
         "the thousand-wide-window study the paper calls for)",
     )
     for curve in outcome.curves:

@@ -21,7 +21,7 @@ from repro.analysis.clock_period import (
     project_ultrascalar2,
 )
 from repro.baseline.complexity import conventional_superscalar_delay
-from repro.ultrascalar.vector_engine import VectorRingEngine
+from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
@@ -76,15 +76,17 @@ def run(
     sizes: list[int] | None = None,
     L: int = 32,
 ) -> ProjectionResult:
-    """Sweep window sizes; IPC from the vector engine, clocks from layouts."""
+    """Sweep window sizes; IPC from the Ultrascalar I ring, clocks from layouts."""
     workload = workload or random_ilp(3000, 0.35, seed=601)
     sizes = sizes or [16, 64, 256, 1024]
     rows: list[ProjectionRow] = []
     for n in sizes:
-        engine = VectorRingEngine(
-            workload.program, n, min(n, 64), initial_registers=workload.registers_for()
+        processor = build_processor(
+            "us1", ProcessorConfig(window_size=n, fetch_width=min(n, 64))
         )
-        ipc = engine.run().ipc
+        ipc = processor.run(
+            workload.program, initial_registers=workload.registers_for()
+        ).ipc
         rows.append(
             ProjectionRow(
                 n=n,

@@ -27,6 +27,14 @@ class InterpreterError(RuntimeError):
     """Raised on invalid execution (bad PC, unaligned access, runaway loop)."""
 
 
+class StepLimitExceeded(InterpreterError):
+    """Raised when a run hits its step limit; ``partial`` holds the run so far."""
+
+    def __init__(self, message: str, partial: "ExecutionResult"):
+        super().__init__(message)
+        self.partial = partial
+
+
 @dataclass
 class MachineState:
     """Architectural state: registers and a sparse word memory."""
@@ -235,8 +243,9 @@ def run_program(
 ) -> ExecutionResult:
     """Run *program* to HALT (or falling off the end) and return the result.
 
-    Raises :class:`InterpreterError` if more than *max_steps* dynamic
-    instructions execute (runaway loop protection).
+    Raises :class:`StepLimitExceeded` (an :class:`InterpreterError`) if
+    more than *max_steps* dynamic instructions execute (runaway loop
+    protection); it carries the trace up to the limit.
     """
     state = state if state is not None else MachineState.zeroed(program.spec.num_registers)
     trace: list[StepOutcome] = []
@@ -244,7 +253,10 @@ def run_program(
     halted = False
     while 0 <= pc < len(program):
         if len(trace) >= max_steps:
-            raise InterpreterError(f"exceeded {max_steps} steps without halting")
+            raise StepLimitExceeded(
+                f"exceeded {max_steps} steps without halting",
+                ExecutionResult(state=state, trace=trace, halted=False),
+            )
         inst = program[pc]
         outcome = execute_instruction(inst, pc, state)
         trace.append(outcome)

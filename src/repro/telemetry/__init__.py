@@ -1,7 +1,7 @@
 """Cycle-level telemetry for the processor engines.
 
-The engines (:mod:`repro.ultrascalar`, the vector engine, the memory
-systems) report what the paper argues about — fetch stalls and refill
+The ring engine (:mod:`repro.ultrascalar`) and the memory systems
+report what the paper argues about — fetch stalls and refill
 behaviour, issue-slot usage and ALU-grant contention, CSPP forwarding
 hop distances, memory traffic, window occupancy — to a
 :class:`~repro.telemetry.tracer.Tracer`.  The default

@@ -11,9 +11,6 @@ in how stations refill, so one cycle-accurate engine models all three:
   stations it is the Ultrascalar II, whose batch never wraps and
   refills only when the whole batch has finished ("stations idle
   waiting for everyone to finish").
-* :mod:`repro.ultrascalar.vector_engine` — a NumPy-vectorized
-  implementation of the ring datapath for large-``n`` studies,
-  bit-equivalent to :class:`RingProcessor` on register workloads.
 
 Factories in :mod:`repro.ultrascalar.processor` build the three
 configurations the paper compares.

@@ -130,12 +130,25 @@ class ProcessorResult:
         return "\n".join(lines)
 
 
-def _default_predictor(program: Program) -> BranchPredictor:
-    """Perfect prediction by default: isolates scheduling behaviour."""
-    from repro.isa.interpreter import run_program
+def _default_predictor(program: Program, config: ProcessorConfig) -> BranchPredictor:
+    """Perfect prediction by default: isolates scheduling behaviour.
 
-    golden = run_program(program)
-    return PerfectPredictor.from_trace(golden.trace)
+    Code with no branch or jump needs no interpreter pre-pass.  The
+    pre-pass stops at ``max_cycles * fetch_width`` steps, the most the
+    engine can commit, so a runaway loop meets the engine's own
+    ``max_cycles`` error.  Known quirk: it starts from zero registers
+    and empty memory, not the run's initial state, so branches on that
+    state can mispredict (e.g. ``beq r1, r0`` with ``r1 = 7``).
+    """
+    if not any(inst.is_control for inst in program):
+        return PerfectPredictor({})
+    from repro.isa.interpreter import StepLimitExceeded, run_program
+
+    try:
+        trace = run_program(program, max_steps=config.max_cycles * config.fetch_width).trace
+    except StepLimitExceeded as limit:
+        trace = limit.partial.trace
+    return PerfectPredictor.from_trace(trace)
 
 
 def make_ultrascalar1(
@@ -150,10 +163,11 @@ def make_ultrascalar1(
     """Build an Ultrascalar I: wrap-around ring, per-station refill."""
     from repro.ultrascalar.ring import RingProcessor
 
+    config = config or ProcessorConfig()
     return RingProcessor(
         program=program,
-        config=config or ProcessorConfig(),
-        predictor=predictor if predictor is not None else _default_predictor(program),
+        config=config,
+        predictor=predictor if predictor is not None else _default_predictor(program, config),
         memory=memory if memory is not None else IdealMemory(),
         cluster_size=1,
         initial_registers=initial_registers,
@@ -176,10 +190,11 @@ def make_hybrid(
     Ultrascalar I ring; stations refill a cluster at a time."""
     from repro.ultrascalar.ring import RingProcessor
 
+    config = config or ProcessorConfig()
     return RingProcessor(
         program=program,
-        config=config or ProcessorConfig(),
-        predictor=predictor if predictor is not None else _default_predictor(program),
+        config=config,
+        predictor=predictor if predictor is not None else _default_predictor(program, config),
         memory=memory if memory is not None else IdealMemory(),
         cluster_size=cluster_size,
         initial_registers=initial_registers,
@@ -206,7 +221,7 @@ def make_ultrascalar2(
     return RingProcessor(
         program=program,
         config=config,
-        predictor=predictor if predictor is not None else _default_predictor(program),
+        predictor=predictor if predictor is not None else _default_predictor(program, config),
         memory=memory if memory is not None else IdealMemory(),
         cluster_size=config.window_size,
         initial_registers=initial_registers,

@@ -27,7 +27,6 @@ from repro.verify.diff import (
     DiffReport,
     Divergence,
     run_differential,
-    vector_supported,
 )
 from repro.verify.fuzz import (
     FAILURE_SCHEMA,
@@ -52,7 +51,6 @@ __all__ = [
     "DiffReport",
     "Divergence",
     "run_differential",
-    "vector_supported",
     "FAILURE_SCHEMA",
     "FuzzCase",
     "corpus_cases",

@@ -1,11 +1,10 @@
 """Differential execution: one program, every backend, one verdict.
 
 :func:`run_differential` executes a program through all engine backends
-— the Ultrascalar I ring, the Ultrascalar II batch, the hybrid, the
-idealized dataflow baseline, and the NumPy vector fast path where the
-program qualifies — and cross-checks each against the architectural
-oracle (:mod:`repro.verify.oracle`) on final registers, final memory,
-the committed instruction stream, and the halt flag.
+— the Ultrascalar I ring, the Ultrascalar II batch, the hybrid and the
+idealized dataflow baseline — and cross-checks each against the
+architectural oracle (:mod:`repro.verify.oracle`) on final registers,
+final memory, the committed instruction stream, and the halt flag.
 
 It also enforces the paper's ILP-equivalence claim as an executable
 invariant: for a wrap-around-free batch (window at least the dynamic
@@ -31,16 +30,14 @@ from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.program import Program
 from repro.telemetry.tracer import CountingTracer, diff_counters
 from repro.ultrascalar import IdealMemory, ProcessorConfig
-from repro.ultrascalar.vector_engine import _SUPPORTED as _VECTOR_OPS
-from repro.ultrascalar.vector_engine import VectorRingEngine
 from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.oracle import OracleResult, commit_stream, run_oracle
 
 #: backends run_differential knows how to drive
-DESIGNS = ("us1", "us2", "hybrid", "dataflow", "vector")
+DESIGNS = ("us1", "us2", "hybrid", "dataflow")
 
 #: designs that model the full engine (registers/memory/commit stream);
-#: "dataflow" is a schedule-only reference and "vector" a fast path
+#: "dataflow" is a schedule-only reference
 ENGINE_DESIGNS = ("us1", "us2", "hybrid")
 
 
@@ -82,11 +79,6 @@ class DiffReport:
             for counter, (a, b) in diff_counters(self.stats[base], self.stats[other]).items():
                 lines.append(f"{counter}: {base}={a} {other}={b}")
         return "\n".join(lines)
-
-
-def vector_supported(program: Program) -> bool:
-    """True when the NumPy fast path can execute *program*."""
-    return all(inst.op in _VECTOR_OPS for inst in program)
 
 
 def _first_mismatch(got: list, want: list) -> str:
@@ -181,20 +173,6 @@ def run_differential(
             diverge(design, "commits", _first_mismatch(commits, oracle.commits))
         if result.halted != oracle.halted:
             diverge(design, "halted", f"got {result.halted}, want {oracle.halted}")
-
-    if "vector" in designs and vector_supported(program):
-        engine = VectorRingEngine(
-            program,
-            window_size=window,
-            fetch_width=window,
-            initial_registers=list(regs),
-        )
-        vector = engine.run(max_cycles=max_steps)
-        report.cycles["vector"] = vector.cycles
-        if vector.registers != oracle.registers:
-            diverge("vector", "registers", _first_mismatch(vector.registers, oracle.registers))
-        if "us1" in report.cycles and vector.cycles != report.cycles["us1"]:
-            diverge("vector", "cycles", f"vector {vector.cycles} != us1 {report.cycles['us1']}")
 
     if "dataflow" in designs:
         # same configuration tests/integration/test_ilp_equivalence.py

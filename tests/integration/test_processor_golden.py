@@ -254,3 +254,29 @@ def test_squash_restores_nearest_writer(kind):
     result = checked_run(processor)
     assert result.mispredictions == 1
     assert result.registers[4] == 100 // 7 + 1
+
+
+class TestLargeN:
+    """The event-driven ring runs the paper's wide windows (hundreds of
+    stations, thousands of instructions) at test speed."""
+
+    def test_large_window_runs_quickly_and_correctly(self):
+        workload = random_ilp(2000, 0.5, seed=75)
+        config = ProcessorConfig(window_size=512, fetch_width=64)
+        result = make_ultrascalar1(
+            workload.program, config, initial_registers=workload.registers_for()
+        ).run()
+        golden = run_program(workload.program, state=MachineState(workload.registers_for()))
+        assert result.registers == golden.state.registers
+
+    def test_ipc_grows_with_window_until_saturation(self):
+        workload = random_ilp(1500, 0.3, seed=76)
+        ipcs = []
+        for window in (8, 32, 128, 512):
+            config = ProcessorConfig(window_size=window, fetch_width=window)
+            result = make_ultrascalar1(
+                workload.program, config, initial_registers=workload.registers_for()
+            ).run()
+            ipcs.append(result.ipc)
+        assert ipcs == sorted(ipcs)
+        assert ipcs[-1] > ipcs[0]

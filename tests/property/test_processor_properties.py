@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from repro.isa import Instruction, Opcode, Program
 from repro.isa.interpreter import MachineState, run_program
 from repro.ultrascalar import IdealMemory, ProcessorConfig, make_hybrid, make_ultrascalar1, make_ultrascalar2
-from repro.ultrascalar.vector_engine import VectorRingEngine
 
 REGS = st.integers(0, 7)  # small register universe concentrates dependencies
 SPEC_L = 32
@@ -95,17 +94,6 @@ def test_hybrid_matches_golden_on_random_programs(program, shape):
     result = make_hybrid(program, cluster, config, memory=IdealMemory()).run()
     reference = golden(program)
     assert result.registers == reference.state.registers
-
-
-@given(straightline_programs(), st.sampled_from([1, 2, 8, 32]))
-@settings(max_examples=40, deadline=None)
-def test_vector_engine_matches_ring_on_random_programs(program, window):
-    config = ProcessorConfig(window_size=window, fetch_width=4)
-    ring = make_ultrascalar1(program, config, memory=IdealMemory()).run()
-    vector = VectorRingEngine(program, window, 4).run()
-    assert vector.cycles == ring.cycles
-    assert vector.registers == ring.registers
-    assert vector.issue_cycles == [t.issue_cycle for t in sorted(ring.timings, key=lambda t: t.seq)]
 
 
 @given(memory_programs(), st.sampled_from(["us1", "us2"]))
