@@ -17,6 +17,8 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
 * ``network`` — the Ultrascalar II argument-routing reference;
+* ``circuits`` — building and settling the mesh-of-trees netlist, the
+  largest of E9's gate-level circuits;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation (the verify CLI's hot loop).
@@ -186,6 +188,36 @@ def _register_network() -> None:
 
 
 # ----------------------------------------------------------------------
+# gate-level netlists: build + settle the US-II mesh-of-trees grid
+
+
+def _tree_grid_thunk(n: int) -> Callable[[], Any]:
+    from repro.circuits.grid import TreeGridNetwork
+
+    # the E9 (gate_depth) stimulus
+    batch = ([(1, True)] * n, [None] * n, [[0, 0]] * n)
+
+    def thunk() -> None:
+        TreeGridNetwork(n, n).settle_time(*batch)
+
+    return thunk
+
+
+def _register_circuits() -> None:
+    for n, quick in ((16, True), (32, False)):
+        register(
+            Benchmark(
+                name=f"circuits.tgrid.n{n}",
+                group="circuits",
+                title=f"build + settle the mesh-of-trees grid, n = L = {n}",
+                make=lambda n=n: _tree_grid_thunk(n),
+                quick=quick,
+                metadata={"stations": n, "num_registers": n},
+            )
+        )
+
+
+# ----------------------------------------------------------------------
 # assembler / encoding round-trip
 
 
@@ -288,6 +320,7 @@ def _register_verify() -> None:
 _register_engines()
 _register_cspp()
 _register_network()
+_register_circuits()
 _register_isa()
 _register_runner()
 _register_verify()

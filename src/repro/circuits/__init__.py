@@ -9,7 +9,8 @@ times with an event-driven simulator, rather than asserting the bounds.
 
 Modules:
 
-* :mod:`repro.circuits.netlist` -- gates, nets, the event-driven
+* :mod:`repro.circuits.netlist` -- flat-array netlists (a net is an
+  ``int`` index, a gate a row of parallel lists), the event-driven
   simulator (cyclic netlists supported via fixed-point settling), and
   topological depth for acyclic circuits.
 * :mod:`repro.circuits.prefix` -- behavioural segmented-scan semantics
@@ -37,7 +38,7 @@ from repro.circuits.cspp import (
 from repro.circuits.fanout import build_fanout_tree
 from repro.circuits.grid import GridNetwork, TreeGridNetwork, route_arguments
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import Gate, GateKind, Net, Netlist, SimulationResult
+from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
 from repro.circuits.prefix import (
     segmented_scan,
     build_linear_scan,
@@ -54,7 +55,6 @@ __all__ = [
     "TreeGridNetwork",
     "route_arguments",
     "MuxRing",
-    "Gate",
     "GateKind",
     "Net",
     "Netlist",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.circuits.netlist import Net, Netlist, SimulationResult
+from repro.circuits.netlist import Net, Netlist, SimulationResult, bus_value
 
 
 class MuxRing:
@@ -38,45 +38,18 @@ class MuxRing:
         ]
         self.modified: list[Net] = [nl.add_input(f"{name}_m{i}") for i in range(n)]
 
-        # Create the mux outputs first (they form a cycle), then wire them.
-        # A MUX gate needs its inputs at construction time, so we build the
-        # ring by introducing each mux with a placeholder feedback input and
-        # patching afterwards via a BUF stage:
-        #   out[i] = MUX(m[i], x[i], prev[i]) where prev[i] = out[i-1]
-        # We first create BUF nets prev[i] driven later.
-        self.ring_out: list[list[Net]] = [[None] * width for _ in range(n)]  # type: ignore[list-item]
-
-        # Pass 1: feedback buffers (their drivers are patched in pass 2).
-        feedback: list[list[Net]] = []
-        for i in range(n):
-            feedback.append([nl.add_input(f"{name}_fb{i}[{b}]") for b in range(width)])
-
-        # Pass 2: muxes using the feedback nets.
+        # The ring is a combinational loop, but a MUX needs its inputs when
+        # it is built: each mux first reads a placeholder for its
+        # predecessor's output, tied to that output once every mux exists.
+        feedback = [[nl.add_input(f"{name}_fb{i}[{b}]") for b in range(width)] for i in range(n)]
+        self.ring_out: list[list[Net]] = [
+            [nl.mux(self.modified[i], x, fb, name=f"{name}_out{i}[{b}]")
+             for b, (x, fb) in enumerate(zip(self.values[i], feedback[i]))]
+            for i in range(n)
+        ]
         for i in range(n):
             for b in range(width):
-                self.ring_out[i][b] = nl.mux(
-                    self.modified[i], self.values[i][b], feedback[i][b],
-                    name=f"{name}_out{i}[{b}]",
-                )
-
-        # Pass 3: close the ring by redirecting each feedback net to be
-        # driven by the previous station's output through a BUF gate.
-        # We cannot re-drive an input net, so instead rebuild: replace each
-        # feedback input by making the mux read the previous output via the
-        # fanout lists directly.
-        for i in range(n):
-            prev = (i - 1) % n
-            for b in range(width):
-                fb_net = feedback[i][b]
-                src_net = self.ring_out[prev][b]
-                for gate in fb_net.fanout:
-                    gate.inputs = tuple(src_net if net is fb_net else net for net in gate.inputs)
-                    src_net.fanout.append(gate)
-                fb_net.fanout.clear()
-                nl.inputs.remove(fb_net)
-
-        for i in range(n):
-            for b in range(width):
+                nl.tie(feedback[i][b], self.ring_out[(i - 1) % n][b])
                 nl.mark_output(f"{name}_y{i}[{b}]", self.ring_out[i][b])
 
     @property
@@ -100,15 +73,7 @@ class MuxRing:
     def evaluate(self, xs: Sequence[int], modified: Sequence[bool]) -> list[int]:
         """Settled *incoming* value at each station (previous station's output)."""
         result = self.simulate(xs, modified)
-        outs = []
-        for i in range(self.n):
-            prev = (i - 1) % self.n
-            value = 0
-            for b, net in enumerate(self.ring_out[prev]):
-                if result.value_of(net):
-                    value |= 1 << b
-            outs.append(value)
-        return outs
+        return [bus_value(result, self.ring_out[(i - 1) % self.n]) for i in range(self.n)]
 
     def settle_time(self, xs: Sequence[int], modified: Sequence[bool]) -> int:
         """Settle time in gate delays for the given inputs."""

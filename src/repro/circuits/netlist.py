@@ -1,13 +1,22 @@
 """Single-bit gate netlists with an event-driven timing simulator.
 
-The simulator measures *settle time*: inputs are applied at time 0 with
+Representation.  A net is a plain ``int``: its index in the netlist.
+Primary inputs and gate outputs share that index space.  A gate is a
+row in parallel per-netlist lists (kind code, input-net tuple, delay,
+driven net), so building a netlist allocates no object per gate or net.
+Fan-out is derived from the gate rows and cached until the next
+:meth:`Netlist.add_gate` or :meth:`Netlist.tie`.
+
+Simulation measures *settle time*: inputs are applied at time 0 with
 every net initialized to 0, and events propagate until the netlist is
-quiescent.  For acyclic circuits the settle time is bounded by the
-topological critical path; for cyclic circuits (the mux rings and CSPP
-trees of the paper, which tie the top of the tree around) the simulator
-reaches the unique fixed point whenever one exists — which the
-Ultrascalar constructions guarantee by always having at least one
-segment bit set (the oldest station's).
+quiescent.  Values live in a list indexed by net; pending gate
+evaluations sit in one bucket per timestamp, with a per-gate marker so
+that a gate is queued at most once per timestamp.  For acyclic circuits
+the settle time is bounded by the topological critical path; for cyclic
+circuits (the mux rings and CSPP trees of the paper, which tie the top
+of the tree around) the simulator reaches the unique fixed point
+whenever one exists — which the Ultrascalar constructions guarantee by
+always having at least one segment bit set (the oldest station's).
 
 Gate delays default to 1 unit each, so settle times are in "gate delays"
 — the unit the paper's complexity results use.
@@ -17,8 +26,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+#: a single-bit wire, identified by its index in its netlist
+Net = int
 
 
 class GateKind(enum.Enum):
@@ -34,69 +46,24 @@ class GateKind(enum.Enum):
     NOR = "nor"
     MUX = "mux"  # inputs (sel, a, b): sel ? a : b
 
-
-_EVAL: dict[GateKind, Callable[[Sequence[bool]], bool]] = {
-    GateKind.BUF: lambda ins: ins[0],
-    GateKind.NOT: lambda ins: not ins[0],
-    GateKind.AND: lambda ins: all(ins),
-    GateKind.OR: lambda ins: any(ins),
-    GateKind.XOR: lambda ins: sum(ins) % 2 == 1,
-    GateKind.XNOR: lambda ins: sum(ins) % 2 == 0,
-    GateKind.NAND: lambda ins: not all(ins),
-    GateKind.NOR: lambda ins: not any(ins),
-    GateKind.MUX: lambda ins: ins[1] if ins[0] else ins[2],
-}
-
-_ARITY: dict[GateKind, tuple[int, int]] = {
-    GateKind.BUF: (1, 1),
-    GateKind.NOT: (1, 1),
-    GateKind.AND: (2, 64),
-    GateKind.OR: (2, 64),
-    GateKind.XOR: (2, 64),
-    GateKind.XNOR: (2, 64),
-    GateKind.NAND: (2, 64),
-    GateKind.NOR: (2, 64),
-    GateKind.MUX: (3, 3),
-}
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
 
-@dataclass(eq=False)
-class Net:
-    """A single-bit wire.  Primary inputs have ``driver is None``."""
+#: kind codes stored per gate, in GateKind declaration order
+_KINDS = tuple(GateKind)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_BUF, _NOT, _AND, _OR, _XOR, _XNOR, _NAND, _NOR, _MUX = range(len(_KINDS))
 
-    index: int
-    name: str
-    driver: "Gate | None" = None
-    fanout: list["Gate"] = field(default_factory=list)
-
-    def __repr__(self) -> str:
-        return f"Net({self.name})"
-
-
-@dataclass(eq=False)
-class Gate:
-    """A logic gate driving exactly one net."""
-
-    index: int
-    kind: GateKind
-    inputs: tuple[Net, ...]
-    output: Net
-    delay: int = 1
-
-    def evaluate(self, values: Sequence[bool]) -> bool:
-        """Compute the output for the given ordered input values."""
-        return _EVAL[self.kind](values)
-
-    def __repr__(self) -> str:
-        return f"Gate({self.kind.value}->{self.output.name})"
+#: (min, max) inputs; every other kind takes 2..64
+_ARITY = {GateKind.BUF: (1, 1), GateKind.NOT: (1, 1), GateKind.MUX: (3, 3)}
 
 
 @dataclass
 class SimulationResult:
     """Outcome of an event-driven simulation run."""
 
-    #: final value of every net, keyed by net
-    values: dict[Net, bool]
+    #: final value of every net, indexed by net
+    values: list[bool]
     #: time at which the last net changed value (0 if nothing toggled)
     settle_time: int
     #: number of gate evaluation events processed
@@ -116,36 +83,61 @@ class Netlist:
 
     def __init__(self, name: str = "netlist"):
         self.name = name
-        self.nets: list[Net] = []
-        self.gates: list[Gate] = []
         self.inputs: list[Net] = []
         self.outputs: dict[str, Net] = {}
         self._const_cache: dict[bool, Net] = {}
+        # per net: the driving gate, or -1 for a primary input
+        self._driver: list[int] = []
+        # per gate: kind code, input nets, delay, driven net
+        self._kind: list[int] = []
+        self._ins: list[tuple[Net, ...]] = []
+        self._delay: list[int] = []
+        self._out: list[Net] = []
+        # inputs and explicitly named gate outputs
+        self._names: dict[Net, str] = {}
+        self._fanout: list[list[int]] | None = None
 
     # -- construction -------------------------------------------------
 
     def add_input(self, name: str) -> Net:
         """Create a primary-input net."""
-        net = Net(index=len(self.nets), name=name)
-        self.nets.append(net)
+        net = len(self._driver)
+        self._driver.append(-1)
+        self._names[net] = name
         self.inputs.append(net)
         return net
 
     def add_gate(self, kind: GateKind, *inputs: Net, name: str | None = None, delay: int = 1) -> Net:
         """Add a gate; returns its output net."""
-        lo, hi = _ARITY[kind]
+        lo, hi = _ARITY.get(kind, (2, 64))
         if not lo <= len(inputs) <= hi:
             raise ValueError(f"{kind.value} gate takes {lo}..{hi} inputs, got {len(inputs)}")
         if delay < 0:
             raise ValueError("gate delay must be non-negative")
-        out = Net(index=len(self.nets), name=name or f"{kind.value}{len(self.gates)}")
-        self.nets.append(out)
-        gate = Gate(index=len(self.gates), kind=kind, inputs=tuple(inputs), output=out, delay=delay)
-        out.driver = gate
-        self.gates.append(gate)
-        for net in inputs:
-            net.fanout.append(gate)
+        out = len(self._driver)
+        self._driver.append(len(self._kind))
+        self._kind.append(_CODE[kind])
+        self._ins.append(inputs)
+        self._delay.append(delay)
+        self._out.append(out)
+        if name is not None:
+            self._names[out] = name
+        self._fanout = None
         return out
+
+    def tie(self, placeholder: Net, source: Net) -> None:
+        """Close a feedback loop: every reader of *placeholder* reads *source*.
+
+        *placeholder* must be a primary input (created to stand in for a
+        net that did not exist yet); it stops being one.
+        """
+        if self._driver[placeholder] >= 0 or placeholder not in self.inputs:
+            raise ValueError(f"net {self.name_of(placeholder)!r} is not a primary input")
+        for gate, ins in enumerate(self._ins):
+            if placeholder in ins:
+                self._ins[gate] = tuple(source if net == placeholder else net for net in ins)
+        self.inputs.remove(placeholder)
+        self._fanout = None
 
     def constant(self, value: bool) -> Net:
         """A net tied to a constant (modelled as an input the simulator pins)."""
@@ -176,58 +168,76 @@ class Netlist:
             if len(level) % 2:
                 nxt.append(level[-1])
             level = nxt
-        if name and level[0].driver is not None:
-            level[0].name = name
+        if name and self._driver[level[0]] >= 0:
+            self._names[level[0]] = name
         return level[0]
 
-    # -- analysis ------------------------------------------------------
+    # -- queries -------------------------------------------------------
 
     @property
     def gate_count(self) -> int:
         """Total number of gates."""
-        return len(self.gates)
+        return len(self._kind)
+
+    def name_of(self, net: Net) -> str:
+        """The name *net* was given, else ``<kind><gate index>``."""
+        if net in self._names:
+            return self._names[net]
+        gate = self._driver[net]
+        return f"{_KINDS[self._kind[gate]].value}{gate}"
+
+    def driver(self, net: Net) -> int | None:
+        """Index of the gate driving *net*; ``None`` for a primary input."""
+        gate = self._driver[net]
+        return None if gate < 0 else gate
+
+    def fanout(self, net: Net) -> tuple[int, ...]:
+        """Indices of the gates reading *net* (once per input port)."""
+        return tuple(self._fanouts()[net])
+
+    def _fanouts(self) -> list[list[int]]:
+        if self._fanout is None:
+            fanout: list[list[int]] = [[] for _ in self._driver]
+            for gate, ins in enumerate(self._ins):
+                for net in ins:
+                    fanout[net].append(gate)
+            self._fanout = fanout
+        return self._fanout
 
     def is_cyclic(self) -> bool:
         """True if the gate graph contains a cycle."""
-        try:
-            self._topo_order()
-            return False
-        except ValueError:
-            return True
+        return len(self._topo_order()) < self.gate_count
 
-    def _topo_order(self) -> list[Gate]:
-        indegree: dict[Gate, int] = {}
-        for gate in self.gates:
-            indegree[gate] = sum(1 for net in gate.inputs if net.driver is not None)
-        ready = [gate for gate, deg in indegree.items() if deg == 0]
-        order: list[Gate] = []
+    def _topo_order(self) -> list[int]:
+        """Gates in dependency order; those on or behind a cycle are left out."""
+        driver = self._driver
+        indegree = [sum(1 for net in ins if driver[net] >= 0) for ins in self._ins]
+        ready = [gate for gate, deg in enumerate(indegree) if deg == 0]
+        fanout, outs = self._fanouts(), self._out
+        order: list[int] = []
         while ready:
             gate = ready.pop()
             order.append(gate)
-            for successor in gate.output.fanout:
+            for successor in fanout[outs[gate]]:
                 indegree[successor] -= 1
                 if indegree[successor] == 0:
                     ready.append(successor)
-        if len(order) != len(self.gates):
-            raise ValueError("netlist is cyclic")
         return order
 
     def topological_depth(self) -> int:
         """Critical-path length in gate delays (acyclic netlists only)."""
-        depth: dict[Net, int] = {net: 0 for net in self.inputs}
-        for gate in self._topo_order():
-            depth[gate.output] = gate.delay + max(
-                (depth.get(net, 0) for net in gate.inputs), default=0
-            )
-        return max(depth.values(), default=0)
+        order = self._topo_order()
+        if len(order) < self.gate_count:
+            raise ValueError("netlist is cyclic")
+        depth = [0] * len(self._driver)
+        for gate in order:
+            arrival = max(depth[net] for net in self._ins[gate])
+            depth[self._out[gate]] = self._delay[gate] + arrival
+        return max(depth, default=0)
 
     # -- simulation ----------------------------------------------------
 
-    def simulate(
-        self,
-        assignments: dict[Net, bool],
-        max_time: int = 1_000_000,
-    ) -> SimulationResult:
+    def simulate(self, assignments: dict[Net, bool], max_time: int = 1_000_000) -> SimulationResult:
         """Event-driven simulation from an all-zeros initial state.
 
         *assignments* gives the value of every primary input (missing
@@ -235,69 +245,94 @@ class Netlist:
         ``RuntimeError`` if the netlist has not settled by *max_time*
         (an oscillating cycle).
         """
-        values: dict[Net, bool] = {net: False for net in self.nets}
+        values = [False] * len(self._driver)
         for value, net in self._const_cache.items():
             values[net] = value
         for net, value in assignments.items():
-            if net.driver is not None:
-                raise ValueError(f"{net} is not a primary input")
+            if self._driver[net] >= 0:
+                raise ValueError(f"net {self.name_of(net)!r} is not a primary input")
             values[net] = bool(value)
 
         # Schedule every gate once at its delay; thereafter only on input
         # changes.  Evaluation is two-phase per timestamp: all gates due at
         # time t read the pre-t values, then all output changes commit
         # together — so a chain of unit-delay gates takes one time unit per
-        # stage, as real hardware timing requires.
-        queue: list[tuple[int, int]] = []  # (time, gate index)
-        queued: set[tuple[int, int]] = set()
+        # stage, as real hardware timing requires.  pending[g] is the last
+        # time g was queued for (-1 once that evaluation ran); queue times
+        # per gate never decrease, so it alone blocks duplicate entries.
+        kinds, gate_inputs, delays, outs = self._kind, self._ins, self._delay, self._out
+        fanout = self._fanouts()
+        get = values.__getitem__
+        pending = list(delays)
+        buckets: dict[int, list[int]] = {}
+        for gate, delay in enumerate(delays):
+            buckets.setdefault(delay, []).append(gate)
+        times = sorted(buckets)
 
-        def schedule(time: int, gate: Gate) -> None:
-            key = (time, gate.index)
-            if key not in queued:
-                queued.add(key)
-                heapq.heappush(queue, key)
-
-        for gate in self.gates:
-            schedule(gate.delay, gate)
-
-        settle_time = 0
-        events = 0
-        while queue:
-            time = queue[0][0]
+        settle_time = events = 0
+        while times:
+            time = heapq.heappop(times)
             if time > max_time:
                 raise RuntimeError(f"netlist {self.name!r} did not settle by t={max_time}")
-            due: list[Gate] = []
-            while queue and queue[0][0] == time:
-                _, gate_index = heapq.heappop(queue)
-                queued.discard((time, gate_index))
-                due.append(self.gates[gate_index])
-            updates: list[tuple[Gate, bool]] = []
+            due = buckets.pop(time)
+            events += len(due)
+            changed: list[Net] = []
             for gate in due:
-                events += 1
-                new_value = gate.evaluate([values[net] for net in gate.inputs])
-                if new_value != values[gate.output]:
-                    updates.append((gate, new_value))
-            for gate, new_value in updates:
-                values[gate.output] = new_value
-            if updates:
-                settle_time = max(settle_time, time)
-                for gate, _ in updates:
-                    for successor in gate.output.fanout:
-                        schedule(time + successor.delay, successor)
+                if pending[gate] == time:
+                    pending[gate] = -1
+                code = kinds[gate]
+                ins = gate_inputs[gate]
+                if code == _BUF:
+                    value = values[ins[0]]
+                elif code == _AND:
+                    value = all(map(get, ins))
+                elif code == _MUX:
+                    sel, a, b = ins
+                    value = values[a] if values[sel] else values[b]
+                elif code == _XNOR:
+                    value = not (sum(map(get, ins)) & 1)
+                elif code == _NOT:
+                    value = not values[ins[0]]
+                elif code == _OR:
+                    value = any(map(get, ins))
+                elif code == _XOR:
+                    value = sum(map(get, ins)) & 1
+                elif code == _NAND:
+                    value = not all(map(get, ins))
+                else:
+                    value = not any(map(get, ins))
+                out = outs[gate]
+                if value != values[out]:
+                    changed.append(out)
+            if changed:
+                settle_time = time
+            for net in changed:  # every value is a bool, so a change is a toggle
+                values[net] = not values[net]
+            for net in changed:
+                for successor in fanout[net]:
+                    when = time + delays[successor]
+                    if pending[successor] != when:
+                        pending[successor] = when
+                        bucket = buckets.get(when)
+                        if bucket is None:
+                            buckets[when] = [successor]
+                            heapq.heappush(times, when)
+                        else:
+                            bucket.append(successor)
 
         return SimulationResult(values=values, settle_time=settle_time, events=events)
 
-    def simulate_words(
-        self, assignments: dict[str, int], widths: dict[str, int] | None = None
-    ) -> SimulationResult:
+    def simulate_words(self, assignments: dict[str, int],
+                       widths: dict[str, int] | None = None) -> SimulationResult:
         """Convenience wrapper: assign multi-bit buses by input-name prefix.
 
         Inputs named ``foo[k]`` are treated as bit *k* of bus ``foo``.
         """
         by_bus: dict[str, dict[int, Net]] = {}
         for net in self.inputs:
-            if "[" in net.name and net.name.endswith("]"):
-                bus, _, rest = net.name.partition("[")
+            name = self._names[net]
+            if "[" in name and name.endswith("]"):
+                bus, _, rest = name.partition("[")
                 by_bus.setdefault(bus, {})[int(rest[:-1])] = net
         flat: dict[Net, bool] = {}
         for bus, value in assignments.items():

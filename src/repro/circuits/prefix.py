@@ -13,18 +13,15 @@ The paper builds everything from segmented scans:
   (Figure 7/8).
 
 This module defines the reference semantics (:func:`segmented_scan` and
-helpers, against which everything is property-tested), NumPy-vectorized
-helpers for the fast processor engine, and two generic netlist builders
-— a linear (Θ(n) delay) chain and a balanced tree (Θ(log n) delay) —
-used to *measure* the paper's gate-delay claims.
+helpers, against which everything is property-tested) and two generic
+netlist builders — a linear (Θ(n) delay) chain and a balanced tree
+(Θ(log n) delay) — used to *measure* the paper's gate-delay claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 from repro.circuits.netlist import GateKind, Net, Netlist
 
@@ -120,33 +117,6 @@ def cyclic_nearest_preceding_writer(segments: Sequence[bool]) -> list[int]:
         j = (last + k - 1) % n
         result[i] = j if segments[j] else result[j]
     return result
-
-
-# ---------------------------------------------------------------------------
-# NumPy-vectorized helpers (used by the fast processor engine)
-# ---------------------------------------------------------------------------
-
-
-def np_cyclic_nearest_preceding_writer(segments: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`cyclic_nearest_preceding_writer`.
-
-    *segments* is a boolean array of shape ``(..., n)``; the scan runs
-    along the last axis independently for each leading index (one row
-    per logical register in the Ultrascalar datapath).  Every row must
-    contain at least one True.
-    """
-    segments = np.asarray(segments, dtype=bool)
-    n = segments.shape[-1]
-    if not np.all(segments.any(axis=-1)):
-        raise ValueError("every row needs at least one segment bit")
-    # Work in a doubled index domain so "nearest preceding" is monotone
-    # across the wrap, then fold back with mod n.
-    doubled_segments = np.concatenate([segments, segments], axis=-1)
-    indices = np.where(doubled_segments, np.arange(2 * n), -1)
-    running = np.maximum.accumulate(indices, axis=-1)
-    # incoming to position i = last writer at a position <= i-1, wrapped:
-    # positions n+i-1 of the doubled running max cover exactly that.
-    return running[..., n - 1 : 2 * n - 1] % n
 
 
 # ---------------------------------------------------------------------------

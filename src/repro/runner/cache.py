@@ -4,17 +4,21 @@ Each cached entry is one JSON file under the cache root (default
 ``.repro_cache/``), named ``<experiment>-<digest>.json`` where the
 digest is the SHA-256 of the canonical JSON encoding of::
 
-    {"experiment": <key>, "kwargs": <sweep point>, "version": <repro.__version__>}
+    {"experiment": <key>, "kwargs": <sweep point>, "version": <repro.__version__>,
+     "source": <SHA-256 of src/repro/**/*.py>}
 
 Keying on the package version means a release invalidates every entry
-without any bookkeeping; keying on the kwargs means every sweep point
-caches independently.  Entries are written atomically (temp file +
+without any bookkeeping, and keying on the source digest means an edit
+to any module does too, so a cache never replays a result computed by
+different code; keying on the kwargs means every sweep point caches
+independently.  Entries are written atomically (temp file +
 ``os.replace``) so concurrent jobs never observe a torn file, and any
 unreadable or mismatched entry is treated as a miss.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -30,6 +34,21 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: fully warm run can key every job without importing the (heavy)
 #: experiment modules at all
 SWEEP_INDEX_FILE = "_sweep_points.json"
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the paths and contents of the package's ``*.py`` files.
+
+    Hashed once per process, on the first cache lookup, so runs without
+    a cache never pay for it.
+    """
+    digest = hashlib.sha256()
+    package = Path(__file__).resolve().parents[1]
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package.parent).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def canonical_kwargs(kwargs: dict[str, Any]) -> str:
@@ -56,12 +75,13 @@ class ResultCache:
         self.root = Path(root)
 
     def key_for(self, experiment: str, kwargs: dict[str, Any]) -> str:
-        """SHA-256 digest identifying (experiment, kwargs, version)."""
+        """SHA-256 digest identifying (experiment, kwargs, version, source)."""
         payload = json.dumps(
             {
                 "experiment": experiment,
                 "kwargs": json.loads(canonical_kwargs(kwargs)),
                 "version": __version__,
+                "source": source_digest(),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -113,6 +133,7 @@ class ResultCache:
             "experiment": experiment,
             "kwargs": json.loads(canonical_kwargs(kwargs)),
             "version": __version__,
+            "source": source_digest(),
             "compute_time_s": compute_time_s,
             "output": output,
         }
@@ -138,13 +159,17 @@ class ResultCache:
             raw = json.loads((self.root / SWEEP_INDEX_FILE).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return {}
-        if not isinstance(raw, dict) or raw.get("version") != __version__:
+        if (
+            not isinstance(raw, dict)
+            or raw.get("version") != __version__
+            or raw.get("source") != source_digest()
+        ):
             return {}
         points = raw.get("points")
         return points if isinstance(points, dict) else {}
 
     def get_sweep_points(self, experiment: str) -> list[dict[str, Any]] | None:
-        """Memoized sweep points for *experiment*, if this version stored them."""
+        """Memoized sweep points for *experiment*, if this source stored them."""
         points = self._read_sweep_index().get(experiment)
         if isinstance(points, list) and all(isinstance(p, dict) for p in points):
             return [dict(p) for p in points]
@@ -158,7 +183,10 @@ class ResultCache:
         path = self.root / SWEEP_INDEX_FILE
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(
-            json.dumps({"version": __version__, "points": merged}, indent=1),
+            json.dumps(
+                {"version": __version__, "source": source_digest(), "points": merged},
+                indent=1,
+            ),
             encoding="utf-8",
         )
         os.replace(tmp, path)

@@ -126,7 +126,7 @@ def build_jobs(specs: list[ExperimentSpec], cache=None) -> list[JobSpec]:
     """Expand specs into one job per declared sweep point, in order.
 
     With a :class:`~repro.runner.cache.ResultCache`, sweep points come
-    from the cache's sidecar index when this package version already
+    from the cache's sidecar index when the same package source already
     stored them — a fully warm run then never imports the experiment
     modules.  Fresh declarations are written back to the index.
     """

@@ -1,0 +1,56 @@
+"""Property tests: the event-driven simulator on random acyclic netlists.
+
+Acyclic netlists have one settled state, which evaluating the gates once
+in creation order (a topological order) also computes, and they settle
+no later than their critical path.  Delays are mixed and include 0, so
+same-timestamp re-evaluation is exercised too.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.circuits.netlist import GateKind, Netlist
+
+_REFERENCE = {
+    GateKind.BUF: lambda v: v[0],
+    GateKind.NOT: lambda v: not v[0],
+    GateKind.AND: all,
+    GateKind.OR: any,
+    GateKind.XOR: lambda v: sum(v) % 2 == 1,
+    GateKind.XNOR: lambda v: sum(v) % 2 == 0,
+    GateKind.NAND: lambda v: not all(v),
+    GateKind.NOR: lambda v: not any(v),
+    GateKind.MUX: lambda v: v[1] if v[0] else v[2],
+}
+
+_FIXED_ARITY = {GateKind.BUF: 1, GateKind.NOT: 1, GateKind.MUX: 3}
+
+
+@st.composite
+def acyclic_netlists(draw):
+    """(netlist, input assignment, reference value of every net)."""
+    nl = Netlist()
+    reference = {}
+    assignment = {}
+    for k in range(draw(st.integers(1, 4))):
+        net = nl.add_input(f"i{k}")
+        assignment[net] = reference[net] = draw(st.booleans())
+    if draw(st.booleans()):
+        value = draw(st.booleans())
+        reference[nl.constant(value)] = value
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        arity = _FIXED_ARITY.get(kind) or draw(st.integers(2, 4))
+        ins = draw(st.lists(st.sampled_from(sorted(reference)), min_size=arity, max_size=arity))
+        out = nl.add_gate(kind, *ins, delay=draw(st.integers(0, 3)))
+        reference[out] = bool(_REFERENCE[kind]([reference[net] for net in ins]))
+    return nl, assignment, reference
+
+
+@given(acyclic_netlists())
+@settings(max_examples=200, deadline=None)
+def test_simulation_matches_topological_evaluation(case):
+    nl, assignment, reference = case
+    result = nl.simulate(assignment)
+    assert {net: result.value_of(net) for net in reference} == reference
+    assert result.settle_time <= nl.topological_depth()
+    assert result.events >= nl.gate_count

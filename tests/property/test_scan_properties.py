@@ -22,8 +22,6 @@ from repro.circuits.prefix import (
     assign_scan_inputs,
     build_linear_scan,
     build_tree_scan,
-    cyclic_nearest_preceding_writer,
-    np_cyclic_nearest_preceding_writer,
     read_scan_outputs,
     segmented_scan,
 )
@@ -114,18 +112,6 @@ def test_tree_scan_equals_linear_scan(data):
 
     assert out1 == ref
     assert out2 == ref
-
-
-@given(
-    st.lists(st.booleans(), min_size=1, max_size=40).filter(any)
-)
-@settings(max_examples=60, deadline=None)
-def test_np_cyclic_writer_matches_python(segs):
-    import numpy as np
-
-    expected = cyclic_nearest_preceding_writer(segs)
-    got = np_cyclic_nearest_preceding_writer(np.asarray(segs, dtype=bool))
-    assert got.tolist() == expected
 
 
 @st.composite

@@ -11,9 +11,12 @@ class TestConstruction:
         a = nl.add_input("a")
         b = nl.add_input("b")
         out = nl.add_gate(GateKind.AND, a, b)
-        assert out.driver is not None
+        assert nl.driver(out) == 0
+        assert nl.driver(a) is None
         assert nl.gate_count == 1
-        assert a.fanout == [out.driver]
+        assert nl.fanout(a) == nl.fanout(b) == (0,)
+        assert nl.fanout(out) == ()
+        assert nl.name_of(out) == "and0"
 
     def test_arity_enforced(self):
         nl = Netlist()
@@ -125,14 +128,38 @@ class TestTiming:
         feedback = nl.add_input("fb_placeholder")
         inner = nl.add_gate(GateKind.AND, a, feedback)
         out = nl.add_gate(GateKind.NOT, inner)
-        # close the loop manually
-        gate = inner.driver
-        gate.inputs = (a, out)
-        out.fanout.append(gate)
-        feedback.fanout.clear()
-        nl.inputs.remove(feedback)
+        nl.tie(feedback, out)
         with pytest.raises(RuntimeError, match="did not settle"):
             nl.simulate({a: True}, max_time=100)
+
+
+class TestTie:
+    def test_tie_redirects_readers_and_drops_the_placeholder(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        placeholder = nl.add_input("fb")
+        first = nl.add_gate(GateKind.AND, a, placeholder)
+        second = nl.add_gate(GateKind.BUF, placeholder)
+        source = nl.add_gate(GateKind.NOT, a)
+        nl.fanout(a)  # fill the fan-out cache; tie must invalidate it
+        nl.tie(placeholder, source)
+        assert nl.inputs == [a]
+        assert nl.fanout(placeholder) == ()
+        assert nl.fanout(source) == (0, 1)
+        result = nl.simulate({a: False})
+        assert result.value_of(first) is False
+        assert result.value_of(second) is True
+
+    def test_tie_rejects_non_inputs(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        placeholder = nl.add_input("fb")
+        out = nl.add_gate(GateKind.BUF, a)
+        with pytest.raises(ValueError, match="not a primary input"):
+            nl.tie(out, a)
+        nl.tie(placeholder, out)
+        with pytest.raises(ValueError, match="not a primary input"):
+            nl.tie(placeholder, out)
 
 
 class TestTopology:
@@ -181,3 +208,40 @@ class TestBusHelpers:
         bus(nl, "data", 2)
         with pytest.raises(KeyError):
             nl.simulate_words({"nope": 1})
+
+
+#: (gate_count, settle_time, events) of every E9 circuit, per family and n
+E9_TIMINGS = {
+    "ring": [(4, 4, 8), (8, 8, 16), (16, 16, 32), (32, 32, 64)],
+    "cspp": [(9, 3, 15), (21, 5, 36), (45, 7, 77), (93, 9, 158)],
+    "grid": [(328, 9, 504), (1856, 18, 2856), (9568, 34, 14016), (46720, 67, 68448)],
+    "tgrid": [
+        (948, 5, 1086), (5272, 7, 6050), (26768, 8, 30090), (128992, 10, 145562),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(E9_TIMINGS))
+def test_e9_circuit_timings_are_pinned(family):
+    """The simulator's semantics, pinned on E9's circuits and stimuli."""
+    from repro.circuits.cspp import build_copy_cspp
+    from repro.circuits.grid import GridNetwork, TreeGridNetwork
+    from repro.circuits.mux_ring import MuxRing
+
+    measured = []
+    for n in (4, 8, 16, 32):
+        # the stimuli repro.experiments.gate_depth.run applies
+        stimulus = [1] * n
+        segments = [True] + [False] * (n - 1)
+        batch = ([(1, True)] * n, [None] * n, [[0, 0]] * n)
+        if family == "ring":
+            circuit = MuxRing(n, 1)
+            result = circuit.simulate(stimulus, segments)
+        elif family == "cspp":
+            circuit = build_copy_cspp(n, 1)
+            result = circuit.simulate(stimulus, segments)
+        else:
+            circuit = (GridNetwork if family == "grid" else TreeGridNetwork)(n, n)
+            result = circuit.simulate(*batch)
+        measured.append((circuit.gate_count, result.settle_time, result.events))
+    assert measured == E9_TIMINGS[family]

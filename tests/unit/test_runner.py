@@ -48,6 +48,21 @@ class TestResultCache:
         monkeypatch.setattr(cache_module, "__version__", "99.0.0")
         assert cache.key_for("e", {}) != before
 
+    def test_source_digest_change_is_a_miss(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cache.put("fig3", {"n": 4}, "x", 0.0)
+        cache.put_sweep_points("fig3", [{"n": 4}])
+        assert cache.get("fig3", {"n": 4}) is not None
+        assert cache.get_sweep_points("fig3") == [{"n": 4}]
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert cache.get("fig3", {"n": 4}) is None
+        assert cache.get_sweep_points("fig3") is None
+
+    def test_source_digest_is_hashed_once(self):
+        digest = cache_module.source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert cache_module.source_digest() is digest
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.put("fig3", {}, "x", 0.0)
