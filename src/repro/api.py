@@ -42,8 +42,6 @@ from repro.ultrascalar import (
     ProcessorResult,
     TimingRecord,
     make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
 )
 
 __all__ = [
@@ -133,13 +131,11 @@ class Processor:
             tracer=tracer,
             cycle_hook=cycle_hook,
         )
-        if self.kind == "us1":
-            engine = make_ultrascalar1(program, **common)
-        elif self.kind == "us2":
-            engine = make_ultrascalar2(program, **common)
-        else:
-            engine = make_hybrid(program, self.cluster_size, **common)
-        return engine.run()
+        # the three designs are one ring refilling 1, C or n stations at a time
+        cluster_size = {"us1": 1, "us2": self.config.window_size}.get(
+            self.kind, self.cluster_size
+        )
+        return make_hybrid(program, cluster_size, **common).run()
 
 
 def build_processor(

@@ -2,9 +2,10 @@
 
 Each module exposes a ``run(...)`` function returning structured results
 and a ``report(...)`` / ``main()`` that renders the paper-shaped table.
-The benchmark harness under ``benchmarks/`` wraps these with
-pytest-benchmark and asserts the paper's qualitative claims (who wins,
-by what factor, where the crossovers fall).
+``tests/golden/`` pins each default report byte-for-byte, and the
+matching ``Test<Experiment>`` class under ``tests/unit/`` asserts the
+paper's qualitative claims on the default sweep (who wins, by what
+factor, where the crossovers fall).
 """
 
 from repro.experiments import (

@@ -151,6 +151,33 @@ def _default_predictor(program: Program, config: ProcessorConfig) -> BranchPredi
     return PerfectPredictor.from_trace(trace)
 
 
+def _build_ring(
+    program: Program,
+    cluster_size: int | None,
+    config: ProcessorConfig | None,
+    predictor: BranchPredictor | None,
+    memory: MemorySystem | None,
+    initial_registers: list[int] | None,
+    tracer,
+    cycle_hook,
+):
+    """The one ring engine, its stations refilling *cluster_size* at a
+    time (``None``: one cluster of all ``n`` stations)."""
+    from repro.ultrascalar.ring import RingProcessor
+
+    config = config or ProcessorConfig()
+    return RingProcessor(
+        program=program,
+        config=config,
+        predictor=predictor if predictor is not None else _default_predictor(program, config),
+        memory=memory if memory is not None else IdealMemory(),
+        cluster_size=config.window_size if cluster_size is None else cluster_size,
+        initial_registers=initial_registers,
+        tracer=tracer,
+        cycle_hook=cycle_hook,
+    )
+
+
 def make_ultrascalar1(
     program: Program,
     config: ProcessorConfig | None = None,
@@ -161,19 +188,7 @@ def make_ultrascalar1(
     cycle_hook=None,
 ):
     """Build an Ultrascalar I: wrap-around ring, per-station refill."""
-    from repro.ultrascalar.ring import RingProcessor
-
-    config = config or ProcessorConfig()
-    return RingProcessor(
-        program=program,
-        config=config,
-        predictor=predictor if predictor is not None else _default_predictor(program, config),
-        memory=memory if memory is not None else IdealMemory(),
-        cluster_size=1,
-        initial_registers=initial_registers,
-        tracer=tracer,
-        cycle_hook=cycle_hook,
-    )
+    return _build_ring(program, 1, config, predictor, memory, initial_registers, tracer, cycle_hook)
 
 
 def make_hybrid(
@@ -188,18 +203,8 @@ def make_hybrid(
 ):
     """Build a hybrid Ultrascalar: Ultrascalar II clusters on an
     Ultrascalar I ring; stations refill a cluster at a time."""
-    from repro.ultrascalar.ring import RingProcessor
-
-    config = config or ProcessorConfig()
-    return RingProcessor(
-        program=program,
-        config=config,
-        predictor=predictor if predictor is not None else _default_predictor(program, config),
-        memory=memory if memory is not None else IdealMemory(),
-        cluster_size=cluster_size,
-        initial_registers=initial_registers,
-        tracer=tracer,
-        cycle_hook=cycle_hook,
+    return _build_ring(
+        program, cluster_size, config, predictor, memory, initial_registers, tracer, cycle_hook
     )
 
 
@@ -215,16 +220,6 @@ def make_ultrascalar2(
     """Build an Ultrascalar II: the ring with one cluster of ``n``
     stations, so it never wraps and the station batch refills only when
     every station in it has finished."""
-    from repro.ultrascalar.ring import RingProcessor
-
-    config = config or ProcessorConfig()
-    return RingProcessor(
-        program=program,
-        config=config,
-        predictor=predictor if predictor is not None else _default_predictor(program, config),
-        memory=memory if memory is not None else IdealMemory(),
-        cluster_size=config.window_size,
-        initial_registers=initial_registers,
-        tracer=tracer,
-        cycle_hook=cycle_hook,
+    return _build_ring(
+        program, None, config, predictor, memory, initial_registers, tracer, cycle_hook
     )

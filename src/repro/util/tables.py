@@ -1,6 +1,6 @@
 """Plain-text table rendering shared by the experiment drivers.
 
-The benchmark harness reproduces the paper's tables (most prominently
+The experiment drivers reproduce the paper's tables (most prominently
 Figure 11) as monospace text.  :class:`Table` does simple column sizing
 with left-aligned first column and right-aligned numeric columns.
 """

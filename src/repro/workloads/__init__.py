@@ -1,7 +1,7 @@
 """Workload generators for the experiments.
 
 Includes the paper's own 8-instruction example (Figures 1 and 3) plus
-the synthetic kernels the benchmark harness sweeps: dependency chains
+the synthetic kernels the experiments and tests sweep: dependency chains
 (ILP = 1), independent streams (ILP = n), tunable random dependency
 graphs, loop kernels with memory traffic (daxpy, reduction), and
 pointer chasing (serial memory).

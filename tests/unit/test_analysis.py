@@ -112,14 +112,15 @@ class TestFigure11:
         assert us1 == math.sqrt(n) * L + M
 
     def test_hybrid_dominates_all_quantities(self):
-        n, L = 1 << 18, 32
-        for regime in Regime:
-            m = {Regime.CASE1: 1, Regime.CASE2: n**0.5, Regime.CASE3: n**0.75}[regime]
-            for quantity in ("wire_delay", "total_delay", "area"):
-                hybrid = evaluate_cell(regime, "hybrid", quantity, n, L, m)
-                us1 = evaluate_cell(regime, "ultrascalar1", quantity, n, L, m)
-                us2 = evaluate_cell(regime, "ultrascalar2-linear", quantity, n, L, m)
-                assert hybrid <= min(us1, us2) * 1.001
+        L = 32
+        for n in (1 << 16, 1 << 18):
+            for regime in Regime:
+                m = {Regime.CASE1: 1, Regime.CASE2: n**0.5, Regime.CASE3: n**0.75}[regime]
+                for quantity in ("wire_delay", "total_delay", "area"):
+                    hybrid = evaluate_cell(regime, "hybrid", quantity, n, L, m)
+                    us1 = evaluate_cell(regime, "ultrascalar1", quantity, n, L, m)
+                    us2 = evaluate_cell(regime, "ultrascalar2-linear", quantity, n, L, m)
+                    assert hybrid <= min(us1, us2) * 1.001, (n, regime, quantity)
 
     def test_table_renders_formulas(self):
         text = figure11_table(Regime.CASE2).render()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.memory.cluster_cache import ClusteredMemory
+from repro.ultrascalar import ProcessorConfig, make_ultrascalar1
+from repro.workloads import repeated_reduction
 
 
 def drain(mem, request_id):
@@ -99,3 +101,23 @@ class TestBasics:
         mem = ClusteredMemory()
         with pytest.raises(ValueError):
             mem.submit_load(2)
+
+
+class TestRepeatedReduction:
+    def test_reuse_stays_in_the_cluster_caches(self):
+        """Section 7: a cache distributed among the clusters slashes the
+        shared-memory traffic of a workload that rereads its data."""
+        savings = []
+        for passes in (1, 2, 4, 8):
+            workload = repeated_reduction(8, passes)
+            memory = ClusteredMemory(cluster_size=16, shared_latency=6)
+            memory.load_image(workload.memory_image)
+            make_ultrascalar1(
+                workload.program, ProcessorConfig(window_size=16, fetch_width=8),
+                memory=memory, initial_registers=workload.registers_for(),
+            ).run()
+            savings.append(memory.stats.bandwidth_saved)
+        assert savings == sorted(savings)
+        # 8 passes: 63 local hits, 9 shared accesses -- EXPERIMENTS.md's "88%"
+        assert (memory.stats.local_hits, memory.stats.shared_accesses) == (63, 9)
+        assert f"{savings[-1]:.0%}" == "88%"

@@ -9,6 +9,8 @@ from repro.experiments import (
     performance_projection,
     window_vs_issue,
 )
+from repro.vlsi.hybrid_layout import HybridLayout
+from repro.vlsi.tech import PAPER_TECH
 
 
 class TestWindowVsIssue:
@@ -22,6 +24,16 @@ class TestWindowVsIssue:
 
     def test_one_alu_pins_ipc(self, outcome):
         assert outcome.ipc_at(16, 1) <= 1.05
+
+    def test_default_grid(self):
+        full = window_vs_issue.run()
+        assert full.monotone_in_window()
+        assert full.monotone_in_alus()
+        # the window discovers parallelism; ALUs merely retire it
+        assert full.ipc_at(64, 4) > 1.3 * full.ipc_at(4, 16)
+        one_alu = [full.ipc_at(w, 1) for w in full.windows]
+        assert max(one_alu) - min(one_alu) < 0.1
+        assert full.ipc_at(4, 8) == full.ipc_at(4, 16)
 
     def test_report_renders(self):
         assert "window" in window_vs_issue.report()
@@ -42,6 +54,19 @@ class TestDominanceMap:
     def test_full_coverage(self, outcome):
         assert len(outcome.winner_pairwise) == 6
         assert set(outcome.winner_overall.values()) <= {"US1", "US2", "HYB"}
+
+    def test_default_map(self):
+        full = dominance_map.run()
+        assert full.us1_wins_somewhere()
+        assert full.us2_wins_somewhere()
+        assert full.pairwise_boundary_is_monotone()
+        assert full.hybrid_wins_at_scale(factor=16)
+
+        def first_us1_n(L):
+            return next(n for n in full.n_values if full.winner_pairwise[(n, L)] == "US1")
+
+        # the Θ(L²) diagonal: quadrupling L moves the crossover 16x in n
+        assert first_us1_n(32) == 16 * first_us1_n(8)
 
     def test_report_shows_both_maps(self):
         text = dominance_map.report()
@@ -64,6 +89,18 @@ class TestPerformanceProjection:
             assert row.hybrid.clock.processor == "hybrid"
             assert row.ipc > 0
 
+    def test_default_sweep(self):
+        full = performance_projection.run()
+        assert full.conventional_collapses()
+        assert full.hybrid_wins_at_scale()
+        for row in full.rows:
+            assert row.hybrid.instructions_per_time >= row.us1.instructions_per_time
+        us1 = [row.us1.clock.period for row in full.rows]
+        hybrid = [row.hybrid.clock.period for row in full.rows]
+        assert us1 == sorted(us1)
+        assert hybrid == sorted(hybrid)
+        assert hybrid[-1] < us1[-1]
+
     def test_report_renders(self):
         assert "IPC" in performance_projection.report()
 
@@ -85,8 +122,16 @@ class TestIlpLimits:
             curve.saturation_ipc / curve.ipc[curve.windows.index(512)]
         )
 
+    def test_default_sweep(self):
+        full = ilp_limits.run()
+        assert all(curve.monotone() for curve in full.curves)
+        assert full.looser_code_has_more_ilp()
+        # 128 -> 2048 still multiplies IPC by >= 1.5x at every density
+        assert full.thousand_wide_window_pays(factor=1.5)
+
     def test_report_renders(self):
-        assert "IPC vs window" in ilp_limits.report()
+        # the default table is pinned by tests/golden/ilp.txt
+        assert "IPC vs window" in ilp_limits.report([0.5], [8, 64], instructions=300)
 
 
 class TestOneCmChip:
@@ -96,10 +141,16 @@ class TestOneCmChip:
 
     def test_fits(self, outcome):
         assert outcome.fits_one_cm
+        assert outcome.area_cm2 < 1.0
+        assert outcome.ipc > 4.0
 
     def test_shrink_factor(self):
         assert one_cm_chip.SHRINK == pytest.approx(0.1 / 0.35)
         assert one_cm_chip.TECH_01UM.track_um < 2.0
+        # a linear shrink: the same tracks, each one smaller
+        big = HybridLayout(128, 32, 32, tech=PAPER_TECH)
+        small = HybridLayout(128, 32, 32, tech=one_cm_chip.TECH_01UM)
+        assert big.side_length() == small.side_length()
 
     def test_report_renders(self):
         text = one_cm_chip.report()

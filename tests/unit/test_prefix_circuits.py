@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.fitting import fit_exponent
 from repro.circuits.cspp import (
     CsppTree,
     build_and_cspp,
@@ -193,6 +194,22 @@ class TestCsppTree:
             times.append(tree.settle_time([1] * n, [True] + [False] * (n - 1)))
         diffs = [b - a for a, b in zip(times, times[1:])]
         assert all(d <= 3 for d in diffs), times
+
+    def test_radix_four_costs_a_constant_factor(self):
+        sizes = [16, 64, 256]
+        settle = {
+            radix: [
+                build_copy_cspp(n, 1, radix=radix).settle_time([1] * n, [True] + [False] * (n - 1))
+                for n in sizes
+            ]
+            for radix in (2, 4)
+        }
+        assert settle == {2: [7, 11, 15], 4: [9, 15, 21]}  # EXPERIMENTS.md's figures
+        # serial combining inside each 4-ary node: slower, but still logarithmic
+        for binary, quad in zip(settle[2], settle[4]):
+            assert binary <= quad <= 2 * binary
+        assert fit_exponent(sizes, settle[2]) < 0.6
+        assert fit_exponent(sizes, settle[4]) < 0.6
 
 
 class TestMuxRing:

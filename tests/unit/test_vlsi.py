@@ -125,18 +125,26 @@ class TestUltrascalar2Layout:
         assert sides[2] / sides[1] == pytest.approx(2.0, rel=0.2)
 
     def test_tree_variant_larger_than_linear(self):
-        linear = Ultrascalar2Layout(256, 32, variant="linear").side_length()
-        tree = Ultrascalar2Layout(256, 32, variant="tree").side_length()
-        mixed = Ultrascalar2Layout(256, 32, variant="mixed").side_length()
-        assert mixed == linear  # the mixed strategy keeps the linear area
-        assert tree > linear
+        for n in (256, 1024, 4096):
+            linear = Ultrascalar2Layout(n, 32, variant="linear").side_length()
+            tree = Ultrascalar2Layout(n, 32, variant="tree").side_length()
+            mixed = Ultrascalar2Layout(n, 32, variant="mixed").side_length()
+            assert mixed == linear  # the mixed strategy keeps the linear area
+            assert tree > linear
 
     def test_gate_delay_ordering(self):
         # tree < mixed < linear gate delay at the same n
-        linear = Ultrascalar2Layout(256, 32, variant="linear").gate_delay()
-        mixed = Ultrascalar2Layout(256, 32, variant="mixed").gate_delay()
-        tree = Ultrascalar2Layout(256, 32, variant="tree").gate_delay()
-        assert tree < mixed < linear
+        for n in (256, 1024, 4096):
+            linear = Ultrascalar2Layout(n, 32, variant="linear").gate_delay()
+            mixed = Ultrascalar2Layout(n, 32, variant="mixed").gate_delay()
+            tree = Ultrascalar2Layout(n, 32, variant="tree").gate_delay()
+            assert tree < mixed < linear
+
+    def test_wraparound_costs_about_twice_the_area(self):
+        # the paper: wrap-around "appears to cost nearly a factor of two in area"
+        plain = Ultrascalar2Layout(256, 32).area
+        wrapped = Ultrascalar2Layout(256, 32, wraparound=True).area
+        assert 1.8 < wrapped / plain < 2.2
 
     def test_mixed_gate_delay_improves_with_free_levels(self):
         few = Ultrascalar2Layout(256, 32, variant="mixed", free_tree_levels=1).gate_delay()
