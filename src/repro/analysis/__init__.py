@@ -3,8 +3,9 @@
 * :mod:`repro.analysis.regimes` -- classification of the memory
   bandwidth function M(n) into the paper's Cases 1-3, including the
   regularity requirement.
-* :mod:`repro.analysis.recurrences` -- exact numeric solvers for the
-  X(n), W(n) and U(n) recurrences plus their closed-form solutions.
+* :mod:`repro.analysis.recurrences` -- the closed-form solutions of the
+  X(n) and U(n) recurrences (the layouts in :mod:`repro.vlsi` evaluate
+  the recurrences themselves).
 * :mod:`repro.analysis.asymptotics` -- the paper's Figure 11 comparison
   table as evaluable data (gate delay, wire delay, total delay, area for
   all four designs in all three M(n) regimes).
@@ -28,11 +29,7 @@ from repro.analysis.clock_period import (
 )
 from repro.analysis.crossover import find_crossover, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog
-from repro.analysis.recurrences import (
-    solve_side_recurrence,
-    solve_hybrid_recurrence,
-    x_closed_form,
-)
+from repro.analysis.recurrences import x_closed_form
 from repro.analysis.regimes import Regime, classify_bandwidth, regularity_holds
 from repro.analysis.three_d import THREE_D_BOUNDS, three_d_table
 
@@ -50,8 +47,6 @@ __all__ = [
     "wire_delay_ratio",
     "fit_exponent",
     "fit_loglog",
-    "solve_side_recurrence",
-    "solve_hybrid_recurrence",
     "x_closed_form",
     "Regime",
     "classify_bandwidth",

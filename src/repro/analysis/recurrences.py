@@ -1,81 +1,18 @@
-"""Exact numeric solvers for the paper's layout recurrences.
+"""Closed-form solutions of the paper's layout recurrences.
 
-These solve the recurrences symbol-free (given concrete constants) so
-the closed forms can be checked against them by exponent fitting:
+The recurrences themselves are evaluated exactly, with the technology
+model's constants, by the layouts that obey them
+(:class:`repro.vlsi.htree_layout.HTreeLayout`: the Ultrascalar I's
+``X(n)`` and the hybrid's ``U(n)``).  This module holds the paper's
+solutions, which the layouts are checked against by exponent fitting:
 
-* Ultrascalar I side length:
-  ``X(n) = a L + b M(n) + 2 X(n/4)``, ``X(1) = s0``.
-* Hybrid side length:
-  ``U(n) = a L + b M(n) + 2 U(n/4)`` for n > C, ``U(C) = cluster(C)``.
-* Closed forms for the three M(n) cases (Section 3).
+* Ultrascalar I side length ``X(n)`` in the three M(n) cases (Section 3).
+* Hybrid side length ``U(n)`` and its optimal cluster size (Section 6).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-
-def solve_side_recurrence(
-    n: int,
-    L: int,
-    bandwidth: Callable[[int], float],
-    register_coeff: float = 1.0,
-    memory_coeff: float = 1.0,
-    base: float | None = None,
-) -> float:
-    """Numerically evaluate X(n) = reg + mem + 2 X(n/4) down to X(1).
-
-    *n* is rounded up to a power of 4.  ``base`` defaults to
-    ``register_coeff * L`` (a 1-station Ultrascalar has width Θ(L)).
-    """
-    if n < 1 or L < 1:
-        raise ValueError("n and L must be positive")
-    m = 1
-    while m < n:
-        m *= 4
-    base_value = register_coeff * L if base is None else base
-    if m == 1:
-        return base_value
-    return (
-        register_coeff * L
-        + memory_coeff * bandwidth(m)
-        + 2 * solve_side_recurrence(m // 4, L, bandwidth, register_coeff, memory_coeff, base)
-    )
-
-
-def solve_hybrid_recurrence(
-    n: int,
-    cluster_size: int,
-    L: int,
-    bandwidth: Callable[[int], float],
-    register_coeff: float = 1.0,
-    memory_coeff: float = 1.0,
-    cluster_side: Callable[[int], float] | None = None,
-) -> float:
-    """Numerically evaluate the hybrid recurrence U(n).
-
-    ``U(n) = Theta(n + L)`` for n <= C; else
-    ``U(n) = reg + mem + 2 U(n/4)``.
-    """
-    if n < 1 or cluster_size < 1 or L < 1:
-        raise ValueError("parameters must be positive")
-    side_of_cluster = cluster_side or (lambda c: float(c + L))
-    if n <= cluster_size:
-        return side_of_cluster(n)
-    return (
-        register_coeff * L
-        + memory_coeff * bandwidth(n)
-        + 2 * solve_hybrid_recurrence(
-            max(cluster_size, n // 4),
-            cluster_size,
-            L,
-            bandwidth,
-            register_coeff,
-            memory_coeff,
-            cluster_side,
-        )
-    )
 
 
 def x_closed_form(n: int, L: int, m_exponent: float, m_scale: float = 1.0) -> float:

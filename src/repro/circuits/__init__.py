@@ -11,12 +11,19 @@ Modules:
 
 * :mod:`repro.circuits.netlist` -- flat-array netlists (a net is an
   ``int`` index, a gate a row of parallel lists), the event-driven
-  simulator (cyclic netlists supported via fixed-point settling), and
-  topological depth for acyclic circuits.
+  simulator (cyclic netlists supported via fixed-point settling),
+  topological depth for acyclic circuits, and the bus codec
+  (``assign_bus`` drives a bus with an integer, ``bus_value`` reads
+  one back).
 * :mod:`repro.circuits.prefix` -- behavioural segmented-scan semantics
-  (the reference used for property testing) and prefix-tree netlists.
+  (the reference used for property testing, cyclic and noncyclic), a
+  linear scan chain, and the one segmented-scan tree builder
+  (:func:`~repro.circuits.prefix.build_segmented_scan`, any radix and
+  operator, cyclic or with an initial prefix) behind every prefix tree:
+  the CSPPs, the noncyclic tree scan and the ALU scheduler.
 * :mod:`repro.circuits.cspp` -- the cyclic segmented parallel prefix of
-  Ultrascalar Memo 1: behavioural model and tree netlist.
+  Ultrascalar Memo 1: the CSPP tree netlist and its behavioural
+  copy/AND models.
 * :mod:`repro.circuits.mux_ring` -- the linear-gate-delay mux ring of the
   paper's Figure 1.
 * :mod:`repro.circuits.fanout` -- buffer fan-out trees (Figure 8).
@@ -42,6 +49,7 @@ from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
 from repro.circuits.prefix import (
     segmented_scan,
     build_linear_scan,
+    build_segmented_scan,
     build_tree_scan,
 )
 
@@ -61,5 +69,6 @@ __all__ = [
     "SimulationResult",
     "segmented_scan",
     "build_linear_scan",
+    "build_segmented_scan",
     "build_tree_scan",
 ]

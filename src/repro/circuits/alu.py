@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.netlist import GateKind, Net, Netlist, bus, bus_value
+from repro.circuits.netlist import GateKind, Net, Netlist, assign_bus, bus, bus_value
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,9 @@ def build_alu(netlist: Netlist, width: int = 32, name: str = "alu") -> AluPorts:
 
 def evaluate_alu(netlist: Netlist, ports: AluPorts, a: int, b: int, op: int) -> int:
     """Simulate the ALU on concrete operands; returns the result bus value."""
-    width = len(ports.a)
     assignment: dict[Net, bool] = {}
-    for i in range(width):
-        assignment[ports.a[i]] = bool((a >> i) & 1)
-        assignment[ports.b[i]] = bool((b >> i) & 1)
-    assignment[ports.op[0]] = bool(op & 1)
-    assignment[ports.op[1]] = bool((op >> 1) & 1)
+    assign_bus(assignment, ports.a, a)
+    assign_bus(assignment, ports.b, b)
+    assign_bus(assignment, ports.op, op)
     result = netlist.simulate(assignment)
     return bus_value(result, ports.result)

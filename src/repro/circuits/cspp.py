@@ -7,9 +7,10 @@ sequence instructions: oldest-station tracking, load/store ordering,
 and branch commitment (Figure 5).
 
 The tree construction ties the data lines together at the top of an
-ordinary segmented-scan tree and discards the top segment bit, making
-the prefix wrap around: each station receives the reduction from the
-nearest *cyclically* preceding segment position.  The resulting netlist
+ordinary segmented-scan tree (:func:`repro.circuits.prefix.build_segmented_scan`)
+and discards the top segment bit, making the prefix wrap around: each
+station receives the reduction from the nearest *cyclically* preceding
+segment position.  The resulting netlist
 is cyclic; the event-driven simulator settles it, and settles in
 Θ(log n) gate delays because at least one segment bit always cuts the
 ring (the oldest station raises its segment).
@@ -17,29 +18,18 @@ ring (the oldest station raises its segment).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
+from repro.circuits.netlist import Net, Netlist, SimulationResult, assign_bus, bus_value
 from repro.circuits.prefix import (
-    ScanOp,
     AndOp,
     CopyOp,
-    _mux_bus,
-    cyclic_segmented_scan_reference,
+    ScanOp,
+    build_segmented_scan,
+    cyclic_segmented_scan,
 )
 
 T = TypeVar("T")
-
-
-def cyclic_segmented_scan(
-    xs: Sequence[T], segments: Sequence[bool], op: Callable[[T, T], T]
-) -> list[T]:
-    """Behavioural cyclic segmented scan (see module docs).
-
-    ``out[i]`` reduces the inputs from the nearest cyclically preceding
-    segment position (inclusive) through position ``i-1``.
-    """
-    return cyclic_segmented_scan_reference(xs, segments, op)
 
 
 def cyclic_segmented_copy(xs: Sequence[T], segments: Sequence[bool]) -> list[T]:
@@ -83,61 +73,9 @@ class CsppTree:
             [nl.add_input(f"{name}_x{i}[{b}]") for b in range(self.op.width)] for i in range(n)
         ]
         self.segments: list[Net] = [nl.add_input(f"{name}_s{i}") for i in range(n)]
-        self.outputs: list[list[Net]] = [None] * n  # type: ignore[list-item]
-
-        summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
-
-        def children(lo: int, hi: int) -> list[tuple[int, int]]:
-            """Split [lo, hi) into up to `radix` contiguous chunks."""
-            count = hi - lo
-            if count <= 1:
-                return []
-            chunk = max(1, (count + self.radix - 1) // self.radix)
-            spans = []
-            start = lo
-            while start < hi:
-                end = min(start + chunk, hi)
-                spans.append((start, end))
-                start = end
-            return spans
-
-        def up(lo: int, hi: int) -> tuple[list[Net], Net]:
-            if (lo, hi) in summaries:
-                return summaries[(lo, hi)]
-            if hi - lo == 1:
-                summary = (self.values[lo], self.segments[lo])
-            else:
-                spans = children(lo, hi)
-                v_acc, s_acc = up(*spans[0])
-                for span in spans[1:]:
-                    v_r, s_r = up(*span)
-                    combined = self.op.combine(nl, v_acc, v_r)
-                    v_acc = _mux_bus(nl, s_r, v_r, combined)
-                    s_acc = nl.add_gate(GateKind.OR, s_acc, s_r)
-                summary = (v_acc, s_acc)
-            summaries[(lo, hi)] = summary
-            return summary
-
-        root_v, _root_s = up(0, n)
-
-        def down(lo: int, hi: int, incoming: list[Net]) -> None:
-            if hi - lo == 1:
-                self.outputs[lo] = incoming
-                return
-            spans = children(lo, hi)
-            prefix = incoming
-            for k, span in enumerate(spans):
-                down(*span, prefix)
-                if k + 1 < len(spans):
-                    v_c, s_c = up(*span)
-                    combined = self.op.combine(nl, prefix, v_c)
-                    prefix = _mux_bus(nl, s_c, v_c, combined)
-
-        # Cyclic: the whole-ring summary is the root's incoming prefix
-        # ("tying together the data lines at the top of the tree and
-        # discarding the top segment bit").
-        down(0, n, root_v)
-
+        self.outputs: list[list[Net]] = build_segmented_scan(
+            nl, self.values, self.segments, self.op, radix
+        )
         for i, out in enumerate(self.outputs):
             for b, net in enumerate(out):
                 nl.mark_output(f"{name}_y{i}[{b}]", net)
@@ -154,8 +92,7 @@ class CsppTree:
             raise ValueError("CSPP requires at least one segment bit")
         assignment: dict[Net, bool] = {}
         for i in range(self.n):
-            for b, net in enumerate(self.values[i]):
-                assignment[net] = bool((xs[i] >> b) & 1)
+            assign_bus(assignment, self.values[i], xs[i])
             assignment[self.segments[i]] = bool(segments[i])
         return assignment
 
@@ -166,14 +103,7 @@ class CsppTree:
     def evaluate(self, xs: Sequence[int], segments: Sequence[bool]) -> list[int]:
         """Settled output values, one integer per position."""
         result = self.simulate(xs, segments)
-        outs = []
-        for nets in self.outputs:
-            value = 0
-            for b, net in enumerate(nets):
-                if result.value_of(net):
-                    value |= 1 << b
-            outs.append(value)
-        return outs
+        return [bus_value(result, nets) for nets in self.outputs]
 
     def settle_time(self, xs: Sequence[int], segments: Sequence[bool]) -> int:
         """Settle time (gate delays) for the given inputs."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuits.cspp import CsppTree
+from repro.circuits.netlist import bus_value
 from repro.circuits.prefix import AndOp, CopyOp
 
 
@@ -150,11 +151,7 @@ class Ultrascalar1Datapath:
             result = tree.simulate(values, segments)
             settle = max(settle, result.settle_time)
             for pos in range(self.n):
-                payload = 0
-                for b, net in enumerate(tree.outputs[pos]):
-                    if result.value_of(net):
-                        payload |= 1 << b
-                incoming[pos][r] = self._unpack(payload)
+                incoming[pos][r] = self._unpack(bus_value(result, tree.outputs[pos]))
 
         def condition(tree: CsppTree, values: list[bool]) -> list[bool]:
             nonlocal settle

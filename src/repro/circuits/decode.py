@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.comparator import build_constant_match, register_number_bits
-from repro.circuits.netlist import GateKind, Net, Netlist
+from repro.circuits.netlist import GateKind, Net, Netlist, assign_bus
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ def evaluate_decoder(
 ) -> list[bool]:
     """Simulate the decoder; returns the L modified bits."""
     assignment: dict[Net, bool] = {ports.write_enable: write_enable}
-    for b, net in enumerate(ports.reg_bits):
-        assignment[net] = bool((rd >> b) & 1)
+    assign_bus(assignment, ports.reg_bits, rd)
     result = netlist.simulate(assignment)
     return [result.value_of(net) for net in ports.modified]

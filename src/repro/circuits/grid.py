@@ -30,7 +30,7 @@ from repro.circuits.comparator import (
     register_number_bits,
 )
 from repro.circuits.fanout import build_fanout_tree
-from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
+from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult, assign_bus, bus_value
 
 
 @dataclass(frozen=True)
@@ -162,18 +162,15 @@ class _GridBase:
             raise ValueError("input shapes do not match the grid")
         assignment: dict[Net, bool] = {}
         for r, (value, ready) in enumerate(initial):
-            for b, net in enumerate(self.init_values[r]):
-                assignment[net] = bool((value >> b) & 1)
+            assign_bus(assignment, self.init_values[r], value)
             assignment[self.init_ready[r]] = bool(ready)
         for i, binding in enumerate(writes):
             reg = binding.reg if binding is not None else 0
             value = binding.value if binding is not None else 0
             ready = binding.ready if binding is not None else False
             enable = binding is not None
-            for b, net in enumerate(self.write_reg[i]):
-                assignment[net] = bool((reg >> b) & 1)
-            for b, net in enumerate(self.write_values[i]):
-                assignment[net] = bool((value >> b) & 1)
+            assign_bus(assignment, self.write_reg[i], reg)
+            assign_bus(assignment, self.write_values[i], value)
             assignment[self.write_ready[i]] = bool(ready)
             assignment[self.write_enable[i]] = enable
         for i, requested in enumerate(reads):
@@ -182,8 +179,7 @@ class _GridBase:
                     f"station {i}: expected {self.reads_per_station} read ports"
                 )
             for p, q in enumerate(requested):
-                for b, net in enumerate(self.read_reg[i][p]):
-                    assignment[net] = bool((q >> b) & 1)
+                assign_bus(assignment, self.read_reg[i][p], q)
         return assignment
 
     def simulate(
@@ -203,23 +199,15 @@ class _GridBase:
     ) -> RoutedArguments:
         """Settled routed arguments and outgoing register file."""
         result = self.simulate(initial, writes, reads)
-
-        def read_bus(nets: list[Net]) -> int:
-            value = 0
-            for b, net in enumerate(nets):
-                if result.value_of(net):
-                    value |= 1 << b
-            return value
-
         arguments = [
             [
-                (read_bus(self.arg_values[i][p]), result.value_of(self.arg_ready[i][p]))
+                (bus_value(result, self.arg_values[i][p]), result.value_of(self.arg_ready[i][p]))
                 for p in range(self.reads_per_station)
             ]
             for i in range(self.n)
         ]
         outgoing = [
-            (read_bus(self.out_values[r]), result.value_of(self.out_ready[r]))
+            (bus_value(result, self.out_values[r]), result.value_of(self.out_ready[r]))
             for r in range(self.L)
         ]
         return RoutedArguments(arguments=arguments, outgoing=outgoing)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.circuits.netlist import Net, Netlist, SimulationResult, bus_value
+from repro.circuits.netlist import Net, Netlist, SimulationResult, assign_bus, bus_value
 
 
 class MuxRing:
@@ -65,8 +65,7 @@ class MuxRing:
             raise ValueError("mux ring requires at least one modified bit to settle")
         assignment: dict[Net, bool] = {}
         for i in range(self.n):
-            for b, net in enumerate(self.values[i]):
-                assignment[net] = bool((xs[i] >> b) & 1)
+            assign_bus(assignment, self.values[i], xs[i])
             assignment[self.modified[i]] = bool(modified[i])
         return self.netlist.simulate(assignment)
 

@@ -322,30 +322,16 @@ class Netlist:
 
         return SimulationResult(values=values, settle_time=settle_time, events=events)
 
-    def simulate_words(self, assignments: dict[str, int],
-                       widths: dict[str, int] | None = None) -> SimulationResult:
-        """Convenience wrapper: assign multi-bit buses by input-name prefix.
-
-        Inputs named ``foo[k]`` are treated as bit *k* of bus ``foo``.
-        """
-        by_bus: dict[str, dict[int, Net]] = {}
-        for net in self.inputs:
-            name = self._names[net]
-            if "[" in name and name.endswith("]"):
-                bus, _, rest = name.partition("[")
-                by_bus.setdefault(bus, {})[int(rest[:-1])] = net
-        flat: dict[Net, bool] = {}
-        for bus, value in assignments.items():
-            if bus not in by_bus:
-                raise KeyError(f"no bus named {bus!r}")
-            for bit, net in by_bus[bus].items():
-                flat[net] = bool((value >> bit) & 1)
-        return self.simulate(flat)
-
 
 def bus(netlist: Netlist, name: str, width: int) -> list[Net]:
     """Create a *width*-bit primary-input bus named ``name[i]``."""
     return [netlist.add_input(f"{name}[{i}]") for i in range(width)]
+
+
+def assign_bus(assignment: dict[Net, bool], nets: Iterable[Net], value: int) -> None:
+    """Drive an ordered little-endian list of nets with the bits of *value*."""
+    for bit, net in enumerate(nets):
+        assignment[net] = bool((value >> bit) & 1)
 
 
 def bus_value(result: SimulationResult, nets: Iterable[Net]) -> int:

@@ -11,11 +11,15 @@ The paper builds everything from segmented scans:
 * The Ultrascalar II columns are *noncyclic* segmented scans with the
   copy operator, with the comparator match bits as segment bits
   (Figure 7/8).
+* The shared-ALU scheduler of Memo 2 is one more cyclic segmented scan,
+  with the + operator (:mod:`repro.ultrascalar.scheduler`).
 
-This module defines the reference semantics (:func:`segmented_scan` and
-helpers, against which everything is property-tested) and two generic
-netlist builders — a linear (Θ(n) delay) chain and a balanced tree
-(Θ(log n) delay) — used to *measure* the paper's gate-delay claims.
+This module defines the reference semantics (:func:`segmented_scan`,
+:func:`cyclic_segmented_scan` and helpers, against which everything is
+property-tested), a linear scan chain (Θ(n) delay), and
+:func:`build_segmented_scan`, the one up/down-sweep tree (Θ(log n)
+delay) that every prefix-tree netlist is built from.  The netlists are
+used to *measure* the paper's gate-delay claims.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from repro.circuits.netlist import GateKind, Net, Netlist
+from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult, assign_bus, bus_value
 
 T = TypeVar("T")
 
@@ -58,12 +62,12 @@ def segmented_scan(
     return ys
 
 
-def cyclic_segmented_scan_reference(
+def cyclic_segmented_scan(
     xs: Sequence[T],
     segments: Sequence[bool],
     op: Callable[[T, T], T],
 ) -> list[T]:
-    """Cyclic segmented scan (reference implementation).
+    """Cyclic segmented scan: the behavioural model of the CSPP circuits.
 
     ``y[i]`` reduces ``x[j] .. x[i-1]`` taken cyclically, with ``j`` the
     nearest *cyclically* preceding position whose segment bit is set.
@@ -203,51 +207,77 @@ def build_linear_scan(
     return ScanPorts(values=values, segments=segments, outputs=outputs, initial=initial)
 
 
-def build_tree_scan(
-    netlist: Netlist, n: int, op: ScanOp, name: str = "tscan"
-) -> ScanPorts:
-    """Noncyclic segmented scan as a balanced tree: Θ(log n) gate delay.
+def build_segmented_scan(
+    netlist: Netlist,
+    values: Sequence[list[Net]],
+    segments: Sequence[Net],
+    op: ScanOp,
+    radix: int = 2,
+    initial: list[Net] | None = None,
+) -> list[list[Net]]:
+    """Segmented scan tree over caller-supplied nets: Θ(log n) gate delay.
 
-    Up-sweep computes per-subtree summaries ``(v, s)`` with
-    ``v = s_r ? v_r : (v_l (x) v_r)`` and ``s = s_l | s_r``; the
-    down-sweep routes incoming prefixes:
-    ``in_left = in_node``, ``in_right = s_l ? v_l : (in_node (x) v_l)``.
+    Each node splits its range into up to *radix* contiguous chunks of
+    ``ceil(count / radix)`` positions.  The up-sweep folds the children's
+    summaries ``(v, s)`` left to right with ``v = s_r ? v_r : (v (x) v_r)``
+    and ``s = s | s_r``; the down-sweep hands each child the prefix of
+    everything before it, ``in_next = s_c ? v_c : (in_c (x) v_c)``.
+
+    The root's incoming prefix is *initial* (a noncyclic scan) or, when
+    *initial* is ``None``, the root's own summary: "tying together the
+    data lines at the top of the tree and discarding the top segment
+    bit" makes the scan cyclic (the CSPP).  Returns the per-position
+    output nets.
     """
-    values = [[netlist.add_input(f"{name}_x{i}[{b}]") for b in range(op.width)] for i in range(n)]
-    segments = [netlist.add_input(f"{name}_s{i}") for i in range(n)]
-    initial = [netlist.add_input(f"{name}_init[{b}]") for b in range(op.width)]
-
     summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
 
-    def up_memo(lo: int, hi: int) -> tuple[list[Net], Net]:
-        if (lo, hi) not in summaries:
-            if hi - lo == 1:
-                summaries[(lo, hi)] = (values[lo], segments[lo])
-            else:
-                mid = (lo + hi) // 2
-                v_l, s_l = up_memo(lo, mid)
-                v_r, s_r = up_memo(mid, hi)
-                combined = op.combine(netlist, v_l, v_r)
-                v = _mux_bus(netlist, s_r, v_r, combined)
-                s = netlist.add_gate(GateKind.OR, s_l, s_r)
-                summaries[(lo, hi)] = (v, s)
-        return summaries[(lo, hi)]
+    def children(lo: int, hi: int) -> list[tuple[int, int]]:
+        chunk = -(-(hi - lo) // radix)
+        return [(start, min(start + chunk, hi)) for start in range(lo, hi, chunk)]
 
-    up_memo(0, n)
-    outputs: list[list[Net]] = [None] * n  # type: ignore[list-item]
+    def fold(acc: list[Net], v: list[Net], s: Net) -> list[Net]:
+        return _mux_bus(netlist, s, v, op.combine(netlist, acc, v))
+
+    def up(lo: int, hi: int) -> tuple[list[Net], Net]:
+        if hi - lo == 1:
+            summary = (values[lo], segments[lo])
+        else:
+            first, *rest = children(lo, hi)
+            v_acc, s_acc = up(*first)
+            for span in rest:
+                v, s = up(*span)
+                v_acc = fold(v_acc, v, s)
+                s_acc = netlist.add_gate(GateKind.OR, s_acc, s)
+            summary = (v_acc, s_acc)
+        summaries[(lo, hi)] = summary
+        return summary
+
+    outputs: list[list[Net]] = [None] * len(values)  # type: ignore[list-item]
 
     def down(lo: int, hi: int, incoming: list[Net]) -> None:
         if hi - lo == 1:
             outputs[lo] = incoming
             return
-        mid = (lo + hi) // 2
-        v_l, s_l = up_memo(lo, mid)
-        combined = op.combine(netlist, incoming, v_l)
-        incoming_right = _mux_bus(netlist, s_l, v_l, combined)
-        down(lo, mid, incoming)
-        down(mid, hi, incoming_right)
+        spans = children(lo, hi)
+        for span in spans[:-1]:
+            down(*span, incoming)
+            incoming = fold(incoming, *summaries[span])
+        down(*spans[-1], incoming)
 
-    down(0, n, initial)
+    root_v, _root_s = up(0, len(values))
+    down(0, len(values), root_v if initial is None else initial)
+    return outputs
+
+
+def build_tree_scan(
+    netlist: Netlist, n: int, op: ScanOp, name: str = "tscan"
+) -> ScanPorts:
+    """Noncyclic segmented scan as a balanced binary tree (see
+    :func:`build_segmented_scan`): Θ(log n) gate delay."""
+    values = [[netlist.add_input(f"{name}_x{i}[{b}]") for b in range(op.width)] for i in range(n)]
+    segments = [netlist.add_input(f"{name}_s{i}") for i in range(n)]
+    initial = [netlist.add_input(f"{name}_init[{b}]") for b in range(op.width)]
+    outputs = build_segmented_scan(netlist, values, segments, op, initial=initial)
     for i, out in enumerate(outputs):
         for b, net in enumerate(out):
             netlist.mark_output(f"{name}_y{i}[{b}]", net)
@@ -265,22 +295,13 @@ def assign_scan_inputs(
         raise ValueError("input length mismatch")
     assignment: dict[Net, bool] = {}
     for i, x in enumerate(xs):
-        for b, net in enumerate(ports.values[i]):
-            assignment[net] = bool((x >> b) & 1)
+        assign_bus(assignment, ports.values[i], x)
         assignment[ports.segments[i]] = bool(segments[i])
     if ports.initial is not None:
-        for b, net in enumerate(ports.initial):
-            assignment[net] = bool((initial >> b) & 1)
+        assign_bus(assignment, ports.initial, initial)
     return assignment
 
 
-def read_scan_outputs(ports: ScanPorts, result) -> list[int]:
+def read_scan_outputs(ports: ScanPorts, result: SimulationResult) -> list[int]:
     """Read integer scan outputs back out of a simulation result."""
-    outs = []
-    for nets in ports.outputs:
-        value = 0
-        for b, net in enumerate(nets):
-            if result.value_of(net):
-                value |= 1 << b
-        outs.append(value)
-    return outs
+    return [bus_value(result, nets) for nets in ports.outputs]

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.circuits.cspp import cyclic_segmented_scan
 from repro.circuits.netlist import GateKind, Net, Netlist
-from repro.circuits.prefix import ScanOp, _mux_bus
+from repro.circuits.prefix import ScanOp, build_segmented_scan, cyclic_segmented_scan
 
 
 def prioritized_grants(
@@ -107,40 +106,9 @@ class SchedulerCircuit:
         zeros = [nl.constant(False) for _ in range(self.width - 1)]
         values = [[self.requests[i]] + list(zeros) for i in range(n)]
 
-        op = AddOp(self.width)
-        summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
-
-        def up(lo: int, hi: int) -> tuple[list[Net], Net]:
-            if (lo, hi) in summaries:
-                return summaries[(lo, hi)]
-            if hi - lo == 1:
-                result = (values[lo], self.segments[lo])
-            else:
-                mid = (lo + hi) // 2
-                v_l, s_l = up(lo, mid)
-                v_r, s_r = up(mid, hi)
-                combined = op.combine(nl, v_l, v_r)
-                v = _mux_bus(nl, s_r, v_r, combined)
-                s = nl.add_gate(GateKind.OR, s_l, s_r)
-                result = (v, s)
-            summaries[(lo, hi)] = result
-            return result
-
-        root_v, _ = up(0, n)
-        self.counts: list[list[Net]] = [None] * n  # type: ignore[list-item]
-
-        def down(lo: int, hi: int, incoming: list[Net]) -> None:
-            if hi - lo == 1:
-                self.counts[lo] = incoming
-                return
-            mid = (lo + hi) // 2
-            v_l, s_l = up(lo, mid)
-            combined = op.combine(nl, incoming, v_l)
-            incoming_right = _mux_bus(nl, s_l, v_l, combined)
-            down(lo, mid, incoming)
-            down(mid, hi, incoming_right)
-
-        down(0, n, root_v)
+        self.counts: list[list[Net]] = build_segmented_scan(
+            nl, values, self.segments, AddOp(self.width)
+        )
 
         # grant[i] = request[i] AND (count[i] < k), with the oldest's
         # wrap-around count overridden to zero by its segment bit.

@@ -11,13 +11,16 @@ exponents are preserved (see DESIGN.md, substitution table).
   constants (documented against the paper's published absolute sizes).
 * :mod:`repro.vlsi.cells` -- standard-cell/station area estimates
   derived from the gate-level netlists of :mod:`repro.circuits`.
-* :mod:`repro.vlsi.htree_layout` -- the Ultrascalar I H-tree floorplan
-  (Figure 6): side length X(n), root-to-leaf wire W(n), area.
+* :mod:`repro.vlsi.htree_layout` -- the H-tree recurrence, said once
+  over leaves of any size (``HTreeLayout``), and the Ultrascalar I
+  floorplan built on it (Figure 6): side length X(n), root-to-leaf wire
+  W(n), area.
 * :mod:`repro.vlsi.grid_layout` -- the Ultrascalar II floorplan
   (Figure 7): side Θ(n + L) linear, Θ((n+L) log(n+L)) for the tree
   variant, with the paper's mixed strategy in between.
 * :mod:`repro.vlsi.hybrid_layout` -- Ultrascalar II clusters connected
-  by the Ultrascalar I H-tree (Figure 10): side U(n), optimal cluster
+  by the Ultrascalar I H-tree (Figure 10), the same ``HTreeLayout``
+  recurrence with one cluster per leaf: side U(n), optimal cluster
   size C = Θ(L).
 * :mod:`repro.vlsi.wires` -- repeatered wire delay, linear in length.
 """

@@ -12,6 +12,11 @@ W(n) = Theta(X(n)).  This module evaluates both exactly
 (numerically, given concrete constants from the technology model) so the
 asymptotic claims can be *measured* by exponent fitting (experiment E6)
 and the empirical density comparison regenerated (experiment E3).
+
+:class:`HTreeLayout` holds the recurrence once, over leaves of any
+size: the Ultrascalar I's leaves are single stations, and the hybrid
+(:mod:`repro.vlsi.hybrid_layout`) reuses it with one Ultrascalar II
+cluster per leaf.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.network.htree import is_power_of_4
 from repro.vlsi.cells import StationCell, station_cell
 from repro.vlsi.tech import Technology, PAPER_TECH
 
@@ -31,9 +35,93 @@ def zero_bandwidth(_: int) -> float:
     return 0.0
 
 
+class HTreeLayout:
+    """The H-tree recurrence shared by the Ultrascalar I and hybrid floorplans.
+
+    Leaves of ``leaf_stations`` stations, each a square of side
+    ``leaf_side`` tracks, hang off a 4-way H-tree.  A subtree of ``k``
+    leaves is two of its quadrants wide plus its central switch block::
+
+        X(k) = B(k * leaf_stations) + 2 X(k/4)    for k > 1
+        X(1) = leaf_side
+
+    where ``B(m)`` is the block side at a subtree of ``m`` stations.  The
+    leaf count is rounded up to a power of 4.  Subclasses are dataclasses
+    providing ``n``, ``num_registers``, ``word_bits``, ``bandwidth`` and
+    ``tech`` fields, the ``leaf_stations`` and ``leaf_side`` attributes,
+    and a ``_side_memo`` dict.
+    """
+
+    def _rounded_leaves(self) -> int:
+        leaves = 1
+        while leaves < self.n // self.leaf_stations:
+            leaves *= 4
+        return leaves
+
+    @property
+    def register_wires(self) -> int:
+        """Datapath wires per H-tree link: L x (w + 1)."""
+        return self.num_registers * (self.word_bits + 1)
+
+    def switch_block_side(self, stations: int) -> float:
+        """Side of the central block at a subtree of *stations* stations.
+
+        Θ(L) register-prefix cells plus Θ(M(stations)) memory-tree cells,
+        as in Figure 6's central cross of P and M nodes.
+        """
+        register_part = self.register_wires * self.tech.prefix_node_pitch
+        memory_part = self.bandwidth(stations) * self.word_bits * self.tech.memory_wire_pitch
+        return register_part + memory_part
+
+    def side_length(self, leaves: int | None = None) -> float:
+        """X(leaves) in tracks (the side-length recurrence, exactly)."""
+        leaves = self._rounded_leaves() if leaves is None else leaves
+        if leaves <= 1:
+            return self.leaf_side
+        if leaves not in self._side_memo:
+            self._side_memo[leaves] = (
+                self.switch_block_side(leaves * self.leaf_stations)
+                + 2 * self.side_length(leaves // 4)
+            )
+        return self._side_memo[leaves]
+
+    def root_to_leaf_wire(self, leaves: int | None = None) -> float:
+        """W(leaves) in tracks, from the root down to a leaf.
+
+        The route descends one H-tree level at a time: from the centre of
+        a k-leaf square to the centre of its k/4-leaf quadrant is a
+        Manhattan distance of X(k)/2, plus the traversal of the level's
+        switch block.  Summing over levels gives the paper's solution
+        W(n) = Theta(X(n)) exactly (every leaf is equidistant from the
+        root, as the paper observes).
+        """
+        total = 0.0
+        k = self._rounded_leaves() if leaves is None else leaves
+        while k > 1:
+            total += self.side_length(k) / 2.0 + self.switch_block_side(k * self.leaf_stations)
+            k //= 4
+        return total
+
+    @property
+    def area(self) -> float:
+        """Chip area in tracks squared: X(n)^2."""
+        return self.side_length() ** 2
+
+    @property
+    def critical_wire(self) -> float:
+        """Longest datapath signal: up the tree and back down, 2 W(n)."""
+        return 2.0 * self.root_to_leaf_wire()
+
+    @property
+    def stations_per_m2(self) -> float:
+        """Density in stations per square metre (the paper's metric)."""
+        side_cm = self.tech.tracks_to_cm(self.side_length())
+        return self.n / (side_cm / 100.0) ** 2
+
+
 @dataclass(eq=False)
-class Ultrascalar1Layout:
-    """Parametric Ultrascalar I layout.
+class Ultrascalar1Layout(HTreeLayout):
+    """Parametric Ultrascalar I layout: an H-tree whose leaves are stations.
 
     Args:
         n: number of execution stations (power of 4 for the H-tree;
@@ -52,87 +140,20 @@ class Ultrascalar1Layout:
     bandwidth: Callable[[int], float] = zero_bandwidth
     tech: Technology = PAPER_TECH
 
+    leaf_stations = 1
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not is_power_of_4(self._rounded_n()):
-            raise AssertionError("internal rounding failed")
         self.station: StationCell = station_cell(
             self.num_registers, self.word_bits, self.tech
         )
         self._side_memo: dict[int, float] = {}
-        self._wire_memo: dict[int, float] = {}
-
-    def _rounded_n(self) -> int:
-        n = 1
-        while n < self.n:
-            n *= 4
-        return n
-
-    # -- geometry -------------------------------------------------------
 
     @property
-    def register_wires(self) -> int:
-        """Datapath wires per H-tree link: L x (w + 1)."""
-        return self.num_registers * (self.word_bits + 1)
-
-    def switch_block_side(self, subtree: int) -> float:
-        """Side of the central block at a subtree of *subtree* stations.
-
-        Θ(L) register-prefix cells plus Θ(M(subtree)) memory-tree cells,
-        as in Figure 6's central cross of P and M nodes.
-        """
-        register_part = self.register_wires * self.tech.prefix_node_pitch
-        memory_part = self.bandwidth(subtree) * self.word_bits * self.tech.memory_wire_pitch
-        return register_part + memory_part
-
-    def side_length(self, n: int | None = None) -> float:
-        """X(n) in tracks (the paper's side-length recurrence, exactly)."""
-        n = self._rounded_n() if n is None else n
-        if n <= 1:
-            return self.station.side_tracks
-        if n not in self._side_memo:
-            self._side_memo[n] = self.switch_block_side(n) + 2 * self.side_length(n // 4)
-        return self._side_memo[n]
-
-    def root_to_leaf_wire(self, n: int | None = None) -> float:
-        """W(n) in tracks.
-
-        The route descends one H-tree level at a time: from the centre of
-        an m-station square to the centre of its m/4-station quadrant is
-        a Manhattan distance of X(m)/2, plus the traversal of the level's
-        switch block.  Summing over levels gives the paper's solution
-        W(n) = Theta(X(n)) exactly (every leaf is equidistant from the
-        root, as the paper observes).
-        """
-        n = self._rounded_n() if n is None else n
-        if n <= 1:
-            return 0.0
-        if n not in self._wire_memo:
-            total = 0.0
-            m = n
-            while m > 1:
-                total += self.side_length(m) / 2.0 + self.switch_block_side(m)
-                m //= 4
-            self._wire_memo[n] = total
-        return self._wire_memo[n]
-
-    @property
-    def area(self) -> float:
-        """Chip area in tracks squared: X(n)^2."""
-        return self.side_length() ** 2
-
-    @property
-    def critical_wire(self) -> float:
-        """Longest datapath signal: up the tree and back down, 2 W(n)."""
-        return 2.0 * self.root_to_leaf_wire()
-
-    @property
-    def stations_per_m2(self) -> float:
-        """Density in stations per square metre (the paper's metric)."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
-        area_m2 = (side_cm / 100.0) ** 2
-        return self.n / area_m2
+    def leaf_side(self) -> float:
+        """One station's side in tracks."""
+        return self.station.side_tracks
 
     def summary(self) -> dict[str, float]:
         """Headline numbers in physical units."""
@@ -145,22 +166,3 @@ class Ultrascalar1Layout:
             "critical_wire_cm": self.tech.tracks_to_cm(self.critical_wire),
             "stations_per_m2": self.stations_per_m2,
         }
-
-
-def root_wire_length_case(n: int, L: int, m_exponent: float) -> str:
-    """Classify (n, L, M = n^m_exponent) into the paper's Case 1/2/3."""
-    if m_exponent < 0.5:
-        return "case1"  # X(n) = Theta(sqrt(n) L)
-    if m_exponent == 0.5:
-        return "case2"  # X(n) = Theta(sqrt(n)(L + log n))
-    return "case3"      # X(n) = Theta(sqrt(n) L + M(n))
-
-
-def wire_length_root_to_leaf_uniform(layout: Ultrascalar1Layout) -> bool:
-    """Check the paper's observation that W is leaf-independent.
-
-    In this H-tree the root-to-leaf path length is identical for all
-    leaves by construction; the function exists so tests can assert the
-    property explicitly against the geometric model.
-    """
-    return True

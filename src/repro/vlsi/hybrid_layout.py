@@ -1,7 +1,8 @@
 """The hybrid Ultrascalar floorplan (the paper's Figure 10 and Section 6).
 
 Clusters of C stations, each an Ultrascalar II grid, connected by the
-Ultrascalar I H-tree.  The side-length recurrence::
+Ultrascalar I H-tree (:class:`repro.vlsi.htree_layout.HTreeLayout`, one
+cluster per leaf).  The side-length recurrence::
 
     U(n) = O(n + L)                      if n <= C   (one cluster)
     U(n) = O(L + M(n)) + 2 U(n/4)        if n > C
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.vlsi.grid_layout import Ultrascalar2Layout
-from repro.vlsi.htree_layout import zero_bandwidth
+from repro.vlsi.htree_layout import HTreeLayout, zero_bandwidth
 from repro.vlsi.tech import Technology, PAPER_TECH
 
 
 @dataclass(eq=False)
-class HybridLayout:
-    """Parametric hybrid layout.
+class HybridLayout(HTreeLayout):
+    """Parametric hybrid layout: an H-tree whose leaves are clusters.
 
     Args:
         n: total stations.
@@ -80,62 +81,15 @@ class HybridLayout:
         return self.cluster.side_length() * self.cluster_packing
 
     @property
-    def register_wires(self) -> int:
-        """Inter-cluster datapath wires: L x (w + 1), as in Ultrascalar I."""
-        return self.num_registers * (self.word_bits + 1)
+    def leaf_stations(self) -> int:
+        """Stations per H-tree leaf: one cluster."""
+        return self.cluster_size
 
-    def switch_block_side(self, stations: int) -> float:
-        """H-tree switch-block side at a subtree of *stations* stations."""
-        register_part = self.register_wires * self.tech.prefix_node_pitch
-        memory_part = (
-            self.bandwidth(stations) * self.word_bits * self.tech.memory_wire_pitch
-        )
-        return register_part + memory_part
+    leaf_side = cluster_side
 
-    def _rounded_clusters(self) -> int:
-        m = 1
-        while m < self.num_clusters:
-            m *= 4
-        return m
-
-    def side_length(self, clusters: int | None = None) -> float:
-        """U(n) in tracks: the Ultrascalar I recurrence over clusters."""
-        clusters = self._rounded_clusters() if clusters is None else clusters
-        if clusters <= 1:
-            return self.cluster_side
-        if clusters not in self._side_memo:
-            self._side_memo[clusters] = (
-                self.switch_block_side(clusters * self.cluster_size)
-                + 2 * self.side_length(clusters // 4)
-            )
-        return self._side_memo[clusters]
-
-    @property
-    def area(self) -> float:
-        """Area in tracks squared."""
-        return self.side_length() ** 2
-
-    def root_to_leaf_wire(self) -> float:
+    def root_to_leaf_wire(self, leaves: int | None = None) -> float:
         """Root-to-cluster wire, then across the cluster: Θ(U(n))."""
-        total = 0.0
-        m = self._rounded_clusters()
-        while m > 1:
-            total += self.side_length(m) / 2.0 + self.switch_block_side(
-                m * self.cluster_size
-            )
-            m //= 4
-        return total + self.cluster_side
-
-    @property
-    def critical_wire(self) -> float:
-        """Longest datapath signal: up the inter-cluster tree and down."""
-        return 2.0 * self.root_to_leaf_wire()
-
-    @property
-    def stations_per_m2(self) -> float:
-        """Density in stations per square metre."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
-        return self.n / (side_cm / 100.0) ** 2
+        return super().root_to_leaf_wire(leaves) + self.cluster_side
 
     def summary(self) -> dict[str, float]:
         """Headline numbers in physical units."""

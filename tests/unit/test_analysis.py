@@ -9,16 +9,12 @@ from repro.analysis.asymptotics import FIGURE11, evaluate_cell, figure11_table, 
 from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep, cluster_is_theta_L
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog, is_logarithmic
-from repro.analysis.recurrences import (
-    optimal_cluster_closed_form,
-    solve_hybrid_recurrence,
-    solve_side_recurrence,
-    u_closed_form,
-    x_closed_form,
-)
+from repro.analysis.recurrences import optimal_cluster_closed_form, u_closed_form, x_closed_form
 from repro.analysis.regimes import Regime, classify_bandwidth, classify_exponent, regularity_holds
 from repro.analysis.three_d import lookup as lookup_3d, three_d_table, volume_improvement_2d_to_3d
 from repro.network.fattree import bandwidth_constant, bandwidth_linear, bandwidth_power
+from repro.vlsi.htree_layout import Ultrascalar1Layout
+from repro.vlsi.hybrid_layout import HybridLayout
 
 
 class TestRegimes:
@@ -46,28 +42,34 @@ class TestRegimes:
 
 
 class TestRecurrences:
+    """The layouts evaluate the paper's recurrences; the closed forms solve them."""
+
     def test_side_recurrence_base_case(self):
-        assert solve_side_recurrence(1, 32, bandwidth_constant(0.0)) == 32.0
+        # X(1) is one station
+        layout = Ultrascalar1Layout(1, 32)
+        assert layout.side_length() == layout.station.side_tracks
+        assert layout.root_to_leaf_wire() == 0.0
 
     def test_side_recurrence_expands(self):
-        # X(4) = L + M(4) + 2 X(1) = 32 + 0 + 64
-        assert solve_side_recurrence(4, 32, lambda n: 0.0) == 96.0
-
-    def test_side_recurrence_sqrt_growth(self):
-        x64 = solve_side_recurrence(64, 32, lambda n: 0.0)
-        x1024 = solve_side_recurrence(1024, 32, lambda n: 0.0)
-        assert x1024 / x64 == pytest.approx(4.0, rel=0.1)
+        # X(4) = B(4) + 2 X(1)
+        layout = Ultrascalar1Layout(4, 32)
+        assert layout.side_length() == layout.switch_block_side(4) + 2 * layout.side_length(1)
 
     def test_closed_form_matches_recurrence_growth(self):
         for exponent in (0.0, 0.5, 1.0):
             big, small = 4**9, 4**7
-            numeric = solve_side_recurrence(big, 32, bandwidth_power(exponent)) / \
-                solve_side_recurrence(small, 32, bandwidth_power(exponent))
+            numeric = (
+                Ultrascalar1Layout(big, 32, bandwidth=bandwidth_power(exponent)).side_length()
+                / Ultrascalar1Layout(small, 32, bandwidth=bandwidth_power(exponent)).side_length()
+            )
             closed = x_closed_form(big, 32, exponent) / x_closed_form(small, 32, exponent)
             assert numeric == pytest.approx(closed, rel=0.25)
 
     def test_hybrid_recurrence_base(self):
-        assert solve_hybrid_recurrence(16, 16, 8, lambda n: 0.0) == 24.0  # C + L
+        # U(C) is one cluster, and its root-to-leaf wire just crosses it
+        layout = HybridLayout(32, 32, 32)
+        assert layout.side_length() == layout.cluster_side
+        assert layout.root_to_leaf_wire() == layout.cluster_side
 
     def test_u_closed_form_minimized_at_L(self):
         values = {c: u_closed_form(4096, c, 32, 0.0) for c in (4, 8, 16, 32, 64, 128, 256)}
@@ -81,7 +83,7 @@ class TestRecurrences:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            solve_side_recurrence(0, 32, lambda n: 0.0)
+            x_closed_form(0, 32, 0.0)
         with pytest.raises(ValueError):
             u_closed_form(4, 8, 32, 0.0)
 

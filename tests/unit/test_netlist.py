@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits.netlist import GateKind, Netlist, bus, bus_value
+from repro.circuits.netlist import GateKind, Netlist, assign_bus, bus, bus_value
 
 
 class TestConstruction:
@@ -196,18 +196,14 @@ class TestBusHelpers:
         result = nl.simulate({nets[i]: bool((0xA5 >> i) & 1) for i in range(8)})
         assert bus_value(result, outs) == 0xA5
 
-    def test_simulate_words(self):
+    def test_assign_bus(self):
         nl = Netlist()
         nets = bus(nl, "data", 4)
         outs = [nl.add_gate(GateKind.NOT, net) for net in nets]
-        result = nl.simulate_words({"data": 0b0101})
-        assert bus_value(result, outs) == 0b1010
-
-    def test_simulate_words_unknown_bus(self):
-        nl = Netlist()
-        bus(nl, "data", 2)
-        with pytest.raises(KeyError):
-            nl.simulate_words({"nope": 1})
+        assignment: dict[int, bool] = {}
+        assign_bus(assignment, nets, 0b0101)
+        assert assignment == dict(zip(nets, [True, False, True, False]))
+        assert bus_value(nl.simulate(assignment), outs) == 0b1010
 
 
 #: (gate_count, settle_time, events) of every E9 circuit, per family and n

@@ -41,7 +41,7 @@ class TestBehavioural:
 
 
 class TestCircuit:
-    @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (5, 3), (8, 1), (8, 8)])
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (5, 3), (6, 2), (7, 3), (8, 1), (8, 8)])
     def test_matches_behavioural_exhaustively(self, n, k):
         circuit = SchedulerCircuit(n, k)
         for mask in range(2**n):

@@ -198,6 +198,7 @@ class TestHybridLayout:
     def test_validation(self):
         with pytest.raises(ValueError):
             HybridLayout(100, 32)  # cluster must divide n
+
         with pytest.raises(ValueError):
             HybridLayout(0, 1)
         with pytest.raises(ValueError):
@@ -226,3 +227,29 @@ class TestWireDelay:
             wire_delay(-1)
         with pytest.raises(ValueError):
             total_delay(-1, 0)
+
+
+#: exact reprs of (side_length(), root_to_leaf_wire(), critical_wire,
+#: stations_per_m2); the golden reports print 2-3 digits, so these catch
+#: a reordered float sum that the reports would not
+LAYOUT_FLOATS = [
+    (lambda: Ultrascalar1Layout(64, 32),
+     ("17160.0", "18150.0", "36300.0", "13583.92966784575")),
+    (lambda: Ultrascalar1Layout(4096, 32, bandwidth=bandwidth_linear(1.0)),
+     ("469080.0", "581250.0", "1162500.0", "1163.445736225517")),
+    (lambda: HybridLayout(128, 32, 32),
+     ("7171.337205734261", "7831.33720573426", "15662.67441146852",
+      "155557.05010083594")),
+    (lambda: HybridLayout(1024, 32, 32, bandwidth=bandwidth_power(1.0)),
+     ("176005.34882293706", "231745.34882293706", "463490.6976458741",
+      "2065.990125396494")),
+]
+
+
+@pytest.mark.parametrize("make,expected", LAYOUT_FLOATS,
+                         ids=["us1-64", "us1-4096-linear", "hybrid-128", "hybrid-1024-power"])
+def test_layout_floats_are_pinned(make, expected):
+    layout = make()
+    actual = (layout.side_length(), layout.root_to_leaf_wire(),
+              layout.critical_wire, layout.stations_per_m2)
+    assert tuple(map(repr, actual)) == expected
