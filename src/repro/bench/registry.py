@@ -14,6 +14,9 @@ Groups (mirroring the subsystems the ROADMAP cares about):
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
   way users drive them, across window sizes, plus us1 at the wide
   windows (64 and 512 stations) the large-*n* experiments sweep;
+* ``frontend`` — the fetch unit on its own: slicing a long
+  straight-line program, and following a loop kernel's path with a
+  bimodal predictor;
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
 * ``network`` — the Ultrascalar II argument-routing reference;
@@ -117,6 +120,80 @@ def _register_engines() -> None:
             _register_engine(f"engine.{design}.w{window}", design, window, count, quick)
     for window, count, quick in ((64, 256, True), (512, 2048, False)):
         _register_engine(f"engine.us1.n{window}", "us1", window, count, quick)
+
+
+# ----------------------------------------------------------------------
+# fetch on its own
+
+
+def _fetch_ilp_thunk(count: int, width: int) -> Callable[[], Any]:
+    from repro.frontend.branch_predictor import AlwaysNotTaken
+    from repro.frontend.fetch import FetchUnit
+    from repro.workloads.generators import random_ilp
+
+    program = random_ilp(count, 0.5, seed=1999).program
+
+    def thunk() -> None:
+        fetch = FetchUnit(program, AlwaysNotTaken(), width=width)
+        while not fetch.stalled():
+            fetch.fetch_cycle()
+
+    return thunk
+
+
+def _fetch_matmul_thunk(size: int, width: int) -> Callable[[], Any]:
+    from repro.frontend.branch_predictor import BimodalPredictor
+    from repro.frontend.fetch import FetchUnit
+    from repro.isa.interpreter import MachineState, run_program
+    from repro.workloads.kernels import matmul
+
+    workload = matmul(size)
+    program = workload.program
+    state = MachineState(workload.registers_for(), dict(workload.memory_image))
+    trace = run_program(program, state=state).trace
+
+    def thunk() -> None:
+        # Follow the architectural path as an engine would: train the
+        # predictor on each delivered branch, redirect after a mispredict.
+        predictor = BimodalPredictor()
+        fetch = FetchUnit(program, predictor, width=width)
+        position = 0
+        while position < len(trace):
+            for index in fetch.fetch_cycle():
+                step = trace[position]
+                if index != step.static_index:
+                    break  # the wrong path past a mispredicted branch
+                if step.instruction.is_branch:
+                    predictor.update(index, step.taken)
+                position += 1
+                if position == len(trace):
+                    return
+            if fetch.pc != trace[position].static_index:
+                fetch.redirect(trace[position].static_index)
+
+    return thunk
+
+
+def _register_frontend() -> None:
+    register(
+        Benchmark(
+            name="frontend.fetch.ilp",
+            group="frontend",
+            title="fetch a 4000-instruction straight-line program, width 64",
+            make=lambda: _fetch_ilp_thunk(4000, 64),
+            quick=True,
+            metadata={"instructions": 4000, "width": 64, "seed": 1999},
+        )
+    )
+    register(
+        Benchmark(
+            name="frontend.fetch.matmul",
+            group="frontend",
+            title="fetch matmul(6)'s path with a bimodal predictor, width 32",
+            make=lambda: _fetch_matmul_thunk(6, 32),
+            metadata={"kernel": "matmul", "size": 6, "width": 32, "predictor": "bimodal"},
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +395,7 @@ def _register_verify() -> None:
 
 
 _register_engines()
+_register_frontend()
 _register_cspp()
 _register_network()
 _register_circuits()

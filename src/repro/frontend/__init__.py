@@ -4,8 +4,9 @@ All three Ultrascalar processors "speculate on branches, and
 effortlessly recover from branch mispredictions"; the speculation
 itself comes from this front end.  The fetch unit walks the predicted
 path (optionally through a trace cache so a single cycle can span taken
-branches) and hands dynamic instructions to whichever processor model
-is running.
+branches) and hands static indices, with the predictions of the
+conditional branches among them, to whichever processor model is
+running.
 """
 
 from repro.frontend.branch_predictor import (
@@ -17,7 +18,7 @@ from repro.frontend.branch_predictor import (
     GSharePredictor,
     PerfectPredictor,
 )
-from repro.frontend.fetch import FetchedInstruction, FetchUnit
+from repro.frontend.fetch import FetchUnit
 
 __all__ = [
     "AlwaysNotTaken",
@@ -27,6 +28,5 @@ __all__ = [
     "BranchPredictor",
     "GSharePredictor",
     "PerfectPredictor",
-    "FetchedInstruction",
     "FetchUnit",
 ]

@@ -7,6 +7,14 @@ that is the fetch-bandwidth wall trace caches exist to break.  With a
 stored dynamic trace that may span several taken branches in a single
 cycle; misses fall back to conventional fetch and fill the trace cache.
 
+Fetch reads the program's decoded table (:attr:`repro.isa.program.
+Program.decoded`): a plain run up to the next control transfer or HALT
+(:attr:`~repro.isa.program.Program.stops`) is sliced in one step, and
+the predictor is asked only about conditional branches.  A fetch group
+is a list of static indices; :attr:`FetchUnit.predictions` holds the
+predicted outcomes of the group's conditional branches, in order (a
+jump is always taken).
+
 The fetch unit is shared by all processor models; each model calls
 :meth:`FetchUnit.fetch_cycle` once per simulated cycle and
 :meth:`FetchUnit.redirect` on branch mispredictions.
@@ -14,24 +22,9 @@ The fetch unit is shared by all processor models; each model calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.memory.trace_cache import TraceCache
-
-
-@dataclass(frozen=True)
-class FetchedInstruction:
-    """One instruction leaving the front end."""
-
-    static_index: int
-    instruction: Instruction
-    #: prediction for control transfers (None for non-control instructions)
-    predicted_taken: bool | None
-    #: the PC fetch continued from after this instruction
-    predicted_next: int
 
 
 class FetchUnit:
@@ -57,7 +50,11 @@ class FetchUnit:
         self.predictor = predictor
         self.width = width
         self.trace_cache = trace_cache
+        self._rows = program.decoded
+        self._stops = program.stops
         self._pc: int | None = 0 if len(program) else None
+        #: predicted outcomes of the last group's conditional branches
+        self.predictions: list[bool] = []
         self.fetched_count = 0
         self.trace_cache_hits = 0
         self.trace_cache_misses = 0
@@ -88,132 +85,98 @@ class FetchUnit:
 
     # -- fetch ------------------------------------------------------------
 
-    def _predict(self, pc: int, inst: Instruction) -> tuple[bool | None, int]:
-        """(prediction, next pc) along the predicted path."""
-        if inst.is_branch:
-            taken = self.predictor.predict(pc, inst)
-            return taken, (inst.target if taken else pc + 1)
-        if inst.is_control:  # unconditional jump
-            return True, inst.target
-        return None, pc + 1
-
-    def fetch_cycle(self, budget: int | None = None) -> list[FetchedInstruction]:
-        """Deliver this cycle's instructions along the predicted path.
+    def fetch_cycle(self, budget: int | None = None) -> list[int]:
+        """Deliver this cycle's static indices along the predicted path.
 
         *budget* caps the delivery below the configured width (e.g. when
         the window has fewer free stations than the fetch width).
         """
+        self.predictions = []
         if self._pc is None:
             return []
         width = self.width if budget is None else max(0, min(self.width, budget))
         if width == 0:
             return []
         if self.trace_cache is not None:
-            fetched = self._fetch_with_trace_cache(width)
+            group = self._fetch_with_trace_cache(width)
         else:
-            fetched = self._fetch_conventional(width, stop_at_taken=True)
-        if fetched:
-            self.fetched_count += len(fetched)
-            last = fetched[-1]
-            if last.instruction.is_halt:
-                self._pc = None
-            elif not 0 <= last.predicted_next < len(self.program):
-                self._pc = None
-            else:
-                self._pc = last.predicted_next
-        return fetched
+            group, self.predictions, self._pc = self._walk(self._pc, width, None)
+        self.fetched_count += len(group)
+        return group
 
-    def _fetch_conventional(
-        self, budget: int, stop_at_taken: bool
-    ) -> list[FetchedInstruction]:
-        assert self._pc is not None
-        pc = self._pc
-        fetched: list[FetchedInstruction] = []
-        while len(fetched) < budget and 0 <= pc < len(self.program):
-            inst = self.program[pc]
-            predicted, next_pc = self._predict(pc, inst)
-            fetched.append(
-                FetchedInstruction(
-                    static_index=pc,
-                    instruction=inst,
-                    predicted_taken=predicted,
-                    predicted_next=next_pc,
-                )
-            )
-            if inst.is_halt:
+    def _walk(
+        self, pc: int, limit: int, max_branches: int | None
+    ) -> tuple[list[int], list[bool], int | None]:
+        """Up to *limit* instructions along the predicted path from *pc*.
+
+        With *max_branches* ``None`` the walk stops after the first
+        predicted-taken transfer (conventional fetch); otherwise it
+        crosses taken transfers and stops after the conditional branch
+        that exceeds *max_branches*.  Returns the static indices, the
+        predictions of the conditional branches among them, and the pc
+        after the last one (``None`` after HALT or off the program).
+        """
+        rows, stops, end = self._rows, self._stops, len(self._rows)
+        group: list[int] = []
+        predictions: list[bool] = []
+        while True:
+            stop = stops[pc]
+            room = limit - len(group)
+            if stop - pc >= room:  # the plain run fills the group
+                group.extend(range(pc, pc + room))
+                pc += room
                 break
-            if stop_at_taken and predicted is True:
-                break  # cannot fetch past a taken transfer without a trace cache
-            pc = next_pc
-        return fetched
+            group.extend(range(pc, stop))
+            if stop == end:  # the plain run reached the end of the program
+                return group, predictions, None
+            group.append(stop)
+            row = rows[stop]
+            if row.is_halt:
+                return group, predictions, None
+            taken = True
+            if row.is_branch:
+                taken = self.predictor.predict(stop, self.program.instructions[stop])
+                predictions.append(taken)
+            pc = row.target if taken else stop + 1
+            if max_branches is None:
+                if taken:
+                    break
+            elif row.is_branch and len(predictions) > max_branches:
+                break
+            if len(group) == limit or not 0 <= pc < end:
+                break
+        return group, predictions, pc if 0 <= pc < end else None
 
-    def _fetch_with_trace_cache(self, width: int) -> list[FetchedInstruction]:
-        assert self.trace_cache is not None and self._pc is not None
+    def _fetch_with_trace_cache(self, width: int) -> list[int]:
+        cache = self.trace_cache
+        assert cache is not None and self._pc is not None
         start_pc = self._pc
         # Walk the predicted path to build the outcome vector we want.
-        path = self._walk_predicted_path(start_pc, width)
-        outcomes = tuple(
-            f.predicted_taken
-            for f in path
-            if f.instruction.is_branch and f.predicted_taken is not None
+        path, outcomes, after = self._walk(
+            start_pc, min(width, cache.trace_length), cache.max_branches
         )
-        stored = self.trace_cache.lookup(start_pc, outcomes)
+        stored = cache.lookup(start_pc, tuple(outcomes))
         if stored is not None:
-            # Deliver the stored trace (truncated to the fetch width); its
-            # instructions carry fresh predictions so redirects stay honest.
-            delivered: list[FetchedInstruction] = []
-            pc_check = start_pc
-            for static_index in stored[:width]:
-                if pc_check != static_index:
+            # Deliver the stored trace's prefix (truncated to the fetch
+            # width) that the fresh predictions still follow.
+            count = 0
+            for static_index, predicted in zip(stored[:width], path):
+                if static_index != predicted:
                     break  # stale trace (path diverged); deliver the prefix
-                inst = self.program[static_index]
-                predicted, next_pc = self._predict(static_index, inst)
-                delivered.append(
-                    FetchedInstruction(static_index, inst, predicted, next_pc)
-                )
-                if inst.is_halt:
-                    break
-                pc_check = next_pc
-            if delivered:
+                count += 1
+            if count:
                 self.trace_cache_hits += 1
-                return delivered
+                group = path[:count]
+                branches = sum(self._rows[index].is_branch for index in group)
+                self.predictions = outcomes[:branches]
+                self._pc = path[count] if count < len(path) else after
+                return group
         # Miss: conventional fetch this cycle, then fill the trace cache
-        # with the predicted path for next time.
+        # with the predicted path, up to its last branch that fits.
         self.trace_cache_misses += 1
-        fetched = self._fetch_conventional(width, stop_at_taken=True)
-        fill_path = path[: min(len(path), self.trace_cache.trace_length)]
-        fill_outcomes = []
-        trimmed: list[FetchedInstruction] = []
-        for f in fill_path:
-            if f.instruction.is_branch and f.predicted_taken is not None:
-                if len(fill_outcomes) >= self.trace_cache.max_branches:
-                    break
-                fill_outcomes.append(f.predicted_taken)
-            trimmed.append(f)
-        if trimmed:
-            self.trace_cache.fill(
-                start_pc,
-                tuple(fill_outcomes),
-                tuple(f.static_index for f in trimmed),
-            )
-        return fetched
-
-    def _walk_predicted_path(self, start_pc: int, width: int) -> list[FetchedInstruction]:
-        """The predicted path from *start_pc*, crossing taken branches."""
-        assert self.trace_cache is not None
-        path: list[FetchedInstruction] = []
-        pc = start_pc
-        branches = 0
-        limit = min(width, self.trace_cache.trace_length)
-        while len(path) < limit and 0 <= pc < len(self.program):
-            inst = self.program[pc]
-            predicted, next_pc = self._predict(pc, inst)
-            path.append(FetchedInstruction(pc, inst, predicted, next_pc))
-            if inst.is_halt:
-                break
-            if inst.is_branch:
-                branches += 1
-                if branches > self.trace_cache.max_branches:
-                    break
-            pc = next_pc
-        return path
+        group, self.predictions, self._pc = self._walk(start_pc, width, None)
+        if len(outcomes) > cache.max_branches:
+            path, outcomes = path[:-1], outcomes[:-1]
+        if path:
+            cache.fill(start_pc, tuple(outcomes), tuple(path))
+        return group

@@ -15,6 +15,21 @@ from dataclasses import dataclass
 from repro.isa.opcodes import Format, Opcode
 
 
+#: operand fields each format uses; MEM lists ``lw rd, imm(rs1)``
+_FIELDS: dict[Format, tuple[str, ...]] = {
+    Format.R3: ("rd", "rs1", "rs2"),
+    Format.R2: ("rd", "rs1"),
+    Format.I2: ("rd", "rs1", "imm"),
+    Format.I1: ("rd", "imm"),
+    Format.MEM: ("rd", "rs1", "imm"),
+    Format.B2: ("rs1", "rs2", "target"),
+    Format.J: ("target",),
+    Format.NONE: (),
+}
+#: ``sw rs2, imm(rs1)`` stores rs2 where a load writes rd
+_SW_FIELDS = ("rs1", "rs2", "imm")
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One static instruction.
@@ -40,17 +55,7 @@ class Instruction:
     target: int | None = None
 
     def __post_init__(self) -> None:
-        fmt = self.op.fmt
-        expect = {
-            Format.R3: ("rd", "rs1", "rs2"),
-            Format.R2: ("rd", "rs1"),
-            Format.I2: ("rd", "rs1", "imm"),
-            Format.I1: ("rd", "imm"),
-            Format.MEM: self._mem_fields(),
-            Format.B2: ("rs1", "rs2", "target"),
-            Format.J: ("target",),
-            Format.NONE: (),
-        }[fmt]
+        expect = _SW_FIELDS if self.op is Opcode.SW else _FIELDS[self.op.fmt]
         for field in ("rd", "rs1", "rs2", "imm", "target"):
             value = getattr(self, field)
             if field in expect and value is None:
@@ -58,21 +63,13 @@ class Instruction:
             if field not in expect and value is not None:
                 raise ValueError(f"{self.op.mnemonic}: unexpected operand {field}={value}")
 
-    def _mem_fields(self) -> tuple[str, ...]:
-        # lw rd, imm(rs1);  sw rs2, imm(rs1)
-        if self.op is Opcode.LW:
-            return ("rd", "rs1", "imm")
-        return ("rs1", "rs2", "imm")
-
     @property
     def reads(self) -> tuple[int, ...]:
         """Logical registers this instruction reads (0, 1, or 2 of them)."""
-        regs = []
-        if self.rs1 is not None:
-            regs.append(self.rs1)
-        if self.rs2 is not None:
-            regs.append(self.rs2)
-        return tuple(regs)
+        rs1, rs2 = self.rs1, self.rs2
+        if rs2 is None:
+            return () if rs1 is None else (rs1,)
+        return (rs2,) if rs1 is None else (rs1, rs2)
 
     @property
     def writes(self) -> tuple[int, ...]:
@@ -82,32 +79,32 @@ class Instruction:
     @property
     def is_load(self) -> bool:
         """True for memory loads."""
-        return self.op is Opcode.LW
+        return self.op.is_load
 
     @property
     def is_store(self) -> bool:
         """True for memory stores."""
-        return self.op is Opcode.SW
+        return self.op.is_store
 
     @property
     def is_memory(self) -> bool:
         """True for loads and stores."""
-        return self.is_load or self.is_store
+        return self.op.is_memory
 
     @property
     def is_branch(self) -> bool:
         """True for conditional branches (not unconditional jumps)."""
-        return self.op.fmt is Format.B2
+        return self.op.is_branch
 
     @property
     def is_control(self) -> bool:
         """True for any control transfer (branch or jump)."""
-        return self.op.fmt in (Format.B2, Format.J)
+        return self.op.is_control
 
     @property
     def is_halt(self) -> bool:
         """True for the HALT instruction."""
-        return self.op is Opcode.HALT
+        return self.op.is_halt
 
     def __str__(self) -> str:
         fmt = self.op.fmt

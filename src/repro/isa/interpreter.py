@@ -15,11 +15,11 @@ five bits of the shift amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.instruction import Instruction
-from repro.isa.latency import LatencyModel
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Program
+from repro.isa.program import Decoded, Program
 from repro.util.bitops import WORD_MASK, to_signed, to_unsigned
 
 
@@ -101,129 +101,114 @@ class ExecutionResult:
         """Number of dynamic instructions executed (including HALT)."""
         return len(self.trace)
 
-    def total_latency_cycles(self, latencies: LatencyModel) -> int:
-        """Sum of per-instruction latencies: a purely sequential machine's runtime."""
-        return sum(latencies.latency_of(step.instruction.op) for step in self.trace)
 
-
-def alu_result(op: Opcode, a: int, b: int, imm: int | None) -> int:
-    """Compute the 32-bit result of a computational opcode."""
+def _div(a: int, b: int, imm: int | None) -> int:
     sa, sb = to_signed(a), to_signed(b)
-    if op in (Opcode.ADD, Opcode.ADDI):
-        return to_unsigned(a + (b if op is Opcode.ADD else imm))
-    if op is Opcode.SUB:
-        return to_unsigned(a - b)
-    if op in (Opcode.AND, Opcode.ANDI):
-        return a & (b if op is Opcode.AND else to_unsigned(imm))
-    if op in (Opcode.OR, Opcode.ORI):
-        return a | (b if op is Opcode.OR else to_unsigned(imm))
-    if op in (Opcode.XOR, Opcode.XORI):
-        return a ^ (b if op is Opcode.XOR else to_unsigned(imm))
-    if op in (Opcode.SLL, Opcode.SLLI):
-        shift = (b if op is Opcode.SLL else imm) & 0x1F
-        return to_unsigned(a << shift)
-    if op in (Opcode.SRL, Opcode.SRLI):
-        shift = (b if op is Opcode.SRL else imm) & 0x1F
-        return a >> shift
-    if op is Opcode.SRA:
-        return to_unsigned(sa >> (b & 0x1F))
-    if op is Opcode.SLT:
-        return int(sa < sb)
-    if op is Opcode.SLTI:
-        return int(sa < imm)
-    if op is Opcode.SLTU:
-        return int(a < b)
-    if op in (Opcode.MUL, Opcode.MULI):
-        return to_unsigned(sa * (sb if op is Opcode.MUL else imm))
-    if op is Opcode.DIV:
-        if sb == 0:
-            return WORD_MASK  # RISC-V: division by zero -> -1
-        if sa == -(1 << 31) and sb == -1:
-            return to_unsigned(-(1 << 31))  # overflow -> INT_MIN
-        quotient = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            quotient = -quotient
-        return to_unsigned(quotient)
-    if op is Opcode.REM:
-        if sb == 0:
-            return a  # RISC-V: remainder by zero -> dividend
-        if sa == -(1 << 31) and sb == -1:
-            return 0
-        remainder = abs(sa) % abs(sb)
-        if sa < 0:
-            remainder = -remainder
-        return to_unsigned(remainder)
-    if op is Opcode.MOV:
-        return a
-    if op is Opcode.NOT:
-        return to_unsigned(~a)
-    if op is Opcode.NEG:
-        return to_unsigned(-sa)
-    if op is Opcode.LI:
-        return to_unsigned(imm)
-    if op is Opcode.LUI:
-        return to_unsigned(imm << 16)
-    raise InterpreterError(f"opcode {op} is not a computational opcode")
+    if sb == 0:
+        return WORD_MASK  # RISC-V: division by zero -> -1
+    if sa == -(1 << 31) and sb == -1:
+        return to_unsigned(-(1 << 31))  # overflow -> INT_MIN
+    quotient = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        quotient = -quotient
+    return to_unsigned(quotient)
+
+
+def _rem(a: int, b: int, imm: int | None) -> int:
+    sa, sb = to_signed(a), to_signed(b)
+    if sb == 0:
+        return a  # RISC-V: remainder by zero -> dividend
+    if sa == -(1 << 31) and sb == -1:
+        return 0
+    remainder = abs(sa) % abs(sb)
+    if sa < 0:
+        remainder = -remainder
+    return to_unsigned(remainder)
+
+
+#: each computational opcode's semantics: (a, b, imm) -> 32-bit result
+ALU_OPS: dict[Opcode, Callable[[int, int, int | None], int]] = {
+    Opcode.ADD: lambda a, b, imm: to_unsigned(a + b),
+    Opcode.ADDI: lambda a, b, imm: to_unsigned(a + imm),
+    Opcode.SUB: lambda a, b, imm: to_unsigned(a - b),
+    Opcode.AND: lambda a, b, imm: a & b,
+    Opcode.ANDI: lambda a, b, imm: a & to_unsigned(imm),
+    Opcode.OR: lambda a, b, imm: a | b,
+    Opcode.ORI: lambda a, b, imm: a | to_unsigned(imm),
+    Opcode.XOR: lambda a, b, imm: a ^ b,
+    Opcode.XORI: lambda a, b, imm: a ^ to_unsigned(imm),
+    Opcode.SLL: lambda a, b, imm: to_unsigned(a << (b & 0x1F)),
+    Opcode.SLLI: lambda a, b, imm: to_unsigned(a << (imm & 0x1F)),
+    Opcode.SRL: lambda a, b, imm: a >> (b & 0x1F),
+    Opcode.SRLI: lambda a, b, imm: a >> (imm & 0x1F),
+    Opcode.SRA: lambda a, b, imm: to_unsigned(to_signed(a) >> (b & 0x1F)),
+    Opcode.SLT: lambda a, b, imm: int(to_signed(a) < to_signed(b)),
+    Opcode.SLTI: lambda a, b, imm: int(to_signed(a) < imm),
+    Opcode.SLTU: lambda a, b, imm: int(a < b),
+    Opcode.MUL: lambda a, b, imm: to_unsigned(to_signed(a) * to_signed(b)),
+    Opcode.MULI: lambda a, b, imm: to_unsigned(to_signed(a) * imm),
+    Opcode.DIV: _div,
+    Opcode.REM: _rem,
+    Opcode.MOV: lambda a, b, imm: a,
+    Opcode.NOT: lambda a, b, imm: to_unsigned(~a),
+    Opcode.NEG: lambda a, b, imm: to_unsigned(-to_signed(a)),
+    Opcode.LI: lambda a, b, imm: to_unsigned(imm),
+    Opcode.LUI: lambda a, b, imm: to_unsigned(imm << 16),
+}
+
+#: each conditional branch's outcome on operand values (a, b)
+BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
+    Opcode.BEQ: lambda a, b: a == b,
+    Opcode.BNE: lambda a, b: a != b,
+    Opcode.BLT: lambda a, b: to_signed(a) < to_signed(b),
+    Opcode.BGE: lambda a, b: to_signed(a) >= to_signed(b),
+    Opcode.BLTU: lambda a, b: a < b,
+    Opcode.BGEU: lambda a, b: a >= b,
+}
 
 
 def branch_taken(op: Opcode, a: int, b: int) -> bool:
     """Evaluate a conditional branch's outcome on operand values (a, b)."""
-    sa, sb = to_signed(a), to_signed(b)
-    if op is Opcode.BEQ:
-        return a == b
-    if op is Opcode.BNE:
-        return a != b
-    if op is Opcode.BLT:
-        return sa < sb
-    if op is Opcode.BGE:
-        return sa >= sb
-    if op is Opcode.BLTU:
-        return a < b
-    if op is Opcode.BGEU:
-        return a >= b
-    raise InterpreterError(f"opcode {op} is not a conditional branch")
+    semantics = BRANCH_OPS.get(op)
+    if semantics is None:
+        raise InterpreterError(f"opcode {op} is not a conditional branch")
+    return semantics(a, b)
 
 
-def execute_instruction(
-    inst: Instruction, static_index: int, state: MachineState
+def _execute(
+    row: Decoded, inst: Instruction, static_index: int, state: MachineState
 ) -> StepOutcome:
-    """Execute one instruction against *state*, mutating it; returns the outcome.
+    """Execute one decoded instruction against *state*, mutating it.
 
-    This is the single source of truth for instruction semantics; the
-    processor models call it when an instruction's operands become ready.
+    This is the single source of truth for instruction semantics: the
+    processor models compute through the same :data:`ALU_OPS` and
+    :data:`BRANCH_OPS`, and are diffed against its trace.
     """
     regs = state.registers
-    a = regs[inst.rs1] if inst.rs1 is not None else 0
-    b = regs[inst.rs2] if inst.rs2 is not None else 0
-    operands = tuple(
-        value for value, present in ((a, inst.rs1 is not None), (b, inst.rs2 is not None)) if present
-    )
+    operands = tuple([regs[reg] for reg in row.sources])
+    a = operands[0] if operands else 0
+    b = operands[1] if len(operands) > 1 else 0
 
     result: int | None = None
     address: int | None = None
     taken: bool | None = None
     next_pc = static_index + 1
 
-    op = inst.op
-    if op is Opcode.HALT or op is Opcode.NOP:
-        pass
-    elif op is Opcode.LW:
-        address = to_unsigned(a + inst.imm)
-        result = state.load_word(address)
-        regs[inst.rd] = result
-    elif op is Opcode.SW:
-        address = to_unsigned(a + inst.imm)
+    if row.is_load:
+        address = to_unsigned(a + row.imm)
+        result = regs[row.dest] = state.load_word(address)
+    elif row.is_store:
+        address = to_unsigned(a + row.imm)
         state.store_word(address, b)
-    elif inst.is_branch:
-        taken = branch_taken(op, a, b)
+    elif row.is_branch:
+        taken = BRANCH_OPS[row.op](a, b)
         if taken:
-            next_pc = inst.target
-    elif op is Opcode.J:
+            next_pc = row.target
+    elif row.is_control:
         taken = True
-        next_pc = inst.target
-    else:
-        result = alu_result(op, a, b, inst.imm)
-        regs[inst.rd] = result
+        next_pc = row.target
+    elif row.uses_alu:  # NOP and HALT compute nothing
+        result = regs[row.dest] = ALU_OPS[row.op](a, b, row.imm)
 
     return StepOutcome(
         static_index=static_index,
@@ -251,16 +236,17 @@ def run_program(
     trace: list[StepOutcome] = []
     pc = 0
     halted = False
-    while 0 <= pc < len(program):
+    rows, instructions = program.decoded, program.instructions
+    while 0 <= pc < len(rows):
         if len(trace) >= max_steps:
             raise StepLimitExceeded(
                 f"exceeded {max_steps} steps without halting",
                 ExecutionResult(state=state, trace=trace, halted=False),
             )
-        inst = program[pc]
-        outcome = execute_instruction(inst, pc, state)
+        row = rows[pc]
+        outcome = _execute(row, instructions[pc], pc, state)
         trace.append(outcome)
-        if inst.is_halt:
+        if row.is_halt:
             halted = True
             break
         pc = outcome.next_pc

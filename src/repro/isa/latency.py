@@ -30,19 +30,13 @@ class LatencyModel:
         for name in ("alu", "mul", "div", "load", "store", "branch", "jump", "system"):
             if getattr(self, name) < 1:
                 raise ValueError(f"latency {name} must be >= 1")
+        # cycles per op class, built once: the engines read it per instruction
+        by_class = {op_class: getattr(self, op_class.value) for op_class in OpClass}
+        object.__setattr__(self, "by_class", by_class)
 
     def latency_of(self, op: Opcode) -> int:
         """The execution latency, in cycles, of *op*."""
-        return {
-            OpClass.ALU: self.alu,
-            OpClass.MUL: self.mul,
-            OpClass.DIV: self.div,
-            OpClass.LOAD: self.load,
-            OpClass.STORE: self.store,
-            OpClass.BRANCH: self.branch,
-            OpClass.JUMP: self.jump,
-            OpClass.SYSTEM: self.system,
-        }[op.op_class]
+        return self.by_class[op.op_class]
 
 
 #: Latencies used by the paper's Figure 3 timing diagram.

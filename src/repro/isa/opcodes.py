@@ -103,30 +103,25 @@ class Opcode(enum.Enum):
     NOP = OpInfo("nop", OpClass.SYSTEM, Format.NONE, 35)
     HALT = OpInfo("halt", OpClass.SYSTEM, Format.NONE, 36)
 
-    @property
-    def info(self) -> OpInfo:
-        """The static metadata record for this opcode."""
-        return self.value
-
-    @property
-    def mnemonic(self) -> str:
-        """Assembly mnemonic, e.g. ``"add"``."""
-        return self.value.mnemonic
-
-    @property
-    def op_class(self) -> OpClass:
-        """Latency class of this opcode."""
-        return self.value.op_class
-
-    @property
-    def fmt(self) -> Format:
-        """Operand format of this opcode."""
-        return self.value.fmt
-
-    @property
-    def code(self) -> int:
-        """Numeric code used by the binary encoding."""
-        return self.value.code
+    def __init__(self, info: OpInfo) -> None:
+        # Plain attributes, not Enum properties: the engines read these
+        # per dynamic instruction, and a property costs a Python call.
+        #: the static metadata record; ``mnemonic``, ``op_class``, ``fmt``
+        #: and ``code`` copy its fields
+        self.info = info
+        self.mnemonic = info.mnemonic
+        self.op_class = info.op_class
+        self.fmt = info.fmt
+        self.code = info.code
+        self.is_load = info.op_class is OpClass.LOAD
+        self.is_store = info.op_class is OpClass.STORE
+        self.is_memory = self.is_load or self.is_store
+        #: conditional branches only; ``is_control`` adds the jump
+        self.is_branch = info.fmt is Format.B2
+        self.is_control = info.fmt in (Format.B2, Format.J)
+        self.is_halt = info.mnemonic == "halt"
+        #: competes for a shared ALU (everything but NOP and HALT)
+        self.uses_alu = info.op_class is not OpClass.SYSTEM
 
 
 #: mnemonic -> Opcode lookup used by the assembler

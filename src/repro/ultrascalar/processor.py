@@ -140,7 +140,7 @@ def _default_predictor(program: Program, config: ProcessorConfig) -> BranchPredi
     and empty memory, not the run's initial state, so branches on that
     state can mispredict (e.g. ``beq r1, r0`` with ``r1 = 7``).
     """
-    if not any(inst.is_control for inst in program):
+    if not any(row.is_control for row in program.decoded):
         return PerfectPredictor({})
     from repro.isa.interpreter import StepLimitExceeded, run_program
 

@@ -49,7 +49,12 @@ state changes rather than ``n``:
   finishing wakes its consumers for the cycle its value arrives;
 * the three Figure 5 conditions are cursors: the oldest unfinished
   store, memory operation and control transfer;
-* executing stations and memory requests are kept in their own maps.
+* executing stations and memory requests are kept in their own maps;
+* nothing is decoded per run: fetch delivers static indices, and each
+  station points at its row of the program's decoded table
+  (:attr:`repro.isa.program.Program.decoded`, built on the program's
+  first run and shared by every later one), with latencies looked up
+  per op class in the run's :class:`~repro.isa.latency.LatencyModel`.
 """
 
 from __future__ import annotations
@@ -59,15 +64,14 @@ from collections import deque
 from operator import attrgetter
 
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.frontend.fetch import FetchedInstruction, FetchUnit
-from repro.isa.interpreter import StepOutcome, alu_result, branch_taken
-from repro.isa.opcodes import Opcode
-from repro.isa.program import Program
+from repro.frontend.fetch import FetchUnit
+from repro.isa.interpreter import ALU_OPS, BRANCH_OPS, StepOutcome
+from repro.isa.program import Decoded, Program
 from repro.telemetry.session import resolve_tracer
 from repro.telemetry.tracer import Tracer
 from repro.ultrascalar.memsys import MemorySystem
 from repro.ultrascalar.processor import ProcessorConfig, ProcessorResult, TimingRecord
-from repro.ultrascalar.station import DecodedInstruction, Station, StationState
+from repro.ultrascalar.station import Station, StationState
 from repro.util.bitops import to_unsigned, tree_level_distance
 
 EMPTY = StationState.EMPTY
@@ -147,8 +151,8 @@ class RingProcessor:
         self._reg_source_pos: list[int | None] = [None] * self.L
         self._reg_source_cycle: list[int] = [0] * self.L
 
-        self._decoded: list[DecodedInstruction | None] = [None] * len(program)
-        self._opcode_fields: dict[Opcode, tuple] = {}
+        self._rows = program.decoded
+        self._latency = config.latencies.by_class
         # per register, its youngest allocated writer: the nearest
         # preceding writer CSPP routes the next fetched station's value from
         self._writer: list[Station | None] = [None] * self.L
@@ -245,22 +249,24 @@ class RingProcessor:
                 else:
                     self.tracer.count("fetch.stall_cycles.window_full")
             return
-        fetched = self.fetch.fetch_cycle(budget=budget)
-        if self._tracing and fetched:
+        group = self.fetch.fetch_cycle(budget=budget)
+        if self._tracing and group:
             self.tracer.count("fetch.cycles_active")
-            self.tracer.count("fetch.instructions", len(fetched))
-        for fetched_inst in fetched:
-            self._allocate(fetched_inst)
+            self.tracer.count("fetch.instructions", len(group))
+        rows = self._rows
+        predictions = iter(self.fetch.predictions)
+        for static_index in group:
+            decoded = rows[static_index]
+            predicted = next(predictions) if decoded.is_branch else None
+            self._allocate(static_index, decoded, predicted)
 
-    def _allocate(self, fetched: FetchedInstruction) -> None:
-        """Load *fetched* into the next free station and link its operands."""
-        decoded = self._decoded[fetched.static_index]
-        if decoded is None:
-            decoded = self._decode(fetched)
+    def _allocate(self, static_index: int, decoded: Decoded, predicted: bool | None) -> None:
+        """Load an instruction into the next free station and link its operands."""
         pos = (self.oldest + self.count) % self.n
         station = Station(
             pos,
-            fetched=fetched,
+            static_index=static_index,
+            predicted_taken=predicted,
             state=WAITING,
             seq=self.seq,
             fetch_cycle=self.cycle,
@@ -309,16 +315,6 @@ class RingProcessor:
             self._controls.append(station)
         if not pending:
             self._schedule(station)
-
-    def _decode(self, fetched: FetchedInstruction) -> DecodedInstruction:
-        """Decode a static instruction on its first fetch."""
-        inst = fetched.instruction
-        fields = self._opcode_fields.get(inst.op)
-        if fields is None:
-            fields = DecodedInstruction.opcode_fields(inst, self.config.latencies)
-            self._opcode_fields[inst.op] = fields
-        decoded = self._decoded[fetched.static_index] = DecodedInstruction.of(inst, fields)
-        return decoded
 
     def _schedule(self, station: Station) -> None:
         """Make *station* issuable from its ``ready_cycle`` on."""
@@ -429,7 +425,7 @@ class RingProcessor:
 
     def _issue_execute(self, station: Station) -> None:
         self._begin_issue(station)
-        self._start_executing(station, station.decoded.latency)
+        self._start_executing(station, self._latency[station.decoded.op_class])
 
     def _issue_load(self, station: Station) -> None:
         operands = self._begin_issue(station)
@@ -498,20 +494,18 @@ class RingProcessor:
                 self._alu_busy -= 1
             if decoded.is_branch:
                 operands = station.operands
-                station.taken = branch_taken(decoded.op, operands[0], operands[1])
-                fetched = station.fetched
-                if station.taken != fetched.predicted_taken:
-                    actual_next = decoded.target if station.taken else fetched.static_index + 1
+                station.taken = BRANCH_OPS[decoded.op](operands[0], operands[1])
+                if station.taken != station.predicted_taken:
+                    actual_next = decoded.target if station.taken else station.static_index + 1
                     self._mispredict(station, actual_next)
                     return  # younger stations were squashed; stop this phase
-            elif decoded.op is Opcode.J:
+            elif decoded.is_control:  # a jump
                 station.taken = True
             elif decoded.uses_alu and not decoded.is_load:
                 # (NOP and HALT compute nothing; a store-forwarded load's
                 # result was preset at issue)
                 operands = station.operands
-                station.result = alu_result(
-                    decoded.op,
+                station.result = ALU_OPS[decoded.op](
                     operands[0] if operands else 0,
                     operands[1] if len(operands) > 1 else 0,
                     decoded.imm,
@@ -589,20 +583,21 @@ class RingProcessor:
 
     def _commit(self, station: Station) -> None:
         decoded = station.decoded
-        fetched = station.fetched
+        static_index = station.static_index
+        instruction = self.program.instructions[static_index]
         reg = decoded.dest
         if reg is not None and station.result is not None:
             self.committed_regs[reg] = station.result
             self._reg_source_pos[reg] = station.index
             self._reg_source_cycle[reg] = station.complete_cycle
         taken = station.taken
-        next_pc = fetched.static_index + 1
+        next_pc = static_index + 1
         if decoded.is_control and taken:
             next_pc = decoded.target
         self.committed.append(
             StepOutcome(
-                static_index=fetched.static_index,
-                instruction=fetched.instruction,
+                static_index=static_index,
+                instruction=instruction,
                 operand_values=station.operands,
                 result=station.result,
                 address=station.address,
@@ -613,8 +608,8 @@ class RingProcessor:
         self.timings.append(
             TimingRecord(
                 seq=station.seq,
-                static_index=fetched.static_index,
-                instruction=fetched.instruction,
+                static_index=static_index,
+                instruction=instruction,
                 fetch_cycle=station.fetch_cycle,
                 issue_cycle=station.issue_cycle,
                 complete_cycle=station.complete_cycle,
@@ -622,20 +617,20 @@ class RingProcessor:
             )
         )
         if decoded.is_branch:
-            self.predictor.update(fetched.static_index, bool(taken))
+            self.predictor.update(static_index, bool(taken))
         if decoded.is_halt:
             self.halted = True
         station.committed = True
         if self._tracing:
             self.tracer.count("commit.instructions")
             self.tracer.event(
-                str(fetched.instruction),
+                str(instruction),
                 cat="instruction",
                 ts=station.issue_cycle,
                 dur=station.complete_cycle - station.issue_cycle + 1,
                 tid=station.index,
                 seq=station.seq,
-                static_index=fetched.static_index,
+                static_index=static_index,
                 fetch_cycle=station.fetch_cycle,
                 commit_cycle=self.cycle,
             )

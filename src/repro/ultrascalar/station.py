@@ -16,9 +16,12 @@ EMPTY -> WAITING (arguments not all ready)
 Deallocation back to EMPTY happens when the station and every earlier
 station are DONE — computed, like everything else, by a CSPP condition.
 
-A station also holds its incoming dataflow links: for each register it
-reads, the nearest preceding station writing that register (the station
-CSPP routes the value from), and the younger stations waiting on its own
+A station holds its instruction as a static index and that index's row
+of the program's decoded table (:class:`repro.isa.program.Decoded`),
+plus, for a conditional branch, the prediction fetch followed.  It also
+holds its incoming dataflow links: for each register it reads, the
+nearest preceding station writing that register (the station CSPP
+routes the value from), and the younger stations waiting on its own
 result.  The ring engine makes the links at fetch and follows them when
 results are produced, instead of recomputing every view each cycle.
 """
@@ -27,12 +30,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from repro.frontend.fetch import FetchedInstruction
-from repro.isa.instruction import Instruction
-from repro.isa.latency import LatencyModel
-from repro.isa.opcodes import Opcode, OpClass
+from repro.isa.program import Decoded
 
 
 class StationState(enum.Enum):
@@ -45,53 +44,15 @@ class StationState(enum.Enum):
     DONE = "done"
 
 
-class DecodedInstruction(NamedTuple):
-    """What a station's control logic reads of its instruction, decoded once."""
-
-    op: Opcode
-    imm: int | None
-    target: int | None
-    #: registers read, ``rs1`` then ``rs2``
-    sources: tuple[int, ...]
-    #: register written, if any
-    dest: int | None
-    #: functional-unit cycles
-    latency: int
-    is_load: bool
-    is_store: bool
-    is_memory: bool
-    is_branch: bool
-    is_control: bool
-    is_halt: bool
-    #: competes for a shared ALU (everything but NOP and HALT)
-    uses_alu: bool
-
-    @staticmethod
-    def opcode_fields(inst: Instruction, latencies: LatencyModel) -> tuple:
-        """The decoded fields that depend only on *inst*'s opcode."""
-        return (
-            latencies.latency_of(inst.op),
-            inst.is_load,
-            inst.is_store,
-            inst.is_memory,
-            inst.is_branch,
-            inst.is_control,
-            inst.is_halt,
-            inst.op.op_class is not OpClass.SYSTEM,
-        )
-
-    @classmethod
-    def of(cls, inst: Instruction, opcode_fields: tuple) -> DecodedInstruction:
-        """Decode *inst*, given its :meth:`opcode_fields`."""
-        return cls(inst.op, inst.imm, inst.target, inst.reads, inst.rd, *opcode_fields)
-
-
 @dataclass(eq=False, slots=True)
 class Station:
     """One execution station's dynamic state."""
 
     index: int
-    fetched: FetchedInstruction | None = None
+    #: the held instruction's static index, -1 when empty
+    static_index: int = -1
+    #: the prediction fetch followed past a conditional branch
+    predicted_taken: bool | None = None
     state: StationState = StationState.EMPTY
     #: dynamic sequence number of the held instruction (fetch order)
     seq: int = -1
@@ -115,7 +76,7 @@ class Station:
     #: (hybrid clusters deallocate as a unit)
     committed: bool = False
     #: the held instruction, decoded
-    decoded: DecodedInstruction | None = None
+    decoded: Decoded | None = None
     #: per source register, the nearest preceding station writing it at
     #: fetch; ``None`` (or a station since deallocated) means the
     #: committed register file supplies the value
@@ -142,7 +103,8 @@ class Station:
 
     def clear(self) -> None:
         """Return the station to EMPTY (deallocation or squash)."""
-        self.fetched = None
+        self.static_index = -1
+        self.predicted_taken = None
         self.state = StationState.EMPTY
         self.seq = -1
         self.fetch_cycle = -1
@@ -161,18 +123,7 @@ class Station:
         self.ready_cycle = 0
         self.prev_writer = None
 
-    def load(self, fetched: FetchedInstruction, seq: int, cycle: int) -> None:
-        """Fill the station with a newly fetched instruction."""
-        self.clear()
-        self.fetched = fetched
-        self.state = StationState.WAITING
-        self.seq = seq
-        self.fetch_cycle = cycle
-
     @property
     def writes_register(self) -> int | None:
         """The register this station's instruction writes, if any."""
-        if self.fetched is None:
-            return None
-        writes = self.fetched.instruction.writes
-        return writes[0] if writes else None
+        return None if self.decoded is None else self.decoded.dest

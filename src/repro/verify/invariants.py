@@ -118,12 +118,12 @@ class InvariantChecker:
         for station in stations:
             if station.done:
                 continue
-            inst = station.fetched.instruction
-            if inst.is_store and want[0] == NONE_PENDING:
+            decoded = station.decoded
+            if decoded.is_store and want[0] == NONE_PENDING:
                 want[0] = station.seq
-            if inst.is_memory and want[1] == NONE_PENDING:
+            if decoded.is_memory and want[1] == NONE_PENDING:
                 want[1] = station.seq
-            if inst.is_control and want[2] == NONE_PENDING:
+            if decoded.is_control and want[2] == NONE_PENDING:
                 want[2] = station.seq
         got = engine.ordering_cursors()
         for name, g, w in zip(("stores", "mem", "branches"), got, want):
@@ -140,7 +140,7 @@ class InvariantChecker:
         writer = [None] * engine.L  # nearest preceding writer so far
         for station in stations:
             waiting = station.state is StationState.WAITING
-            reads = station.fetched.instruction.reads
+            reads = station.decoded.sources
             pending = 0
             for port, (reg, link) in enumerate(zip(reads, station.producers)):
                 want = writer[reg]

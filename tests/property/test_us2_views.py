@@ -65,7 +65,7 @@ def test_batch_views_equal_grid_router(program, cycles):
                     station.done and station.result is not None,
                 )
             )
-        reads.append(list(station.fetched.instruction.reads))
+        reads.append(list(station.decoded.sources))
 
     routed = route_arguments(L, initial, writes, reads)
     for index, station in enumerate(batch):

@@ -69,7 +69,7 @@ class TestRegistry:
         names = list(REGISTRY)
         assert len(names) == len(set(names))
         groups = {b.group for b in REGISTRY.values()}
-        assert {"engine", "cspp", "network", "circuits", "isa", "runner", "verify"} <= groups
+        assert {"engine", "frontend", "cspp", "network", "circuits", "isa", "runner", "verify"} <= groups
 
     def test_quick_subset_covers_all_designs(self):
         quick = select(quick=True)

@@ -147,47 +147,44 @@ class TestFetchUnit:
 
     def test_straight_line_fetch(self):
         _, fetch = self.make("nop\nnop\nnop\nnop\nnop\nhalt", width=4)
-        first = fetch.fetch_cycle()
-        assert [f.static_index for f in first] == [0, 1, 2, 3]
-        second = fetch.fetch_cycle()
-        assert [f.static_index for f in second] == [4, 5]
+        assert fetch.fetch_cycle() == [0, 1, 2, 3]
+        assert fetch.pc == 4
+        assert fetch.fetch_cycle() == [4, 5]
         assert fetch.stalled()  # HALT stops fetch
 
     def test_budget_limits_delivery(self):
         _, fetch = self.make("nop\nnop\nnop\nhalt", width=4)
         assert len(fetch.fetch_cycle(budget=2)) == 2
         assert fetch.fetch_cycle(budget=0) == []
-        nxt = fetch.fetch_cycle()
-        assert nxt[0].static_index == 2
+        assert fetch.fetch_cycle()[0] == 2
 
     def test_taken_branch_ends_fetch_group(self):
         _, fetch = self.make("nop\nj target\nnop\ntarget: halt", width=4)
-        group = fetch.fetch_cycle()
-        assert [f.static_index for f in group] == [0, 1]
-        group2 = fetch.fetch_cycle()
-        assert [f.static_index for f in group2] == [3]
+        assert fetch.fetch_cycle() == [0, 1]
+        assert fetch.predictions == []  # a jump needs no prediction
+        assert fetch.pc == 3
+        assert fetch.fetch_cycle() == [3]
 
     def test_not_taken_branch_does_not_end_group(self):
         _, fetch = self.make("beq r0, r1, @3\nnop\nnop\nhalt", width=4)
-        group = fetch.fetch_cycle()
-        assert [f.static_index for f in group] == [0, 1, 2, 3]
+        assert fetch.fetch_cycle() == [0, 1, 2, 3]
+        assert fetch.predictions == [False]
 
     def test_predicted_taken_follows_target(self):
         _, fetch = self.make(
             "beq r0, r0, target\nnop\ntarget: halt", predictor=AlwaysTaken()
         )
-        group = fetch.fetch_cycle()
-        assert [f.static_index for f in group] == [0]
-        assert group[0].predicted_next == 2
-        group2 = fetch.fetch_cycle()
-        assert [f.static_index for f in group2] == [2]
+        assert fetch.fetch_cycle() == [0]
+        assert fetch.predictions == [True]
+        assert fetch.pc == 2
+        assert fetch.fetch_cycle() == [2]
 
     def test_redirect(self):
         _, fetch = self.make("nop\nnop\nnop\nhalt")
         fetch.fetch_cycle()
         fetch.redirect(1)
         assert fetch.pc == 1
-        assert fetch.fetch_cycle()[0].static_index == 1
+        assert fetch.fetch_cycle()[0] == 1
 
     def test_redirect_out_of_range_stalls(self):
         _, fetch = self.make("nop\nhalt")
@@ -223,14 +220,12 @@ class TestFetchWithTraceCache:
         tc = TraceCache(num_sets=64, trace_length=8, max_branches=2)
         program = assemble(self.SOURCE)
         fetch = FetchUnit(program, AlwaysNotTaken(), width=8, trace_cache=tc)
-        first = fetch.fetch_cycle()
         # conventional fetch: stops at the taken jump
-        assert [f.static_index for f in first] == [0, 1]
+        assert fetch.fetch_cycle() == [0, 1]
         assert tc.stats.misses >= 1
         # rerun from the start: the filled trace crosses both jumps
         fetch.redirect(0)
-        again = fetch.fetch_cycle()
-        assert [f.static_index for f in again] == [0, 1, 3, 4, 6]
+        assert fetch.fetch_cycle() == [0, 1, 3, 4, 6]
         assert tc.stats.hits >= 1
 
     def test_trace_fetch_raises_fetch_bandwidth(self):

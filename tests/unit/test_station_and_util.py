@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.frontend.fetch import FetchedInstruction
-from repro.isa import Instruction, Opcode
+from repro.isa import Instruction, Opcode, Program
 from repro.ultrascalar.station import Station, StationState
 from repro.util.rng import make_rng
 from repro.util.tables import Table, format_float, format_ratio
 
 
-def fetched(op=Opcode.ADD):
+def filled(op=Opcode.ADD, seq=0, cycle=0):
+    """A WAITING station holding *op* as instruction 0 of a one-line program."""
     if op is Opcode.ADD:
         inst = Instruction(op, rd=1, rs1=2, rs2=3)
     else:
         inst = Instruction(op)
-    return FetchedInstruction(0, inst, None, 1)
+    decoded = Program.from_instructions([inst]).decoded[0]
+    return Station(
+        3, static_index=0, state=StationState.WAITING, seq=seq, fetch_cycle=cycle, decoded=decoded
+    )
 
 
 class TestStation:
@@ -25,9 +28,8 @@ class TestStation:
         assert not station.done
         assert station.writes_register is None
 
-    def test_load_fills(self):
-        station = Station(3)
-        station.load(fetched(), seq=7, cycle=5)
+    def test_filled_station_writes_decoded_dest(self):
+        station = filled(seq=7, cycle=5)
         assert station.occupied
         assert station.state is StationState.WAITING
         assert station.seq == 7
@@ -35,8 +37,7 @@ class TestStation:
         assert station.writes_register == 1
 
     def test_clear_resets_everything(self):
-        station = Station(0)
-        station.load(fetched(), 1, 1)
+        station = filled(seq=1, cycle=1)
         station.result = 9
         station.committed = True
         station.clear()
@@ -44,15 +45,15 @@ class TestStation:
         assert station.result is None
         assert not station.committed
         assert station.seq == -1
-
-    def test_no_write_register_for_nop(self):
-        station = Station(0)
-        station.load(fetched(Opcode.NOP), 0, 0)
+        assert station.static_index == -1
+        assert station.decoded is None
         assert station.writes_register is None
 
+    def test_no_write_register_for_nop(self):
+        assert filled(Opcode.NOP).writes_register is None
+
     def test_done_property(self):
-        station = Station(0)
-        station.load(fetched(), 0, 0)
+        station = filled()
         station.state = StationState.DONE
         assert station.done
 
