@@ -38,38 +38,17 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
-from collections.abc import Mapping
 from time import perf_counter
 
-from repro.runner.artifacts import write_artifact, write_run_trace
+from repro.runner.artifacts import build_artifact, build_run_trace
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.metrics import JobResult, format_summary
 from repro.runner.pool import run_jobs
 from repro.runner.registry import REGISTRY, build_jobs
+from repro.util.artifact import write_json
 from repro.util.log import get_logger, setup_cli_logging
 
 log = get_logger("runner")
-
-
-class _ExperimentIndex(Mapping):
-    """Legacy view of the registry: key -> (title, report callable).
-
-    Kept for importers of ``repro.__main__.EXPERIMENTS``; loads the
-    experiment module only when its entry is actually accessed.
-    """
-
-    def __getitem__(self, key: str):
-        spec = REGISTRY[key]
-        return (spec.title, spec.load())
-
-    def __iter__(self):
-        return iter(REGISTRY)
-
-    def __len__(self) -> int:
-        return len(REGISTRY)
-
-
-EXPERIMENTS = _ExperimentIndex()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,14 +158,10 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     if opts.json_path:
-        write_artifact(
-            opts.json_path,
-            results,
-            workers=opts.jobs,
-            cache_dir=None if cache is None else str(cache.root),
-        )
+        cache_dir = None if cache is None else str(cache.root)
+        write_json(opts.json_path, build_artifact(results, workers=opts.jobs, cache_dir=cache_dir))
     if opts.trace_path:
-        write_run_trace(opts.trace_path, results)
+        write_json(opts.trace_path, build_run_trace(results))
     return 0 if all(r.ok for r in results) else 1
 
 

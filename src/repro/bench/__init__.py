@@ -14,13 +14,7 @@ tripwire.  See ``docs/benchmarking.md`` for the workflow.
 * :mod:`repro.bench.cli` — ``python -m repro bench``.
 """
 
-from repro.bench.artifact import (
-    BENCH_SCHEMA,
-    build_bench_artifact,
-    load_bench_artifact,
-    validate_bench_artifact,
-    write_bench_artifact,
-)
+from repro.bench.artifact import BENCH_SCHEMA, build_bench_artifact, validate_bench_artifact
 from repro.bench.compare import (
     Delta,
     compare_artifacts,
@@ -42,7 +36,6 @@ __all__ = [
     "compare_artifacts",
     "format_compare_table",
     "host_fingerprint",
-    "load_bench_artifact",
     "measure",
     "register",
     "regressions",
@@ -50,5 +43,4 @@ __all__ = [
     "run_benchmarks",
     "select",
     "validate_bench_artifact",
-    "write_bench_artifact",
 ]

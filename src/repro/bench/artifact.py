@@ -1,8 +1,8 @@
 """The ``repro-bench/1`` artifact: one benchmark run, machine-readable.
 
-Mirrors the conventions of ``repro-runner/2`` and ``repro-verify/1``
-(stable field order, validation returning a problem list rather than
-raising).  Unlike those artifacts this one is *not* deterministic — the
+Built on :mod:`repro.util.artifact` like ``repro-runner/2`` and
+``repro-verify/1`` (stable field order, validation returning a problem
+list rather than raising).  Unlike those artifacts this one is *not* deterministic — the
 timings are the payload — but its structure is: two runs of the same
 tree produce identical names, groups, units, and metadata, so the
 baseline comparator can match entries by name.  Schema::
@@ -42,12 +42,10 @@ per host-second — the number an optimisation PR moves).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
-from repro._version import __version__
 from repro.bench.timing import BenchRecord, host_fingerprint, protocol_description
+from repro.util.artifact import check_envelope, counter_problems, envelope, iter_entries
 
 BENCH_SCHEMA = "repro-bench/1"
 
@@ -61,17 +59,16 @@ def build_bench_artifact(
     wall_time_s: float = 0.0,
 ) -> dict[str, Any]:
     """Assemble the artifact document for one ``bench`` invocation."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "version": __version__,
-        "mode": mode,
-        "host": host_fingerprint(),
-        "protocol": protocol_description(repeats, warmup),
-        "totals": {
+    return envelope(
+        BENCH_SCHEMA,
+        mode=mode,
+        host=host_fingerprint(),
+        protocol=protocol_description(repeats, warmup),
+        totals={
             "benchmarks": len(records),
             "wall_time_s": round(wall_time_s, 6),
         },
-        "results": [
+        results=[
             {
                 "name": r.name,
                 "group": r.group,
@@ -87,25 +84,7 @@ def build_bench_artifact(
             }
             for r in records
         ],
-    }
-
-
-def write_bench_artifact(path: str | Path, document: dict[str, Any]) -> Path:
-    """Write the artifact JSON to *path* (parent dirs created)."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def load_bench_artifact(path: str | Path) -> dict[str, Any]:
-    """Read and validate an artifact; raises ``ValueError`` on problems."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    problems = validate_bench_artifact(document)
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-    return document
+    )
 
 
 def validate_bench_artifact(document: Any) -> list[str]:
@@ -114,16 +93,13 @@ def validate_bench_artifact(document: Any) -> list[str]:
     An empty list means the document is well formed (the contract the
     CI bench-smoke job checks before trusting or uploading a run).
     """
-    problems: list[str] = []
+    problems = check_envelope(
+        document,
+        BENCH_SCHEMA,
+        ("version", "mode", "host", "protocol", "totals", "results"),
+    )
     if not isinstance(document, dict):
-        return ["artifact is not a JSON object"]
-    if document.get("schema") != BENCH_SCHEMA:
-        problems.append(
-            f"schema is {document.get('schema')!r}, expected {BENCH_SCHEMA!r}"
-        )
-    for key in ("version", "mode", "host", "protocol", "totals", "results"):
-        if key not in document:
-            problems.append(f"missing top-level key {key!r}")
+        return problems
     host = document.get("host")
     if isinstance(host, dict):
         for key in ("python", "platform", "cpu_count"):
@@ -137,23 +113,18 @@ def validate_bench_artifact(document: Any) -> list[str]:
             problems.append("totals.benchmarks is not an int")
     elif totals is not None:
         problems.append("totals is not an object")
-    results = document.get("results")
-    if not isinstance(results, list):
-        problems.append("results is not a list")
-        return problems
     seen: set[str] = set()
-    for i, entry in enumerate(results):
-        if not isinstance(entry, dict):
-            problems.append(f"results[{i}] is not an object")
-            continue
-        for key in ("name", "group", "units", "metadata", "repeats_s",
-                    "best_s", "median_s", "stats", "rates"):
-            if key not in entry:
-                problems.append(f"results[{i}] missing key {key!r}")
+    for label, entry in iter_entries(
+        document.get("results"),
+        "results",
+        ("name", "group", "units", "metadata", "repeats_s",
+         "best_s", "median_s", "stats", "rates"),
+        problems,
+    ):
         name = entry.get("name")
         if isinstance(name, str):
             if name in seen:
-                problems.append(f"results[{i}] duplicates name {name!r}")
+                problems.append(f"{label} duplicates name {name!r}")
             seen.add(name)
         repeats = entry.get("repeats_s")
         if repeats is not None:
@@ -163,15 +134,8 @@ def validate_bench_artifact(document: Any) -> list[str]:
                 and all(isinstance(t, (int, float)) and t >= 0 for t in repeats)
             ):
                 problems.append(
-                    f"results[{i}].repeats_s is not a non-empty list of "
+                    f"{label}.repeats_s is not a non-empty list of "
                     "non-negative numbers"
                 )
-        stats = entry.get("stats")
-        if stats is not None and not (
-            isinstance(stats, dict)
-            and all(
-                isinstance(k, str) and isinstance(v, int) for k, v in stats.items()
-            )
-        ):
-            problems.append(f"results[{i}].stats is not a str->int mapping")
+        problems.extend(counter_problems(entry.get("stats"), f"{label}.stats"))
     return problems

@@ -41,12 +41,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from repro.bench.artifact import (
-    build_bench_artifact,
-    load_bench_artifact,
-    validate_bench_artifact,
-    write_bench_artifact,
-)
+from repro.bench.artifact import build_bench_artifact, validate_bench_artifact
 from repro.bench.compare import (
     compare_artifacts,
     format_compare_table,
@@ -56,6 +51,7 @@ from repro.bench.compare import (
 from repro.bench.registry import select
 from repro.bench.run import run_benchmarks
 from repro.bench.timing import BenchRecord
+from repro.util.artifact import read_json, write_json
 from repro.util.log import get_logger
 
 DEFAULT_PROFILE_DIR = ".repro_cache/profiles"
@@ -130,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline = None
     if opts.compare_path is not None:
         try:
-            baseline = load_bench_artifact(opts.compare_path)
+            baseline = read_json(opts.compare_path, validate_bench_artifact)
         except (OSError, ValueError) as exc:
             print(f"cannot load baseline: {exc}", file=sys.stderr)
             return 2
@@ -166,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"artifact problem: {problem}", file=sys.stderr)
         return 1
     if opts.json_path:
-        write_bench_artifact(opts.json_path, document)
+        write_json(opts.json_path, document)
 
     exit_code = 0
     if baseline is not None:

@@ -17,7 +17,7 @@ Experiment modules declare their sweep points as a module-level
 function; :mod:`repro.runner.registry` expands those into jobs.
 """
 
-from repro.runner.artifacts import ARTIFACT_SCHEMA, build_artifact, write_artifact
+from repro.runner.artifacts import ARTIFACT_SCHEMA, build_artifact
 from repro.runner.cache import CacheEntry, ResultCache
 from repro.runner.metrics import JobResult, format_summary, summarize
 from repro.runner.pool import run_jobs
@@ -26,7 +26,6 @@ from repro.runner.registry import REGISTRY, ExperimentSpec, JobSpec, build_jobs
 __all__ = [
     "ARTIFACT_SCHEMA",
     "build_artifact",
-    "write_artifact",
     "CacheEntry",
     "ResultCache",
     "JobResult",

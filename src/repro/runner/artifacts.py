@@ -40,12 +40,10 @@ jobs.  Everything ``repro-runner/1`` defined is unchanged.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
-from repro._version import __version__
 from repro.runner.metrics import JobResult, summarize
+from repro.util.artifact import check_envelope, counter_problems, envelope, iter_entries
 
 ARTIFACT_SCHEMA = "repro-runner/2"
 
@@ -57,13 +55,12 @@ def build_artifact(
     cache_dir: str | None = None,
 ) -> dict[str, Any]:
     """Assemble the artifact document for one runner invocation."""
-    return {
-        "schema": ARTIFACT_SCHEMA,
-        "version": __version__,
-        "workers": workers,
-        "cache_dir": cache_dir,
-        "totals": summarize(results),
-        "results": [
+    return envelope(
+        ARTIFACT_SCHEMA,
+        workers=workers,
+        cache_dir=cache_dir,
+        totals=summarize(results),
+        results=[
             {
                 "experiment": r.experiment,
                 "title": r.title,
@@ -81,62 +78,25 @@ def build_artifact(
             }
             for r in results
         ],
-    }
-
-
-def write_artifact(
-    path: str | Path,
-    results: list[JobResult],
-    *,
-    workers: int = 1,
-    cache_dir: str | None = None,
-) -> Path:
-    """Write the artifact JSON to *path* (parent dirs created)."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    document = build_artifact(results, workers=workers, cache_dir=cache_dir)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path
+    )
 
 
 def validate_artifact(document: Any) -> list[str]:
     """Return schema problems with a ``repro-runner/2`` artifact.
 
-    An empty list means the document is well formed.  Used by the CI
-    telemetry smoke job, and handy for any downstream consumer that
+    An empty list means the document is well formed.  Used by CI's
+    runner smoke step, and handy for any downstream consumer that
     wants to fail fast on a malformed artifact.
     """
-    problems: list[str] = []
+    problems = check_envelope(
+        document, ARTIFACT_SCHEMA, ("version", "workers", "totals", "results")
+    )
     if not isinstance(document, dict):
-        return ["artifact is not a JSON object"]
-    if document.get("schema") != ARTIFACT_SCHEMA:
-        problems.append(
-            f"schema is {document.get('schema')!r}, expected {ARTIFACT_SCHEMA!r}"
-        )
-    for key in ("version", "workers", "totals", "results"):
-        if key not in document:
-            problems.append(f"missing top-level key {key!r}")
-    results = document.get("results")
-    if not isinstance(results, list):
-        problems.append("results is not a list")
         return problems
-    for i, entry in enumerate(results):
-        if not isinstance(entry, dict):
-            problems.append(f"results[{i}] is not an object")
-            continue
-        for key in ("experiment", "kwargs", "status", "stats"):
-            if key not in entry:
-                problems.append(f"results[{i}] missing key {key!r}")
-        stats = entry.get("stats")
-        if stats is not None and not (
-            isinstance(stats, dict)
-            and all(
-                isinstance(k, str) and isinstance(v, int)
-                for k, v in stats.items()
-            )
-        ):
-            problems.append(f"results[{i}].stats is not a str->int mapping")
+    for label, entry in iter_entries(
+        document.get("results"), "results", ("experiment", "kwargs", "status", "stats"), problems
+    ):
+        problems.extend(counter_problems(entry.get("stats"), f"{label}.stats"))
     return problems
 
 
@@ -179,13 +139,3 @@ def build_run_trace(results: list[JobResult]) -> dict[str, Any]:
         time_unit="ms",
         metadata={"jobs": len(results)},
     )
-
-
-def write_run_trace(path: str | Path, results: list[JobResult]) -> Path:
-    """Write the run's Chrome trace JSON to *path* (parent dirs created)."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    document = build_run_trace(results)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path

@@ -20,7 +20,6 @@ from repro.telemetry.chrome import (
     build_chrome_trace,
     chrome_event,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.telemetry.session import collecting, current_tracer, resolve_tracer
 from repro.telemetry.tracer import (
@@ -38,7 +37,6 @@ __all__ = [
     "build_chrome_trace",
     "chrome_event",
     "validate_chrome_trace",
-    "write_chrome_trace",
     "collecting",
     "current_tracer",
     "resolve_tracer",

@@ -11,18 +11,17 @@ Two producers share this module:
 
 The document follows the Trace Event Format's JSON object form:
 ``{"traceEvents": [...], "displayTimeUnit": ..., "otherData": {...}}``.
-``otherData.schema`` is ``repro-trace/1`` so artifacts are validatable
-without sniffing event contents.
+``otherData`` is the shared artifact envelope (see
+:mod:`repro.util.artifact`) with schema ``repro-trace/1``, so artifacts
+are validatable without sniffing event contents.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Iterable
 
-from repro._version import __version__
 from repro.telemetry.tracer import TraceEvent
+from repro.util.artifact import NOT_AN_OBJECT, check_envelope, envelope, iter_entries
 
 TRACE_SCHEMA = "repro-trace/1"
 
@@ -59,57 +58,28 @@ def build_chrome_trace(
         }
     ]
     trace_events.extend(chrome_event(e) for e in events)
-    other: dict[str, Any] = {"schema": TRACE_SCHEMA, "version": __version__}
-    if metadata:
-        other.update(metadata)
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": time_unit,
-        "otherData": other,
+        "otherData": envelope(TRACE_SCHEMA, **(metadata or {})),
     }
-
-
-def write_chrome_trace(
-    path: str | Path,
-    events: Iterable[TraceEvent],
-    *,
-    process_name: str = "repro",
-    time_unit: str = "ms",
-    metadata: dict[str, Any] | None = None,
-) -> Path:
-    """Write the trace document to *path* (parent dirs created)."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    document = build_chrome_trace(
-        events, process_name=process_name, time_unit=time_unit, metadata=metadata
-    )
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def validate_chrome_trace(document: Any) -> list[str]:
     """Schema check for a trace document; returns problem descriptions.
 
     An empty list means the document is a well-formed ``repro-trace/1``
-    artifact.  Used by tests and the CI smoke job.
+    artifact.  Used by tests and CI's runner smoke step.
     """
-    problems: list[str] = []
     if not isinstance(document, dict):
-        return ["trace document is not a JSON object"]
-    other = document.get("otherData")
-    if not isinstance(other, dict) or other.get("schema") != TRACE_SCHEMA:
-        problems.append(f"otherData.schema != {TRACE_SCHEMA!r}")
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        return problems + ["traceEvents is not a list"]
-    for index, event in enumerate(events):
-        if not isinstance(event, dict):
-            problems.append(f"traceEvents[{index}] is not an object")
-            continue
-        for key in ("name", "ph", "pid", "tid"):
-            if key not in event:
-                problems.append(f"traceEvents[{index}] missing {key!r}")
+        return [NOT_AN_OBJECT]
+    problems = [
+        f"otherData: {problem}"
+        for problem in check_envelope(document.get("otherData"), TRACE_SCHEMA)
+    ]
+    for label, event in iter_entries(
+        document.get("traceEvents"), "traceEvents", ("name", "ph", "pid", "tid"), problems
+    ):
         if event.get("ph") == "X" and "ts" not in event:
-            problems.append(f"traceEvents[{index}] complete event missing 'ts'")
+            problems.append(f"{label} complete event missing 'ts'")
     return problems

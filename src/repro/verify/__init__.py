@@ -16,12 +16,7 @@ Modules:
 * :mod:`repro.verify.cli` — ``python -m repro verify``.
 """
 
-from repro.verify.artifact import (
-    VERIFY_SCHEMA,
-    build_verify_artifact,
-    validate_verify_artifact,
-    write_verify_artifact,
-)
+from repro.verify.artifact import VERIFY_SCHEMA, build_verify_artifact, validate_verify_artifact
 from repro.verify.diff import (
     DESIGNS,
     DiffReport,
@@ -37,6 +32,7 @@ from repro.verify.fuzz import (
     run_case,
     shard_report,
     shrink_case,
+    validate_reproducer,
     write_reproducer,
 )
 from repro.verify.invariants import InvariantChecker, InvariantViolation, checked_run
@@ -46,7 +42,6 @@ __all__ = [
     "VERIFY_SCHEMA",
     "build_verify_artifact",
     "validate_verify_artifact",
-    "write_verify_artifact",
     "DESIGNS",
     "DiffReport",
     "Divergence",
@@ -59,6 +54,7 @@ __all__ = [
     "run_case",
     "shard_report",
     "shrink_case",
+    "validate_reproducer",
     "write_reproducer",
     "InvariantChecker",
     "InvariantViolation",

@@ -1,8 +1,8 @@
 """The ``repro-verify/1`` artifact: one verification run, machine-readable.
 
-Mirrors the runner's ``repro-runner/2`` artifact conventions (stable
-field order, deterministic modulo wall time, validation returning a
-problem list rather than raising).  Schema::
+Built on :mod:`repro.util.artifact` like the runner's ``repro-runner/2``
+artifact (stable field order, deterministic modulo wall time,
+validation returning a problem list rather than raising).  Schema::
 
     {
       "schema": "repro-verify/1",
@@ -33,11 +33,9 @@ failure objects.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
-from repro._version import __version__
+from repro.util.artifact import check_envelope, envelope, iter_entries
 
 VERIFY_SCHEMA = "repro-verify/1"
 
@@ -57,14 +55,13 @@ def build_verify_artifact(
     docstring (built by the CLI from :class:`~repro.verify.fuzz.
     ShardOutcome` values and runner failures).
     """
-    return {
-        "schema": VERIFY_SCHEMA,
-        "version": __version__,
-        "designs": list(designs),
-        "sizes": list(sizes),
-        "budget": budget,
-        "minimize": minimize,
-        "totals": {
+    return envelope(
+        VERIFY_SCHEMA,
+        designs=list(designs),
+        sizes=list(sizes),
+        budget=budget,
+        minimize=minimize,
+        totals={
             "shards": len(shards),
             "cases": sum(s.get("cases", 0) for s in shards),
             "instructions": sum(s.get("instructions", 0) for s in shards),
@@ -72,17 +69,8 @@ def build_verify_artifact(
             "errors": sum(1 for s in shards if s.get("status") in ("error", "timeout")),
             "wall_time_s": round(wall_time_s, 6),
         },
-        "shards": shards,
-    }
-
-
-def write_verify_artifact(path: str | Path, document: dict[str, Any]) -> Path:
-    """Write the artifact JSON to *path* (parent dirs created)."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path
+        shards=shards,
+    )
 
 
 def validate_verify_artifact(document: Any) -> list[str]:
@@ -91,14 +79,11 @@ def validate_verify_artifact(document: Any) -> list[str]:
     An empty list means the document is well formed (the contract CI's
     verify-smoke job checks before trusting the run).
     """
-    problems: list[str] = []
+    problems = check_envelope(
+        document, VERIFY_SCHEMA, ("version", "designs", "sizes", "budget", "totals", "shards")
+    )
     if not isinstance(document, dict):
-        return ["artifact is not a JSON object"]
-    if document.get("schema") != VERIFY_SCHEMA:
-        problems.append(f"schema is {document.get('schema')!r}, expected {VERIFY_SCHEMA!r}")
-    for key in ("version", "designs", "sizes", "budget", "totals", "shards"):
-        if key not in document:
-            problems.append(f"missing top-level key {key!r}")
+        return problems
     totals = document.get("totals")
     if isinstance(totals, dict):
         for key in ("shards", "cases", "instructions", "failures", "errors"):
@@ -106,29 +91,16 @@ def validate_verify_artifact(document: Any) -> list[str]:
                 problems.append(f"totals.{key} is not an int")
     elif totals is not None:
         problems.append("totals is not an object")
-    shards = document.get("shards")
-    if not isinstance(shards, list):
-        problems.append("shards is not a list")
-        return problems
-    for i, shard in enumerate(shards):
-        if not isinstance(shard, dict):
-            problems.append(f"shards[{i}] is not an object")
-            continue
-        for key in ("seed", "status"):
-            if key not in shard:
-                problems.append(f"shards[{i}] missing key {key!r}")
+    for label, shard in iter_entries(
+        document.get("shards"), "shards", ("seed", "status"), problems
+    ):
         if shard.get("status") not in ("ok", "failed", "timeout", "error"):
             problems.append(
-                f"shards[{i}].status is {shard.get('status')!r}, expected "
-                "ok/failed/timeout/error"
+                f"{label}.status is {shard.get('status')!r}, expected ok/failed/timeout/error"
             )
-        failures = shard.get("failures", [])
-        if not isinstance(failures, list):
-            problems.append(f"shards[{i}].failures is not a list")
-            continue
-        for j, failure in enumerate(failures):
-            if not isinstance(failure, dict):
-                problems.append(f"shards[{i}].failures[{j}] is not an object")
-            elif "program" not in failure or "divergences" not in failure:
-                problems.append(f"shards[{i}].failures[{j}] missing program/divergences")
+        for where, failure in iter_entries(
+            shard.get("failures", []), f"{label}.failures", (), problems
+        ):
+            if "program" not in failure or "divergences" not in failure:
+                problems.append(f"{where} missing program/divergences")
     return problems

@@ -38,11 +38,8 @@ from time import perf_counter
 from repro.runner.metrics import STATUS_OK, JobResult
 from repro.runner.pool import run_jobs
 from repro.runner.registry import JobSpec
-from repro.verify.artifact import (
-    build_verify_artifact,
-    validate_verify_artifact,
-    write_verify_artifact,
-)
+from repro.util.artifact import write_json
+from repro.verify.artifact import build_verify_artifact, validate_verify_artifact
 from repro.verify.diff import DESIGNS
 from repro.verify.fuzz import load_reproducer, parse_shard_report, run_case
 
@@ -106,7 +103,11 @@ def _replay(
     check_invariants: bool,
 ) -> int:
     """The ``--repro`` path: re-run one recorded failing case."""
-    case = load_reproducer(path)
+    try:
+        case = load_reproducer(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load reproducer: {exc}", file=sys.stderr)
+        return 2
     print(f"replaying {path} (seed {case.seed}, {len(case.program)} instructions)")
     failure = run_case(case, sizes=sizes, designs=designs, check_invariants=check_invariants)
     if failure is None:
@@ -220,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"artifact problem: {problem}", file=sys.stderr)
         return 1
     if opts.json_path:
-        write_verify_artifact(opts.json_path, document)
+        write_json(opts.json_path, document)
 
     totals = document["totals"]
     ok = totals["failures"] == 0 and totals["errors"] == 0

@@ -29,11 +29,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.isa.assembler import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+from repro.util.artifact import check_envelope, envelope, read_json, write_json
 from repro.util.rng import derive_seed
 from repro.verify.diff import DESIGNS, DiffReport, run_differential
 
@@ -346,15 +348,15 @@ def shrink_case(
 def reproducer_dict(failure: CaseFailure, shrunk: FuzzCase | None = None) -> dict:
     """The ``repro-failure/1`` payload for a failing case."""
     case = failure.case
-    payload = {
-        "schema": FAILURE_SCHEMA,
-        "seed": case.seed,
-        "window": failure.window,
-        "divergences": failure.describe(),
-        "program": case.program.disassemble(),
-        "initial_registers": list(case.initial_registers),
-        "memory_image": {str(k): v for k, v in sorted(case.memory_image.items())},
-    }
+    payload = envelope(
+        FAILURE_SCHEMA,
+        seed=case.seed,
+        window=failure.window,
+        divergences=failure.describe(),
+        program=case.program.disassemble(),
+        initial_registers=list(case.initial_registers),
+        memory_image={str(k): v for k, v in sorted(case.memory_image.items())},
+    )
     if shrunk is not None and len(shrunk.program) < len(case.program):
         payload["shrunk_program"] = shrunk.program.disassemble()
         payload["shrunk_size"] = len(shrunk.program)
@@ -365,24 +367,29 @@ def write_reproducer(
     directory: str | Path, failure: CaseFailure, shrunk: FuzzCase | None = None
 ) -> Path:
     """Write a reproducer JSON under *directory*; returns its path."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"seed{failure.case.seed:08d}.json"
-    path.write_text(
-        json.dumps(reproducer_dict(failure, shrunk), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    path = Path(directory) / f"seed{failure.case.seed:08d}.json"
+    return write_json(path, reproducer_dict(failure, shrunk), sort_keys=True)
+
+
+def validate_reproducer(payload: Any) -> list[str]:
+    """Return problems with a ``repro-failure/1`` reproducer payload.
+
+    ``version`` is not required: reproducers written before it joined
+    the envelope still load.
+    """
+    return check_envelope(
+        payload, FAILURE_SCHEMA, ("seed", "program", "initial_registers", "memory_image")
     )
-    return path
 
 
 def load_reproducer(path: str | Path) -> FuzzCase:
     """Rebuild a :class:`FuzzCase` from a reproducer file.
 
-    Prefers the shrunk program when the file records one.
+    Prefers the shrunk program when the file records one.  Raises
+    ``ValueError`` for a malformed file and ``OSError`` for an
+    unreadable one.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != FAILURE_SCHEMA:
-        raise ValueError(f"{path}: schema {payload.get('schema')!r}, expected {FAILURE_SCHEMA!r}")
+    payload = read_json(path, validate_reproducer)
     source = payload.get("shrunk_program") or payload["program"]
     return FuzzCase(
         seed=int(payload["seed"]),

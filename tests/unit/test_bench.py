@@ -8,9 +8,7 @@ import pytest
 from repro.bench.artifact import (
     BENCH_SCHEMA,
     build_bench_artifact,
-    load_bench_artifact,
     validate_bench_artifact,
-    write_bench_artifact,
 )
 from repro.bench.registry import REGISTRY, Benchmark, register, select
 from repro.bench.run import run_benchmark, run_benchmarks
@@ -20,6 +18,7 @@ from repro.bench.timing import (
     host_fingerprint,
     measure,
 )
+from repro.util.artifact import read_json, write_json
 
 
 class TestTimingProtocol:
@@ -113,8 +112,8 @@ class TestArtifact:
             [_fake_record()], mode="quick", repeats=3, warmup=1, wall_time_s=0.5
         )
         assert validate_bench_artifact(document) == []
-        path = write_bench_artifact(tmp_path / "out" / "BENCH.json", document)
-        loaded = load_bench_artifact(path)
+        path = write_json(tmp_path / "out" / "BENCH.json", document)
+        loaded = read_json(path, validate_bench_artifact)
         assert loaded["schema"] == BENCH_SCHEMA
         [entry] = loaded["results"]
         assert entry["name"] == "toy.alpha"
@@ -129,7 +128,7 @@ class TestArtifact:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "nope"}), encoding="utf-8")
         with pytest.raises(ValueError, match="schema"):
-            load_bench_artifact(path)
+            read_json(path, validate_bench_artifact)
 
     def test_validate_catches_problems(self):
         assert validate_bench_artifact([]) == ["artifact is not a JSON object"]

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
 from repro.isa import Instruction, Opcode
 from repro.isa.registers import MachineSpec
-from repro.runner.registry import ExperimentSpec
+from repro.runner.registry import REGISTRY, ExperimentSpec
 from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.workloads import paper_sequence
 
@@ -31,9 +31,9 @@ class TestCli:
         assert "density ratio" in capsys.readouterr().out
 
     def test_registry_is_complete(self):
-        assert len(EXPERIMENTS) >= 12
-        for title, report in EXPERIMENTS.values():
-            assert callable(report)
+        assert len(REGISTRY) >= 12
+        for spec in REGISTRY.values():
+            assert callable(spec.load())
 
 
 class TestRunnerCli:
@@ -107,7 +107,7 @@ class TestRunnerCli:
 
     def test_sweep_point_validation_names_offender(self, monkeypatch):
         from repro.runner import _selftest
-        from repro.runner.registry import ExperimentSpec, SweepPointError
+        from repro.runner.registry import REGISTRY, ExperimentSpec, SweepPointError
 
         monkeypatch.setattr(
             _selftest, "SWEEP_POINTS", [{"bogus_kw": 1}], raising=False

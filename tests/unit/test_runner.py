@@ -4,11 +4,12 @@ import json
 
 
 import repro.runner.cache as cache_module
-from repro.runner.artifacts import ARTIFACT_SCHEMA, build_artifact, write_artifact
+from repro.runner.artifacts import ARTIFACT_SCHEMA, build_artifact
 from repro.runner.cache import ResultCache
 from repro.runner.metrics import format_summary, summarize
 from repro.runner.pool import run_jobs
 from repro.runner.registry import REGISTRY, ExperimentSpec, JobSpec, build_jobs
+from repro.util.artifact import write_json
 
 
 def _job(func: str, kwargs: dict | None = None, experiment: str = "t") -> JobSpec:
@@ -239,7 +240,7 @@ class TestMetricsAndArtifacts:
         assert "RuntimeError" in failed["error"]
 
     def test_write_artifact(self, tmp_path):
-        path = write_artifact(tmp_path / "out" / "run.json", self._results(tmp_path))
+        path = write_json(tmp_path / "out" / "run.json", build_artifact(self._results(tmp_path)))
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["schema"] == ARTIFACT_SCHEMA
         assert len(loaded["results"]) == 2

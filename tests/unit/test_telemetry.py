@@ -271,8 +271,8 @@ class TestChromeExport:
         assert any("missing" in p for p in problems)
 
     def test_roundtrips_through_json(self, tmp_path):
-        from repro.telemetry import write_chrome_trace
+        from repro.util.artifact import write_json
 
         tracer = self.run_events()
-        path = write_chrome_trace(tmp_path / "t.json", tracer.events)
+        path = write_json(tmp_path / "t.json", build_chrome_trace(tracer.events))
         assert validate_chrome_trace(json.loads(path.read_text())) == []

@@ -28,7 +28,7 @@ from repro.verify import (
     write_reproducer,
 )
 from repro.verify.cli import main as verify_main
-from repro.verify.fuzz import parse_shard_report
+from repro.verify.fuzz import CaseFailure, parse_shard_report
 from repro.workloads import memory_stream, paper_sequence, random_ilp
 
 #: fuzz parameters kept small so the mutation tests stay fast
@@ -213,6 +213,14 @@ class TestShardAndReproducers:
         for failure in outcome.failures:
             assert (tmp_path / f"seed{failure['seed']:08d}.json").exists()
 
+    def test_load_accepts_reproducer_without_version(self, tmp_path):
+        case = generate_case(0, 6)
+        path = write_reproducer(tmp_path, CaseFailure(case=case, window=4, report=None, error="x"))
+        payload = json.loads(path.read_text())
+        assert payload.pop("version")
+        path.write_text(json.dumps(payload))
+        assert load_reproducer(path).program.disassemble() == case.program.disassemble()
+
     def test_load_rejects_other_schemas(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"schema": "other/1"}))
@@ -308,6 +316,25 @@ class TestVerifyCli:
             ["--repro", str(path), "--sizes", "4", "--designs", "us1", "--no-invariants"]
         )
         assert code == 0
+
+    def _replay_error(self, path, capsys):
+        assert verify_main(["--repro", str(path)]) == 2
+        return capsys.readouterr().err
+
+    def test_repro_rejects_json_list(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert "cannot load reproducer: " in self._replay_error(path, capsys)
+
+    def test_repro_rejects_foreign_schema(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"schema": "other/1"}))
+        err = self._replay_error(path, capsys)
+        assert "cannot load reproducer: " in err and "'other/1'" in err
+
+    def test_repro_rejects_missing_file(self, tmp_path, capsys):
+        err = self._replay_error(tmp_path / "absent.json", capsys)
+        assert "cannot load reproducer: " in err and "absent.json" in err
 
     def test_bad_arguments(self, capsys):
         assert verify_main(["--seeds", "5:5"]) == 2
