@@ -19,13 +19,13 @@ This is simultaneously:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.isa.interpreter import StepOutcome
 from repro.isa.latency import LatencyModel
 
 
-@dataclass(frozen=True)
-class ScheduledInstruction:
+class ScheduledInstruction(NamedTuple):
     """Schedule entry for one dynamic instruction."""
 
     seq: int
@@ -135,16 +135,7 @@ def dataflow_schedule(
         complete = issue + latency - 1
         commit = max(complete, prev_commit)
 
-        entries.append(
-            ScheduledInstruction(
-                seq=seq,
-                step=step,
-                fetch_cycle=fetch,
-                issue_cycle=issue,
-                complete_cycle=complete,
-                commit_cycle=commit,
-            )
-        )
+        entries.append(ScheduledInstruction(seq, step, fetch, issue, complete, commit))
         commit_history.append(commit)
         prev_commit = commit
 

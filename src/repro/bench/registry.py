@@ -13,7 +13,7 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``engine`` — full-program throughput of the three paper designs
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
   way users drive them, across window sizes, plus us1 at the wide
-  windows (64 and 512 stations) the large-*n* experiments sweep;
+  windows (64, 256 and 512 stations) the large-*n* experiments sweep;
 * ``frontend`` — the fetch unit on its own: slicing a long
   straight-line program, and following a loop kernel's path with a
   bimodal predictor;
@@ -80,13 +80,14 @@ def select(
 # engine throughput (us1 / us2 / hybrid via repro.api)
 
 
-def _engine_thunk(design: str, window: int, count: int) -> Callable[[], Any]:
+def _engine_thunk(design: str, window: int, count: int, fetch_width: int) -> Callable[[], Any]:
     from repro.api import ProcessorConfig, build_processor
     from repro.workloads.generators import random_ilp
 
     workload = random_ilp(count, 0.5, seed=1999)
-    # the default fetch width (4) for every engine row
-    processor = build_processor(design, ProcessorConfig(window_size=window))
+    processor = build_processor(
+        design, ProcessorConfig(window_size=window, fetch_width=fetch_width)
+    )
     program = workload.program
     registers = workload.registers_for()
 
@@ -96,17 +97,20 @@ def _engine_thunk(design: str, window: int, count: int) -> Callable[[], Any]:
     return thunk
 
 
-def _register_engine(name: str, design: str, window: int, count: int, quick: bool) -> None:
+def _register_engine(
+    name: str, design: str, window: int, count: int, quick: bool, fetch_width: int = 4
+) -> None:
     register(
         Benchmark(
             name=name,
             group="engine",
             title=f"{design} end-to-end run, window {window}",
-            make=lambda: _engine_thunk(design, window, count),
+            make=lambda: _engine_thunk(design, window, count, fetch_width),
             quick=quick,
             metadata={
                 "design": design,
                 "window_size": window,
+                "fetch_width": fetch_width,
                 "instructions": count,
                 "seed": 1999,
             },
@@ -120,6 +124,8 @@ def _register_engines() -> None:
             _register_engine(f"engine.{design}.w{window}", design, window, count, quick)
     for window, count, quick in ((64, 256, True), (512, 2048, False)):
         _register_engine(f"engine.us1.n{window}", "us1", window, count, quick)
+    # the fetch width perfbench's simulate workload scales to at n = 256
+    _register_engine("engine.us1.n256", "us1", 256, 1024, True, fetch_width=32)
 
 
 # ----------------------------------------------------------------------

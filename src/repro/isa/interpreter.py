@@ -15,7 +15,7 @@ five bits of the shift amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -64,8 +64,7 @@ class MachineState:
         self.memory[address] = value & WORD_MASK
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """One dynamic instruction execution, recorded into the trace.
 
     Attributes:
@@ -167,6 +166,19 @@ BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
 }
 
 
+def _by_code() -> list[Callable | None]:
+    table: list[Callable | None] = [None] * 64  # Opcode.code has six bits
+    for op, semantics in (*ALU_OPS.items(), *BRANCH_OPS.items()):
+        table[op.code] = semantics
+    return table
+
+
+#: :data:`ALU_OPS` and :data:`BRANCH_OPS` by ``Opcode.code`` (``None`` for
+#: the rest): looked up per dynamic instruction by a decoded row's int
+#: ``code``, where an enum key would cost a pure-Python ``__hash__`` call
+SEMANTICS = _by_code()
+
+
 def branch_taken(op: Opcode, a: int, b: int) -> bool:
     """Evaluate a conditional branch's outcome on operand values (a, b)."""
     semantics = BRANCH_OPS.get(op)
@@ -182,7 +194,8 @@ def _execute(
 
     This is the single source of truth for instruction semantics: the
     processor models compute through the same :data:`ALU_OPS` and
-    :data:`BRANCH_OPS`, and are diffed against its trace.
+    :data:`BRANCH_OPS` functions (looked up in :data:`SEMANTICS`), and
+    are diffed against its trace.
     """
     regs = state.registers
     operands = tuple([regs[reg] for reg in row.sources])
@@ -201,24 +214,16 @@ def _execute(
         address = to_unsigned(a + row.imm)
         state.store_word(address, b)
     elif row.is_branch:
-        taken = BRANCH_OPS[row.op](a, b)
+        taken = SEMANTICS[row.code](a, b)
         if taken:
             next_pc = row.target
     elif row.is_control:
         taken = True
         next_pc = row.target
     elif row.uses_alu:  # NOP and HALT compute nothing
-        result = regs[row.dest] = ALU_OPS[row.op](a, b, row.imm)
+        result = regs[row.dest] = SEMANTICS[row.code](a, b, row.imm)
 
-    return StepOutcome(
-        static_index=static_index,
-        instruction=inst,
-        operand_values=operands,
-        result=result,
-        address=address,
-        taken=taken,
-        next_pc=next_pc,
-    )
+    return StepOutcome(static_index, inst, operands, result, address, taken, next_pc)
 
 
 def run_program(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import Opcode
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,17 @@ class LatencyModel:
         for name in ("alu", "mul", "div", "load", "store", "branch", "jump", "system"):
             if getattr(self, name) < 1:
                 raise ValueError(f"latency {name} must be >= 1")
-        # cycles per op class, built once: the engines read it per instruction
-        by_class = {op_class: getattr(self, op_class.value) for op_class in OpClass}
-        object.__setattr__(self, "by_class", by_class)
+        # cycles per Opcode.code, built once: the engines index it per
+        # instruction by a decoded row's int ``code`` (an int key, where an
+        # enum member would cost a pure-Python ``__hash__`` call)
+        by_code = [0] * 64
+        for op in Opcode:
+            by_code[op.code] = getattr(self, op.op_class.value)
+        object.__setattr__(self, "by_code", tuple(by_code))
 
     def latency_of(self, op: Opcode) -> int:
         """The execution latency, in cycles, of *op*."""
-        return self.by_class[op.op_class]
+        return self.by_code[op.code]
 
 
 #: Latencies used by the paper's Figure 3 timing diagram.

@@ -34,6 +34,9 @@ class Decoded(NamedTuple):
     is_control: bool
     is_halt: bool
     uses_alu: bool
+    #: ``op.code``: the engines index ``LatencyModel.by_code`` and the
+    #: interpreter's ``SEMANTICS`` by it, which hashes no enum member
+    code: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ class Program:
                 Decoded(
                     op, inst.imm, inst.target, inst.reads, inst.rd, op.op_class, op.is_load,
                     op.is_store, op.is_memory, op.is_branch, op.is_control, op.is_halt,
-                    op.uses_alu,
+                    op.uses_alu, op.code,
                 )
             )
         stops = [len(rows)] * len(rows)

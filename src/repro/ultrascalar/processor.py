@@ -12,6 +12,8 @@ of the one ring engine: cluster size 1, ``n`` and ``C``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import StepOutcome
@@ -63,8 +65,7 @@ class ProcessorConfig:
             raise ValueError("max_cycles must be positive")
 
 
-@dataclass(frozen=True)
-class TimingRecord:
+class TimingRecord(NamedTuple):
     """Per-dynamic-instruction timing, the raw material of Figure 3."""
 
     seq: int
@@ -81,16 +82,37 @@ class TimingRecord:
         return (self.issue_cycle, self.complete_cycle + 1)
 
 
+#: one committed instruction as the engine logs it: ``(static_index, seq,
+#: operand_values, result, address, taken, next_pc, fetch_cycle,
+#: issue_cycle, complete_cycle, commit_cycle)``.  The first seven slots
+#: line up with :class:`StepOutcome`'s fields except the second, where
+#: the row keeps ``seq`` instead of the instruction, so
+#: :func:`repro.verify.oracle.commit_stream` reads rows and outcomes alike.
+CommitRow = tuple[
+    int, int, tuple[int, ...], int | None, int | None, bool | None, int, int, int, int, int
+]
+
+
 @dataclass
 class ProcessorResult:
-    """What a processor run produces."""
+    """What a processor run produces.
+
+    The engine logs one :data:`CommitRow` per committed instruction in
+    :attr:`commit_log` and builds no record objects while it runs.  The
+    per-instruction views :attr:`committed` and :attr:`timings` are
+    built from the log, and the program's :attr:`instructions`, the
+    first time they are read, then cached; a caller that reads only
+    :attr:`ipc`, :attr:`cycles` or the final state never pays for them.
+    """
 
     cycles: int
-    committed: list[StepOutcome]
+    #: one row per committed instruction, in commit order
+    commit_log: list[CommitRow]
     registers: list[int]
     memory: dict[int, int]
-    timings: list[TimingRecord]
     halted: bool
+    #: the program's instructions, by static index (the views' lookup)
+    instructions: tuple[Instruction, ...] = ()
     #: dynamic instructions squashed on mispredicted paths
     squashed: int = 0
     #: mispredicted branches detected
@@ -102,10 +124,32 @@ class ProcessorResult:
     #: see docs/observability.md for the counter vocabulary)
     stats: dict[str, int] = field(default_factory=dict)
 
+    @cached_property
+    def committed(self) -> list[StepOutcome]:
+        """The committed instructions' outcomes, in commit order."""
+        instructions = self.instructions
+        return [
+            StepOutcome(
+                static_index, instructions[static_index], operands, result, address, taken, next_pc
+            )
+            for static_index, _, operands, result, address, taken, next_pc, *_ in self.commit_log
+        ]
+
+    @cached_property
+    def timings(self) -> list[TimingRecord]:
+        """The committed instructions' timing, in commit order."""
+        instructions = self.instructions
+        return [
+            TimingRecord(
+                seq, static_index, instructions[static_index], fetch, issue, complete, commit
+            )
+            for static_index, seq, *_, fetch, issue, complete, commit in self.commit_log
+        ]
+
     @property
     def instructions_committed(self) -> int:
         """Committed dynamic instruction count."""
-        return len(self.committed)
+        return len(self.commit_log)
 
     @property
     def ipc(self) -> float:

@@ -53,8 +53,13 @@ state changes rather than ``n``:
 * nothing is decoded per run: fetch delivers static indices, and each
   station points at its row of the program's decoded table
   (:attr:`repro.isa.program.Program.decoded`, built on the program's
-  first run and shared by every later one), with latencies looked up
-  per op class in the run's :class:`~repro.isa.latency.LatencyModel`.
+  first run and shared by every later one); the row's int opcode code
+  indexes the run's latencies (:class:`~repro.isa.latency.LatencyModel`)
+  and the interpreter's semantics table, so no enum member is hashed
+  per instruction;
+* commit builds no record objects: it appends one plain row to
+  :attr:`RingProcessor.commit_log`, and the result's ``committed`` and
+  ``timings`` views are built from the log only when first read.
 """
 
 from __future__ import annotations
@@ -65,12 +70,12 @@ from operator import attrgetter
 
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchUnit
-from repro.isa.interpreter import ALU_OPS, BRANCH_OPS, StepOutcome
+from repro.isa.interpreter import SEMANTICS
 from repro.isa.program import Decoded, Program
 from repro.telemetry.session import resolve_tracer
 from repro.telemetry.tracer import Tracer
 from repro.ultrascalar.memsys import MemorySystem
-from repro.ultrascalar.processor import ProcessorConfig, ProcessorResult, TimingRecord
+from repro.ultrascalar.processor import CommitRow, ProcessorConfig, ProcessorResult
 from repro.ultrascalar.station import Station, StationState
 from repro.util.bitops import to_unsigned, tree_level_distance
 
@@ -139,8 +144,8 @@ class RingProcessor:
         self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
         self.cycle = 0
         self.seq = 0
-        self.committed: list[StepOutcome] = []
-        self.timings: list[TimingRecord] = []
+        #: one CommitRow per committed instruction, in commit order
+        self.commit_log: list[CommitRow] = []
         self.halted = False
         self.squashed = 0
         self.mispredictions = 0
@@ -152,7 +157,7 @@ class RingProcessor:
         self._reg_source_cycle: list[int] = [0] * self.L
 
         self._rows = program.decoded
-        self._latency = config.latencies.by_class
+        self._latency = config.latencies.by_code
         # per register, its youngest allocated writer: the nearest
         # preceding writer CSPP routes the next fetched station's value from
         self._writer: list[Station | None] = [None] * self.L
@@ -263,15 +268,7 @@ class RingProcessor:
     def _allocate(self, static_index: int, decoded: Decoded, predicted: bool | None) -> None:
         """Load an instruction into the next free station and link its operands."""
         pos = (self.oldest + self.count) % self.n
-        station = Station(
-            pos,
-            static_index=static_index,
-            predicted_taken=predicted,
-            state=WAITING,
-            seq=self.seq,
-            fetch_cycle=self.cycle,
-            decoded=decoded,
-        )
+        station = Station(pos, static_index, predicted, WAITING, self.seq, self.cycle, decoded)
         self.stations[pos] = station
         self.count += 1
         self.seq += 1
@@ -425,7 +422,7 @@ class RingProcessor:
 
     def _issue_execute(self, station: Station) -> None:
         self._begin_issue(station)
-        self._start_executing(station, self._latency[station.decoded.op_class])
+        self._start_executing(station, self._latency[station.decoded.code])
 
     def _issue_load(self, station: Station) -> None:
         operands = self._begin_issue(station)
@@ -494,7 +491,7 @@ class RingProcessor:
                 self._alu_busy -= 1
             if decoded.is_branch:
                 operands = station.operands
-                station.taken = BRANCH_OPS[decoded.op](operands[0], operands[1])
+                station.taken = SEMANTICS[decoded.code](operands[0], operands[1])
                 if station.taken != station.predicted_taken:
                     actual_next = decoded.target if station.taken else station.static_index + 1
                     self._mispredict(station, actual_next)
@@ -505,7 +502,7 @@ class RingProcessor:
                 # (NOP and HALT compute nothing; a store-forwarded load's
                 # result was preset at issue)
                 operands = station.operands
-                station.result = ALU_OPS[decoded.op](
+                station.result = SEMANTICS[decoded.code](
                     operands[0] if operands else 0,
                     operands[1] if len(operands) > 1 else 0,
                     decoded.imm,
@@ -584,36 +581,29 @@ class RingProcessor:
     def _commit(self, station: Station) -> None:
         decoded = station.decoded
         static_index = station.static_index
-        instruction = self.program.instructions[static_index]
+        result = station.result
         reg = decoded.dest
-        if reg is not None and station.result is not None:
-            self.committed_regs[reg] = station.result
+        if reg is not None and result is not None:
+            self.committed_regs[reg] = result
             self._reg_source_pos[reg] = station.index
             self._reg_source_cycle[reg] = station.complete_cycle
         taken = station.taken
         next_pc = static_index + 1
         if decoded.is_control and taken:
             next_pc = decoded.target
-        self.committed.append(
-            StepOutcome(
-                static_index=static_index,
-                instruction=instruction,
-                operand_values=station.operands,
-                result=station.result,
-                address=station.address,
-                taken=taken,
-                next_pc=next_pc,
-            )
-        )
-        self.timings.append(
-            TimingRecord(
-                seq=station.seq,
-                static_index=static_index,
-                instruction=instruction,
-                fetch_cycle=station.fetch_cycle,
-                issue_cycle=station.issue_cycle,
-                complete_cycle=station.complete_cycle,
-                commit_cycle=self.cycle,
+        self.commit_log.append(
+            (
+                static_index,
+                station.seq,
+                station.operands,
+                result,
+                station.address,
+                taken,
+                next_pc,
+                station.fetch_cycle,
+                station.issue_cycle,
+                station.complete_cycle,
+                self.cycle,
             )
         )
         if decoded.is_branch:
@@ -624,7 +614,7 @@ class RingProcessor:
         if self._tracing:
             self.tracer.count("commit.instructions")
             self.tracer.event(
-                str(instruction),
+                str(self.program.instructions[static_index]),
                 cat="instruction",
                 ts=station.issue_cycle,
                 dur=station.complete_cycle - station.issue_cycle + 1,
@@ -684,11 +674,11 @@ class RingProcessor:
                 self.tracer.count(name, value)
         return ProcessorResult(
             cycles=self.cycle,
-            committed=self.committed,
+            commit_log=self.commit_log,
             registers=list(self.committed_regs),
             memory=self.memory.final_state(),
-            timings=self.timings,
             halted=self.halted,
+            instructions=self.program.instructions,
             squashed=self.squashed,
             mispredictions=self.mispredictions,
             forwarded_loads=self.forwarded_loads,

@@ -46,7 +46,11 @@ class StationState(enum.Enum):
 
 @dataclass(eq=False, slots=True)
 class Station:
-    """One execution station's dynamic state."""
+    """One execution station's dynamic state.
+
+    The fields set at fetch come first, so the engine builds a station
+    positionally (cheaper than keywords, once per dynamic instruction).
+    """
 
     index: int
     #: the held instruction's static index, -1 when empty
@@ -58,6 +62,8 @@ class Station:
     seq: int = -1
     #: cycle the instruction entered this station
     fetch_cycle: int = -1
+    #: the held instruction, decoded
+    decoded: Decoded | None = None
     #: cycle execution began (arguments became ready), -1 until issue
     issue_cycle: int = -1
     #: cycle the result became available to consumers (DONE), -1 until then
@@ -75,8 +81,6 @@ class Station:
     #: architecturally committed, but the station is not yet freed
     #: (hybrid clusters deallocate as a unit)
     committed: bool = False
-    #: the held instruction, decoded
-    decoded: Decoded | None = None
     #: per source register, the nearest preceding station writing it at
     #: fetch; ``None`` (or a station since deallocated) means the
     #: committed register file supplies the value

@@ -168,7 +168,7 @@ def run_differential(
             diverge(design, "registers", _first_mismatch(result.registers, oracle.registers))
         if result.memory != oracle.memory:
             diverge(design, "memory", _memory_mismatch(result.memory, oracle.memory))
-        commits = commit_stream(result.committed)
+        commits = commit_stream(result.commit_log)
         if commits != oracle.commits:
             diverge(design, "commits", _first_mismatch(commits, oracle.commits))
         if result.halted != oracle.halted:
@@ -177,7 +177,7 @@ def run_differential(
     if "dataflow" in designs:
         # same configuration tests/integration/test_ilp_equivalence.py
         # proves cycle-exact against us1 at window = dynamic length
-        schedule = dataflow_schedule(_oracle_steps(program, regs, memory_image, max_steps))
+        schedule = dataflow_schedule(oracle.trace)
         report.cycles["dataflow"] = schedule.cycles
         branch_free = not any(inst.is_control for inst in program)
         exact = branch_free and wrap_free and "us1" in report.cycles
@@ -204,11 +204,3 @@ def run_differential(
     if checker is not None:
         report.invariant_checks = checker.checks
     return report
-
-
-def _oracle_steps(program, regs, memory_image, max_steps):
-    """The golden dynamic trace (for the dataflow schedule)."""
-    from repro.isa.interpreter import MachineState, run_program
-
-    state = MachineState(list(regs), dict(memory_image or {}))
-    return run_program(program, state=state, max_steps=max_steps).trace

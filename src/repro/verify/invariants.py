@@ -8,10 +8,12 @@ pre-verification code.
 
 Checked properties (violations raise :class:`InvariantViolation`):
 
-* **Commit-window FIFO order** — the committed stream's sequence numbers
-  are strictly increasing and each commit's static index equals the
-  previous commit's ``next_pc``: commitment follows the architectural
-  control-flow path in order, never reorders, never skips.
+* **Commit-window FIFO order** — the engine's commit log (one row per
+  committed instruction) has strictly increasing sequence numbers, and
+  each row's static index equals the previous row's ``next_pc``:
+  commitment follows the architectural control-flow path in order,
+  never reorders, never skips.  Each cycle reads only the rows
+  appended since the last, and never builds the result's record views.
 * **CSPP ready-bit monotonicity** — once a station's result is DONE (its
   ready bit asserted into the prefix network), it stays DONE until the
   station is deallocated or squashed; a ready bit never de-asserts while
@@ -78,23 +80,22 @@ class InvariantChecker:
         """Committed stream is FIFO and follows the architectural path."""
         self.checks += 1
         start = self._commit_cursor.get(id(engine), 0)
-        timings = engine.timings
-        committed = engine.committed
-        for k in range(max(1, start), len(committed)):
-            if timings[k].seq <= timings[k - 1].seq:
+        log = engine.commit_log  # CommitRow: static_index, seq, ..., next_pc (slot 6), ...
+        for k in range(max(1, start), len(log)):
+            static_index, seq = log[k][:2]
+            previous_seq, next_pc = log[k - 1][1], log[k - 1][6]
+            if seq <= previous_seq:
                 self._fail(
                     engine,
-                    f"commit FIFO violated: seq {timings[k].seq} committed "
-                    f"after seq {timings[k - 1].seq}",
+                    f"commit FIFO violated: seq {seq} committed after seq {previous_seq}",
                 )
-            if committed[k].static_index != committed[k - 1].next_pc:
+            if static_index != next_pc:
                 self._fail(
                     engine,
                     f"commit stream left the architectural path: commit {k} "
-                    f"is instruction {committed[k].static_index}, expected "
-                    f"{committed[k - 1].next_pc}",
+                    f"is instruction {static_index}, expected {next_pc}",
                 )
-        self._commit_cursor[id(engine)] = len(committed)
+        self._commit_cursor[id(engine)] = len(log)
 
     def _check_done_monotonic(self, engine, stations) -> None:
         """A DONE (ready) station stays DONE until deallocated/squashed."""

@@ -18,7 +18,8 @@ ProcessorResult` — the comparison :mod:`repro.verify.diff` performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.isa.interpreter import MachineState, StepOutcome, run_program
 from repro.isa.program import Program
@@ -28,13 +29,19 @@ from repro.isa.program import Program
 Commit = tuple[int, int | None, int | None, bool | None, int]
 
 
-def _commit_of(step: StepOutcome) -> Commit:
-    return (step.static_index, step.result, step.address, step.taken, step.next_pc)
+#: a step's (static_index, result, address, taken, next_pc); the slots
+#: are the same in a StepOutcome and in an engine's commit-log row
+_commit_of = itemgetter(0, 3, 4, 5, 6)
 
 
-def commit_stream(committed: list[StepOutcome]) -> list[Commit]:
-    """Reduce a committed :class:`StepOutcome` list to comparable tuples."""
-    return [_commit_of(step) for step in committed]
+def commit_stream(committed) -> list[Commit]:
+    """Reduce committed instructions to comparable tuples.
+
+    *committed* is a list of :class:`StepOutcome` (an interpreter trace,
+    or ``ProcessorResult.committed``) or an engine's commit log
+    (``ProcessorResult.commit_log``), which needs no record objects.
+    """
+    return list(map(_commit_of, committed))
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class OracleResult:
     memory: dict[int, int]
     commits: list[Commit]
     halted: bool
+    #: the golden dynamic trace (the dataflow baseline schedules it)
+    trace: list[StepOutcome] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dynamic_length(self) -> int:
@@ -73,4 +82,5 @@ def run_oracle(
         memory=dict(golden.state.memory),
         commits=commit_stream(golden.trace),
         halted=golden.halted,
+        trace=golden.trace,
     )

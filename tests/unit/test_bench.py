@@ -78,7 +78,7 @@ class TestRegistry:
         assert {b.group for b in quick} == {b.group for b in REGISTRY.values()}
         # a wide-window engine row keeps large-n scaling in the quick set
         assert any(
-            b.group == "engine" and b.metadata["window_size"] >= 64 for b in quick
+            b.group == "engine" and b.metadata["window_size"] >= 256 for b in quick
         )
 
     def test_filter_selects_substrings(self):

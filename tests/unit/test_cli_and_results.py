@@ -157,9 +157,7 @@ class TestTimingDiagram:
     def test_empty_result_diagram(self):
         from repro.ultrascalar.processor import ProcessorResult
 
-        empty = ProcessorResult(
-            cycles=0, committed=[], registers=[], memory={}, timings=[], halted=False
-        )
+        empty = ProcessorResult(cycles=0, commit_log=[], registers=[], memory={}, halted=False)
         assert "(no instructions)" in empty.timing_diagram()
 
     def test_execute_span(self):

@@ -3,7 +3,7 @@
 import itertools
 
 from repro.isa import Instruction, LatencyModel, Opcode, OpClass, Program, assemble
-from repro.isa.interpreter import ALU_OPS, BRANCH_OPS
+from repro.isa.interpreter import ALU_OPS, BRANCH_OPS, SEMANTICS
 from repro.isa.opcodes import Format
 from repro.ultrascalar import ProcessorConfig, make_ultrascalar1
 from repro.workloads.generators import random_ilp
@@ -31,6 +31,7 @@ def test_every_opcode_row_matches_instruction_and_opinfo():
             info.mnemonic, info.op_class, info.fmt, info.code
         )
         assert row.op is op
+        assert row.code == op.code
         assert (row.imm, row.target) == (inst.imm, inst.target)
         assert row.sources == inst.reads
         assert row.dest == (inst.writes[0] if inst.writes else None)
@@ -48,6 +49,7 @@ def test_every_opcode_has_exactly_one_semantics():
     for op in Opcode:
         handlers = [op in ALU_OPS, op in BRANCH_OPS, op.is_memory, op is Opcode.J, not op.uses_alu]
         assert handlers.count(True) == 1, op
+        assert SEMANTICS[op.code] is (ALU_OPS.get(op) or BRANCH_OPS.get(op)), op
 
 
 def test_latency_is_looked_up_per_op_class():

@@ -52,9 +52,7 @@ class TestRenderPipeline:
     def test_empty(self):
         from repro.ultrascalar.processor import ProcessorResult
 
-        empty = ProcessorResult(
-            cycles=0, committed=[], registers=[], memory={}, timings=[], halted=False
-        )
+        empty = ProcessorResult(cycles=0, commit_log=[], registers=[], memory={}, halted=False)
         assert render_pipeline(empty) == "(no instructions)"
 
 

@@ -78,6 +78,25 @@ class TestRunDifferential:
         with pytest.raises(ValueError, match="unknown design"):
             run_differential(paper_sequence().program, designs=("us1", "nope"))
 
+    def test_golden_interpreter_runs_once(self, monkeypatch):
+        # the dataflow baseline schedules the oracle's own trace
+        import repro.isa.interpreter as interpreter
+        import repro.verify.oracle as oracle
+
+        calls = []
+        original = interpreter.run_program
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interpreter, "run_program", counting)
+        monkeypatch.setattr(oracle, "run_program", counting)
+        w = random_ilp(24, 0.5, seed=5)
+        report = run_differential(w.program, initial_registers=w.registers_for())
+        assert report.ok and set(report.cycles) == set(DESIGNS)
+        assert len(calls) == 1
+
     def test_stats_collected_for_triage(self):
         w = paper_sequence()
         report = run_differential(
@@ -106,10 +125,10 @@ class TestInvariantChecker:
 
         def scrambled(self):
             outcome = original(self)
-            if len(self.committed) >= 2:
-                self.committed[-1], self.committed[-2] = (
-                    self.committed[-2],
-                    self.committed[-1],
+            if len(self.commit_log) >= 2:
+                self.commit_log[-1], self.commit_log[-2] = (
+                    self.commit_log[-2],
+                    self.commit_log[-1],
                 )
             return outcome
 
