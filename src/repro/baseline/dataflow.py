@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.isa.interpreter import StepOutcome
-from repro.isa.latency import LatencyModel
+from repro.isa.latency import PAPER_LATENCIES, LatencyModel
 
 
 class ScheduledInstruction(NamedTuple):
@@ -81,7 +81,7 @@ def dataflow_schedule(
         stop_fetch_at_taken: model conventional fetch's inability to
             cross a taken control transfer within one cycle.
     """
-    latencies = latencies or LatencyModel()
+    latencies = latencies or PAPER_LATENCIES
     entries: list[ScheduledInstruction] = []
 
     #: result-availability cycle per register (complete + 1)

@@ -24,7 +24,9 @@ Groups (mirroring the subsystems the ROADMAP cares about):
   largest of E9's gate-level circuits;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
-* ``verify`` — fuzz program generation (the verify CLI's hot loop).
+* ``verify`` — fuzz program generation, and the differential runs under
+  the invariant checker that ``repro verify`` makes of each case (the
+  verify CLI's hot loop).
 
 The ``--quick`` subset keeps one representative per group (always
 covering all three processor designs) sized for CI smoke runs.
@@ -374,7 +376,7 @@ def _register_runner() -> None:
 
 
 # ----------------------------------------------------------------------
-# verify-fuzz program generation
+# verify-fuzz program generation and differential runs
 
 
 def _fuzz_thunk(cases: int, size: int) -> Callable[[], Any]:
@@ -387,6 +389,18 @@ def _fuzz_thunk(cases: int, size: int) -> Callable[[], Any]:
     return thunk
 
 
+def _fuzz_run_thunk(cases: int, size: int) -> Callable[[], Any]:
+    from repro.verify.fuzz import generate_case, run_case
+
+    generated = [generate_case(seed, size) for seed in range(cases)]
+
+    def thunk() -> None:
+        for case in generated:
+            run_case(case)
+
+    return thunk
+
+
 def _register_verify() -> None:
     register(
         Benchmark(
@@ -394,6 +408,16 @@ def _register_verify() -> None:
             group="verify",
             title="fuzz program generation (16 cases of 48)",
             make=lambda: _fuzz_thunk(16, 48),
+            quick=True,
+            metadata={"cases": 16, "size": 48},
+        )
+    )
+    register(
+        Benchmark(
+            name="verify.fuzz.run_case",
+            group="verify",
+            title="differential runs with invariant checks (16 cases of 48)",
+            make=lambda: _fuzz_run_thunk(16, 48),
             quick=True,
             metadata={"cases": 16, "size": 48},
         )

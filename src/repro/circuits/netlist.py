@@ -129,10 +129,12 @@ class Netlist:
         """Close a feedback loop: every reader of *placeholder* reads *source*.
 
         *placeholder* must be a primary input (created to stand in for a
-        net that did not exist yet); it stops being one.
+        net that did not exist yet), not a constant; it stops being one.
         """
         if self._driver[placeholder] >= 0 or placeholder not in self.inputs:
             raise ValueError(f"net {self.name_of(placeholder)!r} is not a primary input")
+        if placeholder in self._const_cache.values():
+            raise ValueError(f"net {self.name_of(placeholder)!r} is a constant")
         for gate, ins in enumerate(self._ins):
             if placeholder in ins:
                 self._ins[gate] = tuple(source if net == placeholder else net for net in ins)
@@ -241,12 +243,15 @@ class Netlist:
         """Event-driven simulation from an all-zeros initial state.
 
         *assignments* gives the value of every primary input (missing
-        inputs default to 0; constants are pinned automatically).  Raises
-        ``RuntimeError`` if the netlist has not settled by *max_time*
-        (an oscillating cycle).
+        inputs default to 0; constants are pinned automatically, and
+        assigning one raises ``ValueError``).  Raises ``RuntimeError``
+        if the netlist has not settled by *max_time* (an oscillating
+        cycle).
         """
         values = [False] * len(self._driver)
         for value, net in self._const_cache.items():
+            if net in assignments:
+                raise ValueError(f"net {self.name_of(net)!r} is a constant")
             values[net] = value
         for net, value in assignments.items():
             if self._driver[net] >= 0:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import StepOutcome
-from repro.isa.latency import LatencyModel
+from repro.isa.latency import PAPER_LATENCIES, LatencyModel
 from repro.isa.program import Program
 from repro.frontend.branch_predictor import BranchPredictor, PerfectPredictor
 from repro.ultrascalar.memsys import IdealMemory, MemorySystem
@@ -48,7 +48,7 @@ class ProcessorConfig:
 
     window_size: int = 8
     fetch_width: int = 4
-    latencies: LatencyModel = field(default_factory=LatencyModel)
+    latencies: LatencyModel = PAPER_LATENCIES
     num_alus: int | None = None
     store_forwarding: bool = False
     self_timed: bool = False

@@ -30,6 +30,7 @@ from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.program import Program
 from repro.telemetry.tracer import CountingTracer, diff_counters
 from repro.ultrascalar import IdealMemory, ProcessorConfig
+from repro.ultrascalar.processor import _default_predictor
 from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.oracle import OracleResult, commit_stream, run_oracle
 
@@ -125,6 +126,11 @@ def run_differential(
     the wrap-around-free configuration under which the ILP-equivalence
     invariant (identical commit order => identical cycle count across
     designs) is additionally enforced.
+
+    Every engine design shares one default predictor, so the perfect
+    predictor's interpreter pre-pass runs once per call; it is reset
+    before each design, and so predicts for each exactly what a fresh
+    one would.
     """
     unknown = sorted(set(designs) - set(DESIGNS))
     if unknown:
@@ -143,9 +149,10 @@ def run_differential(
     regs = list(initial_registers or [])
     regs.extend([0] * (program.spec.num_registers - len(regs)))
 
-    for design in designs:
-        if design not in ENGINE_DESIGNS:
-            continue
+    engines = [design for design in designs if design in ENGINE_DESIGNS]
+    predictor = _default_predictor(program, config) if engines else None
+    for design in engines:
+        predictor.reset()
         memory = IdealMemory()
         memory.load_image(dict(memory_image or {}))
         tracer = CountingTracer() if collect_stats else None
@@ -154,6 +161,7 @@ def run_differential(
             result = processor.run(
                 program,
                 memory=memory,
+                predictor=predictor,
                 initial_registers=list(regs),
                 tracer=tracer,
                 cycle_hook=checker,

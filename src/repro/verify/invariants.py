@@ -32,13 +32,15 @@ Checked properties (violations raise :class:`InvariantViolation`):
   Ultrascalar II) this walk is the grid routing
   :func:`repro.circuits.grid.route_arguments` computes.
 
-Each check is O(n + registers read) per cycle.
+The last three properties are checked in one walk of the occupied
+stations per cycle, which reads each station's state once.  When
+several fail in the same cycle, the ready bit is reported first, then
+the cursors, then the producer links.
 """
 
 from __future__ import annotations
 
-from repro.ultrascalar.ring import NONE_PENDING, RingProcessor
-from repro.ultrascalar.station import StationState
+from repro.ultrascalar.ring import DONE, EMPTY, NONE_PENDING, WAITING, RingProcessor
 
 
 class InvariantViolation(AssertionError):
@@ -65,11 +67,8 @@ class InvariantChecker:
 
     def __call__(self, engine) -> None:
         if isinstance(engine, RingProcessor):
-            stations = engine.occupied_stations()
             self._check_commit_fifo(engine)
-            self._check_done_monotonic(engine, stations)
-            self._check_ordering_cursors(engine, stations)
-            self._check_producer_links(engine, stations)
+            self._check_stations(engine)
 
     # ------------------------------------------------------------------
 
@@ -97,95 +96,107 @@ class InvariantChecker:
                 )
         self._commit_cursor[id(engine)] = len(log)
 
-    def _check_done_monotonic(self, engine, stations) -> None:
-        """A DONE (ready) station stays DONE until deallocated/squashed."""
-        self.checks += 1
-        seen = self._done_seen.get(id(engine), {})
-        by_position = {station.index: station for station in stations}
-        for position, seq in seen.items():
-            station = by_position.get(position)
-            if station is not None and station.seq == seq and not station.done:
-                self._fail(
-                    engine,
-                    f"ready bit de-asserted: station {position} (seq {seq}) "
-                    "was DONE and is no longer",
-                )
-        self._done_seen[id(engine)] = {s.index: s.seq for s in stations if s.done}
+    def _check_stations(self, engine: RingProcessor) -> None:
+        """Ready bits, ordering cursors and producer links, in one walk.
 
-    def _check_ordering_cursors(self, engine: RingProcessor, stations) -> None:
-        """Engine's Figure 5 cursors equal the naive walk."""
-        self.checks += 1
-        want = [NONE_PENDING, NONE_PENDING, NONE_PENDING]
-        for station in stations:
-            if station.done:
-                continue
-            decoded = station.decoded
-            if decoded.is_store and want[0] == NONE_PENDING:
-                want[0] = station.seq
-            if decoded.is_memory and want[1] == NONE_PENDING:
-                want[1] = station.seq
-            if decoded.is_control and want[2] == NONE_PENDING:
-                want[2] = station.seq
+        The walk visits the occupied stations once, oldest first, and
+        remembers the first failure of each property; the first link
+        failure ends the link checks.  When several properties fail,
+        the ready bit is reported first, then the cursors, then the
+        links.
+        """
+        self.checks += 3
+        seen = self._done_seen.get(id(engine), {})
+        done_now: dict[int, int] = {}
+        cursors = [NONE_PENDING, NONE_PENDING, NONE_PENDING]  # stores, mem, branches
+        writer = [None] * engine.L  # nearest preceding writer so far
+        ready_failure = link_failure = None
+        stations, n, oldest = engine.stations, engine.n, engine.oldest
+        for k in range(engine.count):
+            station = stations[(oldest + k) % n]
+            state = station.state
+            position, seq, decoded = station.index, station.seq, station.decoded
+
+            if state is DONE:
+                done_now[position] = seq
+            else:
+                # a ready bit seen last cycle stays set
+                if seen.get(position) == seq and ready_failure is None:
+                    ready_failure = (
+                        f"ready bit de-asserted: station {position} (seq {seq}) "
+                        "was DONE and is no longer"
+                    )
+                # the Figure 5 cursors: the oldest unfinished store,
+                # memory operation and control transfer
+                if decoded.is_store and cursors[0] == NONE_PENDING:
+                    cursors[0] = seq
+                if decoded.is_memory and cursors[1] == NONE_PENDING:
+                    cursors[1] = seq
+                if decoded.is_control and cursors[2] == NONE_PENDING:
+                    cursors[2] = seq
+
+            if link_failure is None:
+                link_failure = _check_links(engine, station, state, writer)
+                if decoded.dest is not None:
+                    writer[decoded.dest] = station
+        self._done_seen[id(engine)] = done_now
+
+        if ready_failure is not None:
+            self._fail(engine, ready_failure)
         got = engine.ordering_cursors()
-        for name, g, w in zip(("stores", "mem", "branches"), got, want):
+        for name, g, w in zip(("stores", "mem", "branches"), got, cursors):
             if g != w:
                 self._fail(
                     engine,
                     f"CSPP {name}-ordering cursor diverged from the "
                     f"specification walk: engine seq {g}, walk seq {w}",
                 )
+        if link_failure is not None:
+            self._fail(engine, link_failure)
 
-    def _check_producer_links(self, engine: RingProcessor, stations) -> None:
-        """Producer links equal the CSPP walk, and so do the values read."""
-        self.checks += 1
-        writer = [None] * engine.L  # nearest preceding writer so far
-        for station in stations:
-            waiting = station.state is StationState.WAITING
-            reads = station.decoded.sources
-            pending = 0
-            for port, (reg, link) in enumerate(zip(reads, station.producers)):
-                want = writer[reg]
-                if link is not None and not link.occupied:
-                    link = None  # deallocated: reads the register file
-                if link is not want:
-                    self._fail(
-                        engine,
-                        f"station {station.index} (seq {station.seq}) links "
-                        f"r{reg} to {_describe(link)}, CSPP routes it from "
-                        f"{_describe(want)}",
-                    )
-                if station.committed:
-                    continue  # younger commits may have overwritten the register file
-                if want is None:
-                    value = engine.committed_regs[reg]
-                elif want.done:
-                    value = want.result
-                elif waiting:
-                    pending += 1
-                    continue
-                else:
-                    self._fail(
-                        engine,
-                        f"station {station.index} (seq {station.seq}) issued "
-                        f"before {_describe(want)} produced r{reg}",
-                    )
-                got = engine._operand(link, reg) if waiting else station.operands[port]
-                if got != value:
-                    self._fail(
-                        engine,
-                        f"station {station.index} (seq {station.seq}) reads "
-                        f"r{reg} = {got} through its producer link, CSPP "
-                        f"routes {value}",
-                    )
-            if waiting and station.pending != pending:
-                self._fail(
-                    engine,
-                    f"station {station.index} (seq {station.seq}) waits on "
-                    f"{station.pending} operands, CSPP shows {pending} not ready",
-                )
-            reg = station.writes_register
-            if reg is not None:
-                writer[reg] = station
+
+def _check_links(engine: RingProcessor, station, state, writer) -> str | None:
+    """Check *station*'s producer links and operand values against the
+    CSPP walk's nearest preceding writers; the failure message, if any."""
+    waiting = state is WAITING
+    pending = 0
+    for port, (reg, link) in enumerate(zip(station.decoded.sources, station.producers)):
+        want = writer[reg]
+        if link is not None and link.state is EMPTY:
+            link = None  # deallocated: reads the register file
+        if link is not want:
+            return (
+                f"station {station.index} (seq {station.seq}) links "
+                f"r{reg} to {_describe(link)}, CSPP routes it from "
+                f"{_describe(want)}"
+            )
+        if station.committed:
+            continue  # younger commits may have overwritten the register file
+        if want is None:
+            value = engine.committed_regs[reg]
+        elif want.state is DONE:
+            value = want.result
+        elif waiting:
+            pending += 1
+            continue
+        else:
+            return (
+                f"station {station.index} (seq {station.seq}) issued "
+                f"before {_describe(want)} produced r{reg}"
+            )
+        got = engine._operand(link, reg) if waiting else station.operands[port]
+        if got != value:
+            return (
+                f"station {station.index} (seq {station.seq}) reads "
+                f"r{reg} = {got} through its producer link, CSPP "
+                f"routes {value}"
+            )
+    if waiting and station.pending != pending:
+        return (
+            f"station {station.index} (seq {station.seq}) waits on "
+            f"{station.pending} operands, CSPP shows {pending} not ready"
+        )
+    return None
 
 
 def _describe(station) -> str:

@@ -11,7 +11,7 @@ from repro.api import (
     build_processor,
     run,
 )
-from repro.isa import assemble
+from repro.isa import LatencyModel, assemble
 from repro.workloads import paper_sequence
 
 SOURCE = """
@@ -44,6 +44,16 @@ class TestBuildProcessor:
 
     def test_config_defaults(self):
         assert build_processor("us1").config == ProcessorConfig()
+
+    def test_default_latencies_are_the_papers(self):
+        config = ProcessorConfig()
+        assert config.latencies == LatencyModel()
+        assert config.latencies.by_code == LatencyModel().by_code
+        assert repr(config) == (
+            "ProcessorConfig(window_size=8, fetch_width=4, latencies=LatencyModel("
+            "alu=1, mul=3, div=10, load=1, store=1, branch=1, jump=1, system=1), "
+            "num_alus=None, store_forwarding=False, self_timed=False, max_cycles=1000000)"
+        )
 
 
 class TestRun:

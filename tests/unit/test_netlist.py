@@ -161,6 +161,16 @@ class TestTie:
         with pytest.raises(ValueError, match="not a primary input"):
             nl.tie(placeholder, out)
 
+    def test_tie_rejects_constants(self):
+        nl = Netlist()
+        one = nl.constant(True)
+        b = nl.add_input("b")
+        nl.add_gate(GateKind.AND, one, b)
+        with pytest.raises(ValueError, match="'const_1' is a constant"):
+            nl.tie(one, b)
+        # the constant is still an input, pinned, and still the cached one
+        assert one in nl.inputs and nl.constant(True) == one
+
 
 class TestTopology:
     def test_acyclic_depth(self):
@@ -186,6 +196,14 @@ class TestTopology:
         out = nl.add_gate(GateKind.BUF, a)
         with pytest.raises(ValueError, match="not a primary input"):
             nl.simulate({out: True})
+
+    def test_simulate_rejects_assigning_a_constant(self):
+        nl = Netlist()
+        a, one = nl.add_input("a"), nl.constant(True)
+        out = nl.add_gate(GateKind.AND, a, one)
+        with pytest.raises(ValueError, match="'const_1' is a constant"):
+            nl.simulate({a: True, one: False})
+        assert nl.simulate({a: True}).value_of(out) is True
 
 
 class TestBusHelpers:

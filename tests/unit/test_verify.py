@@ -11,7 +11,9 @@ import json
 
 import pytest
 
-from repro.ultrascalar.ring import RingProcessor
+from repro.isa.assembler import assemble
+from repro.ultrascalar.ring import NONE_PENDING, RingProcessor
+from repro.ultrascalar.station import StationState
 from repro.verify import (
     DESIGNS,
     InvariantChecker,
@@ -51,6 +53,23 @@ class TestOracle:
         assert set(w.memory_image) <= set(oracle.memory)
 
 
+def _count_interpreter_runs(monkeypatch):
+    """A list that gains one entry per golden-interpreter run."""
+    import repro.isa.interpreter as interpreter
+    import repro.verify.oracle as oracle
+
+    calls = []
+    original = interpreter.run_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interpreter, "run_program", counting)
+    monkeypatch.setattr(oracle, "run_program", counting)
+    return calls
+
+
 class TestRunDifferential:
     @pytest.mark.parametrize("window", [None, 4, 8])
     def test_known_workloads_agree(self, window):
@@ -80,22 +99,28 @@ class TestRunDifferential:
 
     def test_golden_interpreter_runs_once(self, monkeypatch):
         # the dataflow baseline schedules the oracle's own trace
-        import repro.isa.interpreter as interpreter
-        import repro.verify.oracle as oracle
-
-        calls = []
-        original = interpreter.run_program
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(interpreter, "run_program", counting)
-        monkeypatch.setattr(oracle, "run_program", counting)
+        calls = _count_interpreter_runs(monkeypatch)
         w = random_ilp(24, 0.5, seed=5)
         report = run_differential(w.program, initial_registers=w.registers_for())
         assert report.ok and set(report.cycles) == set(DESIGNS)
         assert len(calls) == 1
+
+    def test_predictor_pre_pass_runs_once(self, monkeypatch):
+        # one oracle run plus one perfect-predictor pre-pass shared by
+        # us1, us2 and the hybrid
+        calls = _count_interpreter_runs(monkeypatch)
+        program = assemble(
+            """
+            li r1, 3
+        loop:
+            addi r1, r1, -1
+            bne r1, r0, loop
+            halt
+            """
+        )
+        report = run_differential(program, window=2)
+        assert report.ok and set(report.cycles) == set(DESIGNS)
+        assert len(calls) == 2
 
     def test_stats_collected_for_triage(self):
         w = paper_sequence()
@@ -104,6 +129,99 @@ class TestRunDifferential:
         )
         assert set(report.stats) == {"us1", "us2", "hybrid"}
         assert all(report.stats[d] for d in report.stats)
+
+
+#: a long-latency head keeps the younger stations in the window: station 1
+#: waits on r1, station 2 finishes at cycle 0 and cannot commit before cycle 2
+LONG_HEAD = """
+    mul r1, r2, r3
+    add r4, r1, r5
+    addi r6, r0, 1
+    halt
+"""
+#: as LONG_HEAD, with an unfinished store at station 2
+STORE_BEHIND = """
+    mul r1, r2, r3
+    add r4, r1, r5
+    sw r1, 0(r0)
+    halt
+"""
+
+
+def _break_once(monkeypatch, method, corrupt):
+    """After each ``RingProcessor.<method>`` call, try *corrupt* on the
+    engine until it reports that it broke something.
+
+    Corrupting after ``_phase_commit``, the last phase of a cycle, puts
+    the broken state in front of that same cycle's invariant check.
+    """
+    healthy = getattr(RingProcessor, method)
+    broken = []
+
+    def wrapped(self, *args):
+        outcome = healthy(self, *args)
+        if not broken and corrupt(self):
+            broken.append(self.cycle)
+        return outcome
+
+    monkeypatch.setattr(RingProcessor, method, wrapped)
+
+
+def _both(first, second):
+    return lambda engine: first(engine) and second(engine)
+
+
+def _deassert_ready_bit(engine):
+    """Drop the ready bit of the oldest station DONE since an earlier cycle."""
+    for station in engine.occupied_stations():
+        if station.done and station.complete_cycle < engine.cycle:
+            station.state = StationState.EXECUTING
+            return True
+    return False
+
+
+def _forget_store(engine):
+    """Lose the oldest unfinished store from the stores cursor's queue."""
+    if engine.ordering_cursors()[0] == NONE_PENDING:
+        return False
+    engine._stores.popleft()
+    return True
+
+
+def _unlink_producer(engine):
+    """Point the oldest station with a live producer at the register file."""
+    for station in engine.occupied_stations():
+        if any(p is not None and p.occupied for p in station.producers):
+            station.producers = (None,) * len(station.producers)
+            return True
+    return False
+
+
+def _inflate_pending(engine):
+    """Count one operand too many on the oldest waiting station."""
+    for station in engine.occupied_stations():
+        if station.state is StationState.WAITING and station.pending:
+            station.pending += 1
+            return True
+    return False
+
+
+def _issue_early(engine):
+    """Make the station just allocated issue without its operands."""
+    station = engine.stations[(engine.oldest + engine.count - 1) % engine.n]
+    if not station.pending:
+        return False
+    station.pending = 0
+    engine._schedule(station)
+    return True
+
+
+def _invariant_detail(source):
+    """The checker's report on *source* run through the broken us1."""
+    report = run_differential(assemble(source), designs=("us1",))
+    [divergence] = report.divergences
+    assert divergence.field == "invariant", divergence
+    return divergence.detail
 
 
 class TestInvariantChecker:
@@ -141,6 +259,67 @@ class TestInvariantChecker:
         )
         assert not report.ok
         assert any(d.field in ("invariant", "commits") for d in report.divergences)
+
+    def test_ready_bit_deassertion_detected(self, monkeypatch):
+        _break_once(monkeypatch, "_phase_commit", _deassert_ready_bit)
+        detail = _invariant_detail(LONG_HEAD)
+        assert "ready bit de-asserted: station 2 (seq 2) was DONE and is no longer" in detail
+
+    def test_ordering_cursor_divergence_detected(self, monkeypatch):
+        _break_once(monkeypatch, "_phase_commit", _forget_store)
+        detail = _invariant_detail(STORE_BEHIND)
+        assert "CSPP stores-ordering cursor diverged from the specification walk" in detail
+        assert f"engine seq {NONE_PENDING}, walk seq 2" in detail
+
+    def test_producer_link_divergence_detected(self, monkeypatch):
+        _break_once(monkeypatch, "_phase_commit", _unlink_producer)
+        detail = _invariant_detail(LONG_HEAD)
+        assert (
+            "station 1 (seq 1) links r1 to the register file, "
+            "CSPP routes it from station 0 (seq 0)"
+        ) in detail
+
+    def test_issue_before_producer_detected(self, monkeypatch):
+        _break_once(monkeypatch, "_allocate", _issue_early)
+        detail = _invariant_detail("mul r1, r2, r3\nmul r4, r1, r5\nhalt")
+        assert "station 1 (seq 1) issued before station 0 (seq 0) produced r1" in detail
+
+    def test_stale_operand_read_detected(self, monkeypatch):
+        _forwarding_bug(monkeypatch)
+        # the mul keeps the finished addi in the window, so its result
+        # has not reached the register file
+        detail = _invariant_detail("mul r6, r2, r3\naddi r1, r0, 5\nadd r4, r1, r1\nhalt")
+        assert (
+            "station 2 (seq 2) reads r1 = 0 through its producer link, CSPP routes 5"
+        ) in detail
+
+    def test_pending_count_divergence_detected(self, monkeypatch):
+        _break_once(monkeypatch, "_phase_commit", _inflate_pending)
+        detail = _invariant_detail(LONG_HEAD)
+        assert "station 1 (seq 1) waits on 2 operands, CSPP shows 1 not ready" in detail
+
+    @pytest.mark.parametrize(
+        "corrupt, source, message",
+        [
+            # the link breaks at station 1, the ready bit at station 2
+            (
+                _both(_deassert_ready_bit, _unlink_producer),
+                LONG_HEAD,
+                "ready bit de-asserted: station 2 (seq 2)",
+            ),
+            (
+                _both(_forget_store, _unlink_producer),
+                STORE_BEHIND,
+                "CSPP stores-ordering cursor diverged",
+            ),
+        ],
+        ids=["ready-bit-before-link", "cursor-before-link"],
+    )
+    def test_first_failing_property_reported(self, monkeypatch, corrupt, source, message):
+        _break_once(monkeypatch, "_phase_commit", corrupt)
+        detail = _invariant_detail(source)
+        assert message in detail
+        assert "links r1" not in detail
 
 
 def _forwarding_bug(monkeypatch):
