@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LogLogFit:
@@ -27,10 +25,28 @@ class LogLogFit:
         return self.scale * x**self.exponent
 
 
+def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line ``y = slope x + intercept``: (slope, intercept, R²).
+
+    R² is 1 when the ys are all equal (there is nothing to explain).
+    """
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError("need at least two distinct x values")
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
+    total = sum((y - mean_y) ** 2 for y in ys)
+    residual = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    return slope, intercept, 1.0 if total == 0 else 1.0 - residual / total
+
+
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LogLogFit:
     """Least-squares fit in log-log space.
 
-    Raises ``ValueError`` on fewer than two points or non-positive data.
+    Raises ``ValueError`` on fewer than two points, non-positive data
+    or all-equal xs.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
@@ -38,15 +54,8 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LogLogFit:
         raise ValueError("need at least two points")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("log-log fit needs positive data")
-    log_x = np.log(np.asarray(xs, dtype=float))
-    log_y = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(log_x, log_y, 1)
-    predicted = slope * log_x + intercept
-    total = np.sum((log_y - log_y.mean()) ** 2)
-    residual = np.sum((log_y - predicted) ** 2)
-    r_squared = 1.0 if total == 0 else 1.0 - residual / total
-    return LogLogFit(exponent=float(slope), scale=float(math.exp(intercept)),
-                     r_squared=float(r_squared))
+    slope, intercept, r_squared = _line([math.log(x) for x in xs], [math.log(y) for y in ys])
+    return LogLogFit(exponent=slope, scale=math.exp(intercept), r_squared=r_squared)
 
 
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -62,12 +71,5 @@ def is_logarithmic(xs: Sequence[float], ys: Sequence[float], tolerance: float = 
     """
     if fit_exponent(xs, ys) > 0.35:
         return False
-    log_x = np.log(np.asarray(xs, dtype=float))
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(log_x, y, 1)
-    predicted = slope * log_x + intercept
-    total = np.sum((y - y.mean()) ** 2)
-    if total == 0:
-        return True
-    r_squared = 1.0 - np.sum((y - predicted) ** 2) / total
-    return bool(r_squared > 1.0 - tolerance)
+    _, _, r_squared = _line([math.log(x) for x in xs], ys)
+    return r_squared > 1.0 - tolerance

@@ -163,21 +163,13 @@ class InterleavedCache:
         self._cycle += 1
         completed: list[MemoryRequest] = []
 
-        # 1. Network admission: oldest-first through the fat-tree (or any
-        # admit-compatible network, e.g. the butterfly front end, which
-        # additionally wants the destination banks).
+        # 1. Network admission: oldest-first through the fat-tree.
         if self._pending_network:
             if self.fat_tree is None:
                 admitted = list(range(len(self._pending_network)))
                 denied: list[int] = []
             else:
-                leaves = [r.leaf for r in self._pending_network]
-                try:
-                    routing = self.fat_tree.admit(
-                        leaves, [self.bank_of(r.address) for r in self._pending_network]
-                    )
-                except TypeError:
-                    routing = self.fat_tree.admit(leaves)
+                routing = self.fat_tree.admit([r.leaf for r in self._pending_network])
                 admitted = list(routing.granted)
                 denied = list(routing.denied)
             for index in admitted:

@@ -1,37 +1,24 @@
 """Interconnection-network substrates.
 
-The Ultrascalar processors use three network families:
+The Ultrascalar processors use two network families:
 
-* :mod:`repro.network.htree` -- H-tree geometry: the recursive 4-way
-  layout that places execution stations on a square and routes the CSPP
-  and fat-tree links (the paper's Figure 6 floorplan).
+* :mod:`repro.network.htree` -- H-tree geometry: the station-to-successor
+  distance census over the recursive 4-way layout that places execution
+  stations on a square (the paper's Figure 6 floorplan).
 * :mod:`repro.network.fattree` -- fat-trees "with bandwidth increasing
   along each link on the way to the root" (Leiserson), used to connect
   stations to the interleaved data cache with capacity ``M(n)`` at the
   root; includes a cycle-level contention model.
-* :mod:`repro.network.butterfly` -- the butterfly alternative the paper
-  mentions for the memory interface.
-* :mod:`repro.network.meshoftrees` -- mesh-of-trees structural counts
-  used by the Ultrascalar II layout analysis.
+
+The paper also names butterfly networks as an alternative memory
+interconnect; it does not model one, and neither does this package.
 """
 
-from repro.network.butterfly import ButterflyNetwork
 from repro.network.fattree import FatTree, FatTreeRouting
-from repro.network.htree import (
-    htree_leaf_positions,
-    htree_side_length,
-    successor_tree_distances,
-    wire_length_root_to_leaf,
-)
-from repro.network.meshoftrees import mesh_of_trees_stats
+from repro.network.htree import successor_tree_distances
 
 __all__ = [
-    "ButterflyNetwork",
     "FatTree",
     "FatTreeRouting",
-    "htree_leaf_positions",
-    "htree_side_length",
     "successor_tree_distances",
-    "wire_length_root_to_leaf",
-    "mesh_of_trees_stats",
 ]

@@ -1,25 +1,24 @@
-"""H-tree geometry.
+"""H-tree geometry: the station-to-successor distance census.
 
 The Ultrascalar I floorplan (the paper's Figure 6) arranges ``n``
 execution stations in a two-dimensional matrix connected "exclusively
 via networks layed out with H-tree layouts": a 4-way recursive
 decomposition in which each quadrant holds a contiguous quarter of the
-stations.  This module provides the pure geometry — leaf placement,
-side lengths, root-to-leaf wire lengths, and the station-to-successor
-distance census behind the paper's self-timed back-of-the-envelope
-argument ("Half of the communications paths from one station to its
-successor are completely local").
+stations.  This module censuses, over that layout, the distance from
+each station to its ring successor, the basis of the paper's self-timed
+back-of-the-envelope argument ("Half of the communications paths from
+one station to its successor are completely local").
 
-The parametric area model that assigns physical sizes to tree nodes
-lives in :mod:`repro.vlsi.htree_layout`; here distances are in *leaf
-units* (unit spacing between adjacent stations).
+Tree distances come from :func:`repro.util.bitops.tree_level_distance`,
+the one H-tree distance the ring's self-timed knob and the hop
+telemetry also use.  The parametric area model that assigns physical
+sizes to tree nodes lives in :mod:`repro.vlsi.htree_layout`; here wire
+lengths are in *leaf units* (unit spacing between adjacent stations).
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
+from repro.util.bitops import tree_level_distance
 
 
 def _require_power_of_4(n: int) -> None:
@@ -27,98 +26,26 @@ def _require_power_of_4(n: int) -> None:
         raise ValueError(f"H-tree needs a power of 4 number of leaves, got {n}")
 
 
-def is_power_of_4(n: int) -> bool:
-    """True if *n* is a power of four (1, 4, 16, 64, ...)."""
-    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
-
-
-def htree_side_length(n: int) -> int:
-    """Side of the square that *n* leaves occupy, in leaf units (= sqrt n)."""
-    _require_power_of_4(n)
-    return int(math.isqrt(n))
-
-
-def htree_leaf_positions(n: int) -> np.ndarray:
-    """Positions of the *n* leaves, shape ``(n, 2)``.
-
-    Leaf ``i`` is station ``i``; stations are assigned to quadrants in
-    contiguous blocks of ``n/4`` (quadrant order: SW, SE, NW, NE), which
-    is the order the CSPP tree over the H-tree uses, so ring-order
-    neighbours are usually physical neighbours.
-    """
-    _require_power_of_4(n)
-    if n == 1:
-        return np.zeros((1, 2), dtype=np.int64)
-    quarter = htree_leaf_positions(n // 4)
-    side = htree_side_length(n // 4)
-    offsets = np.array([[0, 0], [side, 0], [0, side], [side, side]], dtype=np.int64)
-    return np.concatenate([quarter + off for off in offsets], axis=0)
-
-
-def wire_length_root_to_leaf(n: int) -> float:
-    """Root-to-leaf routed wire length W(n), in leaf units.
-
-    The H-tree routes from the centre of the full square to the centre
-    of a quadrant, recursively; the length from the root to *any* leaf is
-    the same (the paper notes "the total length of the wires from the
-    root to an execution station is independent of which execution
-    station we consider").  W(n) = sum over levels of half the level's
-    side length; W(n) = Θ(sqrt n).
-    """
-    _require_power_of_4(n)
-    length = 0.0
-    side = htree_side_length(n)
-    while side > 1:
-        length += side / 2.0
-        side //= 2
-    return length
-
-
-def lca_level(i: int, j: int, n: int) -> int:
-    """Levels above the leaves of the lowest common H-tree ancestor of leaves i, j.
-
-    Level 0 = the leaf itself (i == j); level k means the smallest common
-    subtree has ``4**k`` leaves.
-    """
-    _require_power_of_4(n)
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("leaf index out of range")
-    level = 0
-    size = 1
-    while i != j:
-        i //= 4
-        j //= 4
-        size *= 4
-        level += 1
-    return level
-
-
 def successor_tree_distances(n: int) -> list[int]:
-    """LCA level between each station and its ring successor (cyclic).
+    """H-tree levels between each station and its ring successor (cyclic).
 
-    ``result[i]`` = :func:`lca_level` of stations ``i`` and ``(i+1) % n``.
-    The paper's self-timed argument observes that for a contiguous
-    H-tree assignment most successor paths stay inside small subtrees:
-    3/4 of the hops stay within a quadrant of every level — so "half of
-    the communications paths ... are completely local" is conservative.
+    ``result[i]`` is the height of the lowest common ancestor of
+    stations ``i`` and ``(i+1) % n``.  The paper's self-timed argument
+    observes that for a contiguous H-tree assignment most successor
+    paths stay inside small subtrees: 3/4 of the hops stay within a
+    quadrant of every level — so "half of the communications paths ...
+    are completely local" is conservative.
     """
     _require_power_of_4(n)
-    return [lca_level(i, (i + 1) % n, n) for i in range(n)]
+    return [tree_level_distance(i, (i + 1) % n) for i in range(n)]
 
 
 def successor_wire_lengths(n: int) -> list[float]:
     """Routed wire length station → successor through the H-tree, leaf units.
 
-    A signal from leaf i to leaf j climbs to their LCA and back down:
-    ``2 * (W(n) - W(subtree below LCA is excluded))`` — concretely twice
-    the sum of per-level hops up to the LCA level.
+    A signal climbs to the lowest common ancestor and back down.  The
+    hop at level ``k`` spans half the side of a ``4**k``-leaf subtree,
+    ``2**(k-1)`` leaf units, so a successor ``l`` levels away is
+    ``2 * (2**0 + ... + 2**(l-1)) = 2 * (2**l - 1)`` leaf units off.
     """
-    _require_power_of_4(n)
-    lengths = []
-    for i in range(n):
-        level = lca_level(i, (i + 1) % n, n)
-        # climb `level` levels: hop at level k spans half the side of the
-        # 4**k-leaf subtree
-        up = sum(math.isqrt(4**k) / 2.0 for k in range(1, level + 1))
-        lengths.append(2.0 * up)
-    return lengths
+    return [2.0 * (2**level - 1) for level in successor_tree_distances(n)]

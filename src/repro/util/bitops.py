@@ -32,19 +32,19 @@ def sign_extend(value: int, from_bits: int, to_bits: int = WORD_BITS) -> int:
     return to_unsigned(to_signed(value, from_bits), to_bits)
 
 
-def tree_level_distance(a: int, b: int, radix: int = 4) -> int:
+def tree_level_distance(a: int, b: int) -> int:
     """H-tree levels a signal climbs travelling between leaves *a* and *b*.
 
     Zero when the leaves coincide; otherwise the height of their lowest
-    common ancestor in the radix-``radix`` tree the layouts use.  This
-    is both the self-timed forwarding latency metric and the telemetry
-    hop-distance metric.
+    common ancestor in the 4-way H-tree the layouts use.  This is the
+    self-timed forwarding latency metric, the telemetry hop-distance
+    metric and the self-timed locality census (experiment E8).
     """
     if a < 0 or b < 0:
         raise ValueError("leaf indices must be non-negative")
     level = 0
     while a != b:
-        a //= radix
-        b //= radix
+        a //= 4
+        b //= 4
         level += 1
     return level

@@ -22,6 +22,9 @@ exponents are preserved (see DESIGN.md, substitution table).
   by the Ultrascalar I H-tree (Figure 10), the same ``HTreeLayout``
   recurrence with one cluster per leaf: side U(n), optimal cluster
   size C = Θ(L).
+* :mod:`repro.vlsi.three_d_layout` -- the Section 7 octree: the same
+  ``HTreeLayout`` recurrence with 8 children per node and face-crossing
+  switch blocks, and the 3-D hybrid's closed form.
 * :mod:`repro.vlsi.wires` -- repeatered wire delay, linear in length.
 """
 

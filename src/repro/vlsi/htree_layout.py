@@ -14,9 +14,10 @@ asymptotic claims can be *measured* by exponent fitting (experiment E6)
 and the empirical density comparison regenerated (experiment E3).
 
 :class:`HTreeLayout` holds the recurrence once, over leaves of any
-size: the Ultrascalar I's leaves are single stations, and the hybrid
-(:mod:`repro.vlsi.hybrid_layout`) reuses it with one Ultrascalar II
-cluster per leaf.
+size and any number of children per node: the Ultrascalar I's leaves
+are single stations, the hybrid (:mod:`repro.vlsi.hybrid_layout`)
+reuses it with one Ultrascalar II cluster per leaf, and the 3-D octree
+(:mod:`repro.vlsi.three_d_layout`) with 8 children per node.
 """
 
 from __future__ import annotations
@@ -36,26 +37,32 @@ def zero_bandwidth(_: int) -> float:
 
 
 class HTreeLayout:
-    """The H-tree recurrence shared by the Ultrascalar I and hybrid floorplans.
+    """The tree recurrence shared by the Ultrascalar I, hybrid and octree floorplans.
 
     Leaves of ``leaf_stations`` stations, each a square of side
-    ``leaf_side`` tracks, hang off a 4-way H-tree.  A subtree of ``k``
-    leaves is two of its quadrants wide plus its central switch block::
+    ``leaf_side`` tracks, hang off a ``radix``-way tree: 4 for the planar
+    H-tree, 8 for the octree of
+    :class:`repro.vlsi.three_d_layout.ThreeDUltrascalar1Layout`.  Every
+    level halves the side, so a subtree of ``k`` leaves is two of its
+    children wide plus its central switch block::
 
-        X(k) = B(k * leaf_stations) + 2 X(k/4)    for k > 1
+        X(k) = B(k * leaf_stations) + 2 X(k/radix)    for k > 1
         X(1) = leaf_side
 
     where ``B(m)`` is the block side at a subtree of ``m`` stations.  The
-    leaf count is rounded up to a power of 4.  Subclasses are dataclasses
-    providing ``n``, ``num_registers``, ``word_bits``, ``bandwidth`` and
-    ``tech`` fields, the ``leaf_stations`` and ``leaf_side`` attributes,
-    and a ``_side_memo`` dict.
+    leaf count is rounded up to a power of ``radix``.  Subclasses are
+    dataclasses providing ``n``, ``num_registers``, ``word_bits``,
+    ``bandwidth`` and ``tech`` fields, the ``leaf_stations`` and
+    ``leaf_side`` attributes, and a ``_side_memo`` dict.
     """
+
+    #: children per tree node; a structural constant of each floorplan
+    radix = 4
 
     def _rounded_leaves(self) -> int:
         leaves = 1
         while leaves < self.n // self.leaf_stations:
-            leaves *= 4
+            leaves *= self.radix
         return leaves
 
     @property
@@ -81,15 +88,15 @@ class HTreeLayout:
         if leaves not in self._side_memo:
             self._side_memo[leaves] = (
                 self.switch_block_side(leaves * self.leaf_stations)
-                + 2 * self.side_length(leaves // 4)
+                + 2 * self.side_length(leaves // self.radix)
             )
         return self._side_memo[leaves]
 
     def root_to_leaf_wire(self, leaves: int | None = None) -> float:
         """W(leaves) in tracks, from the root down to a leaf.
 
-        The route descends one H-tree level at a time: from the centre of
-        a k-leaf square to the centre of its k/4-leaf quadrant is a
+        The route descends one tree level at a time: from the centre of
+        a k-leaf square to the centre of its k/radix-leaf child is a
         Manhattan distance of X(k)/2, plus the traversal of the level's
         switch block.  Summing over levels gives the paper's solution
         W(n) = Theta(X(n)) exactly (every leaf is equidistant from the
@@ -99,7 +106,7 @@ class HTreeLayout:
         k = self._rounded_leaves() if leaves is None else leaves
         while k > 1:
             total += self.side_length(k) / 2.0 + self.switch_block_side(k * self.leaf_stations)
-            k //= 4
+            k //= self.radix
         return total
 
     @property

@@ -12,9 +12,12 @@ block's side contribution is Θ(√(L w)) instead of Θ(L w):
     X3(n) = Θ(√L') + 2 X3(n/8),   L' = L (w+1) wires
 
 with solution X3(n) = Θ(n^(1/3) √L') — volume Θ(n L'^(3/2)) and wire
-delay Θ(n^(1/3) √L'), the paper's bounds.  The 3-D hybrid packs
-Ultrascalar II clusters into the octree; sweeping the cluster size
-reproduces the paper's optimal C = Θ(L^(3/4)).
+delay Θ(n^(1/3) √L'), the paper's bounds.  The octree is the planar
+:class:`~repro.vlsi.htree_layout.HTreeLayout` recurrence with radix 8
+and a face-crossing switch block, not a second copy of it.  The 3-D
+hybrid packs Ultrascalar II clusters into the octree, evaluated in
+closed form; sweeping the cluster size reproduces the paper's optimal
+C = Θ(L^(3/4)).
 """
 
 from __future__ import annotations
@@ -24,20 +27,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.vlsi.grid_layout import Ultrascalar2Layout
-from repro.vlsi.htree_layout import zero_bandwidth
+from repro.vlsi.htree_layout import HTreeLayout, zero_bandwidth
 from repro.vlsi.tech import Technology, PAPER_TECH
 
 
-def _round_up_power(n: int, base: int) -> int:
-    m = 1
-    while m < n:
-        m *= base
-    return m
-
-
 @dataclass(eq=False)
-class ThreeDUltrascalar1Layout:
-    """3-D octree layout of the Ultrascalar I."""
+class ThreeDUltrascalar1Layout(HTreeLayout):
+    """3-D octree layout of the Ultrascalar I.
+
+    The :class:`~repro.vlsi.htree_layout.HTreeLayout` recurrence with
+    8 children per node, one station per leaf, and switch blocks whose
+    wires cross a face.
+    """
 
     n: int
     num_registers: int = 32
@@ -45,58 +46,42 @@ class ThreeDUltrascalar1Layout:
     bandwidth: Callable[[int], float] = zero_bandwidth
     tech: Technology = PAPER_TECH
 
+    radix = 8
+    leaf_stations = 1
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        self._memo: dict[int, float] = {}
+        self._side_memo: dict[int, float] = {}
 
     @property
-    def register_wires(self) -> int:
-        """Datapath wires per link: L x (w + 1)."""
-        return self.num_registers * (self.word_bits + 1)
-
-    def _station_side(self) -> float:
-        # station content packs in 3-D; wires land on a face
+    def leaf_side(self) -> float:
+        """One station's side: its content packs in 3-D, its wires land on a face."""
         wire_face = math.sqrt(self.register_wires) * self.tech.prefix_node_pitch
         content = (self.register_wires * 20.0) ** (1.0 / 3.0)
         return max(wire_face, content)
 
-    def switch_block_side(self, subtree: int) -> float:
+    def switch_block_side(self, stations: int) -> float:
         """Side of the central block: register wires + memory wires
         crossing a face, Θ(√wires) each."""
         register_part = math.sqrt(self.register_wires) * self.tech.prefix_node_pitch
-        memory_wires = self.bandwidth(subtree) * self.word_bits
+        memory_wires = self.bandwidth(stations) * self.word_bits
         memory_part = math.sqrt(memory_wires) * self.tech.memory_wire_pitch
         return register_part + memory_part
 
-    def side_length(self, n: int | None = None) -> float:
-        """X3(n): the 8-way recurrence, solved numerically."""
-        n = _round_up_power(self.n, 8) if n is None else n
-        if n <= 1:
-            return self._station_side()
-        if n not in self._memo:
-            self._memo[n] = self.switch_block_side(n) + 2 * self.side_length(n // 8)
-        return self._memo[n]
-
     @property
     def volume(self) -> float:
-        """Chip volume in tracks cubed: X3(n)^3."""
+        """Chip volume in tracks cubed: the side length cubed."""
         return self.side_length() ** 3
-
-    @property
-    def critical_wire(self) -> float:
-        """Root-to-leaf and back: Θ(X3(n)) as in two dimensions."""
-        total = 0.0
-        m = _round_up_power(self.n, 8)
-        while m > 1:
-            total += self.side_length(m) / 2.0 + self.switch_block_side(m)
-            m //= 8
-        return 2.0 * total
 
 
 @dataclass(eq=False)
 class ThreeDHybridLayout:
-    """3-D hybrid: Ultrascalar II clusters on the octree."""
+    """3-D hybrid: Ultrascalar II clusters on the octree.
+
+    Shares the wire count and the face-crossing switch block with
+    :class:`ThreeDUltrascalar1Layout`.
+    """
 
     n: int
     cluster_size: int
@@ -110,7 +95,6 @@ class ThreeDHybridLayout:
             raise ValueError("n and cluster_size must be positive")
         if self.n % self.cluster_size:
             raise ValueError("cluster_size must divide n")
-        self._memo: dict[int, float] = {}
         # an Ultrascalar II cluster is planar logic; in 3-D it folds into
         # a cube of equal volume
         planar = Ultrascalar2Layout(
@@ -118,17 +102,9 @@ class ThreeDHybridLayout:
         )
         self.cluster_side = planar.side_length() ** (2.0 / 3.0)
 
-    @property
-    def register_wires(self) -> int:
-        """Inter-cluster wires: L x (w + 1)."""
-        return self.num_registers * (self.word_bits + 1)
-
-    def switch_block_side(self, stations: int) -> float:
-        """Central block side: wires cross a face, Θ(√wires)."""
-        register_part = math.sqrt(self.register_wires) * self.tech.prefix_node_pitch
-        memory_wires = self.bandwidth(stations) * self.word_bits
-        memory_part = math.sqrt(memory_wires) * self.tech.memory_wire_pitch
-        return register_part + memory_part
+    register_wires = HTreeLayout.register_wires
+    switch_block_side = ThreeDUltrascalar1Layout.switch_block_side
+    volume = ThreeDUltrascalar1Layout.volume
 
     def side_length(self, clusters: int | None = None) -> float:
         """U3 over the octree of clusters.
@@ -146,11 +122,6 @@ class ThreeDHybridLayout:
         scale = 2.0**levels  # = m^(1/3)
         block = self.switch_block_side(self.n)
         return block * (scale - 1.0) + scale * self.cluster_side
-
-    @property
-    def volume(self) -> float:
-        """Chip volume in tracks cubed."""
-        return self.side_length() ** 3
 
 
 def optimal_cluster_size_3d(

@@ -158,6 +158,17 @@ class TestFitting:
             fit_loglog([1, 2], [1])
         with pytest.raises(ValueError):
             fit_loglog([0, 1], [1, 2])
+        with pytest.raises(ValueError):
+            fit_loglog([2, 2], [1, 2])
+
+    def test_matches_numpy_polyfit(self):
+        np = pytest.importorskip("numpy")
+        xs = [16, 64, 256, 1024, 4096]
+        for ys in ([3 * x**0.5 + 7 for x in xs], [x * math.log2(x) for x in xs]):
+            slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+            fit = fit_loglog(xs, ys)
+            assert fit.exponent == pytest.approx(slope, rel=1e-12)
+            assert fit.scale == pytest.approx(math.exp(intercept), rel=1e-12)
 
 
 class TestCrossover:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.util.bitops import WORD_MASK, sign_extend, to_signed, to_unsigned
+from repro.util.bitops import (
+    WORD_MASK,
+    sign_extend,
+    to_signed,
+    to_unsigned,
+    tree_level_distance,
+)
 
 
 class TestToUnsigned:
@@ -57,3 +63,17 @@ class TestInverses:
     @pytest.mark.parametrize("value", [0, 1, -1, 2**31 - 1, -(2**31), 123456789, -987654321])
     def test_signed_unsigned_roundtrip(self, value):
         assert to_signed(to_unsigned(value)) == value
+
+
+class TestTreeLevelDistance:
+    def test_lca_level(self):
+        assert tree_level_distance(0, 0) == 0
+        assert tree_level_distance(0, 1) == 1
+        assert tree_level_distance(0, 3) == 1
+        assert tree_level_distance(0, 4) == 2
+        assert tree_level_distance(3, 12) == 2
+        assert tree_level_distance(12, 3) == 2
+
+    def test_negative_leaf_rejected(self):
+        with pytest.raises(ValueError):
+            tree_level_distance(-1, 0)

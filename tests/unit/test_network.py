@@ -1,74 +1,30 @@
-"""Unit tests for the network substrates (H-tree, fat-tree, butterfly)."""
+"""Unit tests for the network substrates (H-tree, fat-tree)."""
 
 import math
 
 import pytest
 
-from repro.network.butterfly import ButterflyNetwork
 from repro.network.fattree import (
     FatTree,
     bandwidth_constant,
     bandwidth_linear,
     bandwidth_power,
 )
-from repro.network.htree import (
-    htree_leaf_positions,
-    htree_side_length,
-    is_power_of_4,
-    lca_level,
-    successor_tree_distances,
-    successor_wire_lengths,
-    wire_length_root_to_leaf,
-)
-from repro.network.meshoftrees import mesh_of_trees_stats, ultrascalar2_mesh_stats
+from repro.network.htree import successor_tree_distances, successor_wire_lengths
 
 
 class TestHTreeGeometry:
     def test_power_of_4_check(self):
-        assert is_power_of_4(1) and is_power_of_4(4) and is_power_of_4(64)
-        assert not is_power_of_4(2) and not is_power_of_4(8) and not is_power_of_4(0)
+        for n in (1, 4, 64):
+            assert len(successor_tree_distances(n)) == n
+        for n in (2, 8, 0):
+            with pytest.raises(ValueError):
+                successor_tree_distances(n)
 
     @pytest.mark.parametrize("n", [2, 8, 32, 0])
     def test_rejects_non_power_of_4(self, n):
         with pytest.raises(ValueError):
-            htree_leaf_positions(n)
-
-    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])
-    def test_side_length(self, n):
-        assert htree_side_length(n) == math.isqrt(n)
-
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_leaves_fill_the_square_exactly(self, n):
-        positions = htree_leaf_positions(n)
-        side = htree_side_length(n)
-        assert positions.shape == (n, 2)
-        coords = {(int(x), int(y)) for x, y in positions}
-        assert coords == {(x, y) for x in range(side) for y in range(side)}
-
-    def test_quadrants_hold_contiguous_blocks(self):
-        positions = htree_leaf_positions(16)
-        # stations 0..3 in one 2x2 quadrant, 4..7 in the next, etc.
-        for q in range(4):
-            block = positions[4 * q : 4 * (q + 1)]
-            assert block[:, 0].max() - block[:, 0].min() == 1
-            assert block[:, 1].max() - block[:, 1].min() == 1
-
-    def test_root_to_leaf_wire_length_is_sqrt_n(self):
-        # W(n) = sum side/2 over levels ~ sqrt(n)
-        for n in (16, 64, 256):
-            w = wire_length_root_to_leaf(n)
-            assert w == pytest.approx(math.isqrt(n) - 1, rel=0.01)
-
-    def test_lca_level(self):
-        assert lca_level(0, 0, 16) == 0
-        assert lca_level(0, 1, 16) == 1
-        assert lca_level(0, 3, 16) == 1
-        assert lca_level(0, 4, 16) == 2
-        assert lca_level(3, 12, 16) == 2
-
-    def test_lca_range_checked(self):
-        with pytest.raises(ValueError):
-            lca_level(0, 16, 16)
+            successor_wire_lengths(n)
 
 
 class TestSuccessorCensus:
@@ -145,62 +101,3 @@ class TestFatTree:
             FatTree(0, bandwidth_constant())
         with pytest.raises(ValueError):
             FatTree(4, bandwidth_constant(), radix=1)
-
-
-class TestButterfly:
-    def test_path_reaches_destination(self):
-        net = ButterflyNetwork(8)
-        for src in range(8):
-            for dst in range(8):
-                hops = net.path(src, dst)
-                assert len(hops) == 3
-                assert hops[-1][1] == dst  # final row equals destination
-
-    def test_conflicting_routes_denied(self):
-        net = ButterflyNetwork(8)
-        # two different sources to the same destination always collide at
-        # the last stage
-        routing = net.route_batch([(0, 5), (1, 5)])
-        assert routing.granted == (0,)
-        assert routing.denied == (1,)
-
-    def test_disjoint_routes_all_granted(self):
-        net = ButterflyNetwork(8)
-        routing = net.route_batch([(i, i) for i in range(8)])
-        assert len(routing.granted) == 8
-
-    def test_switch_count(self):
-        assert ButterflyNetwork(8).switch_count == 4 * 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ButterflyNetwork(3)
-        with pytest.raises(ValueError):
-            ButterflyNetwork(1)
-        net = ButterflyNetwork(4)
-        with pytest.raises(ValueError):
-            net.path(0, 4)
-
-
-class TestMeshOfTrees:
-    def test_counts(self):
-        stats = mesh_of_trees_stats(4, 8)
-        assert stats.crosspoints == 32
-        assert stats.row_tree_nodes == 4 * 7
-        assert stats.col_tree_nodes == 8 * 3
-        assert stats.total_nodes == 32 + 28 + 24
-
-    def test_depth_is_log_rows_plus_log_cols(self):
-        stats = mesh_of_trees_stats(16, 64)
-        assert stats.depth == 4 + 6
-
-    def test_ultrascalar2_dimensions(self):
-        stats = ultrascalar2_mesh_stats(n=8, num_registers=4)
-        assert stats.rows == 12      # n + L
-        assert stats.cols == 20      # 2n + L
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mesh_of_trees_stats(0, 4)
-        with pytest.raises(ValueError):
-            ultrascalar2_mesh_stats(0, 4)

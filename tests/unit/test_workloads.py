@@ -7,11 +7,16 @@ from repro.workloads import (
     daxpy_loop,
     dependency_chain,
     independent_ops,
+    jump_chain,
     memory_stream,
     paper_sequence,
+    parallel_loads,
     pointer_chase,
     random_ilp,
     reduction_loop,
+    repeated_reduction,
+    spaced_chain,
+    store_load_pairs,
 )
 
 
@@ -104,3 +109,72 @@ class TestGenerators:
         regs = w.registers_for(64)
         assert len(regs) == 64
         assert regs[:32] == w.initial_registers
+
+
+class TestRemainingWorkloads:
+    def test_spaced_chain_runs(self):
+        for distance in (1, 4, 8):
+            workload = spaced_chain(24, distance)
+            result = run_program(
+                workload.program, state=MachineState(workload.registers_for())
+            )
+            assert result.halted
+            # the chain register accumulates one per link
+            assert result.state.registers[1] == sum(
+                1 for i in range(24) if i % distance == 0
+            )
+
+    def test_spaced_chain_validation(self):
+        with pytest.raises(ValueError):
+            spaced_chain(0, 1)
+        with pytest.raises(ValueError):
+            spaced_chain(10, 0)
+        with pytest.raises(ValueError):
+            spaced_chain(10, 40)  # register file too small
+
+    def test_store_load_pairs_roundtrip(self):
+        workload = store_load_pairs(4)
+        result = run_program(
+            workload.program, state=MachineState(workload.registers_for())
+        )
+        # every load sees the stored constant 9
+        for i in range(4):
+            assert result.state.memory[4096 + 4 * i] == 9
+
+    def test_jump_chain_shape(self):
+        workload = jump_chain(blocks=5, block_size=2)
+        assert len(workload.program) == 5 * 3 + 1
+        result = run_program(
+            workload.program, state=MachineState(workload.registers_for())
+        )
+        assert result.halted
+        assert result.dynamic_length == len(workload.program)
+
+    def test_parallel_loads_image(self):
+        workload = parallel_loads(6)
+        result = run_program(
+            workload.program, state=MachineState(workload.registers_for(), dict(workload.memory_image))
+        )
+        assert result.halted
+        loaded = [r for r in result.state.registers if r]
+        assert loaded  # values arrived
+
+    def test_repeated_reduction_total(self):
+        workload = repeated_reduction(5, 3)
+        result = run_program(
+            workload.program, state=MachineState(workload.registers_for(), dict(workload.memory_image))
+        )
+        assert result.state.registers[3] == 3 * sum(range(1, 6))
+
+    @pytest.mark.parametrize(
+        "factory,args",
+        [
+            (store_load_pairs, (0,)),
+            (jump_chain, (0,)),
+            (parallel_loads, (0,)),
+            (repeated_reduction, (0, 1)),
+        ],
+    )
+    def test_validation(self, factory, args):
+        with pytest.raises(ValueError):
+            factory(*args)
