@@ -62,14 +62,3 @@ def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Just the growth exponent of :func:`fit_loglog`."""
     return fit_loglog(xs, ys).exponent
 
-
-def is_logarithmic(xs: Sequence[float], ys: Sequence[float], tolerance: float = 0.2) -> bool:
-    """Heuristic: does y grow like log x (rather than any power)?
-
-    True when y is (a) far slower than sqrt growth and (b) well fitted
-    by a linear model in log x.
-    """
-    if fit_exponent(xs, ys) > 0.35:
-        return False
-    _, _, r_squared = _line([math.log(x) for x in xs], ys)
-    return r_squared > 1.0 - tolerance

@@ -58,6 +58,7 @@ __all__ = [
     "TimingRecord",
     "Tracer",
     "build_processor",
+    "cluster_for_window",
     "collecting",
     "run",
 ]
@@ -90,6 +91,16 @@ def _normalize_kind(kind: str) -> str:
     return canonical
 
 
+def cluster_for_window(window: int) -> int:
+    """The hybrid cluster size the experiments and ``repro verify`` use
+    at *window*: the largest power of two at most ``max(1, window // 4)``
+    that divides the window."""
+    cluster = 1
+    while cluster * 2 <= max(1, window // 4) and window % (cluster * 2) == 0:
+        cluster *= 2
+    return cluster
+
+
 @dataclass(frozen=True)
 class Processor:
     """A configured processor design, ready to run programs.
@@ -103,6 +114,12 @@ class Processor:
     config: ProcessorConfig = field(default_factory=ProcessorConfig)
     #: stations per cluster; only meaningful for ``kind="hybrid"``
     cluster_size: int = 4
+
+    @property
+    def refill_size(self) -> int:
+        """Stations freed at a time, the one way the designs differ:
+        1 (us1), the cluster (hybrid) or the whole window (us2)."""
+        return {"us1": 1, "us2": self.config.window_size}.get(self.kind, self.cluster_size)
 
     def run(
         self,
@@ -131,11 +148,7 @@ class Processor:
             tracer=tracer,
             cycle_hook=cycle_hook,
         )
-        # the three designs are one ring refilling 1, C or n stations at a time
-        cluster_size = {"us1": 1, "us2": self.config.window_size}.get(
-            self.kind, self.cluster_size
-        )
-        return make_hybrid(program, cluster_size, **common).run()
+        return make_hybrid(program, self.refill_size, **common).run()
 
 
 def build_processor(

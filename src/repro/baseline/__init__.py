@@ -1,11 +1,10 @@
 """Baselines the paper compares against.
 
-* :mod:`repro.baseline.dataflow` -- an idealized out-of-order dataflow
-  machine over the golden dynamic trace.  The paper claims the
-  Ultrascalar timing "is exactly what would be produced in a traditional
-  superscalar processor that has enough functional units"; the dataflow
-  schedule is that machine, and the integration tests check the
-  Ultrascalar I reproduces it cycle for cycle.
+* :mod:`repro.baseline.dataflow` -- the three designs' scheduling
+  rules as one recurrence over the golden dynamic trace.  Unbounded, it
+  is the paper's "traditional superscalar processor that has enough
+  functional units"; with a window it is each design's exact timing,
+  and ``repro verify`` checks every mispredict-free run against it.
 * :mod:`repro.baseline.complexity` -- the conventional-superscalar
   critical-path delay models of Palacharla, Jouppi & Smith (ISCA '97),
   whose quadratic growth in issue width and window size motivates the

@@ -1,19 +1,22 @@
-"""An idealized dataflow out-of-order machine over a dynamic trace.
+"""The scheduling rules of all three designs, as one recurrence.
 
-Given the golden interpreter's dynamic trace, compute for every dynamic
-instruction the earliest cycle it can issue under exactly the
-Ultrascalar scheduling rules — register RAW dependencies with one-cycle
-result forwarding, load-after-store and store-after-everything memory
-ordering, optional fetch-bandwidth and window constraints — assuming
-every instruction has its own functional unit (as the Ultrascalar
-replicates its ALU per station) and branch prediction is perfect.
+The paper: "The three processors all implement identical instruction
+sets, with identical scheduling policies."  :func:`dataflow_schedule`
+states those policies once over the golden interpreter's dynamic
+trace, assuming perfect prediction and an ALU per station: fetch
+groups of ``fetch_width`` that end at a taken transfer, one-cycle
+result forwarding, loads after older stores, stores after older memory
+operations and control transfers, one-cycle memory (as
+:class:`repro.ultrascalar.memsys.IdealMemory`) and in-order commit.
+The designs differ only in which commit frees a station: instruction
+``seq`` takes the station of ``seq - n``, free the cycle after the
+last instruction of that one's cluster commits, for clusters of 1
+(Ultrascalar I), ``C`` (hybrid) or ``n`` (Ultrascalar II).
 
-This is simultaneously:
-
-* the paper's "traditional superscalar ... with enough functional
-  units" reference for the Figure 3 timing diagram, and
-* the oracle the integration tests compare the Ultrascalar I against,
-  cycle for cycle.
+With a window it is the ring engine's exact timing, which ``repro
+verify`` checks on every mispredict-free run.  Unbounded it is the
+paper's "traditional superscalar ... with enough functional units",
+the reference for Figure 3 and E10.
 """
 
 from __future__ import annotations
@@ -62,24 +65,19 @@ def dataflow_schedule(
     latencies: LatencyModel | None = None,
     fetch_width: int | None = None,
     window_size: int | None = None,
-    load_latency: int = 1,
-    store_latency: int = 1,
-    stop_fetch_at_taken: bool = True,
+    cluster_size: int = 1,
 ) -> DataflowSchedule:
-    """Compute the idealized schedule of *trace*.
+    """Compute the schedule of *trace*.
 
     Args:
         trace: dynamic instruction stream (golden interpreter output).
         latencies: functional-unit latencies (Figure 3 defaults).
-        fetch_width: instructions entering per cycle (``None`` = all at
-            cycle 0, the pure-dataflow limit).
-        window_size: maximum in-flight instructions (``None`` =
-            unbounded); instruction ``i`` cannot fetch until
-            instruction ``i - window_size`` has committed.
-        load_latency / store_latency: memory-system completion times
-            (matching :class:`repro.ultrascalar.memsys.IdealMemory`).
-        stop_fetch_at_taken: model conventional fetch's inability to
-            cross a taken control transfer within one cycle.
+        fetch_width: instructions entering per cycle (``None`` = no
+            fetch limit: each enters once its station is free, all at
+            cycle 0 without a window — the pure-dataflow limit).
+        window_size: ``n`` stations (``None`` = unbounded).
+        cluster_size: stations freed at a time, ``C``: 1 (Ultrascalar
+            I), ``n`` (Ultrascalar II) or the hybrid's cluster size.
     """
     latencies = latencies or PAPER_LATENCIES
     entries: list[ScheduledInstruction] = []
@@ -90,7 +88,7 @@ def dataflow_schedule(
     last_mem_done = -1            # max completion among loads + stores
     last_branch_done = -1         # max completion among control transfers
     prev_commit = -1
-    commit_history: list[int] = []
+    commits: list[int] = []
 
     # fetch scheduling state
     fetch_cycle = 0
@@ -101,20 +99,25 @@ def dataflow_schedule(
         inst = step.instruction
 
         # -- fetch constraint ------------------------------------------
+        # the station frees the cycle after the last instruction of the
+        # cluster that held instruction seq - n commits
+        free = 0
+        if window_size is not None and seq >= window_size:
+            last = seq - window_size
+            last += cluster_size - 1 - last % cluster_size
+            free = commits[last] + 1
         if fetch_width is None:
-            fetch = 0
+            fetch = free
         else:
             if fetched_this_cycle >= fetch_width or fetch_broken:
                 fetch_cycle += 1
                 fetched_this_cycle = 0
-                fetch_broken = False
+            if free > fetch_cycle:  # the freed station starts a fresh group
+                fetch_cycle = free
+                fetched_this_cycle = 0
             fetch = fetch_cycle
             fetched_this_cycle += 1
-            if stop_fetch_at_taken and step.taken:
-                fetch_broken = True
-        if window_size is not None and seq >= window_size:
-            # the station frees the cycle after instruction seq-window commits
-            fetch = max(fetch, commit_history[seq - window_size] + 1)
+            fetch_broken = bool(step.taken)
 
         # -- issue constraints -----------------------------------------
         issue = fetch
@@ -126,17 +129,12 @@ def dataflow_schedule(
             issue = max(issue, last_mem_done + 1, last_branch_done + 1)
 
         # -- completion -------------------------------------------------
-        if inst.is_load:
-            latency = load_latency
-        elif inst.is_store:
-            latency = store_latency
-        else:
-            latency = latencies.latency_of(inst.op)
+        latency = 1 if inst.is_memory else latencies.latency_of(inst.op)
         complete = issue + latency - 1
         commit = max(complete, prev_commit)
 
         entries.append(ScheduledInstruction(seq, step, fetch, issue, complete, commit))
-        commit_history.append(commit)
+        commits.append(commit)
         prev_commit = commit
 
         # -- update producer state --------------------------------------

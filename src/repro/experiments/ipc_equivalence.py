@@ -15,16 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.api import IdealMemory, ProcessorConfig, build_processor, cluster_for_window
 from repro.baseline.complexity import conventional_superscalar_delay
 from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import (
-    IdealMemory,
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
 from repro.util.tables import Table
 from repro.workloads import (
     Workload,
@@ -78,26 +72,11 @@ def _run_design(workload: Workload, kind: str, window: int) -> float:
     config = ProcessorConfig(window_size=window, fetch_width=window)
     memory = IdealMemory()
     memory.load_image(workload.memory_image)
-    if kind == "us1":
-        processor = make_ultrascalar1(
-            workload.program, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    elif kind == "us2":
-        processor = make_ultrascalar2(
-            workload.program, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    else:
-        # largest power-of-two cluster <= window/4 that divides the window
-        cluster = 1
-        while cluster * 2 <= max(1, window // 4) and window % (cluster * 2) == 0:
-            cluster *= 2
-        processor = make_hybrid(
-            workload.program, cluster, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    return processor.run().ipc
+    processor = build_processor(kind, config, cluster_size=cluster_for_window(window))
+    result = processor.run(
+        workload.program, memory=memory, initial_registers=workload.registers_for()
+    )
+    return result.ipc
 
 
 def run(workloads: list[Workload] | None = None) -> IpcResult:

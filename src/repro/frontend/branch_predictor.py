@@ -122,6 +122,12 @@ class PerfectPredictor(BranchPredictor):
     Used by the ILP-equivalence experiments to remove prediction noise:
     construct it from a golden-interpreter trace, then each branch's
     successive dynamic executions are predicted exactly.
+
+    Known defect, kept because perfbench's pinned ``mem`` cycles depend
+    on it: the per-PC cursor advances at commit (:meth:`update`), so two
+    in-flight instances of one branch both get the older one's outcome.
+    ``matmul(4)`` at n=128 mispredicts 30 times even from a correct
+    trace.  This is separate from the default predictor's zero state.
     """
 
     def __init__(self, outcomes_by_pc: dict[int, list[bool]]):

@@ -1,9 +1,10 @@
 """The golden sequential interpreter.
 
-Every processor model in this repository — Ultrascalar I, Ultrascalar II,
-the hybrid, and the dataflow baseline — is differentially tested against
-this interpreter: same program, same initial state, same final registers
-and memory, and the same dynamic instruction trace.
+Every processor model in this repository — Ultrascalar I, Ultrascalar II
+and the hybrid — is differentially tested against this interpreter:
+same program, same initial state, same final registers and memory, and
+the same dynamic instruction trace, which the dataflow baseline
+schedules.
 
 Arithmetic follows RISC-V conventions for the edge cases so that all
 models agree on well-defined results: division by zero yields all-ones

@@ -1,19 +1,25 @@
-"""Differential execution: one program, every backend, one verdict.
+"""Differential execution: one program, every design, one verdict.
 
-:func:`run_differential` executes a program through all engine backends
-— the Ultrascalar I ring, the Ultrascalar II batch, the hybrid and the
-idealized dataflow baseline — and cross-checks each against the
-architectural oracle (:mod:`repro.verify.oracle`) on final registers,
-final memory, the committed instruction stream, and the halt flag.
+:func:`run_differential` executes a program on the three engine designs
+— the Ultrascalar I ring, the Ultrascalar II batch and the hybrid — and
+cross-checks each against the architectural oracle
+(:mod:`repro.verify.oracle`) on final registers, final memory, the
+committed instruction stream, and the halt flag.
 
-It also enforces the paper's ILP-equivalence claim as an executable
-invariant: for a wrap-around-free batch (window at least the dynamic
-instruction count, so no design ever refills a station), all scalable
-designs commit in the identical order and therefore take identical
-cycle counts — "the three processors all implement identical
-instruction sets, with identical scheduling policies".  For branch-free
-programs the idealized dataflow schedule must match cycle-for-cycle as
-well (Paper §2, Figure 3).
+It also checks timing.  The paper says the three processors "implement
+identical instruction sets, with identical scheduling policies", and
+:func:`repro.baseline.dataflow.dataflow_schedule` states those policies
+once, as a recurrence that differs between the designs only in how
+many stations refill at a time.  On every run without a
+misprediction (the recurrence assumes perfect prediction) each
+committed instruction's fetch, issue, complete and commit cycles, and
+the run's total cycles, must equal the recurrence's at that window and
+that design's refill size.
+
+For a wrap-around-free window (at least the dynamic instruction count,
+so no design ever refills a station) all designs must also take
+identical cycle counts.  This is the one cycle check that also covers
+runs that mispredict.
 
 Telemetry is reused for triage: when a tracer session is active (e.g.
 under ``--json``), per-design counters are collected so a divergence
@@ -25,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api import build_processor
-from repro.baseline.dataflow import dataflow_schedule
+from repro.api import PROCESSOR_KINDS, build_processor, cluster_for_window
+from repro.baseline.dataflow import DataflowSchedule, dataflow_schedule
 from repro.isa.program import Program
 from repro.telemetry.tracer import CountingTracer, diff_counters
 from repro.ultrascalar import IdealMemory, ProcessorConfig
@@ -34,12 +40,8 @@ from repro.ultrascalar.processor import _default_predictor
 from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.oracle import OracleResult, commit_stream, run_oracle
 
-#: backends run_differential knows how to drive
-DESIGNS = ("us1", "us2", "hybrid", "dataflow")
-
-#: designs that model the full engine (registers/memory/commit stream);
-#: "dataflow" is a schedule-only reference
-ENGINE_DESIGNS = ("us1", "us2", "hybrid")
+#: designs run_differential knows how to drive
+DESIGNS = PROCESSOR_KINDS
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,20 @@ def _memory_mismatch(got: dict[int, int], want: dict[int, int]) -> str:
     )
 
 
-def _hybrid_cluster(window: int) -> int:
-    """Largest power-of-two cluster <= max(1, window // 4) dividing window."""
-    cluster = 1
-    while cluster * 2 <= max(1, window // 4) and window % (cluster * 2) == 0:
-        cluster *= 2
-    return cluster
+def _timing_mismatch(commit_log: list, cycles: int, schedule: DataflowSchedule) -> str:
+    """How a run's timing departs from *schedule* ('' when it does not).
+
+    Compares each committed row's (fetch, issue, complete, commit)
+    cycles with the schedule's entry for the same dynamic instruction,
+    then the total cycle count.
+    """
+    got = [row[7:] for row in commit_log]
+    want = [entry[2:] for entry in schedule.entries]
+    if got != want:
+        return _first_mismatch(got, want)
+    if cycles != schedule.cycles:
+        return f"cycles: got {cycles}, want {schedule.cycles}"
+    return ""
 
 
 def run_differential(
@@ -127,10 +137,11 @@ def run_differential(
     invariant (identical commit order => identical cycle count across
     designs) is additionally enforced.
 
-    Every engine design shares one default predictor, so the perfect
+    Every design shares one default predictor, so the perfect
     predictor's interpreter pre-pass runs once per call; it is reset
     before each design, and so predicts for each exactly what a fresh
-    one would.
+    one would.  The timing recurrence is computed at most once per
+    refill size, and once in all for a wrap-around-free window.
     """
     unknown = sorted(set(designs) - set(DESIGNS))
     if unknown:
@@ -142,6 +153,7 @@ def run_differential(
     config = ProcessorConfig(window_size=window, fetch_width=window, max_cycles=max_steps)
     report = DiffReport(window=window, designs=tuple(designs), oracle=oracle)
     checker = InvariantChecker() if check_invariants else None
+    schedules: dict[int, DataflowSchedule] = {}  # refill size -> recurrence
 
     def diverge(design: str, field: str, detail: str) -> None:
         report.divergences.append(Divergence(design=design, field=field, detail=detail))
@@ -149,14 +161,13 @@ def run_differential(
     regs = list(initial_registers or [])
     regs.extend([0] * (program.spec.num_registers - len(regs)))
 
-    engines = [design for design in designs if design in ENGINE_DESIGNS]
-    predictor = _default_predictor(program, config) if engines else None
-    for design in engines:
+    predictor = _default_predictor(program, config) if designs else None
+    for design in designs:
         predictor.reset()
         memory = IdealMemory()
         memory.load_image(dict(memory_image or {}))
         tracer = CountingTracer() if collect_stats else None
-        processor = build_processor(design, config, cluster_size=_hybrid_cluster(window))
+        processor = build_processor(design, config, cluster_size=cluster_for_window(window))
         try:
             result = processor.run(
                 program,
@@ -181,33 +192,27 @@ def run_differential(
             diverge(design, "commits", _first_mismatch(commits, oracle.commits))
         if result.halted != oracle.halted:
             diverge(design, "halted", f"got {result.halted}, want {oracle.halted}")
-
-    if "dataflow" in designs:
-        # same configuration tests/integration/test_ilp_equivalence.py
-        # proves cycle-exact against us1 at window = dynamic length
-        schedule = dataflow_schedule(oracle.trace)
-        report.cycles["dataflow"] = schedule.cycles
-        branch_free = not any(inst.is_control for inst in program)
-        exact = branch_free and wrap_free and "us1" in report.cycles
-        if exact and schedule.cycles != report.cycles["us1"]:
-            detail = (
-                f"dataflow {schedule.cycles} != us1 {report.cycles['us1']} "
-                "on a branch-free wrap-free run"
-            )
-            diverge("dataflow", "cycles", detail)
+        if result.mispredictions == 0:
+            # the recurrence assumes perfect prediction
+            refill = 1 if wrap_free else processor.refill_size
+            if refill not in schedules:
+                schedules[refill] = dataflow_schedule(
+                    oracle.trace,
+                    config.latencies,
+                    fetch_width=window,
+                    window_size=window,
+                    cluster_size=refill,
+                )
+            mismatch = _timing_mismatch(result.commit_log, result.cycles, schedules[refill])
+            if mismatch:
+                diverge(design, "timing", mismatch)
 
     # The paper's ILP-equivalence invariant: with no wrap-around, every
-    # scalable design commits the identical stream, so IPC is identical.
-    if wrap_free:
-        engine_cycles = {
-            design: cycles
-            for design, cycles in report.cycles.items()
-            if design in ENGINE_DESIGNS
-        }
-        if len(set(engine_cycles.values())) > 1:
-            rendered = ", ".join(f"{d}={c}" for d, c in sorted(engine_cycles.items()))
-            detail = f"wrap-free cycle counts differ: {rendered}"
-            diverge("/".join(sorted(engine_cycles)), "ilp_equivalence", detail)
+    # design commits the identical stream, so IPC is identical.
+    if wrap_free and len(set(report.cycles.values())) > 1:
+        rendered = ", ".join(f"{d}={c}" for d, c in sorted(report.cycles.items()))
+        detail = f"wrap-free cycle counts differ: {rendered}"
+        diverge("/".join(sorted(report.cycles)), "ilp_equivalence", detail)
 
     if checker is not None:
         report.invariant_checks = checker.checks

@@ -9,19 +9,30 @@ of the code sequence."
 We verify cycle-exactly: with a window at least as large as the dynamic
 instruction count (and fetch width to match), the Ultrascalar I's
 per-instruction issue times equal the idealized dataflow schedule's.
+
+The same recurrence, given a window, a fetch width and the number of
+stations that refill at a time, is the exact timing of all three
+designs: the paper's "identical scheduling policies".
 """
 
 import pytest
 
+from repro.api import PROCESSOR_KINDS, build_processor, cluster_for_window
 from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.interpreter import MachineState, run_program
 from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.workloads import (
+    daxpy_loop,
     dependency_chain,
     independent_ops,
+    jump_chain,
+    matmul,
     memory_stream,
     paper_sequence,
+    parallel_loads,
     random_ilp,
+    reduction_loop,
+    store_load_pairs,
 )
 
 
@@ -129,3 +140,69 @@ class TestWindowShrinksParallelism:
         times_b, b = issue_times_of(workload, window=400, fetch_width=40)
         assert times_a == times_b
         assert a.cycles == b.cycles
+
+
+#: straight-line, looping, jumping and memory-bound code for the sweep
+SWEEP_WORKLOADS = [
+    random_ilp(300, 0.25, seed=71),
+    random_ilp(300, 0.5, seed=72),
+    random_ilp(300, 0.75, seed=73),
+    daxpy_loop(6),
+    reduction_loop(8),
+    store_load_pairs(6),
+    jump_chain(5),
+    memory_stream(20),
+    parallel_loads(12),
+    paper_sequence(),
+    matmul(3),
+]
+
+
+class TestOneRecurrenceForAllDesigns:
+    """The three designs differ only in how many stations refill at a
+    time: one (US-I), the window (US-II) or a cluster (hybrid).  Given
+    that number, the dataflow schedule is each design's exact timing."""
+
+    def test_every_mispredict_free_run_matches(self):
+        checked = 0
+        for workload in SWEEP_WORKLOADS:
+            golden = run_program(
+                workload.program,
+                state=MachineState(workload.registers_for(), dict(workload.memory_image)),
+            )
+            for window in (4, 8, 16, 64):
+                cluster = cluster_for_window(window)
+                for fetch_width in (1, 4, window):
+                    config = ProcessorConfig(window_size=window, fetch_width=fetch_width)
+                    for kind in PROCESSOR_KINDS:
+                        memory = IdealMemory()
+                        memory.load_image(dict(workload.memory_image))
+                        processor = build_processor(kind, config, cluster_size=cluster)
+                        result = processor.run(
+                            workload.program,
+                            memory=memory,
+                            initial_registers=workload.registers_for(),
+                        )
+                        if result.mispredictions:
+                            continue  # the schedule assumes perfect prediction
+                        refill = {"us1": 1, "us2": window, "hybrid": cluster}[kind]
+                        schedule = dataflow_schedule(
+                            golden.trace,
+                            fetch_width=fetch_width,
+                            window_size=window,
+                            cluster_size=refill,
+                        )
+                        run = (workload.name, kind, window, fetch_width)
+                        got = [
+                            (t.fetch_cycle, t.issue_cycle, t.complete_cycle, t.commit_cycle)
+                            for t in result.timings
+                        ]
+                        want = [
+                            (e.fetch_cycle, e.issue_cycle, e.complete_cycle, e.commit_cycle)
+                            for e in schedule.entries
+                        ]
+                        assert got == want, run
+                        assert result.cycles == schedule.cycles, run
+                        checked += 1
+        # a sweep that skipped nearly everything would prove nothing
+        assert checked >= 300, checked

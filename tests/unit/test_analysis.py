@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.asymptotics import FIGURE11, evaluate_cell, figure11_table, lookup
 from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep, cluster_is_theta_L
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
-from repro.analysis.fitting import fit_exponent, fit_loglog, is_logarithmic
+from repro.analysis.fitting import fit_exponent, fit_loglog
 from repro.analysis.recurrences import optimal_cluster_closed_form, u_closed_form, x_closed_form
 from repro.analysis.regimes import Regime, classify_bandwidth, classify_exponent, regularity_holds
 from repro.analysis.three_d import lookup as lookup_3d, three_d_table, volume_improvement_2d_to_3d
@@ -145,11 +145,6 @@ class TestFitting:
 
     def test_fit_exponent_shortcut(self):
         assert fit_exponent([1, 10], [5, 50]) == pytest.approx(1.0)
-
-    def test_is_logarithmic(self):
-        xs = [4, 16, 64, 256, 1024]
-        assert is_logarithmic(xs, [math.log2(x) for x in xs])
-        assert not is_logarithmic(xs, [x**0.9 for x in xs])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -78,6 +78,24 @@ class TestDataflowSchedule:
         assert schedule.entries[0].fetch_cycle == 0
         assert schedule.entries[1].fetch_cycle == 1  # halt after the jump
 
+    def test_freed_station_starts_a_fresh_fetch_group(self):
+        # the divide holds all eight stations until cycle 9; the eight
+        # nops that wait for them enter four a cycle, not all at once
+        golden = run_program(assemble("div r1, r2, r3\n" + "nop\n" * 15 + "halt"))
+        schedule = dataflow_schedule(golden.trace, fetch_width=4, window_size=8)
+        fetches = [e.fetch_cycle for e in schedule.entries]
+        assert fetches == [0] * 4 + [1] * 4 + [10] * 4 + [11] * 4 + [12]
+        assert schedule.cycles == 13
+
+    def test_cluster_frees_after_its_last_commit(self):
+        # the first nop's station frees at cycle 1 on its own, but only
+        # with the divide's at cycle 10 when the two form a cluster
+        golden = run_program(assemble("nop\ndiv r1, r2, r3\nnop\nnop\nnop\nhalt"))
+        per_station = dataflow_schedule(golden.trace, fetch_width=4, window_size=4)
+        clustered = dataflow_schedule(golden.trace, fetch_width=4, window_size=4, cluster_size=2)
+        assert [e.fetch_cycle for e in per_station.entries] == [0, 0, 0, 0, 1, 10]
+        assert [e.fetch_cycle for e in clustered.entries] == [0, 0, 0, 0, 10, 10]
+
     def test_window_limits_inflight(self):
         golden = run_program(assemble("nop\nnop\nnop\nnop\nhalt"))
         tight = dataflow_schedule(golden.trace, window_size=1)

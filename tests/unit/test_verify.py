@@ -71,7 +71,7 @@ def _count_interpreter_runs(monkeypatch):
 
 
 class TestRunDifferential:
-    @pytest.mark.parametrize("window", [None, 4, 8])
+    @pytest.mark.parametrize("window", [None, 2, 4, 8, 16])
     def test_known_workloads_agree(self, window):
         w = random_ilp(30, 0.5, seed=7)
         report = run_differential(
@@ -129,6 +129,44 @@ class TestRunDifferential:
         )
         assert set(report.stats) == {"us1", "us2", "hybrid"}
         assert all(report.stats[d] for d in report.stats)
+
+
+def _free_clusters_late(monkeypatch):
+    """Make a hybrid free each full cluster one cycle after its last commit."""
+    healthy = RingProcessor._phase_commit
+
+    def late(self):
+        if not 1 < self.cluster_size < self.n:
+            return healthy(self)
+        while self.committed_count < self.count:
+            station = self.stations[(self.oldest + self.committed_count) % self.n]
+            if station.state is not StationState.DONE:
+                break
+            self._commit(station)
+            self.committed_count += 1
+        for _ in range(getattr(self, "_due", 0)):  # full since last cycle
+            self._free(self.cluster_size)
+        self._due = self.committed_count // self.cluster_size
+        drained = self.committed_count == self.count < self.cluster_size
+        if self.count and drained and self.fetch.stalled():
+            self._free(self.count)
+
+    monkeypatch.setattr(RingProcessor, "_phase_commit", late)
+
+
+class TestTimingCheck:
+    def test_late_cluster_free_caught(self, monkeypatch):
+        # registers, memory and commits stay right; only the refill is late
+        _free_clusters_late(monkeypatch)
+        w = random_ilp(30, 0.5, seed=7)
+        report = run_differential(
+            w.program,
+            initial_registers=w.registers_for(),
+            memory_image=dict(w.memory_image),
+            window=16,
+        )
+        assert [(d.design, d.field) for d in report.divergences] == [("hybrid", "timing")]
+        assert report.divergences[0].detail.startswith("first mismatch at dynamic index 16:")
 
 
 #: a long-latency head keeps the younger stations in the window: station 1
@@ -537,6 +575,7 @@ class TestVerifyCli:
     def test_bad_arguments(self, capsys):
         assert verify_main(["--seeds", "5:5"]) == 2
         assert verify_main(["--designs", "warp-drive"]) == 2
+        assert verify_main(["--designs", "dataflow"]) == 2
         assert verify_main(["--sizes", "0"]) == 2
 
 
