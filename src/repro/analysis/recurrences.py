@@ -7,7 +7,8 @@ model's constants, by the layouts that obey them
 solutions, which the layouts are checked against by exponent fitting:
 
 * Ultrascalar I side length ``X(n)`` in the three M(n) cases (Section 3).
-* Hybrid side length ``U(n)`` and its optimal cluster size (Section 6).
+* Hybrid side length ``U(n)`` (Section 6); its optimal cluster size is
+  :func:`repro.analysis.cluster.analytic_optimal_cluster`.
 """
 
 from __future__ import annotations
@@ -43,10 +44,3 @@ def u_closed_form(n: int, cluster_size: int, L: int, m_exponent: float,
         + L * math.sqrt(n) / math.sqrt(cluster_size)
         + math.sqrt(n * cluster_size)
     )
-
-
-def optimal_cluster_closed_form(L: int) -> float:
-    """dU/dC = 0  =>  C = Theta(L) (the paper's Section 6 conclusion)."""
-    if L < 1:
-        raise ValueError("L must be positive")
-    return float(L)

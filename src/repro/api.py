@@ -17,8 +17,9 @@ set ``cluster_size``).  ``run(program, tracer=...)`` attaches a
 telemetry tracer (see :mod:`repro.telemetry`); by default tracing is
 off and runs are byte-identical to the pre-telemetry engines.
 
-The deep modules remain importable — this facade adds a stability
-layer, it does not hide anything.  Re-exported here so one import
+:class:`Processor` is the one place that builds the ring engine
+(:class:`repro.ultrascalar.ring.RingProcessor`); the deep modules stay
+importable for tests of their internals.  Re-exported here so one import
 serves most scripts: :class:`ProcessorConfig`,
 :class:`ProcessorResult`, :class:`TimingRecord`, the memory systems,
 the tracers, and the :func:`collecting` session helper (every engine
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.telemetry import CountingTracer, EventTracer, NullTracer, Tracer, collecting
 from repro.ultrascalar import (
@@ -41,8 +41,9 @@ from repro.ultrascalar import (
     ProcessorConfig,
     ProcessorResult,
     TimingRecord,
-    make_hybrid,
 )
+from repro.ultrascalar.processor import _default_predictor
+from repro.ultrascalar.ring import RingProcessor
 
 __all__ = [
     "CachedMemory",
@@ -60,35 +61,11 @@ __all__ = [
     "build_processor",
     "cluster_for_window",
     "collecting",
-    "run",
 ]
 
-#: canonical kind names accepted by :func:`build_processor` (aliases in
-#: parentheses): paper Section 4 / 5 / 6 designs respectively
+#: the kind names :func:`build_processor` accepts: paper Section 4 / 5 /
+#: 6 designs respectively
 PROCESSOR_KINDS = ("us1", "us2", "hybrid")
-
-_ALIASES = {
-    "us1": "us1",
-    "ultrascalar1": "us1",
-    "ring": "us1",
-    "us2": "us2",
-    "ultrascalar2": "us2",
-    "batch": "us2",
-    "hybrid": "hybrid",
-}
-
-
-def _normalize_kind(kind: str) -> str:
-    """Resolve a kind/alias to canonical form; helpful error otherwise."""
-    canonical = _ALIASES.get(kind.lower().replace("-", "").replace("_", ""))
-    if canonical is None:
-        close = difflib.get_close_matches(kind.lower(), sorted(_ALIASES), n=2)
-        hint = f" (did you mean {' or '.join(map(repr, close))}?)" if close else ""
-        raise ValueError(
-            f"unknown processor kind {kind!r}{hint}; "
-            f"expected one of {', '.join(map(repr, PROCESSOR_KINDS))}"
-        )
-    return canonical
 
 
 def cluster_for_window(window: int) -> int:
@@ -115,6 +92,19 @@ class Processor:
     #: stations per cluster; only meaningful for ``kind="hybrid"``
     cluster_size: int = 4
 
+    def __post_init__(self) -> None:
+        if self.kind not in PROCESSOR_KINDS:
+            close = difflib.get_close_matches(self.kind, PROCESSOR_KINDS, n=2)
+            hint = f" (did you mean {' or '.join(map(repr, close))}?)" if close else ""
+            raise ValueError(
+                f"unknown processor kind {self.kind!r}{hint}; "
+                f"expected one of {', '.join(map(repr, PROCESSOR_KINDS))}"
+            )
+        if self.kind == "hybrid" and (
+            self.cluster_size < 1 or self.config.window_size % self.cluster_size
+        ):
+            raise ValueError("cluster_size must divide the window size")
+
     @property
     def refill_size(self) -> int:
         """Stations freed at a time, the one way the designs differ:
@@ -137,18 +127,19 @@ class Processor:
         in ``ProcessorResult.stats``); ``cycle_hook`` attaches a
         per-cycle observer — typically an invariant checker from
         :mod:`repro.verify.invariants`; the remaining keywords override
-        the factory defaults (ideal memory, perfect prediction, zeroed
+        the defaults (ideal memory, perfect prediction, zeroed
         registers).
         """
-        common: dict[str, Any] = dict(
-            config=self.config,
-            predictor=predictor,
-            memory=memory,
-            initial_registers=initial_registers,
+        return RingProcessor(
+            program,
+            self.config,
+            predictor if predictor is not None else _default_predictor(program, self.config),
+            memory if memory is not None else IdealMemory(),
+            self.refill_size,
+            initial_registers,
             tracer=tracer,
             cycle_hook=cycle_hook,
-        )
-        return make_hybrid(program, self.refill_size, **common).run()
+        ).run()
 
 
 def build_processor(
@@ -159,35 +150,8 @@ def build_processor(
 ) -> Processor:
     """Build a reusable :class:`Processor` of the named design.
 
-    *kind* is one of :data:`PROCESSOR_KINDS` (a few obvious aliases
-    such as ``"ring"`` and ``"ultrascalar2"`` also work); unknown names
-    raise :class:`ValueError` with a did-you-mean hint.
+    *kind* is one of :data:`PROCESSOR_KINDS`; an unknown name raises
+    :class:`ValueError` with a did-you-mean hint, and so does a hybrid
+    cluster that does not divide the window.
     """
-    return Processor(
-        kind=_normalize_kind(kind),
-        config=config or ProcessorConfig(),
-        cluster_size=cluster_size,
-    )
-
-
-def run(
-    program,
-    *,
-    kind: str = "us1",
-    config: ProcessorConfig | None = None,
-    cluster_size: int = 4,
-    tracer: Tracer | None = None,
-    memory: MemorySystem | None = None,
-    predictor=None,
-    initial_registers: list[int] | None = None,
-    cycle_hook=None,
-) -> ProcessorResult:
-    """One-shot convenience: build the processor and run *program*."""
-    return build_processor(kind, config, cluster_size=cluster_size).run(
-        program,
-        tracer=tracer,
-        memory=memory,
-        predictor=predictor,
-        initial_registers=initial_registers,
-        cycle_hook=cycle_hook,
-    )
+    return Processor(kind, config or ProcessorConfig(), cluster_size)

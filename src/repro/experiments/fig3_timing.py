@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api import ProcessorConfig, build_processor
 from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.util.tables import Table
 from repro.workloads import paper_sequence
 
@@ -52,11 +52,9 @@ def run() -> Fig3Result:
     """Run E1 and compare against the published diagram."""
     workload = paper_sequence()
     config = ProcessorConfig(window_size=9, fetch_width=9)
-    processor = make_ultrascalar1(
-        workload.program, config, memory=IdealMemory(),
-        initial_registers=workload.registers_for(),
+    result = build_processor("us1", config).run(
+        workload.program, initial_registers=workload.registers_for()
     )
-    result = processor.run()
     spans = [t.execute_span for t in sorted(result.timings, key=lambda t: t.seq)][:8]
 
     golden = run_program(

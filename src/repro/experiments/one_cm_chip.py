@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_hybrid
+from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
 from repro.vlsi.hybrid_layout import HybridLayout
 from repro.vlsi.tech import PAPER_TECH
@@ -64,11 +64,9 @@ def run() -> OneCmResult:
 
     workload = random_ilp(600, 0.4, seed=701)
     config = ProcessorConfig(window_size=128, fetch_width=16, num_alus=16)
-    processor = make_hybrid(
-        workload.program, 32, config, memory=IdealMemory(),
-        initial_registers=workload.registers_for(),
+    result = build_processor("hybrid", config, cluster_size=32).run(
+        workload.program, initial_registers=workload.registers_for()
     )
-    result = processor.run()
     return OneCmResult(
         side_cm=side_cm,
         area_cm2=side_cm**2,

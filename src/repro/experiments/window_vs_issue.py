@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
+from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
@@ -76,11 +76,9 @@ def run(
                 fetch_width=min(window, 16),
                 num_alus=min(alus, window),
             )
-            processor = make_ultrascalar1(
-                workload.program, config, memory=IdealMemory(),
-                initial_registers=workload.registers_for(),
-            )
-            grid[window][alus] = processor.run().ipc
+            grid[window][alus] = build_processor("us1", config).run(
+                workload.program, initial_registers=workload.registers_for()
+            ).ipc
     return WindowIssueResult(windows=windows, alu_pools=alu_pools, ipc=grid)
 
 

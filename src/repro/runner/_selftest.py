@@ -8,7 +8,6 @@ that; they are not part of the public API.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -29,11 +28,6 @@ def sleepy(seconds: float = 5.0) -> str:
     """Sleep long enough to trip a short watchdog timeout."""
     time.sleep(seconds)
     return f"slept {seconds}"
-
-
-def pid_stamp(tag: str = "") -> str:
-    """Report the executing process id (distinguishes pool workers)."""
-    return f"{tag}:{os.getpid()}"
 
 
 def flaky(marker_dir: str) -> str:

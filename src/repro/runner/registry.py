@@ -93,11 +93,6 @@ class JobSpec:
     index: int = 0
     count: int = 1
 
-    @property
-    def is_first(self) -> bool:
-        """True for the job that opens an experiment's report."""
-        return self.index == 0
-
 
 #: key -> spec, in the canonical reporting order of ``python -m repro all``
 REGISTRY: dict[str, ExperimentSpec] = {

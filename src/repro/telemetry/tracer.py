@@ -90,11 +90,6 @@ class CountingTracer:
     ) -> None:
         pass
 
-    def merge(self, counters: dict[str, int]) -> None:
-        """Fold another counter mapping into this one (summing)."""
-        for name, amount in counters.items():
-            self.count(name, amount)
-
     def snapshot(self) -> dict[str, int]:
         return {name: self.counters[name] for name in sorted(self.counters)}
 

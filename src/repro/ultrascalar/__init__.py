@@ -12,8 +12,8 @@ in how stations refill, so one cycle-accurate engine models all three:
   refills only when the whole batch has finished ("stations idle
   waiting for everyone to finish").
 
-Factories in :mod:`repro.ultrascalar.processor` build the three
-configurations the paper compares.
+:class:`repro.api.Processor` is the one place that builds the engine
+for each of the three configurations the paper compares.
 """
 
 from repro.ultrascalar.memsys import CachedMemory, IdealMemory, MemorySystem
@@ -21,9 +21,6 @@ from repro.ultrascalar.processor import (
     ProcessorConfig,
     ProcessorResult,
     TimingRecord,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
 )
 from repro.ultrascalar.ring import RingProcessor
 from repro.ultrascalar.scheduler import SchedulerCircuit, prioritized_grants
@@ -37,9 +34,6 @@ __all__ = [
     "ProcessorConfig",
     "ProcessorResult",
     "TimingRecord",
-    "make_hybrid",
-    "make_ultrascalar1",
-    "make_ultrascalar2",
     "RingProcessor",
     "SchedulerCircuit",
     "prioritized_grants",

@@ -1,12 +1,12 @@
-"""Shared processor configuration, results, and the three paper configurations.
+"""Shared processor configuration, results, and the default predictor.
 
 The paper: "The three processors all implement identical instruction
 sets, with identical scheduling policies.  The only differences between
 the processors are in their VLSI complexities."  Behaviourally the one
 place they differ is station refill: per-station (Ultrascalar I),
-whole-batch (Ultrascalar II, no wrap-around), or per-cluster (hybrid).
-The factories at the bottom build exactly those three configurations
-of the one ring engine: cluster size 1, ``n`` and ``C``.
+whole-batch (Ultrascalar II, no wrap-around), or per-cluster (hybrid):
+one ring engine with cluster size 1, ``n`` or ``C``, built by
+:class:`repro.api.Processor`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.isa.interpreter import StepOutcome
 from repro.isa.latency import PAPER_LATENCIES, LatencyModel
 from repro.isa.program import Program
 from repro.frontend.branch_predictor import BranchPredictor, PerfectPredictor
-from repro.ultrascalar.memsys import IdealMemory, MemorySystem
 
 
 @dataclass
@@ -193,77 +192,3 @@ def _default_predictor(program: Program, config: ProcessorConfig) -> BranchPredi
     except StepLimitExceeded as limit:
         trace = limit.partial.trace
     return PerfectPredictor.from_trace(trace)
-
-
-def _build_ring(
-    program: Program,
-    cluster_size: int | None,
-    config: ProcessorConfig | None,
-    predictor: BranchPredictor | None,
-    memory: MemorySystem | None,
-    initial_registers: list[int] | None,
-    tracer,
-    cycle_hook,
-):
-    """The one ring engine, its stations refilling *cluster_size* at a
-    time (``None``: one cluster of all ``n`` stations)."""
-    from repro.ultrascalar.ring import RingProcessor
-
-    config = config or ProcessorConfig()
-    return RingProcessor(
-        program=program,
-        config=config,
-        predictor=predictor if predictor is not None else _default_predictor(program, config),
-        memory=memory if memory is not None else IdealMemory(),
-        cluster_size=config.window_size if cluster_size is None else cluster_size,
-        initial_registers=initial_registers,
-        tracer=tracer,
-        cycle_hook=cycle_hook,
-    )
-
-
-def make_ultrascalar1(
-    program: Program,
-    config: ProcessorConfig | None = None,
-    predictor: BranchPredictor | None = None,
-    memory: MemorySystem | None = None,
-    initial_registers: list[int] | None = None,
-    tracer=None,
-    cycle_hook=None,
-):
-    """Build an Ultrascalar I: wrap-around ring, per-station refill."""
-    return _build_ring(program, 1, config, predictor, memory, initial_registers, tracer, cycle_hook)
-
-
-def make_hybrid(
-    program: Program,
-    cluster_size: int,
-    config: ProcessorConfig | None = None,
-    predictor: BranchPredictor | None = None,
-    memory: MemorySystem | None = None,
-    initial_registers: list[int] | None = None,
-    tracer=None,
-    cycle_hook=None,
-):
-    """Build a hybrid Ultrascalar: Ultrascalar II clusters on an
-    Ultrascalar I ring; stations refill a cluster at a time."""
-    return _build_ring(
-        program, cluster_size, config, predictor, memory, initial_registers, tracer, cycle_hook
-    )
-
-
-def make_ultrascalar2(
-    program: Program,
-    config: ProcessorConfig | None = None,
-    predictor: BranchPredictor | None = None,
-    memory: MemorySystem | None = None,
-    initial_registers: list[int] | None = None,
-    tracer=None,
-    cycle_hook=None,
-):
-    """Build an Ultrascalar II: the ring with one cluster of ``n``
-    stations, so it never wraps and the station batch refills only when
-    every station in it has finished."""
-    return _build_ring(
-        program, None, config, predictor, memory, initial_registers, tracer, cycle_hook
-    )

@@ -98,7 +98,8 @@ def _drop_squashed(queue) -> None:
 
 
 class RingProcessor:
-    """See module docstring."""
+    """See module docstring.  Built by :class:`repro.api.Processor`,
+    which checks that ``cluster_size`` divides the window."""
 
     def __init__(
         self,
@@ -108,12 +109,9 @@ class RingProcessor:
         memory: MemorySystem,
         cluster_size: int = 1,
         initial_registers: list[int] | None = None,
-        fetch_unit: FetchUnit | None = None,
         tracer: Tracer | None = None,
         cycle_hook=None,
     ):
-        if cluster_size < 1 or config.window_size % cluster_size:
-            raise ValueError("cluster_size must divide the window size")
         self.program = program
         self.config = config
         self.predictor = predictor
@@ -141,7 +139,7 @@ class RingProcessor:
             self._refill_mode = "per_station"
         else:
             self._refill_mode = "per_cluster"
-        self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
+        self.fetch = FetchUnit(program, predictor, width=config.fetch_width)
         self.cycle = 0
         self.seq = 0
         #: one CommitRow per committed instruction, in commit order

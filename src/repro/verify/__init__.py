@@ -35,7 +35,7 @@ from repro.verify.fuzz import (
     validate_reproducer,
     write_reproducer,
 )
-from repro.verify.invariants import InvariantChecker, InvariantViolation, checked_run
+from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.oracle import Commit, OracleResult, commit_stream, run_oracle
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "write_reproducer",
     "InvariantChecker",
     "InvariantViolation",
-    "checked_run",
     "Commit",
     "OracleResult",
     "commit_stream",

@@ -203,14 +203,3 @@ def _describe(station) -> str:
     if station is None:
         return "the register file"
     return f"station {station.index} (seq {station.seq})"
-
-
-def checked_run(engine, checker: InvariantChecker | None = None):
-    """Drive *engine* to completion under an invariant checker.
-
-    Convenience for engines built without a ``cycle_hook``: installs
-    *checker* (default: a fresh one) and calls ``engine.run()``.
-    """
-    active = checker if checker is not None else InvariantChecker()
-    engine._cycle_hook = active
-    return engine.run()

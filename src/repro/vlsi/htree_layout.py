@@ -96,16 +96,21 @@ class HTreeLayout:
         """W(leaves) in tracks, from the root down to a leaf.
 
         The route descends one tree level at a time: from the centre of
-        a k-leaf square to the centre of its k/radix-leaf child is a
-        Manhattan distance of X(k)/2, plus the traversal of the level's
-        switch block.  Summing over levels gives the paper's solution
-        W(n) = Theta(X(n)) exactly (every leaf is equidistant from the
-        root, as the paper observes).
+        a k-leaf square (cube) to the centre of its k/radix-leaf child
+        is X(k)/4 along each of the level's d axes, d = 2 for the
+        quadtree and 3 for the octree, plus the traversal of the
+        level's switch block.  Summing over levels gives the paper's
+        solution W(n) = Theta(X(n)) exactly (every leaf is equidistant
+        from the root, as the paper observes).
         """
+        axes = self.radix.bit_length() - 1
         total = 0.0
         k = self._rounded_leaves() if leaves is None else leaves
         while k > 1:
-            total += self.side_length(k) / 2.0 + self.switch_block_side(k * self.leaf_stations)
+            total += (
+                self.side_length(k) * axes / 4.0
+                + self.switch_block_side(k * self.leaf_stations)
+            )
             k //= self.radix
         return total
 

@@ -12,24 +12,10 @@ import pytest
 import repro.isa.interpreter as interpreter
 from repro.frontend.branch_predictor import PerfectPredictor
 from repro.isa import assemble
-from repro.ultrascalar import (
-    IdealMemory,
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.workloads import daxpy_loop, random_ilp
 
-KINDS = ["us1", "us2", "hyb"]
-
-
-def build(program, kind, config, **kwargs):
-    if kind == "us1":
-        return make_ultrascalar1(program, config, **kwargs)
-    if kind == "us2":
-        return make_ultrascalar2(program, config, **kwargs)
-    return make_hybrid(program, 2, config, **kwargs)
+KINDS = ["us1", "us2", pytest.param("hybrid", id="hyb")]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -38,16 +24,17 @@ def test_control_free_program_skips_the_interpreter(kind, monkeypatch):
     program = workload.program
     config = ProcessorConfig(window_size=8, fetch_width=4)
     explicit = PerfectPredictor.from_trace(interpreter.run_program(program).trace)
-    reference = build(
-        program, kind, config,
-        predictor=explicit, initial_registers=workload.registers_for(),
-    ).run()
+    reference = build_processor(kind, config, cluster_size=2).run(
+        program, predictor=explicit, initial_registers=workload.registers_for()
+    )
 
     def no_interpreter(*args, **kwargs):
         raise AssertionError("the pre-pass ran on a control-free program")
 
     monkeypatch.setattr(interpreter, "run_program", no_interpreter)
-    result = build(program, kind, config, initial_registers=workload.registers_for()).run()
+    result = build_processor(kind, config, cluster_size=2).run(
+        program, initial_registers=workload.registers_for()
+    )
     assert result.cycles == reference.cycles
     assert result.timings == reference.timings
     assert result.registers == reference.registers
@@ -59,7 +46,7 @@ def test_branchy_program_never_mispredicts(kind):
     memory = IdealMemory()
     memory.load_image(dict(workload.memory_image))
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    result = build(workload.program, kind, config, memory=memory).run()
+    result = build_processor(kind, config, cluster_size=2).run(workload.program, memory=memory)
     assert result.mispredictions == 0
     assert result.squashed == 0
     assert result.halted
@@ -77,5 +64,5 @@ def test_runaway_loop_hits_max_cycles_quickly(kind):
     config = ProcessorConfig(window_size=8, fetch_width=4, max_cycles=2000)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="max_cycles"):
-        build(program, kind, config).run()
+        build_processor(kind, config, cluster_size=2).run(program)
     assert time.perf_counter() - start < 1.0

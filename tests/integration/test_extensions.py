@@ -13,14 +13,7 @@ import pytest
 
 from repro.isa import assemble
 from repro.isa.interpreter import MachineState, run_program
-from repro.telemetry import CountingTracer
-from repro.ultrascalar import (
-    IdealMemory,
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
+from repro.api import CountingTracer, IdealMemory, ProcessorConfig, build_processor
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -36,11 +29,9 @@ def run_config(workload, load_latency=1, cluster_size=1, **config_kwargs):
     config = ProcessorConfig(window_size=16, fetch_width=8, **config_kwargs)
     memory = IdealMemory(load_latency=load_latency)
     memory.load_image(workload.memory_image)
-    processor = make_hybrid(
-        workload.program, cluster_size, config, memory=memory,
-        initial_registers=workload.registers_for(),
+    return build_processor("hybrid", config, cluster_size=cluster_size).run(
+        workload.program, memory=memory, initial_registers=workload.registers_for()
     )
-    return processor.run()
 
 
 def assert_golden(workload, result):
@@ -137,7 +128,7 @@ class TestStoreForwarding:
         program = assemble(source)
         golden = run_program(program)
         config = ProcessorConfig(window_size=16, fetch_width=16, store_forwarding=True)
-        result = make_ultrascalar1(program, config, memory=IdealMemory()).run()
+        result = build_processor("us1", config).run(program, memory=IdealMemory())
         assert result.registers == golden.state.registers
         assert result.registers[4] == 2
         assert result.forwarded_loads == 1
@@ -211,11 +202,12 @@ class TestUltrascalar2HonoursKnobs:
         config = ProcessorConfig(window_size=16, fetch_width=8, **config_kwargs)
         memory = IdealMemory(load_latency=load_latency)
         memory.load_image(workload.memory_image)
-        processor = make_ultrascalar2(
-            workload.program, config, memory=memory,
-            initial_registers=workload.registers_for(), tracer=tracer,
+        return build_processor("us2", config).run(
+            workload.program,
+            memory=memory,
+            initial_registers=workload.registers_for(),
+            tracer=tracer,
         )
-        return processor.run()
 
     def test_shared_alus(self):
         workload = random_ilp(96, 0.8, seed=3)

@@ -17,10 +17,15 @@ designs: the paper's "identical scheduling policies".
 
 import pytest
 
-from repro.api import PROCESSOR_KINDS, build_processor, cluster_for_window
+from repro.api import (
+    PROCESSOR_KINDS,
+    IdealMemory,
+    ProcessorConfig,
+    build_processor,
+    cluster_for_window,
+)
 from repro.baseline.dataflow import dataflow_schedule
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -40,10 +45,9 @@ def issue_times_of(workload, window, fetch_width):
     config = ProcessorConfig(window_size=window, fetch_width=fetch_width)
     memory = IdealMemory()
     memory.load_image(workload.memory_image)
-    processor = make_ultrascalar1(
-        workload.program, config, memory=memory, initial_registers=workload.registers_for()
+    result = build_processor("us1", config).run(
+        workload.program, memory=memory, initial_registers=workload.registers_for()
     )
-    result = processor.run()
     ordered = sorted(result.timings, key=lambda t: t.seq)
     return [t.issue_cycle for t in ordered], result
 

@@ -3,10 +3,10 @@ processor running the decoded instruction words behaves identically."""
 
 import pytest
 
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.isa import Instruction, Opcode, Program, decode_instruction, encode_instruction
 from repro.isa.encoding import EncodingError
 from repro.isa.registers import MachineSpec
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.workloads import (
     bubble_sort,
     daxpy_loop,
@@ -49,10 +49,9 @@ class TestRoundTrip:
         def run(program):
             memory = IdealMemory()
             memory.load_image(workload.memory_image)
-            return make_ultrascalar1(
-                program, config, memory=memory,
-                initial_registers=workload.registers_for(),
-            ).run()
+            return build_processor("us1", config).run(
+                program, memory=memory, initial_registers=workload.registers_for()
+            )
 
         original = run(workload.program)
         redecoded = run(decoded)

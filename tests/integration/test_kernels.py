@@ -10,13 +10,7 @@ import pytest
 from repro.frontend.branch_predictor import BimodalPredictor, GSharePredictor
 from repro.isa.interpreter import MachineState, run_program
 from repro.memory import ClusteredMemory
-from repro.ultrascalar import (
-    IdealMemory,
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.workloads import (
     bubble_sort,
     expected_matmul,
@@ -31,20 +25,18 @@ def run_on(workload, kind="us1", predictor=None, memory=None, window=16):
     config = ProcessorConfig(window_size=window, fetch_width=4, max_cycles=5_000_000)
     mem = memory if memory is not None else IdealMemory()
     mem.load_image(workload.memory_image)
-    kwargs = dict(config=config, memory=mem, initial_registers=workload.registers_for())
-    if predictor is not None:
-        kwargs["predictor"] = predictor
-    if kind == "us1":
-        return make_ultrascalar1(workload.program, **kwargs).run()
-    if kind == "us2":
-        return make_ultrascalar2(workload.program, **kwargs).run()
-    return make_hybrid(workload.program, 4, **kwargs).run()
+    return build_processor(kind, config, cluster_size=4).run(
+        workload.program,
+        memory=mem,
+        predictor=predictor,
+        initial_registers=workload.registers_for(),
+    )
 
 
 class TestBubbleSort:
     VALUES = [23, 5, 91, 1, 44, 17, 8, 62]
 
-    @pytest.mark.parametrize("kind", ["us1", "us2", "hyb"])
+    @pytest.mark.parametrize("kind", ["us1", "us2", pytest.param("hybrid", id="hyb")])
     def test_sorts_on_every_processor(self, kind):
         workload = bubble_sort(self.VALUES)
         result = run_on(workload, kind)

@@ -12,15 +12,8 @@ from repro.isa import assemble
 from repro.isa.interpreter import MachineState, run_program
 from repro.memory.interleaved_cache import InterleavedCache
 from repro.network.fattree import FatTree, bandwidth_constant
-from repro.ultrascalar import (
-    CachedMemory,
-    IdealMemory,
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
-from repro.verify.invariants import checked_run
+from repro.api import CachedMemory, IdealMemory, ProcessorConfig, build_processor
+from repro.verify.invariants import InvariantChecker
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -50,22 +43,20 @@ def golden_run(workload):
     return run_program(workload.program, state=state)
 
 
-def build(workload, kind, window=16, cluster=4, predictor=None, memory=None):
+#: the three designs; the hybrid keeps its short test id, ``hyb``
+KINDS = ["us1", "us2", pytest.param("hybrid", id="hyb")]
+
+
+def run_on(workload, kind, window=16, cluster=4, predictor=None, memory=None):
     config = ProcessorConfig(window_size=window, fetch_width=4)
     mem = memory if memory is not None else IdealMemory()
     mem.load_image(workload.memory_image)
-    kwargs = dict(
-        config=config,
+    return build_processor(kind, config, cluster_size=cluster).run(
+        workload.program,
         memory=mem,
+        predictor=predictor,
         initial_registers=workload.registers_for(),
     )
-    if predictor is not None:
-        kwargs["predictor"] = predictor
-    if kind == "us1":
-        return make_ultrascalar1(workload.program, **kwargs)
-    if kind == "us2":
-        return make_ultrascalar2(workload.program, **kwargs)
-    return make_hybrid(workload.program, cluster, **kwargs)
 
 
 def assert_matches_golden(workload, result):
@@ -82,10 +73,10 @@ def assert_matches_golden(workload, result):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
-@pytest.mark.parametrize("kind", ["us1", "us2", "hyb"])
+@pytest.mark.parametrize("kind", KINDS)
 class TestGoldenEquivalence:
     def test_matches_golden(self, workload, kind):
-        assert_matches_golden(workload, build(workload, kind).run())
+        assert_matches_golden(workload, run_on(workload, kind))
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 8, 64])
@@ -93,11 +84,11 @@ class TestGoldenEquivalence:
 class TestWindowSizes:
     def test_any_window_is_correct(self, window, kind):
         workload = random_ilp(30, 0.5, seed=21)
-        assert_matches_golden(workload, build(workload, kind, window=window).run())
+        assert_matches_golden(workload, run_on(workload, kind, window=window))
 
     def test_loops_with_any_window(self, window, kind):
         workload = daxpy_loop(4)
-        assert_matches_golden(workload, build(workload, kind, window=window).run())
+        assert_matches_golden(workload, run_on(workload, kind, window=window))
 
 
 @pytest.mark.parametrize("cluster", [1, 2, 4, 8, 16])
@@ -105,15 +96,14 @@ class TestClusterSizes:
     def test_hybrid_correct_at_any_cluster_size(self, cluster):
         workload = daxpy_loop(5)
         assert_matches_golden(
-            workload, build(workload, "hyb", window=16, cluster=cluster).run()
+            workload, run_on(workload, "hybrid", window=16, cluster=cluster)
         )
 
 
 class TestClusterValidation:
     def test_cluster_must_divide_window(self):
-        workload = paper_sequence()
-        with pytest.raises(ValueError):
-            build(workload, "hyb", window=16, cluster=3)
+        with pytest.raises(ValueError, match="cluster_size must divide"):
+            build_processor("hybrid", ProcessorConfig(window_size=16), cluster_size=3)
 
 
 @pytest.mark.parametrize(
@@ -121,36 +111,36 @@ class TestClusterValidation:
     [AlwaysTaken, AlwaysNotTaken, lambda: BimodalPredictor(size=64)],
     ids=["taken", "not-taken", "bimodal"],
 )
-@pytest.mark.parametrize("kind", ["us1", "us2", "hyb"])
+@pytest.mark.parametrize("kind", KINDS)
 class TestRealPredictors:
     """Mispredictions and squashes must never corrupt architectural state."""
 
     def test_loopy_code_with_imperfect_prediction(self, predictor_factory, kind):
         workload = daxpy_loop(8)
-        result = build(workload, kind, predictor=predictor_factory()).run()
+        result = run_on(workload, kind, predictor=predictor_factory())
         assert_matches_golden(workload, result)
 
     def test_branchy_code_with_imperfect_prediction(self, predictor_factory, kind):
         workload = reduction_loop(10)
-        result = build(workload, kind, predictor=predictor_factory()).run()
+        result = run_on(workload, kind, predictor=predictor_factory())
         assert_matches_golden(workload, result)
 
 
 class TestMispredictionAccounting:
     def test_always_taken_on_loop_exit_mispredicts(self):
         workload = reduction_loop(5)
-        result = build(workload, "us1", predictor=AlwaysNotTaken()).run()
+        result = run_on(workload, "us1", predictor=AlwaysNotTaken())
         # the backward branch is taken 4 times: 4 mispredictions at least
         assert result.mispredictions >= 4
 
     def test_squashed_work_is_counted(self):
         workload = reduction_loop(5)
-        result = build(workload, "us1", predictor=AlwaysNotTaken()).run()
+        result = run_on(workload, "us1", predictor=AlwaysNotTaken())
         assert result.squashed > 0
 
     def test_perfect_prediction_no_squashes_straightline(self):
         workload = random_ilp(30, 0.5, seed=31)
-        result = build(workload, "us1").run()
+        result = run_on(workload, "us1")
         assert result.mispredictions == 0
         assert result.squashed == 0
 
@@ -159,22 +149,22 @@ class TestCachedMemory:
     def test_correct_through_interleaved_cache(self):
         workload = daxpy_loop(6)
         cache = InterleavedCache(banks=2, lines_per_bank=4, words_per_line=2)
-        result = build(workload, "us1", memory=CachedMemory(cache)).run()
+        result = run_on(workload, "us1", memory=CachedMemory(cache))
         assert_matches_golden(workload, result)
 
     def test_correct_through_fat_tree_throttling(self):
         workload = memory_stream(8)
         tree = FatTree(16, bandwidth_constant(1.0), radix=4)
         cache = InterleavedCache(banks=2, lines_per_bank=4, fat_tree=tree)
-        result = build(workload, "us2", memory=CachedMemory(cache)).run()
+        result = run_on(workload, "us2", memory=CachedMemory(cache))
         assert_matches_golden(workload, result)
 
     def test_bandwidth_throttling_costs_cycles(self):
         workload = memory_stream(12)
-        fast = build(workload, "us1").run()
+        fast = run_on(workload, "us1")
         tree = FatTree(16, bandwidth_constant(1.0), radix=4)
         cache = InterleavedCache(banks=1, lines_per_bank=4, fat_tree=tree)
-        slow = build(workload, "us1", memory=CachedMemory(cache)).run()
+        slow = run_on(workload, "us1", memory=CachedMemory(cache))
         assert slow.cycles > fast.cycles
 
 
@@ -184,25 +174,25 @@ class TestThroughputOrdering:
     def test_us2_never_beats_us1(self):
         # "stations idle waiting for everyone to finish before refilling"
         for workload in (dependency_chain(30), random_ilp(60, 0.5, seed=41)):
-            us1 = build(workload, "us1").run()
-            us2 = build(workload, "us2").run()
+            us1 = run_on(workload, "us1")
+            us2 = run_on(workload, "us2")
             assert us2.cycles >= us1.cycles
 
     def test_hybrid_between_us1_and_us2(self):
         workload = random_ilp(60, 0.5, seed=42)
-        us1 = build(workload, "us1").run()
-        us2 = build(workload, "us2").run()
-        hybrid = build(workload, "hyb", cluster=4).run()
+        us1 = run_on(workload, "us1")
+        us2 = run_on(workload, "us2")
+        hybrid = run_on(workload, "hybrid", cluster=4)
         assert us1.cycles <= hybrid.cycles <= us2.cycles
 
     def test_window_one_is_sequential(self):
         workload = dependency_chain(10)
-        result = build(workload, "us1", window=1).run()
+        result = run_on(workload, "us1", window=1)
         # one station: fetch, execute, commit one instruction at a time
         assert result.ipc <= 1.0
 
 
-@pytest.mark.parametrize("kind", ["us2", "hyb"])
+@pytest.mark.parametrize("kind", KINDS[1:])
 class TestProgramsWithoutHalt:
     """A program that runs off its end still drains: the last, partly
     filled cluster (or batch) frees once nothing more can be fetched."""
@@ -216,18 +206,14 @@ class TestProgramsWithoutHalt:
             """
         )
         config = ProcessorConfig(window_size=8, fetch_width=4, max_cycles=100)
-        if kind == "us2":
-            processor = make_ultrascalar2(program, config)
-        else:
-            processor = make_hybrid(program, 2, config)
-        result = processor.run()
+        result = build_processor(kind, config, cluster_size=2).run(program)
         assert result.instructions_committed == 3
         assert result.cycles < 20
         assert result.registers[1:4] == [1, 3, 4]
         assert not result.halted
 
 
-@pytest.mark.parametrize("kind", ["us1", "us2", "hyb"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_squash_restores_nearest_writer(kind):
     """A wrong-path writer of r1 is squashed; the correct-path reader must
     link back to the older, still-running writer (the slow divide), not
@@ -245,13 +231,9 @@ def test_squash_restores_nearest_writer(kind):
         """
     )
     config = ProcessorConfig(window_size=8, fetch_width=8)
-    if kind == "us1":
-        processor = make_ultrascalar1(program, config, predictor=AlwaysNotTaken())
-    elif kind == "us2":
-        processor = make_ultrascalar2(program, config, predictor=AlwaysNotTaken())
-    else:
-        processor = make_hybrid(program, 4, config, predictor=AlwaysNotTaken())
-    result = checked_run(processor)
+    result = build_processor(kind, config, cluster_size=4).run(
+        program, predictor=AlwaysNotTaken(), cycle_hook=InvariantChecker()
+    )
     assert result.mispredictions == 1
     assert result.registers[4] == 100 // 7 + 1
 
@@ -263,9 +245,9 @@ class TestLargeN:
     def test_large_window_runs_quickly_and_correctly(self):
         workload = random_ilp(2000, 0.5, seed=75)
         config = ProcessorConfig(window_size=512, fetch_width=64)
-        result = make_ultrascalar1(
-            workload.program, config, initial_registers=workload.registers_for()
-        ).run()
+        result = build_processor("us1", config).run(
+            workload.program, initial_registers=workload.registers_for()
+        )
         golden = run_program(workload.program, state=MachineState(workload.registers_for()))
         assert result.registers == golden.state.registers
 
@@ -274,9 +256,9 @@ class TestLargeN:
         ipcs = []
         for window in (8, 32, 128, 512):
             config = ProcessorConfig(window_size=window, fetch_width=window)
-            result = make_ultrascalar1(
-                workload.program, config, initial_registers=workload.registers_for()
-            ).run()
+            result = build_processor("us1", config).run(
+                workload.program, initial_registers=workload.registers_for()
+            )
             ipcs.append(result.ipc)
         assert ipcs == sorted(ipcs)
         assert ipcs[-1] > ipcs[0]

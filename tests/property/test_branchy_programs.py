@@ -8,10 +8,10 @@ interpreter exactly.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.frontend.branch_predictor import AlwaysNotTaken, AlwaysTaken, BimodalPredictor
 from repro.isa import Instruction, Opcode, Program
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_hybrid, make_ultrascalar1, make_ultrascalar2
 
 REGS = st.integers(0, 5)
 
@@ -56,10 +56,9 @@ PREDICTORS = [AlwaysTaken, AlwaysNotTaken, lambda: BimodalPredictor(size=16)]
 def test_us1_speculation_preserves_state(program, predictor_index, window):
     golden = run_program(program, state=MachineState.zeroed(32))
     config = ProcessorConfig(window_size=window, fetch_width=4)
-    processor = make_ultrascalar1(
-        program, config, predictor=PREDICTORS[predictor_index](), memory=IdealMemory()
+    result = build_processor("us1", config).run(
+        program, predictor=PREDICTORS[predictor_index](), memory=IdealMemory()
     )
-    result = processor.run()
     assert result.registers == golden.state.registers
     assert [s.static_index for s in result.committed] == [
         s.static_index for s in golden.trace
@@ -71,10 +70,9 @@ def test_us1_speculation_preserves_state(program, predictor_index, window):
 def test_us2_speculation_preserves_state(program, predictor_index):
     golden = run_program(program, state=MachineState.zeroed(32))
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    processor = make_ultrascalar2(
-        program, config, predictor=PREDICTORS[predictor_index](), memory=IdealMemory()
+    result = build_processor("us2", config).run(
+        program, predictor=PREDICTORS[predictor_index](), memory=IdealMemory()
     )
-    result = processor.run()
     assert result.registers == golden.state.registers
 
 
@@ -83,10 +81,9 @@ def test_us2_speculation_preserves_state(program, predictor_index):
 def test_hybrid_speculation_preserves_state(program):
     golden = run_program(program, state=MachineState.zeroed(32))
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    processor = make_hybrid(
-        program, 4, config, predictor=AlwaysTaken(), memory=IdealMemory()
+    result = build_processor("hybrid", config, cluster_size=4).run(
+        program, predictor=AlwaysTaken(), memory=IdealMemory()
     )
-    result = processor.run()
     assert result.registers == golden.state.registers
 
 
@@ -97,10 +94,9 @@ def test_wrong_path_work_never_commits(program):
     order, even under maximal misprediction."""
     golden = run_program(program, state=MachineState.zeroed(32))
     config = ProcessorConfig(window_size=8, fetch_width=8)
-    processor = make_ultrascalar1(
-        program, config, predictor=AlwaysTaken(), memory=IdealMemory()
+    result = build_processor("us1", config).run(
+        program, predictor=AlwaysTaken(), memory=IdealMemory()
     )
-    result = processor.run()
     got = [(s.static_index, s.result, s.taken) for s in result.committed]
     want = [(s.static_index, s.result, s.taken) for s in golden.trace]
     assert got == want
@@ -116,8 +112,7 @@ def test_extensions_with_speculation(program, num_alus):
         window_size=8, fetch_width=4, num_alus=num_alus,
         store_forwarding=True, self_timed=True,
     )
-    processor = make_ultrascalar1(
-        program, config, predictor=AlwaysNotTaken(), memory=IdealMemory()
+    result = build_processor("us1", config).run(
+        program, predictor=AlwaysNotTaken(), memory=IdealMemory()
     )
-    result = processor.run()
     assert result.registers == golden.state.registers

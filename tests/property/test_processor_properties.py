@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.isa import Instruction, Opcode, Program
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_hybrid, make_ultrascalar1, make_ultrascalar2
 
 REGS = st.integers(0, 7)  # small register universe concentrates dependencies
 SPEC_L = 32
@@ -71,7 +71,7 @@ def golden(program):
 @settings(max_examples=40, deadline=None)
 def test_us1_matches_golden_on_random_programs(program, window):
     config = ProcessorConfig(window_size=window, fetch_width=4)
-    result = make_ultrascalar1(program, config, memory=IdealMemory()).run()
+    result = build_processor("us1", config).run(program, memory=IdealMemory())
     reference = golden(program)
     assert result.registers == reference.state.registers
     assert len(result.committed) == reference.dynamic_length
@@ -81,7 +81,7 @@ def test_us1_matches_golden_on_random_programs(program, window):
 @settings(max_examples=30, deadline=None)
 def test_us2_matches_golden_on_random_programs(program, window):
     config = ProcessorConfig(window_size=window, fetch_width=4)
-    result = make_ultrascalar2(program, config, memory=IdealMemory()).run()
+    result = build_processor("us2", config).run(program, memory=IdealMemory())
     reference = golden(program)
     assert result.registers == reference.state.registers
 
@@ -91,7 +91,9 @@ def test_us2_matches_golden_on_random_programs(program, window):
 def test_hybrid_matches_golden_on_random_programs(program, shape):
     window, cluster = shape
     config = ProcessorConfig(window_size=window, fetch_width=4)
-    result = make_hybrid(program, cluster, config, memory=IdealMemory()).run()
+    result = build_processor("hybrid", config, cluster_size=cluster).run(
+        program, memory=IdealMemory()
+    )
     reference = golden(program)
     assert result.registers == reference.state.registers
 
@@ -100,8 +102,7 @@ def test_hybrid_matches_golden_on_random_programs(program, shape):
 @settings(max_examples=30, deadline=None)
 def test_memory_programs_match_golden(program, kind):
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    factory = make_ultrascalar1 if kind == "us1" else make_ultrascalar2
-    result = factory(program, config, memory=IdealMemory()).run()
+    result = build_processor(kind, config).run(program, memory=IdealMemory())
     reference = golden(program)
     assert result.registers == reference.state.registers
     for address, value in reference.state.memory.items():
@@ -112,7 +113,7 @@ def test_memory_programs_match_golden(program, kind):
 @settings(max_examples=30, deadline=None)
 def test_commit_order_is_program_order(program):
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    result = make_ultrascalar1(program, config, memory=IdealMemory()).run()
+    result = build_processor("us1", config).run(program, memory=IdealMemory())
     reference = golden(program)
     assert [s.static_index for s in result.committed] == [
         s.static_index for s in reference.trace
@@ -124,7 +125,7 @@ def test_commit_order_is_program_order(program):
 def test_timing_sanity_invariants(program):
     """fetch <= issue <= complete <= commit for every instruction."""
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    result = make_ultrascalar1(program, config, memory=IdealMemory()).run()
+    result = build_processor("us1", config).run(program, memory=IdealMemory())
     for t in result.timings:
         assert t.fetch_cycle <= t.issue_cycle <= t.complete_cycle <= t.commit_cycle
     commits = [t.commit_cycle for t in result.timings]

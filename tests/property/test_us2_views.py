@@ -5,10 +5,10 @@ and the Figure 7/8 circuits."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ProcessorConfig, build_processor
 from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.frontend.branch_predictor import AlwaysNotTaken
 from repro.isa import Instruction, Opcode, Program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar2
 
 L = 6
 REGS = st.integers(0, L - 1)
@@ -38,14 +38,20 @@ def test_batch_views_equal_grid_router(program, cycles):
     """At an arbitrary mid-execution cycle, the stations' producer-link
     reads and the circuits' route_arguments agree on every argument."""
     config = ProcessorConfig(window_size=8, fetch_width=8)
-    processor = make_ultrascalar2(
-        program, config, predictor=AlwaysNotTaken(), memory=IdealMemory()
+
+    def check_at_drawn_cycle(engine):
+        assert engine.cluster_size == config.window_size
+        steps = engine.cycle + 1
+        if steps == cycles or (engine.halted and steps < cycles):
+            check_views(engine)
+
+    build_processor("us2", config).run(
+        program, predictor=AlwaysNotTaken(), cycle_hook=check_at_drawn_cycle
     )
-    assert processor.cluster_size == config.window_size
-    for _ in range(cycles):
-        if processor.halted:
-            break
-        processor.step()
+
+
+def check_views(processor):
+    """The producer-link reads of *processor*'s batch equal the grid's."""
     batch = processor.occupied_stations()
     if not batch:
         return

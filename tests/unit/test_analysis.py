@@ -9,7 +9,7 @@ from repro.analysis.asymptotics import FIGURE11, evaluate_cell, figure11_table, 
 from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep, cluster_is_theta_L
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog
-from repro.analysis.recurrences import optimal_cluster_closed_form, u_closed_form, x_closed_form
+from repro.analysis.recurrences import u_closed_form, x_closed_form
 from repro.analysis.regimes import Regime, classify_bandwidth, classify_exponent, regularity_holds
 from repro.analysis.three_d import lookup as lookup_3d, three_d_table, volume_improvement_2d_to_3d
 from repro.network.fattree import bandwidth_constant, bandwidth_linear, bandwidth_power
@@ -75,11 +75,6 @@ class TestRecurrences:
         values = {c: u_closed_form(4096, c, 32, 0.0) for c in (4, 8, 16, 32, 64, 128, 256)}
         best = min(values, key=values.get)
         assert best == 32
-
-    def test_optimal_cluster_closed_form(self):
-        assert optimal_cluster_closed_form(32) == 32.0
-        with pytest.raises(ValueError):
-            optimal_cluster_closed_form(0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +180,8 @@ class TestCrossover:
 class TestCluster:
     def test_analytic_optimum_is_L(self):
         assert analytic_optimal_cluster(64) == 64.0
+        with pytest.raises(ValueError):
+            analytic_optimal_cluster(0)
 
     def test_closed_form_sweep_u_shaped(self):
         sweep = closed_form_sweep(4096, 32)

@@ -9,7 +9,6 @@ from repro.api import (
     ProcessorResult,
     TimingRecord,
     build_processor,
-    run,
 )
 from repro.isa import LatencyModel, assemble
 from repro.workloads import paper_sequence
@@ -28,11 +27,10 @@ class TestBuildProcessor:
             assert isinstance(processor, Processor)
             assert processor.kind == kind
 
-    def test_aliases_normalize(self):
-        assert build_processor("ultrascalar1").kind == "us1"
-        assert build_processor("Ring").kind == "us1"
-        assert build_processor("ULTRASCALAR2").kind == "us2"
-        assert build_processor("batch").kind == "us2"
+    def test_only_canonical_kinds(self):
+        for kind in ("ring", "US1", "ultrascalar2"):
+            with pytest.raises(ValueError, match="unknown processor kind"):
+                build_processor(kind)
 
     def test_unknown_kind_suggests(self):
         with pytest.raises(ValueError, match="did you mean.*hybrid"):
@@ -82,20 +80,10 @@ class TestRun:
         assert result.stats == tracer.snapshot()
         assert result.stats["commit.instructions"] == 3
 
-    def test_initial_registers_and_oneshot(self):
+    def test_initial_registers(self):
         workload = paper_sequence()
-        result = run(
-            workload.program,
-            kind="hybrid",
-            cluster_size=2,
-            initial_registers=workload.registers_for(),
+        result = build_processor("hybrid", cluster_size=2).run(
+            workload.program, initial_registers=workload.registers_for()
         )
         assert result.halted
         assert result.ipc > 0
-
-    def test_oneshot_matches_handle(self):
-        program = assemble(SOURCE)
-        assert (
-            run(program, kind="us1").cycles
-            == build_processor("us1").run(program).cycles
-        )

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.isa import Instruction, Opcode
 from repro.isa.registers import MachineSpec
 from repro.runner.registry import REGISTRY, ExperimentSpec
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.workloads import paper_sequence
 
 
@@ -137,9 +137,9 @@ class TestTimingDiagram:
     def run_paper(self):
         w = paper_sequence()
         config = ProcessorConfig(window_size=9, fetch_width=9)
-        return make_ultrascalar1(
-            w.program, config, memory=IdealMemory(), initial_registers=w.registers_for()
-        ).run()
+        return build_processor("us1", config).run(
+            w.program, memory=IdealMemory(), initial_registers=w.registers_for()
+        )
 
     def test_diagram_has_one_row_per_instruction(self):
         result = self.run_paper()

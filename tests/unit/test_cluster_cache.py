@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import ProcessorConfig, build_processor
 from repro.memory.cluster_cache import ClusteredMemory
-from repro.ultrascalar import ProcessorConfig, make_ultrascalar1
 from repro.workloads import repeated_reduction
 
 
@@ -112,10 +112,9 @@ class TestRepeatedReduction:
             workload = repeated_reduction(8, passes)
             memory = ClusteredMemory(cluster_size=16, shared_latency=6)
             memory.load_image(workload.memory_image)
-            make_ultrascalar1(
-                workload.program, ProcessorConfig(window_size=16, fetch_width=8),
-                memory=memory, initial_registers=workload.registers_for(),
-            ).run()
+            build_processor("us1", ProcessorConfig(window_size=16, fetch_width=8)).run(
+                workload.program, memory=memory, initial_registers=workload.registers_for()
+            )
             savings.append(memory.stats.bandwidth_saved)
         assert savings == sorted(savings)
         # 8 passes: 63 local hits, 9 shared accesses -- EXPERIMENTS.md's "88%"

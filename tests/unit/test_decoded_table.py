@@ -2,10 +2,10 @@
 
 import itertools
 
+from repro.api import ProcessorConfig, build_processor
 from repro.isa import Instruction, LatencyModel, Opcode, OpClass, Program, assemble
 from repro.isa.interpreter import ALU_OPS, BRANCH_OPS, SEMANTICS
 from repro.isa.opcodes import Format
-from repro.ultrascalar import ProcessorConfig, make_ultrascalar1
 from repro.workloads.generators import random_ilp
 
 OPERANDS = {"rd": 1, "rs1": 2, "rs2": 3, "imm": -4, "target": 1}
@@ -75,5 +75,5 @@ def test_two_runs_build_the_table_once(monkeypatch):
     workload = random_ilp(200, 0.5, seed=3)
     assert built == []  # not at construction
     for window in (8, 32):
-        make_ultrascalar1(workload.program, ProcessorConfig(window_size=window)).run()
+        build_processor("us1", ProcessorConfig(window_size=window)).run(workload.program)
     assert len(built) == 1 and built[0] is workload.program

@@ -2,7 +2,7 @@
 
 The process-pool runner assumes an experiment computes the same result
 no matter which process (or which run) executes it.  These tests pin
-that contract at the simulator level: two runs of each factory on the
+that contract at the simulator level: two runs of each design on the
 same kernel must agree on every field of :class:`ProcessorResult`.
 """
 
@@ -10,14 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.ultrascalar import (
-    IdealMemory,
-    ProcessorConfig,
-    ProcessorResult,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
+from repro.api import IdealMemory, ProcessorConfig, ProcessorResult, build_processor
 from repro.workloads import fibonacci
 
 
@@ -26,22 +19,9 @@ def _run_once(kind: str) -> ProcessorResult:
     config = ProcessorConfig(window_size=16, fetch_width=16)
     memory = IdealMemory()
     memory.load_image(workload.memory_image)
-    if kind == "us1":
-        processor = make_ultrascalar1(
-            workload.program, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    elif kind == "us2":
-        processor = make_ultrascalar2(
-            workload.program, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    else:
-        processor = make_hybrid(
-            workload.program, 4, config, memory=memory,
-            initial_registers=workload.registers_for(),
-        )
-    return processor.run()
+    return build_processor(kind, config, cluster_size=4).run(
+        workload.program, memory=memory, initial_registers=workload.registers_for()
+    )
 
 
 @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])

@@ -8,6 +8,8 @@ A package ``__init__`` that re-exports names does not reach every
 submodule it imports: ``from package import name`` reaches only the
 submodule that *name* comes from.
 
+One construction site: only :mod:`repro.api` calls ``RingProcessor(...)``.
+
 Documentation: every public module, class and function carries a
 docstring.
 """
@@ -97,19 +99,31 @@ def _modules() -> list[pathlib.Path]:
     return sorted((SRC / "repro").rglob("*.py"))
 
 
+def _module_name(path: pathlib.Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
 class TestModuleReachability:
     def test_every_module_is_reached_or_allowlisted(self):
-        modules = {
-            ".".join(path.relative_to(SRC).with_suffix("").parts)
-            for path in _modules()
-            if path.name != "__init__.py"
-        }
+        modules = {_module_name(path) for path in _modules() if path.name != "__init__.py"}
         unreached = modules - _reached(_entry_points())
         allowed = set(ALLOWED_UNREACHED)
         assert unreached == allowed, (
             f"unreached and not allowlisted: {sorted(unreached - allowed)}; "
             f"allowlisted but reached or gone: {sorted(allowed - unreached)}"
         )
+
+
+class TestOneConstructionSite:
+    def test_ring_engine_is_built_only_by_the_api(self):
+        builders = {
+            _module_name(path)
+            for path in _modules()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and "RingProcessor" in (getattr(node.func, name, None) for name in ("id", "attr"))
+        }
+        assert builders == {"repro.api"}
 
 
 class TestDocstringContract:

@@ -25,12 +25,7 @@ from repro.telemetry import (
     current_tracer,
     validate_chrome_trace,
 )
-from repro.ultrascalar import (
-    ProcessorConfig,
-    make_hybrid,
-    make_ultrascalar1,
-    make_ultrascalar2,
-)
+from repro.api import ProcessorConfig, build_processor
 from repro.workloads import store_load_pairs
 
 #: four instructions, hand-schedulable by eye: an immediate write to
@@ -47,15 +42,12 @@ FOUR_INSTRUCTIONS = """
 GOLDEN_COUNTERS = pathlib.Path("tests/golden/telemetry_counters.json")
 
 
-def build(kind: str, tracer=None):
-    """One of the three factories on the four-instruction program."""
-    program = assemble(FOUR_INSTRUCTIONS)
+def run_four(kind: str, tracer=None):
+    """Run one of the three designs on the four-instruction program."""
     config = ProcessorConfig(window_size=4, fetch_width=4)
-    if kind == "us1":
-        return make_ultrascalar1(program, config, tracer=tracer)
-    if kind == "us2":
-        return make_ultrascalar2(program, config, tracer=tracer)
-    return make_hybrid(program, 2, config, tracer=tracer)
+    return build_processor(kind, config, cluster_size=2).run(
+        assemble(FOUR_INSTRUCTIONS), tracer=tracer
+    )
 
 
 class TestTracers:
@@ -72,12 +64,6 @@ class TestTracers:
         tracer.count("a", 2)
         tracer.count("b", 3)
         assert list(tracer.snapshot().items()) == [("a", 2), ("b", 4)]
-
-    def test_counting_tracer_merge(self):
-        tracer = CountingTracer()
-        tracer.count("x")
-        tracer.merge({"x": 2, "y": 5})
-        assert tracer.snapshot() == {"x": 3, "y": 5}
 
     def test_event_tracer_records_timeline(self):
         tracer = EventTracer()
@@ -112,7 +98,7 @@ class TestSession:
 
     def test_session_tracer_reaches_engines(self):
         with collecting() as tracer:
-            build("us1").run()
+            run_four("us1")
         assert tracer.snapshot()["commit.instructions"] == 4
 
     def test_restored_after_exception(self):
@@ -149,7 +135,7 @@ class TestCounterExactness:
     @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
     def test_common_counters_exact(self, kind):
         tracer = CountingTracer()
-        build(kind, tracer=tracer).run()
+        run_four(kind, tracer=tracer)
         stats = tracer.snapshot()
         for name, value in self.expected_common().items():
             assert stats[name] == value, f"{kind}: {name}"
@@ -158,7 +144,7 @@ class TestCounterExactness:
         snapshots = {}
         for kind in ("us1", "us2", "hybrid"):
             tracer = CountingTracer()
-            build(kind, tracer=tracer).run()
+            run_four(kind, tracer=tracer)
             snapshots[kind] = tracer.snapshot()
         # per-station on the ring: each of the 4 stations recycles alone
         assert snapshots["us1"]["fetch.refills.per_station"] == 4
@@ -173,11 +159,11 @@ class TestCounterExactness:
         # ring has already committed and recycled station 0, so the same
         # read comes from the register file
         us2 = CountingTracer()
-        build("us2", tracer=us2).run()
+        run_four("us2", tracer=us2)
         assert us2.snapshot()["forward.from_station"] == 1
         assert us2.snapshot()["forward.hops.1"] == 1
         us1 = CountingTracer()
-        build("us1", tracer=us1).run()
+        run_four("us1", tracer=us1)
         assert us1.snapshot()["forward.from_regfile"] == 4
         assert "forward.from_station" not in us1.snapshot()
 
@@ -185,7 +171,7 @@ class TestCounterExactness:
     def test_golden_counters_pinned(self, kind):
         golden = json.loads(GOLDEN_COUNTERS.read_text(encoding="utf-8"))
         tracer = CountingTracer()
-        build(kind, tracer=tracer).run()
+        run_four(kind, tracer=tracer)
         assert tracer.snapshot() == golden[kind]
 
 
@@ -198,17 +184,9 @@ class TestSeedKernelCoverage:
         workload = store_load_pairs(6)
         config = ProcessorConfig(window_size=8, fetch_width=4)
         tracer = CountingTracer()
-        kwargs = dict(
-            config=config,
-            initial_registers=workload.registers_for(),
-            tracer=tracer,
+        build_processor(kind, config, cluster_size=2).run(
+            workload.program, initial_registers=workload.registers_for(), tracer=tracer
         )
-        if kind == "us1":
-            make_ultrascalar1(workload.program, **kwargs).run()
-        elif kind == "us2":
-            make_ultrascalar2(workload.program, **kwargs).run()
-        else:
-            make_hybrid(workload.program, 2, **kwargs).run()
         stats = tracer.snapshot()
         for family in ("fetch.", "issue.", "forward.", "mem."):
             assert any(
@@ -222,8 +200,8 @@ class TestTracingChangesNothing:
 
     @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
     def test_traced_run_matches_untraced(self, kind):
-        plain = build(kind).run()
-        traced = build(kind, tracer=EventTracer()).run()
+        plain = run_four(kind)
+        traced = run_four(kind, tracer=EventTracer())
         assert traced.cycles == plain.cycles
         assert traced.registers == plain.registers
         assert [t.issue_cycle for t in traced.timings] == [
@@ -231,7 +209,7 @@ class TestTracingChangesNothing:
         ]
 
     def test_untraced_result_has_empty_stats(self):
-        result = build("us1").run()
+        result = run_four("us1")
         assert result.stats == {}
 
     def test_golden_reports_byte_identical_without_tracing(self):
@@ -246,7 +224,7 @@ class TestTracingChangesNothing:
 class TestChromeExport:
     def run_events(self):
         tracer = EventTracer()
-        build("us2", tracer=tracer).run()
+        run_four("us2", tracer=tracer)
         return tracer
 
     def test_engine_emits_one_event_per_commit(self):

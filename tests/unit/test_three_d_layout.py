@@ -17,6 +17,14 @@ class TestThreeDUltrascalar1:
         wires = [ThreeDUltrascalar1Layout(n, 32).critical_wire for n in sizes]
         assert fit_exponent(sizes, wires) == pytest.approx(1 / 3, abs=0.05)
 
+    def test_root_to_leaf_steps_to_octant_centres(self):
+        # a cube's centre is X(k)/4 from an octant's along each of 3 axes
+        layout = ThreeDUltrascalar1Layout(512, 32)
+        hand = sum(
+            3 * layout.side_length(k) / 4 + layout.switch_block_side(k) for k in (512, 64, 8)
+        )
+        assert layout.root_to_leaf_wire() == pytest.approx(hand, rel=1e-12)
+
     def test_volume_grows_linearly_in_n(self):
         sizes = [8**k for k in range(2, 7)]
         volumes = [ThreeDUltrascalar1Layout(n, 32).volume for n in sizes]

@@ -8,7 +8,7 @@ from repro.analysis.clock_period import (
     project_ultrascalar1,
     project_ultrascalar2,
 )
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
+from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.ultrascalar.trace_view import render_pipeline, stall_breakdown
 from repro.workloads import paper_sequence
 
@@ -17,9 +17,9 @@ from repro.workloads import paper_sequence
 def paper_result():
     w = paper_sequence()
     config = ProcessorConfig(window_size=9, fetch_width=9)
-    return make_ultrascalar1(
-        w.program, config, memory=IdealMemory(), initial_registers=w.registers_for()
-    ).run()
+    return build_processor("us1", config).run(
+        w.program, memory=IdealMemory(), initial_registers=w.registers_for()
+    )
 
 
 class TestRenderPipeline:
@@ -67,9 +67,9 @@ class TestStallBreakdown:
 
         w = dependency_chain(10)
         config = ProcessorConfig(window_size=16, fetch_width=16)
-        result = make_ultrascalar1(
-            w.program, config, memory=IdealMemory(), initial_registers=w.registers_for()
-        ).run()
+        result = build_processor("us1", config).run(
+            w.program, memory=IdealMemory(), initial_registers=w.registers_for()
+        )
         breakdown = stall_breakdown(result)
         # each link waits exactly for its predecessor: n-1 single-cycle
         # handoffs plus the halt

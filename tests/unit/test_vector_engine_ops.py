@@ -7,9 +7,9 @@ its name so the test IDs stay stable.
 
 import pytest
 
+from repro.api import ProcessorConfig, build_processor
 from repro.isa import Instruction, Opcode, Program
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import ProcessorConfig, make_ultrascalar1
 
 
 def run_both(instructions, initial=None):
@@ -17,7 +17,7 @@ def run_both(instructions, initial=None):
     regs = initial or [0] * 32
     golden = run_program(program, state=MachineState(list(regs)))
     config = ProcessorConfig(window_size=8, fetch_width=4)
-    engine = make_ultrascalar1(program, config, initial_registers=list(regs)).run()
+    engine = build_processor("us1", config).run(program, initial_registers=list(regs))
     return golden.state.registers, engine.registers
 
 
