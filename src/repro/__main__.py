@@ -5,7 +5,7 @@ Usage::
     python -m repro list                 # available experiments
     python -m repro fig3                 # one experiment's table(s)
     python -m repro all                  # everything
-    python -m repro all --jobs 4         # fan out across worker processes
+    python -m repro all --jobs 4         # fan out across 4 worker processes
     python -m repro verify               # differential fuzz of all designs
                                          # (see `python -m repro verify -h`)
     python -m repro bench                # host-performance benchmarks
@@ -13,7 +13,6 @@ Usage::
 
 Options::
 
-    --list         registered experiments with their sweep points
     --jobs N       worker processes (default 1: run in-process)
     --json PATH    write a machine-readable run artifact (see docs)
     --trace PATH   write a Chrome trace-event JSON of the run (see docs)
@@ -26,11 +25,13 @@ Options::
 job runs inside a tracing session and its aggregated counters appear in
 the artifact (schema ``repro-runner/2``) and the trace event args.
 
-Results are cached on disk keyed by (experiment, arguments, package
-version), so a warm ``all`` replays instantly; a failing experiment is
-reported on stderr and the rest still run (exit code 1).  Set
-``REPRO_LOG=DEBUG`` (or ``INFO``) to see retry and cache decisions
-that are normally silent (see :mod:`repro.util.log`).
+Each experiment is one job: its ``report()``, called with no
+arguments.  Results are cached on disk keyed by (experiment, package
+version, source digest), so a warm ``all`` replays instantly without
+importing any experiment module.  A failing experiment is reported on
+stderr and the rest still run (exit code 1).  Set ``REPRO_LOG=DEBUG``
+(or ``INFO``) to see retry and cache decisions that are normally
+silent (see :mod:`repro.util.log`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", add_help=False)
     parser.add_argument("name", nargs="?")
     parser.add_argument("-h", "--help", action="store_true", dest="help")
-    parser.add_argument("--list", action="store_true", dest="list_experiments")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--trace", dest="trace_path", default=None)
@@ -73,25 +73,11 @@ def _print_listing() -> None:
         print(f"  {key:10s} {spec.title}")
 
 
-def _print_detailed_listing() -> None:
-    """The ``--list`` view: every experiment with its sweep points."""
-    print("Registered experiments:")
-    for key, spec in REGISTRY.items():
-        points = spec.sweep_points()
-        print(f"  {key:10s} {spec.title}")
-        print(f"  {'':10s} module {spec.module}, {len(points)} sweep point(s):")
-        for index, point in enumerate(points):
-            rendered = (
-                ", ".join(f"{k}={v!r}" for k, v in point.items()) or "(no arguments)"
-            )
-            print(f"  {'':10s}   [{index + 1}] {rendered}")
-
-
 def _unknown_experiment_message(name: str) -> str:
     """Error text for a bad experiment key, with did-you-mean help."""
     close = difflib.get_close_matches(name, list(REGISTRY), n=3, cutoff=0.4)
     hint = f" (did you mean: {', '.join(close)}?)" if close else ""
-    return f"unknown experiment {name!r}{hint}; try `python -m repro --list`"
+    return f"unknown experiment {name!r}{hint}; try `python -m repro list`"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,9 +98,6 @@ def main(argv: list[str] | None = None) -> int:
         opts = _build_parser().parse_args(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if opts.list_experiments:
-        _print_detailed_listing()
-        return 0
     if opts.help or opts.name in (None, "list"):
         _print_listing()
         return 0
@@ -125,11 +108,11 @@ def main(argv: list[str] | None = None) -> int:
 
     specs = list(REGISTRY.values()) if name == "all" else [REGISTRY[name]]
     cache = None if opts.no_cache else ResultCache(opts.cache_dir)
-    jobs = build_jobs(specs, cache=cache)
+    jobs = build_jobs(specs)
     show_headers = name == "all"
 
     def emit(result: JobResult) -> None:
-        if show_headers and result.index == 0:
+        if show_headers:
             print(f"\n{'=' * 70}\n{result.title}\n{'=' * 70}")
         if result.ok:
             print(result.output)

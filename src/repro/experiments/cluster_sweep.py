@@ -13,11 +13,6 @@ from repro.util.tables import Table
 from repro.vlsi.hybrid_layout import optimal_cluster_size
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"n": 4096}]
-
-
 @dataclass
 class ClusterSweepResult:
     """Empirical and closed-form optima per (n, L)."""

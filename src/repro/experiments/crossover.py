@@ -14,17 +14,6 @@ from repro.analysis.fitting import fit_exponent
 from repro.util.tables import Table
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [
-    {
-        "L_values": [8, 16, 32, 64],
-        "sizes": [16, 64, 256, 1024, 4096, 16384],
-        "n": 65536,
-    }
-]
-
-
 @dataclass
 class CrossoverResult:
     """Measured crossovers and dominance factors."""

@@ -19,16 +19,6 @@ from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [
-    {
-        "sizes": [16, 64, 256, 1024, 4096, 16384],
-        "L_values": [8, 16, 32, 64, 128],
-    }
-]
-
-
 @dataclass
 class DominanceMap:
     """Winner per (n, L) cell."""

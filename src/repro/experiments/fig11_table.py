@@ -21,11 +21,6 @@ from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"L": 32}]
-
-
 @dataclass
 class Fig11Validation:
     """Measured vs predicted wire-delay growth exponents (in n, L fixed)."""

@@ -26,10 +26,6 @@ PAPER_HYBRID = {
 }
 PAPER_DENSITY_RATIO = 150_000.0 / 13_000.0  # ~11.5x
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`); the comparison is pinned to the paper's two layouts
-SWEEP_POINTS: list[dict] = [{}]
-
 
 @dataclass
 class Fig12Result:

@@ -31,11 +31,6 @@ PAPER_FIGURE3_SPANS = [
 ]
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`); the paper's figure is a single fixed sequence
-SWEEP_POINTS: list[dict] = [{}]
-
-
 @dataclass
 class Fig3Result:
     """Everything E1 produces."""

@@ -20,11 +20,6 @@ from repro.circuits.mux_ring import MuxRing
 from repro.util.tables import Table
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"sizes": [4, 8, 16, 32]}]
-
-
 @dataclass
 class GateDepthResult:
     """Measured settle times per circuit family."""

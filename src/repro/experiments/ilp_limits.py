@@ -24,17 +24,6 @@ from repro.util.tables import Table
 from repro.workloads import random_ilp
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [
-    {
-        "densities": [0.2, 0.5, 0.8],
-        "sizes": [8, 32, 128, 512, 2048],
-        "instructions": 4000,
-    }
-]
-
-
 @dataclass
 class IlpCurve:
     """IPC vs window for one dependence density."""

@@ -30,12 +30,6 @@ from repro.workloads import (
 )
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`); the workload set is a rich in-code fixture, so the
-#: experiment exposes a single canonical point
-SWEEP_POINTS: list[dict] = [{}]
-
-
 @dataclass
 class IpcRow:
     """IPC of every design on one workload."""

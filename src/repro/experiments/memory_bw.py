@@ -19,17 +19,6 @@ from repro.util.tables import Table
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [
-    {
-        "sizes": [4**k for k in range(3, 15)],
-        "L": 32,
-        "exponents": [0.0, 0.25, 0.5, 0.75, 1.0],
-    }
-]
-
-
 @dataclass
 class MemoryBwResult:
     """Side-length sweeps per bandwidth exponent."""

@@ -31,11 +31,6 @@ TECH_01UM = replace(
 )
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`); the closing claim is one fixed design point
-SWEEP_POINTS: list[dict] = [{}]
-
-
 @dataclass
 class OneCmResult:
     """The claim, checked."""

@@ -26,11 +26,6 @@ from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"sizes": [16, 64, 256, 1024], "L": 32}]
-
-
 @dataclass
 class ProjectionRow:
     """One window size's projection for all designs."""

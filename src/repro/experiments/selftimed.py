@@ -18,11 +18,6 @@ from repro.network.htree import successor_tree_distances, successor_wire_lengths
 from repro.util.tables import Table
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"sizes": [16, 64, 256, 1024]}]
-
-
 @dataclass
 class SelfTimedResult:
     """Per-n locality census."""

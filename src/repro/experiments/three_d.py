@@ -8,11 +8,6 @@ from repro.analysis.three_d import three_d_table, volume_improvement_2d_to_3d
 from repro.util.tables import Table
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [{"n": 4096, "L_values": [8, 16, 32, 64, 128]}]
-
-
 @dataclass
 class ThreeDResult:
     """Evaluated 3-D bounds and 2-D vs 3-D comparisons."""

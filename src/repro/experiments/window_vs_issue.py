@@ -21,13 +21,6 @@ from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
 
-#: sweep points the runner executes and the cache keys (kwargs for
-#: :func:`report`)
-SWEEP_POINTS: list[dict] = [
-    {"sizes": [4, 8, 16, 32, 64], "alu_pools": [1, 2, 4, 8, 16]}
-]
-
-
 @dataclass
 class WindowIssueResult:
     """The IPC grid."""

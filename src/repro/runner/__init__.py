@@ -1,20 +1,20 @@
 """Parallel, cached experiment runner (see DESIGN.md §4 and README).
 
 The runner turns the experiment suite into a list of independent jobs —
-one per (experiment, sweep point) — and executes them with:
+one per experiment, its ``report()`` called with no arguments — and
+executes them with:
 
 * a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
   (``--jobs N`` on the CLI),
 * a content-addressed on-disk result cache under ``.repro_cache/``
-  keyed by (experiment name, arguments, package version),
+  keyed by (experiment name, arguments, package version, source digest),
 * a per-job timeout watchdog with one retry and per-experiment failure
   isolation (one crashing experiment no longer aborts ``all``), and
 * structured observability: per-job wall-time/cache-hit metrics and a
   JSON artifact (``--json PATH``) that CI can diff across runs.
 
-Experiment modules declare their sweep points as a module-level
-``SWEEP_POINTS`` list of keyword-argument dicts for their ``report``
-function; :mod:`repro.runner.registry` expands those into jobs.
+:mod:`repro.runner.registry` lists the experiments and builds their
+jobs without importing them.
 """
 
 from repro.runner.artifacts import ARTIFACT_SCHEMA, build_artifact

@@ -18,7 +18,8 @@ non-deterministic fields are the wall times.  Schema::
       "results": [
         {
           "experiment": "<key>", "title": "<display title>",
-          "kwargs": {...},              # the declared sweep point
+          "kwargs": {...},              # the job's arguments: {} for an
+                                        # experiment, a shard's for verify
           "sweep_index": <int>, "sweep_count": <int>,
           "status": "ok" | "failed" | "timeout",
           "cache_hit": <bool>,

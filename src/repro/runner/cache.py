@@ -4,16 +4,18 @@ Each cached entry is one JSON file under the cache root (default
 ``.repro_cache/``), named ``<experiment>-<digest>.json`` where the
 digest is the SHA-256 of the canonical JSON encoding of::
 
-    {"experiment": <key>, "kwargs": <sweep point>, "version": <repro.__version__>,
+    {"experiment": <key>, "kwargs": <job kwargs>, "version": <repro.__version__>,
      "source": <SHA-256 of src/repro/**/*.py>}
 
 Keying on the package version means a release invalidates every entry
 without any bookkeeping, and keying on the source digest means an edit
 to any module does too, so a cache never replays a result computed by
-different code; keying on the kwargs means every sweep point caches
-independently.  Entries are written atomically (temp file +
-``os.replace``) so concurrent jobs never observe a torn file, and any
-unreadable or mismatched entry is treated as a miss.
+different code.  Experiment jobs carry ``{}`` as their kwargs; the
+kwargs stay in the key so that a job run with arguments through
+:func:`~repro.runner.pool.run_jobs` never reads another's entry.
+Entries are written atomically (temp file + ``os.replace``) so
+concurrent jobs never observe a torn file, and any unreadable or
+mismatched entry is treated as a miss.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ from typing import Any
 from repro._version import __version__
 
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: sidecar file memoizing each experiment's declared sweep points, so a
-#: fully warm run can key every job without importing the (heavy)
-#: experiment modules at all
-SWEEP_INDEX_FILE = "_sweep_points.json"
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +49,7 @@ def source_digest() -> str:
 
 
 def canonical_kwargs(kwargs: dict[str, Any]) -> str:
-    """Deterministic JSON encoding of a sweep point (sorted, compact)."""
+    """Deterministic JSON encoding of a job's kwargs (sorted, compact)."""
     return json.dumps(kwargs, sort_keys=True, separators=(",", ":"))
 
 
@@ -154,39 +151,3 @@ class ResultCache:
                     pass
         return removed
 
-    def _read_sweep_index(self) -> dict[str, Any]:
-        try:
-            raw = json.loads((self.root / SWEEP_INDEX_FILE).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(raw, dict)
-            or raw.get("version") != __version__
-            or raw.get("source") != source_digest()
-        ):
-            return {}
-        points = raw.get("points")
-        return points if isinstance(points, dict) else {}
-
-    def get_sweep_points(self, experiment: str) -> list[dict[str, Any]] | None:
-        """Memoized sweep points for *experiment*, if this source stored them."""
-        points = self._read_sweep_index().get(experiment)
-        if isinstance(points, list) and all(isinstance(p, dict) for p in points):
-            return [dict(p) for p in points]
-        return None
-
-    def put_sweep_points(self, experiment: str, points: list[dict[str, Any]]) -> None:
-        """Merge *experiment*'s sweep points into the sidecar index."""
-        merged = self._read_sweep_index()
-        merged[experiment] = json.loads(json.dumps(points))
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / SWEEP_INDEX_FILE
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(
-                {"version": __version__, "source": source_digest(), "points": merged},
-                indent=1,
-            ),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)

@@ -14,7 +14,12 @@ STATUS_TIMEOUT = "timeout"
 
 @dataclass
 class JobResult:
-    """What one (experiment, sweep point) job produced, plus how."""
+    """What one job produced, plus how.
+
+    ``kwargs``, ``index`` and ``count`` are copied from the job's
+    :class:`~repro.runner.registry.JobSpec`: ``{}``, 0 and 1 for an
+    experiment, a fuzz shard's arguments and position for verify.
+    """
 
     experiment: str
     title: str

@@ -22,13 +22,12 @@ from repro.runner.cache import ResultCache
 from repro.runner.metrics import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, JobResult
 from repro.runner.registry import JobSpec
 from repro.util.log import get_logger
-from repro.util.rng import derive_seed, seed_bare_rngs
 
 log = get_logger("runner.pool")
 
 
 def _execute(
-    module: str, func: str, kwargs: dict, collect: bool = False, attempt: int = 1
+    module: str, func: str, kwargs: dict, collect: bool = False
 ) -> tuple[str, str, float, dict[str, int] | None]:
     """Run one job; errors come back as data so the parent can retry.
 
@@ -38,14 +37,8 @@ def _execute(
     builds reports to one :class:`~repro.telemetry.tracer.CountingTracer`
     whose counters ride back with the result (a plain dict, so it
     pickles across the pool boundary).
-
-    Each attempt reseeds the process-global RNGs from the job identity
-    plus the attempt number, so a retried job (e.g. a fuzz shard whose
-    worker was OOM-killed) replays a deterministic stream instead of
-    inheriting whatever state the worker happened to accumulate.
     """
     start = perf_counter()
-    seed_bare_rngs(derive_seed(module, func, sorted(kwargs.items()), attempt))
     try:
         fn = getattr(importlib.import_module(module), func)
         if collect:
@@ -112,7 +105,7 @@ def _run_inline(job: JobSpec, attempts: int, collect: bool = False) -> JobResult
     """Execute with retry in this process (the ``--jobs 1`` path)."""
     for attempt in range(1, attempts + 1):
         status, payload, elapsed, stats = _execute(
-            job.module, job.func, dict(job.kwargs), collect, attempt
+            job.module, job.func, dict(job.kwargs), collect
         )
         if status == STATUS_OK or attempt == attempts:
             return _miss_result(job, status, payload, elapsed, attempt, stats)
@@ -182,12 +175,7 @@ def run_jobs(
         job = jobs[idx]
         attempts[idx] = attempts.get(idx, 0) + 1
         futures[idx] = pool.submit(
-            _execute,
-            job.module,
-            job.func,
-            dict(job.kwargs),
-            collect_stats,
-            attempts[idx],
+            _execute, job.module, job.func, dict(job.kwargs), collect_stats
         )
 
     try:

@@ -29,7 +29,6 @@ from repro.telemetry.tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    diff_counters,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "NullTracer",
     "TraceEvent",
     "Tracer",
-    "diff_counters",
 ]

@@ -94,22 +94,6 @@ class CountingTracer:
         return {name: self.counters[name] for name in sorted(self.counters)}
 
 
-def diff_counters(
-    a: dict[str, int], b: dict[str, int]
-) -> dict[str, tuple[int, int]]:
-    """Counters that differ between two snapshots: ``name -> (a, b)``.
-
-    Missing counters count as zero; the result is sorted by name.  Used
-    by :mod:`repro.verify.diff` to show *where* two designs' executions
-    diverged, not just that they did.
-    """
-    return {
-        name: (a.get(name, 0), b.get(name, 0))
-        for name in sorted(set(a) | set(b))
-        if a.get(name, 0) != b.get(name, 0)
-    }
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """One timeline entry (maps 1:1 onto a Chrome complete event)."""

@@ -95,16 +95,6 @@ class Station:
     #: writer (restored if the station is squashed)
     prev_writer: Station | None = field(default=None, repr=False)
 
-    @property
-    def occupied(self) -> bool:
-        """True when the station holds an instruction."""
-        return self.state is not StationState.EMPTY
-
-    @property
-    def done(self) -> bool:
-        """True when the held instruction has finished executing."""
-        return self.state is StationState.DONE
-
     def clear(self) -> None:
         """Return the station to EMPTY (deallocation or squash)."""
         self.static_index = -1
@@ -126,8 +116,3 @@ class Station:
         self.pending = 0
         self.ready_cycle = 0
         self.prev_writer = None
-
-    @property
-    def writes_register(self) -> int | None:
-        """The register this station's instruction writes, if any."""
-        return None if self.decoded is None else self.decoded.dest

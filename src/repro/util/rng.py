@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import random
 
 import numpy as np
 
@@ -24,25 +23,12 @@ def derive_seed(*components: object) -> int:
     """Fold *components* into a stable 63-bit seed.
 
     Hash-based (SHA-256 over the reprs), so the result is identical
-    across processes and Python versions — the property the runner's
-    retry path and the fuzz shards rely on: the same (job identity,
-    attempt) pair always reseeds the same stream.
+    across processes and Python versions — the property the fuzz shards
+    rely on: the same seed always yields the same cases, in whichever
+    worker process a shard runs.
     """
     digest = hashlib.sha256(
         "\x1f".join(repr(component) for component in components).encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
-
-def seed_bare_rngs(seed: int) -> None:
-    """Deterministically reseed the *global* RNGs (``random`` and legacy
-    NumPy).
-
-    Library code should prefer an explicit :func:`make_rng` generator;
-    this exists so code paths that call ``random``/``np.random`` bare —
-    or third-party code that does — still behave reproducibly when a job
-    is retried (the runner reseeds with a per-attempt derived seed before
-    every attempt).
-    """
-    random.seed(seed)
-    np.random.seed(seed & 0xFFFFFFFF)

@@ -20,11 +20,6 @@ For a wrap-around-free window (at least the dynamic instruction count,
 so no design ever refills a station) all designs must also take
 identical cycle counts.  This is the one cycle check that also covers
 runs that mispredict.
-
-Telemetry is reused for triage: when a tracer session is active (e.g.
-under ``--json``), per-design counters are collected so a divergence
-report can show *where* the designs' executions differed, not just that
-they did.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from dataclasses import dataclass, field
 from repro.api import PROCESSOR_KINDS, build_processor, cluster_for_window
 from repro.baseline.dataflow import DataflowSchedule, dataflow_schedule
 from repro.isa.program import Program
-from repro.telemetry.tracer import CountingTracer, diff_counters
 from repro.ultrascalar import IdealMemory, ProcessorConfig
 from repro.ultrascalar.processor import _default_predictor
 from repro.verify.invariants import InvariantChecker, InvariantViolation
@@ -63,25 +57,11 @@ class DiffReport:
     cycles: dict[str, int] = field(default_factory=dict)
     divergences: list[Divergence] = field(default_factory=list)
     invariant_checks: int = 0
-    #: per-design telemetry counters, for divergence triage
-    stats: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         """True when every design agreed with the reference."""
         return not self.divergences
-
-    def triage(self) -> str:
-        """Human-readable counter deltas between diverging designs."""
-        if self.ok or len(self.stats) < 2:
-            return ""
-        names = sorted(self.stats)
-        base = names[0]
-        lines = []
-        for other in names[1:]:
-            for counter, (a, b) in diff_counters(self.stats[base], self.stats[other]).items():
-                lines.append(f"{counter}: {base}={a} {other}={b}")
-        return "\n".join(lines)
 
 
 def _first_mismatch(got: list, want: list) -> str:
@@ -127,7 +107,6 @@ def run_differential(
     window: int | None = None,
     designs: tuple[str, ...] | list[str] = DESIGNS,
     check_invariants: bool = True,
-    collect_stats: bool = False,
     max_steps: int = 200_000,
 ) -> DiffReport:
     """Run *program* through *designs* and cross-check against the oracle.
@@ -166,7 +145,6 @@ def run_differential(
         predictor.reset()
         memory = IdealMemory()
         memory.load_image(dict(memory_image or {}))
-        tracer = CountingTracer() if collect_stats else None
         processor = build_processor(design, config, cluster_size=cluster_for_window(window))
         try:
             result = processor.run(
@@ -174,15 +152,12 @@ def run_differential(
                 memory=memory,
                 predictor=predictor,
                 initial_registers=list(regs),
-                tracer=tracer,
                 cycle_hook=checker,
             )
         except InvariantViolation as violation:
             diverge(design, "invariant", str(violation))
             continue
         report.cycles[design] = result.cycles
-        if tracer is not None:
-            report.stats[design] = tracer.snapshot()
         if result.registers != oracle.registers:
             diverge(design, "registers", _first_mismatch(result.registers, oracle.registers))
         if result.memory != oracle.memory:

@@ -54,6 +54,13 @@ ALIAS_OFFSETS = tuple(range(0, 64, 4))
 #: different bases can still alias
 BASE_ADDRESSES = (4096, 4128, 4160, 4112)
 
+#: smallest and largest static size of a shard's random-grammar cases
+MIN_CASE_SIZE = 6
+MAX_CASE_SIZE = 48
+
+#: how many shrunk candidates :func:`shrink_case` tests before it stops
+MAX_SHRINK_ATTEMPTS = 400
+
 _ALU3 = (
     Opcode.ADD,
     Opcode.SUB,
@@ -293,14 +300,14 @@ def shrink_case(
     sizes: tuple[int, ...] = (4, 16),
     designs: tuple[str, ...] = DESIGNS,
     check_invariants: bool = True,
-    max_attempts: int = 400,
 ) -> FuzzCase:
     """ddmin-style reduction: the smallest case that still fails.
 
     Greedily removes contiguous instruction chunks (halving chunk sizes
     down to single instructions, restarting after any success) while the
     failure — any failure, not necessarily the original divergence —
-    persists under the same test parameters.
+    persists under the same test parameters, for at most
+    :data:`MAX_SHRINK_ATTEMPTS` candidates.
     """
     case = failure.case
 
@@ -317,10 +324,10 @@ def shrink_case(
 
     attempts = 0
     chunk = max(1, (len(case.program) - 1) // 2)
-    while chunk >= 1 and attempts < max_attempts:
+    while chunk >= 1 and attempts < MAX_SHRINK_ATTEMPTS:
         shrunk_this_pass = False
         start = 0
-        while start < len(case.program) - 1 and attempts < max_attempts:
+        while start < len(case.program) - 1 and attempts < MAX_SHRINK_ATTEMPTS:
             stop = min(start + chunk, len(case.program) - 1)
             program = _remove_chunk(case.program, start, stop)
             if program is not None:
@@ -427,13 +434,11 @@ def shard_report(
     minimize: bool = True,
     check_invariants: bool = True,
     failures_dir: str | None = None,
-    min_size: int = 6,
-    max_size: int = 48,
 ) -> str:
     """One fuzz shard: generate and test cases until *budget* is spent.
 
     Each shard first replays the :func:`corpus_cases` workloads, then
-    draws random-grammar cases sized from ``[min_size, max_size]`` until
+    draws random-grammar cases sized from ``[MIN_CASE_SIZE, MAX_CASE_SIZE]`` until
     *budget* (counted in static instructions) is spent.  Returns a JSON
     summary string (the :mod:`repro.runner.pool` contract).  Failing
     cases are shrunk (when *minimize*) and written to *failures_dir*.
@@ -450,7 +455,7 @@ def shard_report(
             case = pending.pop(0)
             spent += case.size
         else:
-            size = min(rng.randrange(min_size, max_size + 1), budget - spent)
+            size = min(rng.randrange(MIN_CASE_SIZE, MAX_CASE_SIZE + 1), budget - spent)
             size = max(size, 1)
             case = generate_case(derive_seed(seed, case_index), size)
             spent += size

@@ -9,6 +9,7 @@ from repro.api import ProcessorConfig, build_processor
 from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.frontend.branch_predictor import AlwaysNotTaken
 from repro.isa import Instruction, Opcode, Program
+from repro.ultrascalar.station import StationState
 
 L = 6
 REGS = st.integers(0, L - 1)
@@ -60,7 +61,7 @@ def check_views(processor):
     writes = []
     reads = []
     for station in batch:
-        reg = station.writes_register
+        reg = station.decoded.dest
         if reg is None:
             writes.append(None)
         else:
@@ -68,7 +69,7 @@ def check_views(processor):
                 RegisterBinding(
                     reg,
                     station.result if station.result is not None else 0,
-                    station.done and station.result is not None,
+                    station.state is StationState.DONE and station.result is not None,
                 )
             )
         reads.append(list(station.decoded.sources))
@@ -77,7 +78,7 @@ def check_views(processor):
     for index, station in enumerate(batch):
         for port, (reg, producer) in enumerate(zip(reads[index], station.producers)):
             grid_value, grid_ready = routed.arguments[index][port]
-            live = producer is not None and producer.occupied
-            assert (not live or producer.done) == grid_ready
+            live = producer is not None and producer.state is not StationState.EMPTY
+            assert (not live or producer.state is StationState.DONE) == grid_ready
             if grid_ready:
                 assert processor._operand(producer, reg) == grid_value

@@ -1,6 +1,10 @@
 """Unit tests for the CLI entry point and the result/timing helpers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,12 +76,40 @@ class TestRunnerCli:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fig12", "--bogus"]) == 2
 
-    def test_detailed_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "Registered experiments:" in out
-        assert "repro.experiments.fig3_timing" in out
-        assert "sweep point(s):" in out
+    def test_list_names_every_experiment(self, capsys):
+        assert main(["list"]) == 0
+        listing = capsys.readouterr().out.split("Experiments:\n", 1)[1]
+        assert [line.split()[0] for line in listing.splitlines()] == list(REGISTRY)
+        assert main(["--list"]) == 2
+
+    def test_warm_all_imports_no_experiment(self, tmp_path):
+        # run the CLI in a fresh interpreter and report which experiment
+        # modules it imported on the last line of stderr
+        script = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')),"
+            " file=sys.stderr)\n"
+            "raise SystemExit(code)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        args = ["all", "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+
+        def run(*extra):
+            return subprocess.run(
+                [sys.executable, "-c", script, *args, *extra],
+                capture_output=True, text=True, cwd=tmp_path, check=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+
+        cold = run()
+        warm = run("--json", str(tmp_path / "warm.json"))
+        assert warm.stdout == cold.stdout
+        assert cold.stderr.splitlines()[-1] != "[]"
+        assert warm.stderr.splitlines()[-1] == "[]"
+        totals = json.loads((tmp_path / "warm.json").read_text(encoding="utf-8"))["totals"]
+        assert totals["cache_hits"] == totals["jobs"] == len(REGISTRY)
 
     def test_unknown_experiment_suggests_close_matches(self, capsys):
         assert main(["figg3"]) == 2
@@ -104,17 +136,6 @@ class TestRunnerCli:
         jobs = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert jobs and jobs[0]["name"].startswith("fig3")
         assert "stats" in jobs[0]["args"]
-
-    def test_sweep_point_validation_names_offender(self, monkeypatch):
-        from repro.runner import _selftest
-        from repro.runner.registry import REGISTRY, ExperimentSpec, SweepPointError
-
-        monkeypatch.setattr(
-            _selftest, "SWEEP_POINTS", [{"bogus_kw": 1}], raising=False
-        )
-        spec = ExperimentSpec("st", "selftest", "repro.runner._selftest", "ok")
-        with pytest.raises(SweepPointError, match="repro.runner._selftest.*bogus_kw"):
-            spec.sweep_points()
 
     def test_all_isolates_failures_and_returns_nonzero(self, capsys, monkeypatch):
         import repro.__main__ as cli

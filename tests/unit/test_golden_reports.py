@@ -18,10 +18,8 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 
 def _render(key: str) -> str:
-    """One experiment's full report: its sweep points, concatenated."""
-    spec = REGISTRY[key]
-    fn = spec.load()
-    return "\n".join(fn(**point) for point in spec.sweep_points())
+    """One experiment's full report: its ``report()`` with no arguments."""
+    return REGISTRY[key].load()()
 
 
 @pytest.mark.parametrize("key", sorted(REGISTRY))
@@ -46,7 +44,7 @@ def test_every_experiment_has_a_snapshot():
 def test_cached_result_identical_to_fresh(tmp_path):
     """A cache round-trip through the runner changes nothing in the text."""
     cache = ResultCache(tmp_path / "cache")
-    jobs = build_jobs([REGISTRY["fig3"]], cache=cache)
+    jobs = build_jobs([REGISTRY["fig3"]])
     fresh = run_jobs(jobs, cache=cache)
     warm = run_jobs(jobs, cache=cache)
     assert [r.ok for r in fresh] == [True]

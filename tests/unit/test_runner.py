@@ -52,12 +52,9 @@ class TestResultCache:
     def test_source_digest_change_is_a_miss(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         cache.put("fig3", {"n": 4}, "x", 0.0)
-        cache.put_sweep_points("fig3", [{"n": 4}])
         assert cache.get("fig3", {"n": 4}) is not None
-        assert cache.get_sweep_points("fig3") == [{"n": 4}]
         monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
         assert cache.get("fig3", {"n": 4}) is None
-        assert cache.get_sweep_points("fig3") is None
 
     def test_source_digest_is_hashed_once(self):
         digest = cache_module.source_digest()
@@ -77,50 +74,21 @@ class TestResultCache:
         assert cache.clear() == 2
         assert cache.get("a", {}) is None
 
-    def test_sweep_index_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_sweep_points("fig3") is None
-        cache.put_sweep_points("fig3", [{"n": 4}])
-        cache.put_sweep_points("other", [{}])
-        assert cache.get_sweep_points("fig3") == [{"n": 4}]
-        assert cache.get_sweep_points("other") == [{}]
-
-    def test_sweep_index_version_mismatch(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        cache.put_sweep_points("fig3", [{"n": 4}])
-        monkeypatch.setattr(cache_module, "__version__", "99.0.0")
-        assert cache.get_sweep_points("fig3") is None
-
 
 class TestRegistry:
-    def test_every_experiment_declares_sweep_points(self):
-        import importlib
-
-        for spec in REGISTRY.values():
-            module = importlib.import_module(spec.module)
-            points = getattr(module, "SWEEP_POINTS", None)
-            assert isinstance(points, list) and points, spec.module
-            # declared points must be cache-keyable
-            assert json.loads(json.dumps(points)) == points
-
     def test_build_jobs_expands_in_order(self):
         jobs = build_jobs(list(REGISTRY.values()))
-        assert [j.experiment for j in jobs[:3]] == ["fig3", "fig11", "fig12"]
-        assert all(j.index == 0 and j.count >= 1 for j in jobs)
-        assert len(jobs) >= len(REGISTRY)
+        assert [j.experiment for j in jobs] == list(REGISTRY)
+        assert all(j.kwargs == {} and (j.index, j.count) == (0, 1) for j in jobs)
 
-    def test_build_jobs_uses_cached_sweep_index(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_sweep_points("ghost", [{"n": 1}, {"n": 2}])
-        spec = ExperimentSpec("ghost", "EX — ghost", "repro.runner._no_such_module")
-        jobs = build_jobs([spec], cache=cache)  # would ImportError without the index
-        assert [j.kwargs for j in jobs] == [{"n": 1}, {"n": 2}]
-        assert [(j.index, j.count) for j in jobs] == [(0, 2), (1, 2)]
-
-    def test_build_jobs_populates_sweep_index(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        build_jobs([REGISTRY["cluster"]], cache=cache)
-        assert cache.get_sweep_points("cluster") == [{"n": 4096}]
+    def test_missing_module_fails_only_its_job(self):
+        ghost = ExperimentSpec("ghost", "EX — ghost", "repro.runner._no_such_module")
+        good = ExperimentSpec("good", "EX — good", "repro.runner._selftest", "ok")
+        jobs = build_jobs([good, ghost, good])  # imports nothing, so cannot raise
+        assert [j.experiment for j in jobs] == ["good", "ghost", "good"]
+        results = run_jobs(jobs, retries=0)
+        assert [r.ok for r in results] == [True, False, True]
+        assert "ModuleNotFoundError" in results[1].error
 
 
 class TestRunJobsInline:

@@ -24,38 +24,46 @@ def filled(op=Opcode.ADD, seq=0, cycle=0):
 class TestStation:
     def test_starts_empty(self):
         station = Station(0)
-        assert not station.occupied
-        assert not station.done
-        assert station.writes_register is None
+        assert station.state is StationState.EMPTY
+        assert station.decoded is None
 
     def test_filled_station_writes_decoded_dest(self):
         station = filled(seq=7, cycle=5)
-        assert station.occupied
         assert station.state is StationState.WAITING
         assert station.seq == 7
         assert station.fetch_cycle == 5
-        assert station.writes_register == 1
+        assert station.decoded.dest == 1
 
     def test_clear_resets_everything(self):
         station = filled(seq=1, cycle=1)
         station.result = 9
         station.committed = True
         station.clear()
-        assert not station.occupied
+        assert station.state is StationState.EMPTY
         assert station.result is None
         assert not station.committed
         assert station.seq == -1
         assert station.static_index == -1
         assert station.decoded is None
-        assert station.writes_register is None
 
     def test_no_write_register_for_nop(self):
-        assert filled(Opcode.NOP).writes_register is None
+        assert filled(Opcode.NOP).decoded.dest is None
 
     def test_done_property(self):
-        station = filled()
+        # freeing a DONE station drops its result and its dataflow links
+        producer = filled(seq=0)
+        station = filled(seq=1)
+        station.producers = (producer,)
+        station.prev_writer = producer
+        station.consumers.append(filled(seq=2))
         station.state = StationState.DONE
-        assert station.done
+        station.result = 9
+        station.ready_cycle = 4
+        station.clear()
+        assert station.state is StationState.EMPTY
+        assert station.result is None
+        assert station.producers == () and station.consumers == []
+        assert station.prev_writer is None and station.ready_cycle == 0
 
 
 class TestRng:

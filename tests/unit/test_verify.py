@@ -122,14 +122,6 @@ class TestRunDifferential:
         assert report.ok and set(report.cycles) == set(DESIGNS)
         assert len(calls) == 2
 
-    def test_stats_collected_for_triage(self):
-        w = paper_sequence()
-        report = run_differential(
-            w.program, initial_registers=w.registers_for(), collect_stats=True
-        )
-        assert set(report.stats) == {"us1", "us2", "hybrid"}
-        assert all(report.stats[d] for d in report.stats)
-
 
 def _free_clusters_late(monkeypatch):
     """Make a hybrid free each full cluster one cycle after its last commit."""
@@ -212,7 +204,7 @@ def _both(first, second):
 def _deassert_ready_bit(engine):
     """Drop the ready bit of the oldest station DONE since an earlier cycle."""
     for station in engine.occupied_stations():
-        if station.done and station.complete_cycle < engine.cycle:
+        if station.state is StationState.DONE and station.complete_cycle < engine.cycle:
             station.state = StationState.EXECUTING
             return True
     return False
@@ -229,7 +221,7 @@ def _forget_store(engine):
 def _unlink_producer(engine):
     """Point the oldest station with a live producer at the register file."""
     for station in engine.occupied_stations():
-        if any(p is not None and p.occupied for p in station.producers):
+        if any(p is not None and p.state is not StationState.EMPTY for p in station.producers):
             station.producers = (None,) * len(station.producers)
             return True
     return False
@@ -371,7 +363,7 @@ def _forwarding_bug(monkeypatch):
     healthy = RingProcessor._operand
 
     def buggy(self, producer, reg):
-        if reg == 1 and producer is not None and producer.done:
+        if reg == 1 and producer is not None and producer.state is StationState.DONE:
             return self.committed_regs[1]
         return healthy(self, producer, reg)
 
