@@ -80,10 +80,12 @@ def dataflow_schedule(
             I), ``n`` (Ultrascalar II) or the hybrid's cluster size.
     """
     latencies = latencies or PAPER_LATENCIES
+    by_code = latencies.by_code
     entries: list[ScheduledInstruction] = []
 
     #: result-availability cycle per register (complete + 1)
     reg_available: dict[int, int] = {}
+    available = reg_available.get
     last_store_done = -1          # max completion among stores so far
     last_mem_done = -1            # max completion among loads + stores
     last_branch_done = -1         # max completion among control transfers
@@ -97,6 +99,7 @@ def dataflow_schedule(
 
     for seq, step in enumerate(trace):
         inst = step.instruction
+        op = inst.op
 
         # -- fetch constraint ------------------------------------------
         # the station frees the cycle after the last instruction of the
@@ -121,30 +124,41 @@ def dataflow_schedule(
 
         # -- issue constraints -----------------------------------------
         issue = fetch
-        for reg in inst.reads:
-            issue = max(issue, reg_available.get(reg, 0))
-        if inst.is_load:
-            issue = max(issue, last_store_done + 1)
-        if inst.is_store:
-            issue = max(issue, last_mem_done + 1, last_branch_done + 1)
+        if inst.rs1 is not None:
+            ready = available(inst.rs1, 0)
+            if ready > issue:
+                issue = ready
+        if inst.rs2 is not None:
+            ready = available(inst.rs2, 0)
+            if ready > issue:
+                issue = ready
+        if op.is_load:
+            if last_store_done >= issue:
+                issue = last_store_done + 1
+        elif op.is_store:
+            if last_mem_done >= issue:
+                issue = last_mem_done + 1
+            if last_branch_done >= issue:
+                issue = last_branch_done + 1
 
-        # -- completion -------------------------------------------------
-        latency = 1 if inst.is_memory else latencies.latency_of(inst.op)
-        complete = issue + latency - 1
-        commit = max(complete, prev_commit)
+        # -- completion (memory takes one cycle, as IdealMemory) ---------
+        is_memory = op.is_memory
+        complete = issue if is_memory else issue + by_code[op.code] - 1
+        commit = complete if complete > prev_commit else prev_commit
 
         entries.append(ScheduledInstruction(seq, step, fetch, issue, complete, commit))
         commits.append(commit)
         prev_commit = commit
 
         # -- update producer state --------------------------------------
-        for reg in inst.writes:
-            reg_available[reg] = complete + 1
-        if inst.is_store:
-            last_store_done = max(last_store_done, complete)
-        if inst.is_memory:
-            last_mem_done = max(last_mem_done, complete)
-        if inst.is_control:
-            last_branch_done = max(last_branch_done, complete)
+        if inst.rd is not None:
+            reg_available[inst.rd] = complete + 1
+        if is_memory:
+            if complete > last_mem_done:
+                last_mem_done = complete
+            if op.is_store and complete > last_store_done:
+                last_store_done = complete
+        elif op.is_control and complete > last_branch_done:
+            last_branch_done = complete
 
     return DataflowSchedule(entries=entries)

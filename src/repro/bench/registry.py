@@ -14,6 +14,9 @@ Groups (mirroring the subsystems the ROADMAP cares about):
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
   way users drive them, across window sizes, plus us1 at the wide
   windows (64, 256 and 512 stations) the large-*n* experiments sweep;
+* ``recurrence`` — the scheduling recurrence E14 and E15 time US-I
+  with, on ``engine.us1.n256``'s program and window: the two rows give
+  the engine-to-recurrence cost ratio;
 * ``frontend`` — the fetch unit on its own: slicing a long
   straight-line program, and following a loop kernel's path with a
   bimodal predictor;
@@ -128,6 +131,45 @@ def _register_engines() -> None:
         _register_engine(f"engine.us1.n{window}", "us1", window, count, quick)
     # the fetch width perfbench's simulate workload scales to at n = 256
     _register_engine("engine.us1.n256", "us1", 256, 1024, True, fetch_width=32)
+
+
+# ----------------------------------------------------------------------
+# the scheduling recurrence on an engine row's program
+
+
+def _recurrence_thunk(window: int, count: int, fetch_width: int) -> Callable[[], Any]:
+    from repro.baseline.dataflow import dataflow_schedule
+    from repro.isa.interpreter import MachineState, run_program
+    from repro.workloads.generators import random_ilp
+
+    workload = random_ilp(count, 0.5, seed=1999)
+    program = workload.program
+    registers = workload.registers_for()
+
+    def thunk() -> None:
+        trace = run_program(program, state=MachineState(list(registers), {})).trace
+        dataflow_schedule(trace, fetch_width=fetch_width, window_size=window)
+
+    return thunk
+
+
+def _register_recurrence() -> None:
+    register(
+        Benchmark(
+            name="recurrence.us1.n256",
+            group="recurrence",
+            title="interpreter + US-I scheduling recurrence, window 256",
+            make=lambda: _recurrence_thunk(256, 1024, 32),
+            quick=True,
+            metadata={
+                "design": "us1",
+                "window_size": 256,
+                "fetch_width": 32,
+                "instructions": 1024,
+                "seed": 1999,
+            },
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +467,7 @@ def _register_verify() -> None:
 
 
 _register_engines()
+_register_recurrence()
 _register_frontend()
 _register_cspp()
 _register_network()

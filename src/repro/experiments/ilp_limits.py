@@ -7,21 +7,29 @@ infinite instruction window"; "Patt et al argue that a window size of
 parallelism available in a thousand-wide instruction window ... is not
 well understood."
 
-The event-driven ring engine (Ultrascalar I) runs that study on
-synthetic dependence graphs: IPC versus window size (8 → 2048) for a
-range of dependence densities.  The curves saturate at each workload's
-dataflow limit — low-density code keeps gaining IPC deep into
-thousand-wide windows, which is precisely the regime the Ultrascalar
-is built for.
+This experiment runs that study on synthetic dependence graphs: IPC
+of the Ultrascalar I versus window size (8 → 2048) for a range of
+dependence densities.  The curves saturate at each workload's dataflow
+limit — low-density code keeps gaining IPC deep into thousand-wide
+windows, which is precisely the regime the Ultrascalar is built for.
+
+Each program runs once through the golden interpreter, and the IPC at
+each window comes from the scheduling recurrence
+(:func:`repro.baseline.dataflow.dataflow_schedule`) with the ring's
+window ``n`` and fetch width ``min(n, 64)``.  On these branch-free,
+memory-free programs the recurrence is the Ultrascalar I ring's exact
+timing; the unit tests run the ring at every default point and pin the
+two equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import ProcessorConfig, build_processor
+from repro.baseline.dataflow import dataflow_schedule
+from repro.isa.interpreter import MachineState, run_program
 from repro.util.tables import Table
-from repro.workloads import random_ilp
+from repro.workloads import Workload, random_ilp
 
 
 @dataclass
@@ -31,6 +39,10 @@ class IlpCurve:
     density: float
     windows: list[int]
     ipc: list[float]
+    #: cycles per window
+    cycles: list[int]
+    #: the swept program
+    workload: Workload
 
     @property
     def saturation_ipc(self) -> float:
@@ -79,22 +91,27 @@ def run(
     sizes: list[int] | None = None,
     instructions: int = 4000,
 ) -> IlpLimitsResult:
-    """Sweep (density, window size); IPC from the Ultrascalar I ring."""
+    """Sweep (density, window size); IPC of the Ultrascalar I ring."""
     densities = densities or [0.2, 0.5, 0.8]
     windows = sizes or [8, 32, 128, 512, 2048]
     curves = []
     for density in densities:
         workload = random_ilp(instructions, density, seed=int(1000 * density) + 7)
-        ipcs = []
+        trace = run_program(
+            workload.program, state=MachineState(workload.registers_for(), {})
+        ).trace
+        ipcs, cycles = [], []
         for window in windows:
-            processor = build_processor(
-                "us1", ProcessorConfig(window_size=window, fetch_width=min(window, 64))
+            schedule = dataflow_schedule(
+                trace, fetch_width=min(window, 64), window_size=window
             )
-            result = processor.run(
-                workload.program, initial_registers=workload.registers_for()
+            ipcs.append(schedule.ipc)
+            cycles.append(schedule.cycles)
+        curves.append(
+            IlpCurve(
+                density=density, windows=windows, ipc=ipcs, cycles=cycles, workload=workload
             )
-            ipcs.append(result.ipc)
-        curves.append(IlpCurve(density=density, windows=windows, ipc=ipcs))
+        )
     return IlpLimitsResult(curves=curves)
 
 

@@ -3,10 +3,18 @@
 The paper compares VLSI complexities because they "have implications
 therefore on clock speeds"; combined with the behavioural result that
 all three designs extract the same ILP, the end-to-end story is
-IPC / clock-period.  This experiment runs the simulators for IPC,
-projects clock periods from the layout models, and multiplies — showing
-where the hybrid's shorter wires turn into real speedup, and how the
-conventional superscalar's quadratic stages collapse at high width.
+IPC / clock-period.  This experiment takes IPC from the scheduling
+recurrence, projects clock periods from the layout models, and
+multiplies — showing where the hybrid's shorter wires turn into real
+speedup, and how the conventional superscalar's quadratic stages
+collapse at high width.
+
+The program is branch-free, memory-free ``random_ilp``.  It runs once
+through the golden interpreter, and
+:func:`repro.baseline.dataflow.dataflow_schedule` times it at each
+window ``n`` with fetch width ``min(n, 64)``: on such a program that is
+the Ultrascalar I ring's exact timing, and the unit tests run the ring
+at every default point and pin the two equal.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from repro.analysis.clock_period import (
     project_ultrascalar2,
 )
 from repro.baseline.complexity import conventional_superscalar_delay
-from repro.api import ProcessorConfig, build_processor
+from repro.baseline.dataflow import dataflow_schedule
+from repro.isa.interpreter import MachineState, run_program
 from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
@@ -32,6 +41,7 @@ class ProjectionRow:
 
     n: int
     ipc: float
+    cycles: int
     us1: PerformanceProjection
     us2: PerformanceProjection
     hybrid: PerformanceProjection
@@ -49,6 +59,8 @@ class ProjectionResult:
 
     rows: list[ProjectionRow]
     L: int
+    #: the program IPC is measured on
+    workload: Workload
 
     def hybrid_wins_at_scale(self) -> bool:
         """At the largest n, the hybrid posts the best projection."""
@@ -66,26 +78,22 @@ class ProjectionResult:
         return perf[-1] < max(perf)
 
 
-def run(
-    workload: Workload | None = None,
-    sizes: list[int] | None = None,
-    L: int = 32,
-) -> ProjectionResult:
-    """Sweep window sizes; IPC from the Ultrascalar I ring, clocks from layouts."""
-    workload = workload or random_ilp(3000, 0.35, seed=601)
+def run(sizes: list[int] | None = None, L: int = 32) -> ProjectionResult:
+    """Sweep window sizes; IPC of the Ultrascalar I ring, clocks from layouts."""
+    workload = random_ilp(3000, 0.35, seed=601)
+    trace = run_program(
+        workload.program, state=MachineState(workload.registers_for(), {})
+    ).trace
     sizes = sizes or [16, 64, 256, 1024]
     rows: list[ProjectionRow] = []
     for n in sizes:
-        processor = build_processor(
-            "us1", ProcessorConfig(window_size=n, fetch_width=min(n, 64))
-        )
-        ipc = processor.run(
-            workload.program, initial_registers=workload.registers_for()
-        ).ipc
+        schedule = dataflow_schedule(trace, fetch_width=min(n, 64), window_size=n)
+        ipc = schedule.ipc
         rows.append(
             ProjectionRow(
                 n=n,
                 ipc=ipc,
+                cycles=schedule.cycles,
                 us1=performance(project_ultrascalar1(n, L), ipc),
                 us2=performance(project_ultrascalar2(n, L), ipc),
                 hybrid=performance(project_hybrid(n, L), ipc),
@@ -94,7 +102,7 @@ def run(
                 ).critical,
             )
         )
-    return ProjectionResult(rows=rows, L=L)
+    return ProjectionResult(rows=rows, L=L, workload=workload)
 
 
 def report(sizes: list[int] | None = None, L: int = 32) -> str:

@@ -139,15 +139,3 @@ class ResultCache:
         os.replace(tmp, path)
         return path
 
-    def clear(self) -> int:
-        """Delete every entry; returns how many files were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-

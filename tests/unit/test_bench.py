@@ -68,7 +68,7 @@ class TestRegistry:
         names = list(REGISTRY)
         assert len(names) == len(set(names))
         groups = {b.group for b in REGISTRY.values()}
-        assert {"engine", "frontend", "cspp", "network", "circuits", "isa", "runner", "verify"} <= groups
+        assert {"engine", "recurrence", "frontend", "cspp", "network", "circuits", "isa", "runner", "verify"} <= groups
 
     def test_quick_subset_covers_all_designs(self):
         quick = select(quick=True)

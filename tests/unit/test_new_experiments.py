@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ProcessorConfig, build_processor
 from repro.experiments import (
     dominance_map,
     ilp_limits,
@@ -11,6 +12,16 @@ from repro.experiments import (
 )
 from repro.vlsi.hybrid_layout import HybridLayout
 from repro.vlsi.tech import PAPER_TECH
+
+
+def us1_ring_counts(workload, window):
+    """(cycles, instructions committed) of the Ultrascalar I ring that
+    E14's and E15's recurrence stands for."""
+    processor = build_processor(
+        "us1", ProcessorConfig(window_size=window, fetch_width=min(window, 64))
+    )
+    result = processor.run(workload.program, initial_registers=workload.registers_for())
+    return result.cycles, result.instructions_committed
 
 
 class TestWindowVsIssue:
@@ -100,6 +111,12 @@ class TestPerformanceProjection:
         assert us1 == sorted(us1)
         assert hybrid == sorted(hybrid)
         assert hybrid[-1] < us1[-1]
+        # the recurrence's IPC is the ring's, point for point
+        for row in full.rows:
+            assert us1_ring_counts(full.workload, row.n) == (
+                row.cycles,
+                round(row.ipc * row.cycles),
+            )
 
     def test_report_renders(self):
         assert "IPC" in performance_projection.report()
@@ -128,6 +145,13 @@ class TestIlpLimits:
         assert full.looser_code_has_more_ilp()
         # 128 -> 2048 still multiplies IPC by >= 1.5x at every density
         assert full.thousand_wide_window_pays(factor=1.5)
+        # the recurrence's IPC is the ring's, point for point
+        for curve in full.curves:
+            for window, cycles, ipc in zip(curve.windows, curve.cycles, curve.ipc):
+                assert us1_ring_counts(curve.workload, window) == (
+                    cycles,
+                    round(ipc * cycles),
+                )
 
     def test_report_renders(self):
         # the default table is pinned by tests/golden/ilp.txt

@@ -67,13 +67,6 @@ class TestResultCache:
         path.write_text("{not json", encoding="utf-8")
         assert cache.get("fig3", {}) is None
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("a", {}, "x", 0.0)
-        cache.put("b", {}, "y", 0.0)
-        assert cache.clear() == 2
-        assert cache.get("a", {}) is None
-
 
 class TestRegistry:
     def test_build_jobs_expands_in_order(self):
