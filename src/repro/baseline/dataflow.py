@@ -47,13 +47,17 @@ class DataflowSchedule:
 
     @property
     def cycles(self) -> int:
-        """Total cycles: the last commit happens in cycle ``cycles - 1``."""
-        return max((e.commit_cycle for e in self.entries), default=-1) + 1
+        """Total cycles: the last commit happens in cycle ``cycles - 1``.
+
+        Commit is in order, so the last entry commits last.
+        """
+        return self.entries[-1].commit_cycle + 1 if self.entries else 0
 
     @property
     def ipc(self) -> float:
         """Dynamic instructions per cycle."""
-        return len(self.entries) / self.cycles if self.cycles else 0.0
+        cycles = self.cycles
+        return len(self.entries) / cycles if cycles else 0.0
 
     def issue_times(self) -> list[int]:
         """Per-instruction issue cycles, in dynamic order."""

@@ -23,8 +23,9 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
 * ``network`` — the Ultrascalar II argument-routing reference;
-* ``circuits`` — building and settling the mesh-of-trees netlist, the
-  largest of E9's gate-level circuits;
+* ``circuits`` — building and settling E9's two Ultrascalar II grid
+  netlists, the mesh-of-trees grid (the largest of E9's gate-level
+  circuits) and the linear grid;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation, and the differential runs under
@@ -315,29 +316,35 @@ def _register_network() -> None:
 
 
 # ----------------------------------------------------------------------
-# gate-level netlists: build + settle the US-II mesh-of-trees grid
+# gate-level netlists: build + settle the US-II grids
 
 
-def _tree_grid_thunk(n: int) -> Callable[[], Any]:
-    from repro.circuits.grid import TreeGridNetwork
+def _grid_thunk(network: str, n: int) -> Callable[[], Any]:
+    from repro.circuits import grid
 
+    circuit = getattr(grid, network)
     # the E9 (gate_depth) stimulus
     batch = ([(1, True)] * n, [None] * n, [[0, 0]] * n)
 
     def thunk() -> None:
-        TreeGridNetwork(n, n).settle_time(*batch)
+        circuit(n, n).settle_time(*batch)
 
     return thunk
 
 
 def _register_circuits() -> None:
-    for n, quick in ((16, True), (32, False)):
+    rows = (
+        ("tgrid", "TreeGridNetwork", "the mesh-of-trees grid", 16, True),
+        ("tgrid", "TreeGridNetwork", "the mesh-of-trees grid", 32, False),
+        ("grid", "GridNetwork", "the linear grid", 32, False),
+    )
+    for short, network, title, n, quick in rows:
         register(
             Benchmark(
-                name=f"circuits.tgrid.n{n}",
+                name=f"circuits.{short}.n{n}",
                 group="circuits",
-                title=f"build + settle the mesh-of-trees grid, n = L = {n}",
-                make=lambda n=n: _tree_grid_thunk(n),
+                title=f"build + settle {title}, n = L = {n}",
+                make=lambda network=network, n=n: _grid_thunk(network, n),
                 quick=quick,
                 metadata={"stations": n, "num_registers": n},
             )

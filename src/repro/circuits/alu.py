@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.netlist import GateKind, Net, Netlist, assign_bus, bus, bus_value
+from repro.circuits.netlist import GateKind, Net, Netlist, bus
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,3 @@ def build_alu(netlist: Netlist, width: int = 32, name: str = "alu") -> AluPorts:
         netlist.mark_output(f"{name}_r[{i}]", net)
     netlist.mark_output(f"{name}_cout", carry)
     return AluPorts(a=a, b=b, op=op, result=result, carry_out=carry)
-
-
-def evaluate_alu(netlist: Netlist, ports: AluPorts, a: int, b: int, op: int) -> int:
-    """Simulate the ALU on concrete operands; returns the result bus value."""
-    assignment: dict[Net, bool] = {}
-    assign_bus(assignment, ports.a, a)
-    assign_bus(assignment, ports.b, b)
-    assign_bus(assignment, ports.op, op)
-    result = netlist.simulate(assignment)
-    return bus_value(result, ports.result)

@@ -9,7 +9,11 @@ delay" for ``bits = ceil(log2 L)``.
 
 from __future__ import annotations
 
-from repro.circuits.netlist import GateKind, Net, Netlist
+from typing import Sequence
+
+from repro.circuits.netlist import GateKind, GateRun, Net, Netlist, reduction_pairs
+
+_BUF, _NOT = GateKind.BUF, GateKind.NOT
 
 
 def register_number_bits(num_registers: int) -> int:
@@ -19,28 +23,50 @@ def register_number_bits(num_registers: int) -> int:
     return max(1, (num_registers - 1).bit_length())
 
 
+class ComparatorPlan:
+    """Plans *width*-bit comparators into a :class:`GateRun`: per-bit gates,
+    then an AND tree whose last gate drives the match.  The tree's shape
+    is derived once per plan, so each comparator costs only its gates."""
+
+    def __init__(self, width: int):
+        if width < 1:
+            raise ValueError("cannot compare zero-width buses")
+        self.width = width
+        self._tree, _ = reduction_pairs(range(width), width)
+        self._and = [GateKind.AND] * len(self._tree)
+        self._equal = [GateKind.XNOR] * width + self._and
+        self._match: dict[int, list[GateKind]] = {}  # per constant
+
+    def _place(self, run: GateRun, kinds: list[GateKind], bits: list[tuple[Net, ...]]) -> Net:
+        if len(bits) != self.width:
+            raise ValueError("bus widths differ")
+        first = run.first + len(run.inputs)
+        return run.plan(kinds, [*bits, *[(first + a, first + b) for a, b in self._tree]])
+
+    def equal(self, run: GateRun, a: Sequence[Net], b: Sequence[Net]) -> Net:
+        """Plan ``a == b``, an XNOR per bit pair; returns the match net."""
+        if len(a) != len(b):
+            raise ValueError("bus widths differ")
+        return self._place(run, self._equal, list(zip(a, b)))
+
+    def match(self, run: GateRun, a: Sequence[Net], constant: int) -> Net:
+        """Plan ``a == constant``, a BUF per set bit and a NOT per clear bit."""
+        kinds = self._match.get(constant)
+        if kinds is None:
+            bits = [_BUF if (constant >> i) & 1 else _NOT for i in range(self.width)]
+            kinds = self._match[constant] = bits + self._and
+        return self._place(run, kinds, list(zip(a)))
+
+
 def build_equality_comparator(netlist: Netlist, a: list[Net], b: list[Net]) -> Net:
     """Build ``a == b`` over two equal-width buses; returns the match net."""
-    if len(a) != len(b):
-        raise ValueError("bus widths differ")
-    if not a:
-        raise ValueError("cannot compare zero-width buses")
-    bits = [netlist.add_gate(GateKind.XNOR, ai, bi) for ai, bi in zip(a, b)]
-    if len(bits) == 1:
-        return bits[0]
-    return netlist.reduce_tree(GateKind.AND, bits)
+    run = GateRun(netlist)
+    ComparatorPlan(len(a)).equal(run, a, b)
+    return run.add()[-1]
 
 
 def build_constant_match(netlist: Netlist, a: list[Net], constant: int) -> Net:
     """Build ``a == constant`` (used by the register-file rows, whose numbers are fixed)."""
-    if not a:
-        raise ValueError("cannot compare zero-width buses")
-    bits = []
-    for i, net in enumerate(a):
-        if (constant >> i) & 1:
-            bits.append(netlist.add_gate(GateKind.BUF, net))
-        else:
-            bits.append(netlist.add_gate(GateKind.NOT, net))
-    if len(bits) == 1:
-        return bits[0]
-    return netlist.reduce_tree(GateKind.AND, bits)
+    run = GateRun(netlist)
+    ComparatorPlan(len(a)).match(run, a, constant)
+    return run.add()[-1]

@@ -22,7 +22,6 @@ from typing import Sequence, TypeVar
 
 from repro.circuits.netlist import Net, Netlist, SimulationResult, assign_bus, bus_value
 from repro.circuits.prefix import (
-    AndOp,
     CopyOp,
     ScanOp,
     build_segmented_scan,
@@ -108,11 +107,6 @@ class CsppTree:
     def settle_time(self, xs: Sequence[int], segments: Sequence[bool]) -> int:
         """Settle time (gate delays) for the given inputs."""
         return self.simulate(xs, segments).settle_time
-
-
-def build_and_cspp(n: int, radix: int = 2) -> CsppTree:
-    """A 1-bit AND-operator CSPP tree (the Figure 5 sequencing circuit)."""
-    return CsppTree(n, op=AndOp(), radix=radix, name="cspp_and")
 
 
 def build_copy_cspp(n: int, width: int = 1, radix: int = 2) -> CsppTree:

@@ -4,6 +4,10 @@ The Ultrascalar II avoids broadcasting register numbers and bindings
 along Θ(n + L) wires by fanning them out "through a tree of buffers
 (i.e., one-input gates that compute the identity)", reducing the fan-out
 gate delay from Θ(n + L) to Θ(log(n + L)).
+
+:class:`FanoutShape` lists a tree's buffers in pre-order (each buffer,
+then its subtree); a circuit derives it once per ``(copies, radix)`` and
+builds it per source, each tree one ``Netlist.add_gates`` run.
 """
 
 from __future__ import annotations
@@ -22,35 +26,68 @@ class FanoutTree:
     depth: int
 
 
-def build_fanout_tree(
-    netlist: Netlist, source: Net, copies: int, radix: int = 2
-) -> FanoutTree:
-    """Fan *source* out to *copies* leaf nets via a balanced buffer tree.
+@dataclass(frozen=True)
+class FanoutShape:
+    """A balanced fan-out tree's buffers, in pre-order.
 
     Each tree node is a BUF gate with fan-out at most *radix*, so the
     depth is ``ceil(log_radix(copies))`` gate delays.  (A naive broadcast
     has gate depth 1 but unbounded electrical fan-out; the paper's
     gate-delay model charges bounded fan-out, which the tree restores.)
-    A single copy is the source itself (depth 0).
+    A node serving ``k > 1`` copies splits them over ``min(radix, k)``
+    children as evenly as possible, larger shares first.
     """
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
 
-    def expand(src: Net, k: int) -> tuple[list[Net], int]:
-        if k == 1:
-            return [src], 0
-        parts = min(radix, k)
-        sizes = [k // parts + (1 if i < k % parts else 0) for i in range(parts)]
-        leaves: list[Net] = []
+    depth: int
+    #: per buffer, its input: 0 for the source, i for buffer ``drivers[i - 1]``
+    feeds: list[int]
+    drivers: list[int]
+    #: per copy, the buffer delivering it
+    leaves: list[int]
+
+    @classmethod
+    def derive(cls, copies: int, radix: int = 2) -> FanoutShape:
+        """Walk the tree for *copies* copies with an explicit stack."""
+        if copies < 1:
+            raise ValueError("need at least one copy")
+        if radix < 2:
+            raise ValueError("radix must be >= 2")
+
+        def shares(k: int) -> list[int]:  # last share first, to pop first
+            parts = min(radix, k)
+            return [k // parts + (i < k % parts) for i in reversed(range(parts))]
+
+        feeds: list[int] = []
+        drivers: list[int] = []
+        leaves: list[int] = []
         depth = 0
-        for size in sizes:
-            child = netlist.add_gate(GateKind.BUF, src)
-            sub_leaves, sub_depth = expand(child, size)
-            leaves.extend(sub_leaves)
-            depth = max(depth, sub_depth + 1)
-        return leaves, depth
+        stack = [(0, share, 1) for share in shares(copies)] if copies > 1 else []
+        while stack:  # (feed, copies served, depth) of the next buffer in pre-order
+            feed, k, level = stack.pop()
+            feeds.append(feed)
+            if k == 1:
+                leaves.append(len(feeds) - 1)
+                depth = max(depth, level)
+            else:
+                drivers.append(len(feeds) - 1)
+                stack += [(len(drivers), share, level + 1) for share in shares(k)]
+        return cls(depth, feeds, drivers, leaves)
 
-    leaves, depth = expand(source, copies)
-    return FanoutTree(source=source, leaves=tuple(leaves), depth=depth)
+    def build(self, netlist: Netlist, source: Net) -> FanoutTree:
+        """Fan *source* out through these buffers, added as one run; a
+        single copy is the source itself (depth 0)."""
+        if not self.feeds:
+            return FanoutTree(source=source, leaves=(source,), depth=0)
+        first = netlist.net_count
+        inputs = [(source,), *[(first + b,) for b in self.drivers]]
+        outs = netlist.add_gates(GateKind.BUF, list(map(inputs.__getitem__, self.feeds)))
+        leaves = tuple(map(outs.__getitem__, self.leaves))
+        return FanoutTree(source=source, leaves=leaves, depth=self.depth)
+
+
+def build_fanout_tree(
+    netlist: Netlist, source: Net, copies: int, radix: int = 2
+) -> FanoutTree:
+    """Fan *source* out to *copies* leaf nets via a balanced buffer tree
+    (see :class:`FanoutShape`)."""
+    return FanoutShape.derive(copies, radix).build(netlist, source)

@@ -24,13 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.circuits.comparator import (
-    build_constant_match,
-    build_equality_comparator,
-    register_number_bits,
-)
-from repro.circuits.fanout import build_fanout_tree
-from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult, assign_bus, bus_value
+from repro.circuits.comparator import ComparatorPlan, register_number_bits
+from repro.circuits.fanout import FanoutShape
+from repro.circuits.netlist import GateKind, GateRun, Net, Netlist, SimulationResult
+from repro.circuits.netlist import assign_bus, bus_value
 
 
 @dataclass(frozen=True)
@@ -239,31 +236,15 @@ class GridNetwork(_GridBase):
         super().__init__(n, num_registers, reads_per_station, value_bits, name="grid")
         nl = self.netlist
 
-        def build_column(request: list[Net], visible_stations: int) -> tuple[list[Net], Net]:
-            """Chain through regfile rows then station rows < visible_stations."""
-            acc_value = [nl.constant(False) for _ in range(self.value_bits)]
-            acc_ready = nl.constant(False)
-            for r in range(self.L):
-                match = build_constant_match(nl, request, r)
-                acc_value = [
-                    nl.mux(match, self.init_values[r][b], acc_value[b])
-                    for b in range(self.value_bits)
-                ]
-                acc_ready = nl.mux(match, self.init_ready[r], acc_ready)
-            for j in range(visible_stations):
-                eq = build_equality_comparator(nl, request, self.write_reg[j])
-                match = nl.add_gate(GateKind.AND, eq, self.write_enable[j])
-                acc_value = [
-                    nl.mux(match, self.write_values[j][b], acc_value[b])
-                    for b in range(self.value_bits)
-                ]
-                acc_ready = nl.mux(match, self.write_ready[j], acc_ready)
-            return acc_value, acc_ready
-
+        comparator = ComparatorPlan(self.reg_bits)
+        unset = [nl.constant(False)] * (self.value_bits + 1)
         for i in range(self.n):
             station_values, station_ready = [], []
             for p in range(self.reads_per_station):
-                value_nets, ready_net = build_column(self.read_reg[i][p], i)
+                # Chain through the regfile rows, then station rows < i.
+                value_nets, ready_net = self._column(
+                    comparator, self.read_reg[i][p], unset, self.L, i
+                )
                 station_values.append(value_nets)
                 station_ready.append(ready_net)
             self.arg_values.append(station_values)
@@ -274,23 +255,32 @@ class GridNetwork(_GridBase):
             request = [
                 nl.constant(bool((r >> b) & 1)) for b in range(self.reg_bits)
             ]
-            value_nets, ready_net = self._outgoing_column(request, r)
+            initial = [*self.init_values[r], self.init_ready[r]]
+            value_nets, ready_net = self._column(comparator, request, initial, 0, self.n)
             self.out_values.append(value_nets)
             self.out_ready.append(ready_net)
 
-    def _outgoing_column(self, request: list[Net], reg: int) -> tuple[list[Net], Net]:
-        nl = self.netlist
-        acc_value = list(self.init_values[reg])
-        acc_ready = self.init_ready[reg]
-        for j in range(self.n):
-            eq = build_equality_comparator(nl, request, self.write_reg[j])
-            match = nl.add_gate(GateKind.AND, eq, self.write_enable[j])
-            acc_value = [
-                nl.mux(match, self.write_values[j][b], acc_value[b])
-                for b in range(self.value_bits)
-            ]
-            acc_ready = nl.mux(match, self.write_ready[j], acc_ready)
-        return acc_value, acc_ready
+    def _column(self, comparator: ComparatorPlan, request: list[Net], acc: list[Net],
+                regfile_rows: int, station_rows: int) -> tuple[list[Net], Net]:
+        """One consumer column as one gate run.  Per row, register-file rows
+        first: a comparator on the request (ANDed with a station row's write
+        enable), then muxes ``match ? row binding : acc`` over the value bits
+        and ready bit of the accumulated binding *acc*."""
+        run = GateRun(self.netlist)
+        and_, row_muxes = GateKind.AND, [GateKind.MUX] * (self.value_bits + 1)
+        for row in range(regfile_rows + station_rows):
+            if row < regfile_rows:
+                match = comparator.match(run, request, row)
+                binding = [*self.init_values[row], self.init_ready[row]]
+            else:
+                j = row - regfile_rows
+                eq = comparator.equal(run, request, self.write_reg[j])
+                match = run.plan([and_], [(eq, self.write_enable[j])])
+                binding = [*self.write_values[j], self.write_ready[j]]
+            last = run.plan(row_muxes, [(match, new, old) for new, old in zip(binding, acc)])
+            acc = list(range(last + 1 - len(binding), last + 1))
+        outs = run.add()
+        return outs[-len(acc):-1], outs[-1]
 
 
 class TreeGridNetwork(_GridBase):
@@ -309,8 +299,13 @@ class TreeGridNetwork(_GridBase):
 
         # Fan each station's binding (reg number, value, ready, enable)
         # out to every consumer column through buffer trees.
+        comparator = ComparatorPlan(self.reg_bits)
+        to_consumers = FanoutShape.derive(consumers, fanout_radix)
+        and_ = GateKind.AND
+        pair_kinds = [GateKind.MUX] * (value_bits + 1) + [GateKind.OR]
+
         def fan(net: Net) -> tuple[Net, ...]:
-            return build_fanout_tree(nl, net, consumers, radix=fanout_radix).leaves
+            return to_consumers.build(nl, net).leaves
 
         fanned_write_reg = [[fan(bit) for bit in self.write_reg[j]] for j in range(n)]
         fanned_write_val = [[fan(bit) for bit in self.write_values[j]] for j in range(n)]
@@ -325,75 +320,64 @@ class TreeGridNetwork(_GridBase):
 
         def build_column(
             request: list[Net], visible_stations: int, consumer: int,
-            reg_if_constant: int | None = None,
+            reg_if_constant: int | None = None, to_rows: FanoutShape | None = None,
         ) -> tuple[list[Net], Net]:
             """Reduction tree over (regfile rows + visible station rows).
 
             *request* is the raw register-number bus; it is fanned out
-            down the column through a buffer tree, one leaf per row that
-            compares against it.  When *reg_if_constant* is given (the
-            outgoing-register columns), the register-file portion
-            collapses to the single known-matching row.
+            down the column through *to_rows*, a buffer tree with one leaf
+            per row that compares against it.  When *reg_if_constant* is
+            given (the outgoing-register columns, whose request is empty),
+            the register-file portion collapses to the single known-matching
+            row.
             """
             rf_rows = 0 if reg_if_constant is not None else self.L
-            compare_rows = rf_rows + (visible_stations if reg_if_constant is None else 0)
-            if compare_rows > 0 and request:
-                request_leaves = [
-                    build_fanout_tree(nl, bit, compare_rows, radix=fanout_radix).leaves
-                    for bit in request
-                ]
-            else:
-                request_leaves = []
+            # per compared row, its request leaves
+            rows = list(zip(*[to_rows.build(nl, bit).leaves for bit in request]))
 
-            def request_at(row: int) -> list[Net]:
-                return [leaves[row] for leaves in request_leaves]
-
-            # Each entry: (value nets, ready net, match net)
-            entries: list[tuple[list[Net], Net, Net]] = []
+            # One gate run for the rest of the column: each entry is
+            # [value nets..., ready net, match net].
+            always = nl.constant(True) if reg_if_constant is not None else None
+            run = GateRun(nl)
+            entries: list[list[Net]] = []
             if reg_if_constant is not None:
                 entries.append(
-                    (
-                        list(self.init_values[reg_if_constant]),
-                        self.init_ready[reg_if_constant],
-                        nl.constant(True),
-                    )
+                    [*self.init_values[reg_if_constant], self.init_ready[reg_if_constant], always]
                 )
             else:
                 # The requested register always matches exactly one
                 # register-file row.
                 for r in range(self.L):
-                    match = build_constant_match(nl, request_at(r), r)
-                    entries.append((list(self.init_values[r]), self.init_ready[r], match))
+                    match = comparator.match(run, rows[r], r)
+                    entries.append([*self.init_values[r], self.init_ready[r], match])
             for j in range(visible_stations):
                 reg, val, rdy, en = row_ports(j, consumer)
                 if reg_if_constant is not None:
-                    eq = build_constant_match(nl, reg, reg_if_constant)
+                    eq = comparator.match(run, reg, reg_if_constant)
                 else:
-                    eq = build_equality_comparator(nl, request_at(rf_rows + j), reg)
-                match = nl.add_gate(GateKind.AND, eq, en)
-                entries.append((val, rdy, match))
-            # Balanced reduction selecting the last matching entry.
+                    eq = comparator.equal(run, rows[rf_rows + j], reg)
+                entries.append([*val, rdy, run.plan([and_], [(eq, en)])])
+            # Balanced reduction selecting the last matching entry: per
+            # pair, the value-bit muxes, the ready mux, then the match OR.
             while len(entries) > 1:
                 nxt = []
-                for k in range(0, len(entries) - 1, 2):
-                    lv, lr, lm = entries[k]
-                    rv, rr, rm = entries[k + 1]
-                    value = [nl.mux(rm, rv[b], lv[b]) for b in range(self.value_bits)]
-                    ready = nl.mux(rm, rr, lr)
-                    match = nl.add_gate(GateKind.OR, lm, rm)
-                    nxt.append((value, ready, match))
+                for left, right in zip(entries[::2], entries[1::2]):
+                    muxes = [(right[-1], r, l) for r, l in zip(right[:-1], left[:-1])]
+                    last = run.plan(pair_kinds, [*muxes, (left[-1], right[-1])])
+                    nxt.append(list(range(last + 1 - len(pair_kinds), last + 1)))
                 if len(entries) % 2:
                     nxt.append(entries[-1])
                 entries = nxt
-            value, ready, _match = entries[0]
-            return value, ready
+            run.add()
+            return entries[0][:-2], entries[0][-2]
 
         consumer_index = 0
         for i in range(self.n):
             station_values, station_ready = [], []
+            to_rows = FanoutShape.derive(self.L + i, fanout_radix)  # for each read port
             for p in range(self.reads_per_station):
                 value_nets, ready_net = build_column(
-                    self.read_reg[i][p], i, consumer_index
+                    self.read_reg[i][p], i, consumer_index, to_rows=to_rows
                 )
                 station_values.append(value_nets)
                 station_ready.append(ready_net)

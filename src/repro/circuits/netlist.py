@@ -3,9 +3,14 @@
 Representation.  A net is a plain ``int``: its index in the netlist.
 Primary inputs and gate outputs share that index space.  A gate is a
 row in parallel per-netlist lists (kind code, input-net tuple, delay,
-driven net), so building a netlist allocates no object per gate or net.
-Fan-out is derived from the gate rows and cached until the next
-:meth:`Netlist.add_gate` or :meth:`Netlist.tie`.
+driven net).  Per gate, building allocates an input tuple (sibling
+buffers of a fan-out tree share one) and the boxed int of the driven
+net, plus a second int when a later gate of its own run reads it.
+:meth:`Netlist.add_gates` is the bulk path: it checks a whole run of
+gates once (a fan-out tree, or a column of comparators and muxes planned
+in a :class:`GateRun`), then extends the lists in one step.  Fan-out is
+derived from the gate rows and cached until the next gate is added or
+:meth:`Netlist.tie` rewires one.
 
 Simulation measures *settle time*: inputs are applied at time 0 with
 every net initialized to 0, and events propagate until the netlist is
@@ -86,8 +91,7 @@ class Netlist:
         self.inputs: list[Net] = []
         self.outputs: dict[str, Net] = {}
         self._const_cache: dict[bool, Net] = {}
-        # per net: the driving gate, or -1 for a primary input
-        self._driver: list[int] = []
+        self._nets = 0
         # per gate: kind code, input nets, delay, driven net
         self._kind: list[int] = []
         self._ins: list[tuple[Net, ...]] = []
@@ -101,29 +105,56 @@ class Netlist:
 
     def add_input(self, name: str) -> Net:
         """Create a primary-input net."""
-        net = len(self._driver)
-        self._driver.append(-1)
+        net = self._nets
+        self._nets += 1
         self._names[net] = name
         self.inputs.append(net)
         return net
 
     def add_gate(self, kind: GateKind, *inputs: Net, name: str | None = None, delay: int = 1) -> Net:
-        """Add a gate; returns its output net."""
-        lo, hi = _ARITY.get(kind, (2, 64))
-        if not lo <= len(inputs) <= hi:
-            raise ValueError(f"{kind.value} gate takes {lo}..{hi} inputs, got {len(inputs)}")
-        if delay < 0:
-            raise ValueError("gate delay must be non-negative")
-        out = len(self._driver)
-        self._driver.append(len(self._kind))
-        self._kind.append(_CODE[kind])
-        self._ins.append(inputs)
-        self._delay.append(delay)
-        self._out.append(out)
+        """Add a gate (a run of one); returns its output net."""
+        (out,) = self.add_gates(kind, (inputs,), delay)
         if name is not None:
             self._names[out] = name
-        self._fanout = None
         return out
+
+    def add_gates(
+        self,
+        kind: GateKind | Sequence[GateKind],
+        inputs: Sequence[tuple[Net, ...]],
+        delay: int = 1,
+    ) -> list[Net]:
+        """Append one gate per input tuple, in order; returns their output nets.
+
+        *kind* is one kind for the whole run or one kind per gate.  The
+        run is checked before anything is added, so a bad tuple or delay
+        raises ``ValueError`` and leaves the netlist as it was.  Gate *k*
+        drives net ``net_count + k``; the netlist stores the returned ints.
+        """
+        count = len(inputs)
+        if isinstance(kind, GateKind):
+            shapes = [(kind, arity) for arity in set(map(len, inputs))]
+            codes = [_CODE[kind]] * count
+        elif len(kind) == count:
+            shapes = set(zip(kind, map(len, inputs)))
+            codes = list(map(_CODE.__getitem__, kind))
+        else:
+            raise ValueError(f"{len(kind)} gate kinds for {count} gates")
+        for each, arity in shapes:
+            lo, hi = _ARITY.get(each, (2, 64))
+            if not lo <= arity <= hi:
+                raise ValueError(f"{each.value} gate takes {lo}..{hi} inputs, got {arity}")
+        if delay < 0:
+            raise ValueError("gate delay must be non-negative")
+        first = self._nets
+        self._nets += count
+        outs = list(range(first, first + count))
+        self._kind += codes
+        self._ins += inputs
+        self._delay += [delay] * count
+        self._out += outs
+        self._fanout = None
+        return outs
 
     def tie(self, placeholder: Net, source: Net) -> None:
         """Close a feedback loop: every reader of *placeholder* reads *source*.
@@ -131,7 +162,7 @@ class Netlist:
         *placeholder* must be a primary input (created to stand in for a
         net that did not exist yet), not a constant; it stops being one.
         """
-        if self._driver[placeholder] >= 0 or placeholder not in self.inputs:
+        if placeholder not in self.inputs:
             raise ValueError(f"net {self.name_of(placeholder)!r} is not a primary input")
         if placeholder in self._const_cache.values():
             raise ValueError(f"net {self.name_of(placeholder)!r} is a constant")
@@ -158,21 +189,12 @@ class Netlist:
         """``sel ? a : b`` as a single MUX gate."""
         return self.add_gate(GateKind.MUX, sel, a, b, name=name)
 
-    def reduce_tree(self, kind: GateKind, nets: Sequence[Net], name: str | None = None) -> Net:
-        """Balanced binary reduction tree of *kind* gates over *nets*."""
+    def reduce_tree(self, kind: GateKind, nets: Sequence[Net]) -> Net:
+        """Balanced binary reduction tree of *kind* gates over *nets*, as one run."""
         if not nets:
             raise ValueError("cannot reduce zero nets")
-        level = list(nets)
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(self.add_gate(kind, level[i], level[i + 1]))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        if name and self._driver[level[0]] >= 0:
-            self._names[level[0]] = name
-        return level[0]
+        pairs, root = reduction_pairs(nets, self._nets)
+        return self.add_gates(kind, pairs)[-1] if pairs else root
 
     # -- queries -------------------------------------------------------
 
@@ -181,17 +203,21 @@ class Netlist:
         """Total number of gates."""
         return len(self._kind)
 
+    @property
+    def net_count(self) -> int:
+        """Total number of nets (primary inputs and gate outputs)."""
+        return self._nets
+
     def name_of(self, net: Net) -> str:
         """The name *net* was given, else ``<kind><gate index>``."""
         if net in self._names:
             return self._names[net]
-        gate = self._driver[net]
+        gate = self._out.index(net)
         return f"{_KINDS[self._kind[gate]].value}{gate}"
 
     def driver(self, net: Net) -> int | None:
         """Index of the gate driving *net*; ``None`` for a primary input."""
-        gate = self._driver[net]
-        return None if gate < 0 else gate
+        return self._out.index(net) if net in self._out else None
 
     def fanout(self, net: Net) -> tuple[int, ...]:
         """Indices of the gates reading *net* (once per input port)."""
@@ -199,21 +225,17 @@ class Netlist:
 
     def _fanouts(self) -> list[list[int]]:
         if self._fanout is None:
-            fanout: list[list[int]] = [[] for _ in self._driver]
+            fanout: list[list[int]] = [[] for _ in range(self._nets)]
             for gate, ins in enumerate(self._ins):
                 for net in ins:
                     fanout[net].append(gate)
             self._fanout = fanout
         return self._fanout
 
-    def is_cyclic(self) -> bool:
-        """True if the gate graph contains a cycle."""
-        return len(self._topo_order()) < self.gate_count
-
     def _topo_order(self) -> list[int]:
         """Gates in dependency order; those on or behind a cycle are left out."""
-        driver = self._driver
-        indegree = [sum(1 for net in ins if driver[net] >= 0) for ins in self._ins]
+        primary = set(self.inputs)
+        indegree = [sum(net not in primary for net in ins) for ins in self._ins]
         ready = [gate for gate, deg in enumerate(indegree) if deg == 0]
         fanout, outs = self._fanouts(), self._out
         order: list[int] = []
@@ -231,7 +253,7 @@ class Netlist:
         order = self._topo_order()
         if len(order) < self.gate_count:
             raise ValueError("netlist is cyclic")
-        depth = [0] * len(self._driver)
+        depth = [0] * self._nets
         for gate in order:
             arrival = max(depth[net] for net in self._ins[gate])
             depth[self._out[gate]] = self._delay[gate] + arrival
@@ -248,13 +270,14 @@ class Netlist:
         if the netlist has not settled by *max_time* (an oscillating
         cycle).
         """
-        values = [False] * len(self._driver)
+        values = [False] * self._nets
         for value, net in self._const_cache.items():
             if net in assignments:
                 raise ValueError(f"net {self.name_of(net)!r} is a constant")
             values[net] = value
+        primary = set(self.inputs)
         for net, value in assignments.items():
-            if self._driver[net] >= 0:
+            if net not in primary:
                 raise ValueError(f"net {self.name_of(net)!r} is not a primary input")
             values[net] = bool(value)
 
@@ -326,6 +349,46 @@ class Netlist:
                             bucket.append(successor)
 
         return SimulationResult(values=values, settle_time=settle_time, events=events)
+
+
+class GateRun:
+    """Gates planned for one :meth:`Netlist.add_gates` call.
+
+    Planned gate *k* will drive net ``first + k`` (the netlist's net count
+    when the run starts), so a gate can read gates planned before it.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        self.first = netlist.net_count
+        self.kinds: list[GateKind] = []
+        self.inputs: list[tuple[Net, ...]] = []
+
+    def plan(self, kinds: Sequence[GateKind], inputs: Sequence[tuple[Net, ...]]) -> Net:
+        """Plan gates, one kind per input tuple; returns the last one's net."""
+        self.kinds += kinds
+        self.inputs += inputs
+        return self.first + len(self.inputs) - 1
+
+    def add(self) -> list[Net]:
+        """Add the planned gates to the netlist; returns their output nets."""
+        if self.netlist.net_count != self.first:
+            raise RuntimeError("the netlist grew while a gate run was planned")
+        return self.netlist.add_gates(self.kinds, self.inputs)
+
+
+def reduction_pairs(nets: Sequence[Net], first: Net) -> tuple[list[tuple[Net, Net]], Net]:
+    """Input pairs of a balanced binary reduction of *nets*, and its root:
+    per level, neighbours pair up left to right and an odd last net passes
+    up.  Pair *k*'s gate drives net ``first + k``; one net needs no pairs."""
+    pairs: list[tuple[Net, Net]] = []
+    level = list(nets)
+    while len(level) > 1:
+        start = first + len(pairs)
+        pairs += zip(level[::2], level[1::2])
+        tail = level[-1:] if len(level) % 2 else []
+        level = [*range(start, first + len(pairs)), *tail]
+    return pairs, level[0]
 
 
 def bus(netlist: Netlist, name: str, width: int) -> list[Net]:

@@ -14,8 +14,8 @@ The paper builds everything from segmented scans:
 * The shared-ALU scheduler of Memo 2 is one more cyclic segmented scan,
   with the + operator (:mod:`repro.ultrascalar.scheduler`).
 
-This module defines the reference semantics (:func:`segmented_scan`,
-:func:`cyclic_segmented_scan` and helpers, against which everything is
+This module defines the reference semantics (:func:`segmented_scan` and
+:func:`cyclic_segmented_scan`, against which everything is
 property-tested), a linear scan chain (Θ(n) delay), and
 :func:`build_segmented_scan`, the one up/down-sweep tree (Θ(log n)
 delay) that every prefix-tree netlist is built from.  The netlists are
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult, assign_bus, bus_value
+from repro.circuits.netlist import GateKind, Net, Netlist
 
 T = TypeVar("T")
 
@@ -87,40 +87,6 @@ def cyclic_segmented_scan(
         ys[i] = acc
         acc = xs[i] if segments[i] else op(acc, xs[i])
     return ys  # type: ignore[return-value]
-
-
-def nearest_preceding_writer(segments: Sequence[bool]) -> list[int | None]:
-    """For each position, the nearest earlier index with a set segment bit.
-
-    Noncyclic; ``None`` where no earlier writer exists.  This is the
-    index view of the copy-operator scan.
-    """
-    result: list[int | None] = []
-    last: int | None = None
-    for i, seg in enumerate(segments):
-        result.append(last)
-        if seg:
-            last = i
-    return result
-
-
-def cyclic_nearest_preceding_writer(segments: Sequence[bool]) -> list[int]:
-    """Cyclic version of :func:`nearest_preceding_writer`.
-
-    Requires at least one segment bit.  ``result[i]`` is the index of the
-    nearest cyclically-preceding position with its segment bit set.
-    """
-    n = len(segments)
-    if not any(segments):
-        raise ValueError("requires at least one segment bit")
-    result = [0] * n
-    # walk twice around the ring so every position sees a preceding writer
-    last = max(i for i in range(n) if segments[i])
-    for k in range(1, n + 1):
-        i = (last + k) % n
-        j = (last + k - 1) % n
-        result[i] = j if segments[j] else result[j]
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +248,3 @@ def build_tree_scan(
         for b, net in enumerate(out):
             netlist.mark_output(f"{name}_y{i}[{b}]", net)
     return ScanPorts(values=values, segments=segments, outputs=outputs, initial=initial)
-
-
-def assign_scan_inputs(
-    ports: ScanPorts,
-    xs: Sequence[int],
-    segments: Sequence[bool],
-    initial: int = 0,
-) -> dict[Net, bool]:
-    """Build a simulator assignment dict for a scan netlist's inputs."""
-    if len(xs) != len(ports.values) or len(segments) != len(ports.segments):
-        raise ValueError("input length mismatch")
-    assignment: dict[Net, bool] = {}
-    for i, x in enumerate(xs):
-        assign_bus(assignment, ports.values[i], x)
-        assignment[ports.segments[i]] = bool(segments[i])
-    if ports.initial is not None:
-        assign_bus(assignment, ports.initial, initial)
-    return assignment
-
-
-def read_scan_outputs(ports: ScanPorts, result: SimulationResult) -> list[int]:
-    """Read integer scan outputs back out of a simulation result."""
-    return [bus_value(result, nets) for nets in ports.outputs]

@@ -207,6 +207,9 @@ class TestOneRecurrenceForAllDesigns:
                         ]
                         assert got == want, run
                         assert result.cycles == schedule.cycles, run
+                        # commit is in order: the last entry's commit is the latest
+                        latest = max(e.commit_cycle for e in schedule.entries)
+                        assert schedule.cycles == latest + 1, run
                         checked += 1
         # a sweep that skipped nearly everything would prove nothing
         assert checked >= 300, checked

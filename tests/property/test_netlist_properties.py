@@ -54,3 +54,55 @@ def test_simulation_matches_topological_evaluation(case):
     assert {net: result.value_of(net) for net in reference} == reference
     assert result.settle_time <= nl.topological_depth()
     assert result.events >= nl.gate_count
+
+
+def _arrays(nl):
+    return nl.net_count, nl.inputs, nl._kind, nl._ins, nl._delay, nl._out
+
+
+@st.composite
+def gate_runs(draw):
+    """(input count, runs), each run (delay, kinds or one kind, input tuples).
+
+    A gate reads primary inputs or any earlier gate, including earlier
+    gates of its own run, so the netlist stays acyclic.
+    """
+    n_inputs = draw(st.integers(1, 4))
+    nets = n_inputs
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        one_kind = draw(st.sampled_from(list(GateKind))) if draw(st.booleans()) else None
+        kinds, inputs = [], []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = one_kind or draw(st.sampled_from(list(GateKind)))
+            arity = _FIXED_ARITY.get(kind) or draw(st.integers(2, 4))
+            ins = draw(st.lists(st.integers(0, nets - 1), min_size=arity, max_size=arity))
+            kinds.append(kind)
+            inputs.append(tuple(ins))
+            nets += 1
+        runs.append((draw(st.integers(0, 3)), one_kind or kinds, inputs))
+    return n_inputs, runs
+
+
+@given(gate_runs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bulk_runs_build_the_netlist_gate_by_gate_does(case, data):
+    n_inputs, runs = case
+    one, bulk = Netlist(), Netlist()
+    for k in range(n_inputs):
+        one.add_input(f"i{k}")
+        bulk.add_input(f"i{k}")
+    for delay, kind, inputs in runs:
+        kinds = [kind] * len(inputs) if isinstance(kind, GateKind) else kind
+        singles = [one.add_gate(k, *ins, delay=delay) for k, ins in zip(kinds, inputs)]
+        outs = bulk.add_gates(kind, inputs, delay=delay)
+        assert outs == singles
+        assert all(out is stored for out, stored in zip(outs, bulk._out[-len(outs):]))
+    assert _arrays(bulk) == _arrays(one)
+    assignment = {net: data.draw(st.booleans()) for net in one.inputs}
+    expected, got = one.simulate(assignment), bulk.simulate(assignment)
+    assert (got.values, got.settle_time, got.events) == (
+        expected.values,
+        expected.settle_time,
+        expected.events,
+    )

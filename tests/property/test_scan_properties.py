@@ -9,7 +9,7 @@ replaced".
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.cspp import (
-    build_and_cspp,
+    CsppTree,
     build_copy_cspp,
     cyclic_segmented_and,
     cyclic_segmented_copy,
@@ -18,13 +18,13 @@ from repro.circuits.grid import GridNetwork, RegisterBinding, TreeGridNetwork, r
 from repro.circuits.mux_ring import MuxRing
 from repro.circuits.netlist import Netlist
 from repro.circuits.prefix import (
+    AndOp,
     CopyOp,
-    assign_scan_inputs,
     build_linear_scan,
     build_tree_scan,
-    read_scan_outputs,
     segmented_scan,
 )
+from tests.unit.test_prefix_circuits import assign_scan_inputs, read_scan_outputs
 
 # Keep circuit sizes modest: netlist construction is O(n^2) for grids.
 ring_inputs = st.integers(2, 12).flatmap(
@@ -82,7 +82,7 @@ def test_radix4_cspp_equals_binary(data):
 @settings(max_examples=40, deadline=None)
 def test_and_cspp_equals_reference(data):
     conditions, segs = data
-    tree = build_and_cspp(len(conditions))
+    tree = CsppTree(len(conditions), op=AndOp(), name="cspp_and")
     got = [bool(v) for v in tree.evaluate([int(c) for c in conditions], segs)]
     assert got == cyclic_segmented_and(conditions, segs)
 

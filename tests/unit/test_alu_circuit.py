@@ -10,9 +10,17 @@ from repro.circuits.alu import (
     build_alu,
     build_full_adder,
     build_ripple_adder,
-    evaluate_alu,
 )
-from repro.circuits.netlist import Netlist, bus, bus_value
+from repro.circuits.netlist import Netlist, assign_bus, bus, bus_value
+
+
+def evaluate_alu(netlist, ports, a, b, op):
+    """Simulate the ALU on concrete operands; returns the result bus value."""
+    assignment = {}
+    assign_bus(assignment, ports.a, a)
+    assign_bus(assignment, ports.b, b)
+    assign_bus(assignment, ports.op, op)
+    return bus_value(netlist.simulate(assignment), ports.result)
 
 
 class TestFullAdder:

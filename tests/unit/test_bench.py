@@ -81,6 +81,15 @@ class TestRegistry:
             b.group == "engine" and b.metadata["window_size"] >= 256 for b in quick
         )
 
+    def test_circuits_rows_cover_both_grids(self):
+        # E9's two US-II netlists each have a row; the quick set keeps the
+        # mesh-of-trees one
+        circuits = {b.name for b in REGISTRY.values() if b.group == "circuits"}
+        assert {"circuits.tgrid.n16", "circuits.tgrid.n32", "circuits.grid.n32"} <= circuits
+        assert [b.name for b in select(quick=True) if b.group == "circuits"] == [
+            "circuits.tgrid.n16"
+        ]
+
     def test_filter_selects_substrings(self):
         engines = select(substrings=("engine.",))
         assert engines and all(b.name.startswith("engine.") for b in engines)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits.netlist import GateKind, Netlist, assign_bus, bus, bus_value
+from repro.circuits.netlist import GateKind, GateRun, Netlist, assign_bus, bus, bus_value
 
 
 class TestConstruction:
@@ -41,6 +41,68 @@ class TestConstruction:
         nl = Netlist()
         with pytest.raises(ValueError):
             nl.reduce_tree(GateKind.AND, [])
+
+
+class TestBulkPath:
+    @staticmethod
+    def _arrays(nl):
+        return (nl.gate_count, nl.net_count, list(nl._kind), list(nl._ins),
+                list(nl._delay), list(nl._out))
+
+    def test_run_appends_in_order(self):
+        nl = Netlist()
+        a, b = nl.add_input("a"), nl.add_input("b")
+        first = nl.net_count
+        outs = nl.add_gates(
+            [GateKind.AND, GateKind.NOT, GateKind.MUX],
+            [(a, b), (first,), (a, first, first + 1)],
+        )
+        assert outs == [first, first + 1, first + 2]
+        assert all(out is stored for out, stored in zip(outs, nl._out))
+        assert [nl.driver(out) for out in outs] == [0, 1, 2]
+        assert nl.name_of(outs[1]) == "not1"
+        result = nl.simulate({a: True, b: False})
+        assert [result.value_of(out) for out in outs] == [False, True, False]  # a ? and : not
+
+    @pytest.mark.parametrize(
+        "kind,inputs,delay",
+        [
+            (GateKind.AND, [(0, 1), (0,), (1, 0)], 1),                  # one short tuple
+            (GateKind.MUX, [(0, 1, 0), (0, 1)], 1),
+            ([GateKind.BUF, GateKind.NOT], [(0,), (0, 1)], 1),         # per-gate kinds
+            (GateKind.OR, [(0, 1), (1, 0)], -1),                       # negative delay
+            ([GateKind.BUF, GateKind.BUF], [(0,)], 1),                 # kinds != tuples
+        ],
+    )
+    def test_bad_run_raises_and_adds_nothing(self, kind, inputs, delay):
+        nl = Netlist()
+        nl.add_input("a")
+        nl.add_input("b")
+        nl.add_gate(GateKind.XOR, 0, 1)
+        before = self._arrays(nl)
+        with pytest.raises(ValueError):
+            nl.add_gates(kind, inputs, delay=delay)
+        assert self._arrays(nl) == before
+
+    def test_gate_run_numbers_planned_gates(self):
+        nl = Netlist()
+        a, b = nl.add_input("a"), nl.add_input("b")
+        run = GateRun(nl)
+        x = run.plan([GateKind.XOR], [(a, b)])
+        y = run.plan([GateKind.NOT, GateKind.AND], [(x,), (x, a)])
+        assert (x, y) == (2, 4)
+        assert run.add() == [2, 3, 4]
+        assert nl.simulate({a: True, b: False}).value_of(y) is True
+
+    def test_gate_run_rejects_a_netlist_that_grew(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        run = GateRun(nl)
+        run.plan([GateKind.NOT], [(a,)])
+        nl.add_input("late")
+        with pytest.raises(RuntimeError, match="grew"):
+            run.add()
+        assert nl.gate_count == 0
 
 
 class TestGateSemantics:
@@ -180,13 +242,11 @@ class TestTopology:
         y = nl.add_gate(GateKind.OR, x, b)
         nl.add_gate(GateKind.NOT, y)
         assert nl.topological_depth() == 3
-        assert not nl.is_cyclic()
 
     def test_cyclic_detection(self):
         from repro.circuits.mux_ring import MuxRing
 
         ring = MuxRing(4, 1)
-        assert ring.netlist.is_cyclic()
         with pytest.raises(ValueError, match="cyclic"):
             ring.netlist.topological_depth()
 

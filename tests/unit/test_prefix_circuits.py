@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.fitting import fit_exponent
 from repro.circuits.cspp import (
     CsppTree,
-    build_and_cspp,
     build_copy_cspp,
     cyclic_segmented_and,
     cyclic_segmented_copy,
@@ -13,18 +12,31 @@ from repro.circuits.cspp import (
 )
 from repro.circuits.fanout import build_fanout_tree
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import Netlist, assign_bus, bus_value
 from repro.circuits.prefix import (
     AndOp,
     CopyOp,
-    assign_scan_inputs,
     build_linear_scan,
     build_tree_scan,
-    cyclic_nearest_preceding_writer,
-    nearest_preceding_writer,
-    read_scan_outputs,
     segmented_scan,
 )
+
+
+def assign_scan_inputs(ports, xs, segments, initial=0):
+    """A simulator assignment driving a scan netlist's inputs."""
+    assert len(xs) == len(ports.values) and len(segments) == len(ports.segments)
+    assignment = {}
+    for i, x in enumerate(xs):
+        assign_bus(assignment, ports.values[i], x)
+        assignment[ports.segments[i]] = bool(segments[i])
+    if ports.initial is not None:
+        assign_bus(assignment, ports.initial, initial)
+    return assignment
+
+
+def read_scan_outputs(ports, result):
+    """The integer scan outputs of a simulation result."""
+    return [bus_value(result, nets) for nets in ports.outputs]
 
 
 class TestSegmentedScanSemantics:
@@ -85,18 +97,22 @@ class TestCyclicScan:
 
 
 class TestNearestWriter:
+    """The copy scan over the positions' own indices names each position's
+    nearest preceding writer (``None`` before the first, noncyclically)."""
+
     def test_noncyclic(self):
-        assert nearest_preceding_writer([False, True, False, True]) == [None, None, 1, 1]
+        ys = segmented_scan(range(4), [False, True, False, True], lambda a, b: a, None)
+        assert ys == [None, None, 1, 1]
 
     def test_cyclic(self):
-        assert cyclic_nearest_preceding_writer([False, True, False, True]) == [3, 3, 1, 1]
+        assert cyclic_segmented_copy(range(4), [False, True, False, True]) == [3, 3, 1, 1]
 
     def test_cyclic_single_writer(self):
-        assert cyclic_nearest_preceding_writer([False, False, True]) == [2, 2, 2]
+        assert cyclic_segmented_copy(range(3), [False, False, True]) == [2, 2, 2]
 
     def test_cyclic_requires_writer(self):
         with pytest.raises(ValueError):
-            cyclic_nearest_preceding_writer([False, False])
+            cyclic_segmented_copy(range(2), [False, False])
 
 
 class TestScanNetlists:
@@ -147,7 +163,7 @@ class TestCsppTree:
         assert tree.evaluate(xs, segs) == cyclic_segmented_copy(xs, segs)
 
     def test_matches_reference_and(self):
-        tree = build_and_cspp(8)
+        tree = CsppTree(8, op=AndOp(), name="cspp_and")  # Figure 5's sequencing circuit
         cs = [True, True, False, True, True, True, True, False]
         segs = [False, False, False, False, False, True, False, False]
         got = [bool(v) for v in tree.evaluate([int(c) for c in cs], segs)]
@@ -185,7 +201,7 @@ class TestCsppTree:
     def test_netlist_is_acyclic_dag(self):
         # The "cycle" is semantic (ring order); the tree netlist is a DAG.
         tree = build_copy_cspp(8)
-        assert not tree.netlist.is_cyclic()
+        assert tree.netlist.topological_depth() == 6  # raises on a cyclic netlist
 
     def test_settle_time_logarithmic(self):
         times = []
@@ -220,7 +236,8 @@ class TestMuxRing:
         assert ring.evaluate(xs, segs) == cyclic_segmented_copy(xs, segs)
 
     def test_is_cyclic_netlist(self):
-        assert MuxRing(4).netlist.is_cyclic()
+        with pytest.raises(ValueError, match="cyclic"):
+            MuxRing(4).netlist.topological_depth()
 
     def test_settle_time_linear(self):
         times = []
