@@ -1,6 +1,6 @@
 """Reproduction of *A Comparison of Scalable Superscalar Processors* (SPAA 1999).
 
-This package implements, in pure Python + NumPy, the three scalable
+This package implements, in pure Python, the three scalable
 superscalar microarchitectures compared by Kuszmaul, Henry, and Loh:
 
 * :mod:`repro.ultrascalar` -- the Ultrascalar I (CSPP ring datapath), the

@@ -13,8 +13,7 @@ baseline comparator can match entries by name.  Schema::
       "mode": "quick" | "full",
       "host": {
         "python": "3.12.1", "implementation": "CPython",
-        "platform": "...", "machine": "...", "cpu_count": <int>,
-        "numpy": "..." | null
+        "platform": "...", "machine": "...", "cpu_count": <int>
       },
       "protocol": {
         "clock": "perf_counter", "gc_disabled": true,
@@ -33,6 +32,11 @@ baseline comparator can match entries by name.  Schema::
         }, ...
       ]
     }
+
+Artifacts written before the package dropped NumPy also carry
+``host.numpy`` (its version, or null).  Neither the validator nor
+``hosts_differ`` reads that key, so those artifacts (``BENCH_0.json``
+among them) still validate and compare.
 
 ``stats`` comes from an extra *untimed* pass inside a telemetry
 session, so the timed repeats measure exactly the untraced hot path;

@@ -17,6 +17,8 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``recurrence`` — the scheduling recurrence E14 and E15 time US-I
   with, on ``engine.us1.n256``'s program and window: the two rows give
   the engine-to-recurrence cost ratio;
+* ``workloads`` — drawing one of E15's ``random_ilp`` programs: the
+  random stream plus instruction and program construction;
 * ``frontend`` — the fetch unit on its own: slicing a long
   straight-line program, and following a loop kernel's path with a
   bimodal predictor;
@@ -169,6 +171,32 @@ def _register_recurrence() -> None:
                 "instructions": 1024,
                 "seed": 1999,
             },
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# random program generation
+
+
+def _random_ilp_thunk(count: int, density: float, seed: int) -> Callable[[], Any]:
+    from repro.workloads.generators import random_ilp
+
+    def thunk() -> None:
+        random_ilp(count, density, seed=seed)
+
+    return thunk
+
+
+def _register_workloads() -> None:
+    register(
+        Benchmark(
+            name="workloads.random_ilp.n4000",
+            group="workloads",
+            title="draw E15's 4000-instruction random_ilp program, density 0.5",
+            make=lambda: _random_ilp_thunk(4000, 0.5, 507),
+            quick=True,
+            metadata={"instructions": 4000, "density": 0.5, "seed": 507},
         )
     )
 
@@ -475,6 +503,7 @@ def _register_verify() -> None:
 
 _register_engines()
 _register_recurrence()
+_register_workloads()
 _register_frontend()
 _register_cspp()
 _register_network()

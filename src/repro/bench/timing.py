@@ -8,8 +8,8 @@ numbers comparable across commits:
 * **GC disabled** — the collector is paused around every timed region
   and restored afterwards, so a collection pause never lands inside a
   repeat;
-* **warmup** — untimed calls first, so import caches, allocator pools,
-  and NumPy dispatch tables are hot before the first measurement;
+* **warmup** — untimed calls first, so import caches and allocator
+  pools are hot before the first measurement;
 * **repeats** — each benchmark is timed several times and the artifact
   keeps every repeat; comparisons use the *minimum* (least-noise
   estimate of the true cost) and the *median* (robust central value),
@@ -38,18 +38,12 @@ def host_fingerprint() -> dict[str, Any]:
     warning when the baseline's fingerprint differs (cross-host deltas
     measure the hosts, not the code).
     """
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dependency
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
     }
 
 

@@ -2,7 +2,8 @@
 
 Everything in the repository that needs randomness goes through
 :func:`repro.util.rng.make_rng` so that experiments and tests are
-reproducible from a single seed.
+reproducible from a single seed.  Its stream is NumPy's
+``default_rng`` (PCG64), reimplemented in pure Python.
 """
 
 from repro.util.bitops import (
@@ -12,7 +13,6 @@ from repro.util.bitops import (
     to_signed,
     to_unsigned,
 )
-from repro.util.rng import make_rng
 from repro.util.tables import Table, format_float, format_ratio
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "sign_extend",
     "to_signed",
     "to_unsigned",
-    "make_rng",
     "Table",
     "format_float",
     "format_ratio",

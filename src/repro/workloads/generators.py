@@ -141,19 +141,20 @@ def random_ilp(
     dests = list(range(L // 4, L))
     ops = [Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.MUL]
     recent: list[int] = []
+
+    def pick_source() -> int:
+        if recent and rng.random() < dependency_fraction:
+            return recent[rng.integers(max(0, len(recent) - 4), len(recent))]
+        return inputs[rng.integers(0, len(inputs))]
+
     insts = []
     for i in range(count):
-        def pick_source() -> int:
-            if recent and rng.random() < dependency_fraction:
-                return recent[int(rng.integers(max(0, len(recent) - 4), len(recent)))]
-            return inputs[int(rng.integers(0, len(inputs)))]
-
         rd = dests[i % len(dests)]
-        op = ops[int(rng.integers(0, len(ops)))]
+        op = ops[rng.integers(0, len(ops))]
         insts.append(Instruction(op, rd=rd, rs1=pick_source(), rs2=pick_source()))
         recent.append(rd)
     insts.append(Instruction(Opcode.HALT))
-    regs = [int(rng.integers(1, 100)) for _ in range(L)]
+    regs = [rng.integers(1, 100) for _ in range(L)]
     return Workload(
         name=f"random-ilp-{count}-{dependency_fraction}",
         program=Program.from_instructions(insts, spec),

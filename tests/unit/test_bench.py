@@ -2,6 +2,7 @@
 
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.bench.artifact import (
     build_bench_artifact,
     validate_bench_artifact,
 )
+from repro.bench.compare import hosts_differ
 from repro.bench.registry import REGISTRY, Benchmark, register, select
 from repro.bench.run import run_benchmark, run_benchmarks
 from repro.bench.timing import (
@@ -61,6 +63,8 @@ class TestTimingProtocol:
         host = host_fingerprint()
         assert host["python"] and host["platform"]
         assert isinstance(host["cpu_count"], int)
+        # the package no longer imports NumPy, so the host records no version
+        assert "numpy" not in host
 
 
 class TestRegistry:
@@ -68,7 +72,10 @@ class TestRegistry:
         names = list(REGISTRY)
         assert len(names) == len(set(names))
         groups = {b.group for b in REGISTRY.values()}
-        assert {"engine", "recurrence", "frontend", "cspp", "network", "circuits", "isa", "runner", "verify"} <= groups
+        assert {
+            "engine", "recurrence", "workloads", "frontend", "cspp", "network",
+            "circuits", "isa", "runner", "verify",
+        } <= groups
 
     def test_quick_subset_covers_all_designs(self):
         quick = select(quick=True)
@@ -89,6 +96,11 @@ class TestRegistry:
         assert [b.name for b in select(quick=True) if b.group == "circuits"] == [
             "circuits.tgrid.n16"
         ]
+
+    def test_workloads_row_draws_an_e15_program(self):
+        [row] = [b for b in select(quick=True) if b.group == "workloads"]
+        assert row.name == "workloads.random_ilp.n4000"
+        assert row.metadata == {"instructions": 4000, "density": 0.5, "seed": 507}
 
     def test_filter_selects_substrings(self):
         engines = select(substrings=("engine.",))
@@ -165,6 +177,17 @@ class TestArtifact:
         bad = json.loads(json.dumps(good))
         bad["results"].append(json.loads(json.dumps(bad["results"][0])))
         assert any("duplicates name" in p for p in validate_bench_artifact(bad))
+
+    def test_artifacts_with_a_numpy_host_key_still_validate(self):
+        # BENCH_0.json predates the NumPy-free package and records its version
+        baseline = read_json(
+            Path(__file__).resolve().parents[2] / "BENCH_0.json", validate_bench_artifact
+        )
+        assert "numpy" in baseline["host"]
+        current = json.loads(json.dumps(baseline))
+        del current["host"]["numpy"]
+        assert validate_bench_artifact(current) == []
+        assert not hosts_differ(baseline, current)
 
     def test_validate_duck_types_results(self):
         document = build_bench_artifact([], mode="full", repeats=1, warmup=0)
