@@ -13,13 +13,13 @@ Usage::
 
 Options::
 
-    --jobs N       worker processes (default 1: run in-process)
+    --jobs N       worker processes, >= 1 (default 1: run in-process)
     --json PATH    write a machine-readable run artifact (see docs)
     --trace PATH   write a Chrome trace-event JSON of the run (see docs)
     --cache-dir D  result cache location (default .repro_cache/)
     --no-cache     recompute everything; neither read nor write the cache
-    --timeout S    per-job watchdog when --jobs > 1 (default 300)
-    --retries N    extra attempts after a crash/timeout (default 1)
+    --timeout S    per-job watchdog when --jobs > 1, > 0 (default 300)
+    --retries N    extra attempts after a crash/timeout, >= 0 (default 1)
 
 ``--json`` and ``--trace`` turn on telemetry collection: each executed
 job runs inside a tracing session and its aggregated counters appear in
@@ -46,6 +46,7 @@ from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.metrics import JobResult, format_summary
 from repro.runner.pool import run_jobs
 from repro.runner.registry import REGISTRY, build_jobs
+from repro.util.argtypes import int_at_least, positive_seconds
 from repro.util.artifact import write_json
 from repro.util.log import get_logger, setup_cli_logging
 
@@ -56,13 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", add_help=False)
     parser.add_argument("name", nargs="?")
     parser.add_argument("-h", "--help", action="store_true", dest="help")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int_at_least(1), default=1)
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--trace", dest="trace_path", default=None)
     parser.add_argument("--cache-dir", dest="cache_dir", default=DEFAULT_CACHE_DIR)
     parser.add_argument("--no-cache", action="store_true", dest="no_cache")
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--retries", type=int, default=1)
+    parser.add_argument("--timeout", type=positive_seconds, default=300.0)
+    parser.add_argument("--retries", type=int_at_least(0), default=1)
     return parser
 
 

@@ -1,10 +1,9 @@
 """Analytical reproduction of the paper's complexity results.
 
-* :mod:`repro.analysis.regimes` -- classification of the memory
-  bandwidth function M(n) into the paper's Cases 1-3, including the
-  regularity requirement.
-* :mod:`repro.analysis.recurrences` -- the closed-form solutions of the
-  X(n) and U(n) recurrences (the layouts in :mod:`repro.vlsi` evaluate
+* :mod:`repro.analysis.regimes` -- classification of a memory
+  bandwidth exponent into the paper's Cases 1-3.
+* :mod:`repro.analysis.recurrences` -- the closed-form solution of the
+  hybrid's U(n) recurrence (the layouts in :mod:`repro.vlsi` evaluate
   the recurrences themselves).
 * :mod:`repro.analysis.asymptotics` -- the paper's Figure 11 comparison
   table as evaluable data (gate delay, wire delay, total delay, area for
@@ -29,8 +28,7 @@ from repro.analysis.clock_period import (
 )
 from repro.analysis.crossover import find_crossover, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog
-from repro.analysis.recurrences import x_closed_form
-from repro.analysis.regimes import Regime, classify_bandwidth, regularity_holds
+from repro.analysis.regimes import Regime
 from repro.analysis.three_d import THREE_D_BOUNDS, three_d_table
 
 __all__ = [
@@ -47,10 +45,7 @@ __all__ = [
     "wire_delay_ratio",
     "fit_exponent",
     "fit_loglog",
-    "x_closed_form",
     "Regime",
-    "classify_bandwidth",
-    "regularity_holds",
     "THREE_D_BOUNDS",
     "three_d_table",
 ]

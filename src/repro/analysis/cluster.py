@@ -2,16 +2,14 @@
 
 "To find the value of C that minimizes U(n), one can differentiate and
 solve for dU/dC(n) = 0, to conclude that the side-length is minimized
-when C = Θ(L)."  This module provides both the analytic minimum of the
-closed form and the empirical sweep over the layout model.
+when C = Θ(L)."  This module provides the analytic minimum and the
+closed-form sweep over C; experiment E5 sweeps the layout model for the
+empirical minimum.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.analysis.recurrences import u_closed_form
-from repro.vlsi.hybrid_layout import optimal_cluster_size
 
 
 def analytic_optimal_cluster(L: int) -> float:
@@ -33,15 +31,3 @@ def closed_form_sweep(n: int, L: int, m_exponent: float = 0.0) -> dict[int, floa
         sides[c] = u_closed_form(n, c, L, m_exponent)
         c *= 2
     return sides
-
-
-def empirical_optimal_cluster(n: int, L: int, word_bits: int = 32) -> int:
-    """Best power-of-two C from the full layout model (experiment E5)."""
-    best, _ = optimal_cluster_size(n, L, word_bits)
-    return best
-
-
-def cluster_is_theta_L(n: int, L: int, slack: float = 4.0) -> bool:
-    """Check the empirical optimum lies within a constant factor of L."""
-    best = empirical_optimal_cluster(n, L)
-    return L / slack <= best <= L * slack or math.isclose(best, L)

@@ -3,15 +3,11 @@
 Case 1: M(n) = O(n^(1/2 - eps))   -> X(n) = Theta(sqrt(n) L)
 Case 2: M(n) = Theta(n^(1/2))     -> X(n) = Theta(sqrt(n)(L + log n))
 Case 3: M(n) = Omega(n^(1/2+eps)) -> X(n) = Theta(sqrt(n) L + M(n))
-
-Case 3 additionally requires the regularity condition
-``M(n/4) <= c M(n)/2`` for some c < 1 and all sufficiently large n.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 
 class Regime(enum.Enum):
@@ -29,48 +25,3 @@ def classify_exponent(exponent: float) -> Regime:
     if exponent == 0.5:
         return Regime.CASE2
     return Regime.CASE3
-
-
-def classify_bandwidth(
-    bandwidth: Callable[[int], float],
-    n_low: int = 64,
-    n_high: int = 1 << 20,
-    tolerance: float = 0.03,
-) -> Regime:
-    """Classify an arbitrary bandwidth function by its measured exponent.
-
-    Fits the growth exponent between *n_low* and *n_high* and compares
-    it to 1/2 within *tolerance*.
-    """
-    import math
-
-    m_low = max(bandwidth(n_low), 1e-12)
-    m_high = max(bandwidth(n_high), 1e-12)
-    exponent = math.log(m_high / m_low) / math.log(n_high / n_low)
-    if exponent < 0.5 - tolerance:
-        return Regime.CASE1
-    if exponent > 0.5 + tolerance:
-        return Regime.CASE3
-    return Regime.CASE2
-
-
-def regularity_holds(
-    bandwidth: Callable[[int], float],
-    c: float = 0.99,
-    n_start: int = 64,
-    levels: int = 10,
-) -> bool:
-    """Check the paper's Case 3 regularity requirement numerically.
-
-    ``M(n/4) <= c * M(n) / 2`` for all tested n = n_start * 4^k.
-    """
-    if not 0 < c:
-        raise ValueError("c must be positive")
-    n = n_start
-    for _ in range(levels):
-        m_quarter = bandwidth(n // 4)
-        m_full = bandwidth(n)
-        if m_quarter > c * m_full / 2.0 + 1e-12:
-            return False
-        n *= 4
-    return True

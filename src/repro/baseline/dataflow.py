@@ -59,10 +59,6 @@ class DataflowSchedule:
         cycles = self.cycles
         return len(self.entries) / cycles if cycles else 0.0
 
-    def issue_times(self) -> list[int]:
-        """Per-instruction issue cycles, in dynamic order."""
-        return [e.issue_cycle for e in self.entries]
-
 
 def dataflow_schedule(
     trace: list[StepOutcome],

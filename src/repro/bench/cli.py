@@ -51,6 +51,7 @@ from repro.bench.compare import (
 from repro.bench.registry import select
 from repro.bench.run import run_benchmarks
 from repro.bench.timing import BenchRecord
+from repro.util.argtypes import int_at_least
 from repro.util.artifact import read_json, write_json
 from repro.util.log import get_logger
 
@@ -64,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--filter", action="append", default=[], dest="filters")
     parser.add_argument("--list", action="store_true", dest="list_benchmarks")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--warmup", type=int, default=1)
+    parser.add_argument("--repeats", type=int_at_least(1), default=None)
+    parser.add_argument("--warmup", type=int_at_least(0), default=1)
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--compare", dest="compare_path", default=None)
     parser.add_argument(
@@ -105,9 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         print("--fail-on-regress threshold must be >= 0", file=sys.stderr)
         return 2
     repeats = opts.repeats if opts.repeats is not None else (3 if opts.quick else 5)
-    if repeats < 1 or opts.warmup < 0:
-        print("--repeats must be >= 1 and --warmup >= 0", file=sys.stderr)
-        return 2
 
     benchmarks = select(quick=opts.quick, substrings=tuple(opts.filters))
     if not benchmarks:

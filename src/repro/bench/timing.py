@@ -84,11 +84,6 @@ class Timing:
         """The arithmetic mean — recorded but never gated on."""
         return sum(self.repeats) / len(self.repeats)
 
-    @property
-    def total_s(self) -> float:
-        """Time spent in timed repeats (excludes warmup)."""
-        return sum(self.repeats)
-
 
 def measure(
     fn: Callable[[], Any],

@@ -11,19 +11,17 @@ Modules:
 
 * :mod:`repro.circuits.netlist` -- flat-array netlists (a net is an
   ``int`` index, a gate a row of parallel lists), the event-driven
-  simulator (cyclic netlists supported via fixed-point settling),
-  topological depth for acyclic circuits, and the bus codec
-  (``assign_bus`` drives a bus with an integer, ``bus_value`` reads
-  one back).
-* :mod:`repro.circuits.prefix` -- behavioural segmented-scan semantics
-  (the reference used for property testing, cyclic and noncyclic), a
-  linear scan chain, and the one segmented-scan tree builder
-  (:func:`~repro.circuits.prefix.build_segmented_scan`, any radix and
-  operator, cyclic or with an initial prefix) behind every prefix tree:
-  the CSPPs, the noncyclic tree scan and the ALU scheduler.
+  simulator (cyclic netlists supported via fixed-point settling) and
+  the bus codec (``assign_bus`` drives a bus with an integer,
+  ``bus_value`` reads one back).
+* :mod:`repro.circuits.prefix` -- the behavioural cyclic segmented scan
+  (the reference used for property testing) and the one segmented-scan
+  tree builder (:func:`~repro.circuits.prefix.build_segmented_scan`, any
+  radix and operator) behind every prefix tree: the CSPPs and the ALU
+  scheduler.
 * :mod:`repro.circuits.cspp` -- the cyclic segmented parallel prefix of
-  Ultrascalar Memo 1: the CSPP tree netlist and its behavioural
-  copy/AND models.
+  Ultrascalar Memo 1: the CSPP tree netlist and its behavioural copy
+  model.
 * :mod:`repro.circuits.mux_ring` -- the linear-gate-delay mux ring of the
   paper's Figure 1.
 * :mod:`repro.circuits.fanout` -- buffer fan-out trees (Figure 8).
@@ -36,29 +34,16 @@ Modules:
   standard-cell counts in the VLSI model.
 """
 
-from repro.circuits.cspp import (
-    CsppTree,
-    cyclic_segmented_and,
-    cyclic_segmented_copy,
-    cyclic_segmented_scan,
-)
-from repro.circuits.fanout import build_fanout_tree
+from repro.circuits.cspp import CsppTree, cyclic_segmented_copy, cyclic_segmented_scan
 from repro.circuits.grid import GridNetwork, TreeGridNetwork, route_arguments
 from repro.circuits.mux_ring import MuxRing
 from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
-from repro.circuits.prefix import (
-    segmented_scan,
-    build_linear_scan,
-    build_segmented_scan,
-    build_tree_scan,
-)
+from repro.circuits.prefix import build_segmented_scan
 
 __all__ = [
     "CsppTree",
-    "cyclic_segmented_and",
     "cyclic_segmented_copy",
     "cyclic_segmented_scan",
-    "build_fanout_tree",
     "GridNetwork",
     "TreeGridNetwork",
     "route_arguments",
@@ -67,8 +52,5 @@ __all__ = [
     "Net",
     "Netlist",
     "SimulationResult",
-    "segmented_scan",
-    "build_linear_scan",
     "build_segmented_scan",
-    "build_tree_scan",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.circuits.netlist import GateKind, GateRun, Net, Netlist, reduction_pairs
+from repro.circuits.netlist import GateKind, GateRun, Net, reduction_pairs
 
 _BUF, _NOT = GateKind.BUF, GateKind.NOT
 
@@ -56,17 +56,3 @@ class ComparatorPlan:
             bits = [_BUF if (constant >> i) & 1 else _NOT for i in range(self.width)]
             kinds = self._match[constant] = bits + self._and
         return self._place(run, kinds, list(zip(a)))
-
-
-def build_equality_comparator(netlist: Netlist, a: list[Net], b: list[Net]) -> Net:
-    """Build ``a == b`` over two equal-width buses; returns the match net."""
-    run = GateRun(netlist)
-    ComparatorPlan(len(a)).equal(run, a, b)
-    return run.add()[-1]
-
-
-def build_constant_match(netlist: Netlist, a: list[Net], constant: int) -> Net:
-    """Build ``a == constant`` (used by the register-file rows, whose numbers are fixed)."""
-    run = GateRun(netlist)
-    ComparatorPlan(len(a)).match(run, a, constant)
-    return run.add()[-1]

@@ -36,13 +36,6 @@ def cyclic_segmented_copy(xs: Sequence[T], segments: Sequence[bool]) -> list[T]:
     return cyclic_segmented_scan(xs, segments, lambda a, b: a)
 
 
-def cyclic_segmented_and(conditions: Sequence[bool], segments: Sequence[bool]) -> list[bool]:
-    """The sequencing CSPP (Figure 5): "all earlier stations meet the condition"."""
-    return cyclic_segmented_scan(
-        [bool(c) for c in conditions], segments, lambda a, b: a and b
-    )
-
-
 class CsppTree:
     """A CSPP tree netlist over *n* positions with payload width *width*.
 

@@ -83,11 +83,3 @@ class FanoutShape:
         outs = netlist.add_gates(GateKind.BUF, list(map(inputs.__getitem__, self.feeds)))
         leaves = tuple(map(outs.__getitem__, self.leaves))
         return FanoutTree(source=source, leaves=leaves, depth=self.depth)
-
-
-def build_fanout_tree(
-    netlist: Netlist, source: Net, copies: int, radix: int = 2
-) -> FanoutTree:
-    """Fan *source* out to *copies* leaf nets via a balanced buffer tree
-    (see :class:`FanoutShape`)."""
-    return FanoutShape.derive(copies, radix).build(netlist, source)

@@ -83,7 +83,6 @@ class Netlist:
     """A mutable netlist: create inputs, add gates, then simulate.
 
     The netlist may be cyclic; :meth:`simulate` runs to a fixed point.
-    :meth:`topological_depth` is only available for acyclic netlists.
     """
 
     def __init__(self, name: str = "netlist"):
@@ -189,13 +188,6 @@ class Netlist:
         """``sel ? a : b`` as a single MUX gate."""
         return self.add_gate(GateKind.MUX, sel, a, b, name=name)
 
-    def reduce_tree(self, kind: GateKind, nets: Sequence[Net]) -> Net:
-        """Balanced binary reduction tree of *kind* gates over *nets*, as one run."""
-        if not nets:
-            raise ValueError("cannot reduce zero nets")
-        pairs, root = reduction_pairs(nets, self._nets)
-        return self.add_gates(kind, pairs)[-1] if pairs else root
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -215,14 +207,6 @@ class Netlist:
         gate = self._out.index(net)
         return f"{_KINDS[self._kind[gate]].value}{gate}"
 
-    def driver(self, net: Net) -> int | None:
-        """Index of the gate driving *net*; ``None`` for a primary input."""
-        return self._out.index(net) if net in self._out else None
-
-    def fanout(self, net: Net) -> tuple[int, ...]:
-        """Indices of the gates reading *net* (once per input port)."""
-        return tuple(self._fanouts()[net])
-
     def _fanouts(self) -> list[list[int]]:
         if self._fanout is None:
             fanout: list[list[int]] = [[] for _ in range(self._nets)]
@@ -231,33 +215,6 @@ class Netlist:
                     fanout[net].append(gate)
             self._fanout = fanout
         return self._fanout
-
-    def _topo_order(self) -> list[int]:
-        """Gates in dependency order; those on or behind a cycle are left out."""
-        primary = set(self.inputs)
-        indegree = [sum(net not in primary for net in ins) for ins in self._ins]
-        ready = [gate for gate, deg in enumerate(indegree) if deg == 0]
-        fanout, outs = self._fanouts(), self._out
-        order: list[int] = []
-        while ready:
-            gate = ready.pop()
-            order.append(gate)
-            for successor in fanout[outs[gate]]:
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    ready.append(successor)
-        return order
-
-    def topological_depth(self) -> int:
-        """Critical-path length in gate delays (acyclic netlists only)."""
-        order = self._topo_order()
-        if len(order) < self.gate_count:
-            raise ValueError("netlist is cyclic")
-        depth = [0] * self._nets
-        for gate in order:
-            arrival = max(depth[net] for net in self._ins[gate])
-            depth[self._out[gate]] = self._delay[gate] + arrival
-        return max(depth, default=0)
 
     # -- simulation ----------------------------------------------------
 

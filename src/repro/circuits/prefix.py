@@ -14,17 +14,16 @@ The paper builds everything from segmented scans:
 * The shared-ALU scheduler of Memo 2 is one more cyclic segmented scan,
   with the + operator (:mod:`repro.ultrascalar.scheduler`).
 
-This module defines the reference semantics (:func:`segmented_scan` and
-:func:`cyclic_segmented_scan`, against which everything is
-property-tested), a linear scan chain (Θ(n) delay), and
-:func:`build_segmented_scan`, the one up/down-sweep tree (Θ(log n)
-delay) that every prefix-tree netlist is built from.  The netlists are
-used to *measure* the paper's gate-delay claims.
+This module defines the reference semantics of the cyclic scan
+(:func:`cyclic_segmented_scan`, against which every CSPP netlist is
+property-tested) and :func:`build_segmented_scan`, the one
+up/down-sweep tree (Θ(log n) delay) that every prefix-tree netlist is
+built from.  The netlists are used to *measure* the paper's gate-delay
+claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.circuits.netlist import GateKind, Net, Netlist
@@ -35,31 +34,6 @@ T = TypeVar("T")
 # ---------------------------------------------------------------------------
 # Reference (behavioural) semantics
 # ---------------------------------------------------------------------------
-
-
-def segmented_scan(
-    xs: Sequence[T],
-    segments: Sequence[bool],
-    op: Callable[[T, T], T],
-    initial: T,
-) -> list[T]:
-    """Noncyclic segmented scan.
-
-    Returns ``y`` where ``y[i]`` is the reduction (by *op*) of
-    ``x[j] .. x[i-1]``, with ``j`` the nearest index ``<= i-1`` whose
-    segment bit is set; positions before any segment accumulate from
-    *initial*.  This matches the paper's definition: "the accumulative
-    result of applying an associative operator to all the preceding nodes
-    up to and including the nearest node whose segment bit is high."
-    """
-    if len(xs) != len(segments):
-        raise ValueError("xs and segments must have equal length")
-    ys: list[T] = []
-    acc = initial
-    for x, seg in zip(xs, segments):
-        ys.append(acc)
-        acc = x if seg else op(acc, x)
-    return ys
 
 
 def cyclic_segmented_scan(
@@ -92,23 +66,6 @@ def cyclic_segmented_scan(
 # ---------------------------------------------------------------------------
 # Netlist builders
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanPorts:
-    """Primary nets of a constructed scan netlist.
-
-    Attributes:
-        values: per-position payload input nets, ``values[i][b]`` = bit b.
-        segments: per-position segment-bit input nets.
-        outputs: per-position scan output nets (same shape as values).
-        initial: the initial-value input nets (noncyclic scans only).
-    """
-
-    values: list[list[Net]]
-    segments: list[Net]
-    outputs: list[list[Net]]
-    initial: list[Net] | None = None
 
 
 class ScanOp:
@@ -150,36 +107,12 @@ def _mux_bus(netlist: Netlist, sel: Net, a: list[Net], b: list[Net]) -> list[Net
     return [netlist.mux(sel, ai, bi) for ai, bi in zip(a, b)]
 
 
-def build_linear_scan(
-    netlist: Netlist, n: int, op: ScanOp, name: str = "scan"
-) -> ScanPorts:
-    """Noncyclic segmented scan as a linear chain: Θ(n) gate delay.
-
-    Recurrence per position: ``y[0] = initial``,
-    ``y[i+1] = s[i] ? x[i] : (y[i] (x) x[i])``.
-    """
-    values = [[netlist.add_input(f"{name}_x{i}[{b}]") for b in range(op.width)] for i in range(n)]
-    segments = [netlist.add_input(f"{name}_s{i}") for i in range(n)]
-    initial = [netlist.add_input(f"{name}_init[{b}]") for b in range(op.width)]
-    outputs: list[list[Net]] = []
-    acc = initial
-    for i in range(n):
-        outputs.append(acc)
-        combined = op.combine(netlist, acc, values[i])
-        acc = _mux_bus(netlist, segments[i], values[i], combined)
-    for i, out in enumerate(outputs):
-        for b, net in enumerate(out):
-            netlist.mark_output(f"{name}_y{i}[{b}]", net)
-    return ScanPorts(values=values, segments=segments, outputs=outputs, initial=initial)
-
-
 def build_segmented_scan(
     netlist: Netlist,
     values: Sequence[list[Net]],
     segments: Sequence[Net],
     op: ScanOp,
     radix: int = 2,
-    initial: list[Net] | None = None,
 ) -> list[list[Net]]:
     """Segmented scan tree over caller-supplied nets: Θ(log n) gate delay.
 
@@ -189,11 +122,10 @@ def build_segmented_scan(
     and ``s = s | s_r``; the down-sweep hands each child the prefix of
     everything before it, ``in_next = s_c ? v_c : (in_c (x) v_c)``.
 
-    The root's incoming prefix is *initial* (a noncyclic scan) or, when
-    *initial* is ``None``, the root's own summary: "tying together the
-    data lines at the top of the tree and discarding the top segment
-    bit" makes the scan cyclic (the CSPP).  Returns the per-position
-    output nets.
+    The root's incoming prefix is the root's own summary: "tying
+    together the data lines at the top of the tree and discarding the
+    top segment bit" makes the scan cyclic (the CSPP).  Returns the
+    per-position output nets.
     """
     summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
 
@@ -231,20 +163,5 @@ def build_segmented_scan(
         down(*spans[-1], incoming)
 
     root_v, _root_s = up(0, len(values))
-    down(0, len(values), root_v if initial is None else initial)
+    down(0, len(values), root_v)
     return outputs
-
-
-def build_tree_scan(
-    netlist: Netlist, n: int, op: ScanOp, name: str = "tscan"
-) -> ScanPorts:
-    """Noncyclic segmented scan as a balanced binary tree (see
-    :func:`build_segmented_scan`): Θ(log n) gate delay."""
-    values = [[netlist.add_input(f"{name}_x{i}[{b}]") for b in range(op.width)] for i in range(n)]
-    segments = [netlist.add_input(f"{name}_s{i}") for i in range(n)]
-    initial = [netlist.add_input(f"{name}_init[{b}]") for b in range(op.width)]
-    outputs = build_segmented_scan(netlist, values, segments, op, initial=initial)
-    for i, out in enumerate(outputs):
-        for b, net in enumerate(out):
-            netlist.mark_output(f"{name}_y{i}[{b}]", net)
-    return ScanPorts(values=values, segments=segments, outputs=outputs, initial=initial)

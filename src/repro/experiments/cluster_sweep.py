@@ -42,13 +42,13 @@ def run(n: int = 4096, L_values: list[int] | None = None) -> ClusterSweepResult:
     return ClusterSweepResult(n=n, sweeps=sweeps, best=best, closed_form_best=closed_best)
 
 
-def report(n: int = 4096) -> str:
+def report() -> str:
     """U(C) sweep table with the optima highlighted."""
-    outcome = run(n)
+    outcome = run()
     cluster_sizes = sorted(next(iter(outcome.sweeps.values())).keys())
     table = Table(
         ["C"] + [f"L={L}" for L in outcome.sweeps],
-        title=f"E5 — hybrid side length U(C) in tracks at n={n} "
+        title=f"E5 — hybrid side length U(C) in tracks at n={outcome.n} "
         "(* = minimum; paper: optimal C = Θ(L))",
     )
     for c in cluster_sizes:

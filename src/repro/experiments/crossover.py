@@ -61,13 +61,9 @@ def run(
     )
 
 
-def report(
-    L_values: list[int] | None = None,
-    sizes: list[int] | None = None,
-    n: int = 65536,
-) -> str:
+def report() -> str:
     """Crossover and dominance tables."""
-    outcome = run(L_values, sizes, n)
+    outcome = run()
     table = Table(
         ["L", "crossover n*", "n*/L²", "US1/hybrid wire ratio @ n=65536"],
         title="E4 — dominance crossovers (US-II wins below n*, US-I above; "

@@ -98,12 +98,9 @@ def run(
     )
 
 
-def report(
-    sizes: list[int] | None = None,
-    L_values: list[int] | None = None,
-) -> str:
+def report() -> str:
     """Two maps: US-I vs US-II, and overall (with the hybrid)."""
-    outcome = run(sizes, L_values)
+    outcome = run()
     pair = Table(
         ["n \\ L"] + [str(L) for L in outcome.L_values],
         title="E13 — shortest critical wire, US-I vs US-II "

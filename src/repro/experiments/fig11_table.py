@@ -58,10 +58,10 @@ def validate(sizes: list[int] | None = None, L: int = 32) -> Fig11Validation:
     )
 
 
-def report(sizes: list[int] | None = None, L: int = 32) -> str:
+def report() -> str:
     """All three Figure 11 regime tables plus the measured validation."""
     blocks = [figure11_table(regime).render() for regime in Regime]
-    validation = validate(sizes, L)
+    validation = validate()
     table = Table(
         ["Processor", "Measured wire exponent (in n)", "Paper (Case 1)"],
         title=f"E2 — measured layout-model growth at L={validation.L}, M=0",

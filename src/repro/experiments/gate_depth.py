@@ -76,9 +76,9 @@ def run(sizes: list[int] | None = None) -> GateDepthResult:
     )
 
 
-def report(sizes: list[int] | None = None) -> str:
+def report() -> str:
     """Render the measured settle-time table with fitted exponents."""
-    outcome = run(sizes)
+    outcome = run()
     table = Table(
         ["n", "mux ring", "CSPP tree", "US2 linear grid", "US2 mesh-of-trees"],
         title="E9 — measured settle times (gate delays) of the paper's circuits",

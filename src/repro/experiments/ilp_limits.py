@@ -115,13 +115,9 @@ def run(
     return IlpLimitsResult(curves=curves)
 
 
-def report(
-    densities: list[float] | None = None,
-    sizes: list[int] | None = None,
-    instructions: int = 4000,
-) -> str:
+def report() -> str:
     """The ILP-vs-window table."""
-    outcome = run(densities, sizes, instructions)
+    outcome = run()
     windows = outcome.curves[0].windows
     table = Table(
         ["dependence density"] + [f"n={w}" for w in windows],

@@ -78,13 +78,9 @@ def run(
     )
 
 
-def report(
-    sizes: list[int] | None = None,
-    L: int = 32,
-    exponents: list[float] | None = None,
-) -> str:
+def report() -> str:
     """The E6 table: measured exponents per regime."""
-    outcome = run(sizes, L, exponents)
+    outcome = run()
     table = Table(
         ["M(n) = n^e", "paper case", "X(n) exponent (measured)", "expected", "W/X at max n"],
         title=f"E6 — Ultrascalar I side-length X(n) growth by memory regime (L={outcome.L})",

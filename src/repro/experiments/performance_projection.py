@@ -105,9 +105,9 @@ def run(sizes: list[int] | None = None, L: int = 32) -> ProjectionResult:
     return ProjectionResult(rows=rows, L=L, workload=workload)
 
 
-def report(sizes: list[int] | None = None, L: int = 32) -> str:
+def report() -> str:
     """The projection table (relative units)."""
-    outcome = run(sizes=sizes, L=L)
+    outcome = run()
     table = Table(
         ["window n", "IPC", "US-I perf", "US-II perf", "Hybrid perf", "Conventional perf"],
         title=f"E14 — end-to-end projection: IPC / clock period (relative units, L={outcome.L})",

@@ -49,9 +49,9 @@ def run(sizes: list[int] | None = None) -> SelfTimedResult:
     return SelfTimedResult(local_fraction=local, mean_wire=mean_wire, max_wire=max_wire)
 
 
-def report(sizes: list[int] | None = None) -> str:
+def report() -> str:
     """The locality table."""
-    outcome = run(sizes)
+    outcome = run()
     table = Table(
         ["n", "local successor hops", "mean wire (leaf units)", "max wire"],
         title="E8 — station→successor locality in the H-tree "

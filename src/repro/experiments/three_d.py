@@ -35,9 +35,9 @@ def run(n: int = 4096, L_values: list[int] | None = None) -> ThreeDResult:
     )
 
 
-def report(n: int = 4096, L_values: list[int] | None = None) -> str:
+def report() -> str:
     """Bounds table plus the 2-D -> 3-D hybrid improvements."""
-    outcome = run(n, L_values)
+    outcome = run()
     table = Table(
         ["L", "2-D optimal C = Θ(L)", "3-D optimal C = Θ(L^3/4)", "2-D area / 3-D volume"],
         title="E7 — hybrid in three dimensions (paper Section 7)",

@@ -75,12 +75,9 @@ def run(
     return WindowIssueResult(windows=windows, alu_pools=alu_pools, ipc=grid)
 
 
-def report(
-    sizes: list[int] | None = None,
-    alu_pools: list[int] | None = None,
-) -> str:
+def report() -> str:
     """The IPC grid as a table."""
-    outcome = run(sizes=sizes, alu_pools=alu_pools)
+    outcome = run()
     table = Table(
         ["window \\ ALUs"] + [str(a) for a in outcome.alu_pools],
         title="E12 — IPC over (window size, shared-ALU pool) "

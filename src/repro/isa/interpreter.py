@@ -48,10 +48,6 @@ class MachineState:
         """A state with all registers zero and empty memory."""
         return MachineState([0] * num_registers)
 
-    def copy(self) -> "MachineState":
-        """Deep copy (registers and memory)."""
-        return MachineState(list(self.registers), dict(self.memory))
-
     def load_word(self, address: int) -> int:
         """Read the 32-bit word at byte *address* (must be 4-aligned)."""
         if address % 4 != 0:
@@ -178,14 +174,6 @@ def _by_code() -> list[Callable | None]:
 #: the rest): looked up per dynamic instruction by a decoded row's int
 #: ``code``, where an enum key would cost a pure-Python ``__hash__`` call
 SEMANTICS = _by_code()
-
-
-def branch_taken(op: Opcode, a: int, b: int) -> bool:
-    """Evaluate a conditional branch's outcome on operand values (a, b)."""
-    semantics = BRANCH_OPS.get(op)
-    if semantics is None:
-        raise InterpreterError(f"opcode {op} is not a conditional branch")
-    return semantics(a, b)
 
 
 def _execute(

@@ -38,10 +38,6 @@ class LatencyModel:
             by_code[op.code] = getattr(self, op.op_class.value)
         object.__setattr__(self, "by_code", tuple(by_code))
 
-    def latency_of(self, op: Opcode) -> int:
-        """The execution latency, in cycles, of *op*."""
-        return self.by_code[op.code]
-
 
 #: Latencies used by the paper's Figure 3 timing diagram.
 PAPER_LATENCIES = LatencyModel(alu=1, mul=3, div=10)

@@ -36,11 +36,6 @@ class MachineSpec:
         """The paper's ``L`` — number of logical registers."""
         return self.num_registers
 
-    @property
-    def register_datapath_bits(self) -> int:
-        """Bits carried per register through a datapath link: value + ready bit."""
-        return self.word_bits + 1
-
     def validate_register(self, reg: int) -> int:
         """Return *reg* if it names a valid logical register, else raise."""
         if not 0 <= reg < self.num_registers:

@@ -141,9 +141,6 @@ class ClusteredMemory:
         self._in_flight = remaining
         return completed
 
-    def peek_word(self, address: int) -> int:
-        return self.words.get(address, 0)
-
     def load_image(self, image: dict[int, int]) -> None:
         for address, value in image.items():
             self._check(address)

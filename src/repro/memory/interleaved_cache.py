@@ -51,16 +51,6 @@ class CacheStats:
     bank_conflict_cycles: int = 0
     network_denied_cycles: int = 0
 
-    @property
-    def accesses(self) -> int:
-        """Total completed accesses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction (0 when nothing has completed)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def counters(self) -> dict[str, int]:
         """The stats as telemetry counters (``mem.cache.*`` namespace)."""
         return {
@@ -202,26 +192,6 @@ class InterleavedCache:
                     self._bank_busy[bank] = in_flight
 
         return completed
-
-    def drain(self, max_cycles: int = 100_000) -> list[MemoryRequest]:
-        """Tick until every outstanding request completes; returns them all."""
-        done: list[MemoryRequest] = []
-        cycles = 0
-        while self.outstanding > 0:
-            done.extend(self.tick())
-            cycles += 1
-            if cycles > max_cycles:
-                raise RuntimeError("cache failed to drain")
-        return done
-
-    @property
-    def outstanding(self) -> int:
-        """Requests somewhere in the network, queues, or banks."""
-        return (
-            len(self._pending_network)
-            + sum(len(q) for q in self._bank_queues)
-            + sum(1 for b in self._bank_busy if b is not None)
-        )
 
     @property
     def cycle(self) -> int:

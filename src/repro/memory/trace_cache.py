@@ -34,12 +34,6 @@ class TraceCacheStats:
     misses: int = 0
     fills: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass
 class TraceCache:
@@ -102,7 +96,3 @@ class TraceCache:
             )
         self.stats.fills += 1
         self._lines[self._set_of(start_pc)] = (TraceKey(start_pc, tuple(outcomes)), tuple(trace))
-
-    def invalidate(self) -> None:
-        """Drop all traces (e.g. on self-modifying code; unused by the ISA)."""
-        self._lines.clear()

@@ -57,10 +57,6 @@ class FatTree:
             subtree = min(n, radix**(k + 1))
             self.level_capacity.append(max(1, math.ceil(bandwidth(subtree))))
 
-    def root_capacity(self) -> int:
-        """Words per cycle through the root — the chip's memory bandwidth M(n)."""
-        return max(1, math.ceil(self.bandwidth(self.n)))
-
     def path_groups(self, leaf: int) -> list[tuple[int, int]]:
         """The (level, group) uplinks leaf *leaf* uses to reach the root."""
         if not 0 <= leaf < self.n:
@@ -93,12 +89,6 @@ class FatTree:
             else:
                 denied.append(index)
         return FatTreeRouting(granted=tuple(granted), denied=tuple(denied))
-
-    def wire_count_at_level(self, level: int, word_bits: int) -> int:
-        """Physical wires on one uplink at *level* (capacity x word width)."""
-        if not 0 <= level < self.num_levels:
-            raise ValueError("level out of range")
-        return self.level_capacity[level] * word_bits
 
 
 # -- canonical bandwidth functions (the paper's three regimes) -------------

@@ -23,9 +23,8 @@ from repro.ultrascalar.processor import (
     TimingRecord,
 )
 from repro.ultrascalar.ring import RingProcessor
-from repro.ultrascalar.scheduler import SchedulerCircuit, prioritized_grants
 from repro.ultrascalar.station import Station, StationState
-from repro.ultrascalar.trace_view import render_pipeline, stall_breakdown
+from repro.ultrascalar.trace_view import render_pipeline
 
 __all__ = [
     "CachedMemory",
@@ -35,10 +34,7 @@ __all__ = [
     "ProcessorResult",
     "TimingRecord",
     "RingProcessor",
-    "SchedulerCircuit",
-    "prioritized_grants",
     "Station",
     "StationState",
     "render_pipeline",
-    "stall_breakdown",
 ]

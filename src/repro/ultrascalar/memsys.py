@@ -36,10 +36,6 @@ class MemorySystem(Protocol):
         """Advance a cycle; maps completed request ids to load values."""
         ...
 
-    def peek_word(self, address: int) -> int:
-        """Architectural value at *address* (for final-state checks)."""
-        ...
-
     def load_image(self, image: dict[int, int]) -> None:
         """Preload memory contents."""
         ...
@@ -101,9 +97,6 @@ class IdealMemory:
         self._in_flight = remaining
         return completed
 
-    def peek_word(self, address: int) -> int:
-        return self.words.get(address, 0)
-
     def load_image(self, image: dict[int, int]) -> None:
         for address, value in image.items():
             self._check(address)
@@ -146,15 +139,6 @@ class CachedMemory:
             req.request_id: (None if req.is_store else req.result)
             for req in self.cache.tick()
         }
-
-    def peek_word(self, address: int) -> int:
-        # architectural view = cache content if present else memory
-        bank, set_index, tag = self.cache._line_index(address)
-        line = self.cache._lines[bank].get(set_index)
-        if line is not None and line.tag == tag:
-            word = (address // 4 // self.cache.banks) % self.cache.words_per_line
-            return line.words[word]
-        return self.cache.memory.read_word(address)
 
     def load_image(self, image: dict[int, int]) -> None:
         self.cache.memory.load_image(image)

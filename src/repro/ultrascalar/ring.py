@@ -180,10 +180,6 @@ class RingProcessor:
     # ring helpers
     # ------------------------------------------------------------------
 
-    def occupied_stations(self) -> list[Station]:
-        """Occupied stations oldest-first (a contiguous run of the ring)."""
-        return [self.stations[(self.oldest + k) % self.n] for k in range(self.count)]
-
     def _forward_latency(self, producer_pos: int, consumer_pos: int) -> int:
         """Cycles for a result to travel producer -> consumer.
 

@@ -59,18 +59,3 @@ def render_pipeline(
         lines.append(f"... ({truncated} more instructions)")
     lines.append("legend: f=fetched/waiting  E=executing  d=done  C=commit  *=finish+commit")
     return "\n".join(lines)
-
-
-def stall_breakdown(result: ProcessorResult) -> dict[str, int]:
-    """Aggregate cycle accounting across committed instructions.
-
-    Returns total instruction-cycles spent waiting (``f``), executing
-    (``E``), and awaiting commit (``d``) — a quick where-did-the-time-go
-    summary for the examples and tests.
-    """
-    waiting = executing = draining = 0
-    for record in result.timings:
-        waiting += max(0, record.issue_cycle - record.fetch_cycle)
-        executing += record.complete_cycle - record.issue_cycle + 1
-        draining += max(0, record.commit_cycle - record.complete_cycle - 1)
-    return {"waiting": waiting, "executing": executing, "draining": draining}

@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG handling, bit operations, tables.
+"""Shared utilities: deterministic RNG handling, bit operations, tables,
+and the ``argparse`` types the command lines share.
 
 Everything in the repository that needs randomness goes through
 :func:`repro.util.rng.make_rng` so that experiments and tests are
@@ -9,7 +10,6 @@ reproducible from a single seed.  Its stream is NumPy's
 from repro.util.bitops import (
     WORD_BITS,
     WORD_MASK,
-    sign_extend,
     to_signed,
     to_unsigned,
 )
@@ -18,7 +18,6 @@ from repro.util.tables import Table, format_float, format_ratio
 __all__ = [
     "WORD_BITS",
     "WORD_MASK",
-    "sign_extend",
     "to_signed",
     "to_unsigned",
     "Table",

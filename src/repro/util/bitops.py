@@ -25,13 +25,6 @@ def to_signed(value: int, bits: int = WORD_BITS) -> int:
     return value
 
 
-def sign_extend(value: int, from_bits: int, to_bits: int = WORD_BITS) -> int:
-    """Sign-extend *value* from ``from_bits`` wide to ``to_bits`` wide (unsigned view)."""
-    if from_bits > to_bits:
-        raise ValueError(f"cannot sign-extend from {from_bits} to narrower {to_bits} bits")
-    return to_unsigned(to_signed(value, from_bits), to_bits)
-
-
 def tree_level_distance(a: int, b: int) -> int:
     """H-tree levels a signal climbs travelling between leaves *a* and *b*.
 

@@ -14,17 +14,18 @@ Usage::
 Options::
 
     --seeds A:B     seed range (half-open), or a count N meaning 0:N
-    --budget N      generated body instructions per shard (default 200)
+    --budget N      generated body instructions per shard (default 200;
+                    0 runs only the corpus)
     --designs CSV   backends to test (default: all of them)
     --sizes CSV     window sizes; the wrap-free size is always added
     --no-minimize   skip shrinking failing programs
     --no-invariants skip the per-cycle engine invariant checks
-    --jobs N        worker processes (default 1: run in-process)
+    --jobs N        worker processes, >= 1 (default 1: run in-process)
     --json PATH     write a repro-verify/1 artifact
     --failures-dir D  where reproducers land
                       (default .repro_cache/repro_failures/)
     --repro PATH    replay one recorded reproducer instead of fuzzing
-    --timeout S     per-shard watchdog when --jobs > 1 (default 300)
+    --timeout S     per-shard watchdog when --jobs > 1, > 0 (default 300)
 
 Exit status: 0 all shards clean, 1 divergence or shard error, 2 usage.
 """
@@ -38,6 +39,7 @@ from time import perf_counter
 from repro.runner.metrics import STATUS_OK, JobResult
 from repro.runner.pool import run_jobs
 from repro.runner.registry import JobSpec
+from repro.util.argtypes import int_at_least, positive_seconds
 from repro.util.artifact import write_json
 from repro.verify.artifact import build_verify_artifact, validate_verify_artifact
 from repro.verify.diff import DESIGNS
@@ -83,16 +85,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro verify", add_help=True)
     parser.add_argument("--seeds", type=_parse_seeds, default=range(8))
-    parser.add_argument("--budget", type=int, default=200)
+    parser.add_argument("--budget", type=int_at_least(0), default=200)
     parser.add_argument("--designs", type=_parse_designs, default=DESIGNS)
     parser.add_argument("--sizes", type=_parse_sizes, default=(4, 16))
     parser.add_argument("--no-minimize", action="store_true", dest="no_minimize")
     parser.add_argument("--no-invariants", action="store_true", dest="no_invariants")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int_at_least(1), default=1)
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--failures-dir", dest="failures_dir", default=DEFAULT_FAILURES_DIR)
     parser.add_argument("--repro", dest="repro_path", default=None)
-    parser.add_argument("--timeout", type=float, default=300.0)
+    parser.add_argument("--timeout", type=positive_seconds, default=300.0)
     return parser
 
 

@@ -9,12 +9,12 @@ exponents are preserved (see DESIGN.md, substitution table).
 
 * :mod:`repro.vlsi.tech` -- technology parameters and the calibrated
   constants (documented against the paper's published absolute sizes).
-* :mod:`repro.vlsi.cells` -- standard-cell/station area estimates
-  derived from the gate-level netlists of :mod:`repro.circuits`.
+* :mod:`repro.vlsi.cells` -- the station footprint, with the ALU's
+  gate count taken from the gate-level netlist of :mod:`repro.circuits`.
 * :mod:`repro.vlsi.htree_layout` -- the H-tree recurrence, said once
   over leaves of any size (``HTreeLayout``), and the Ultrascalar I
-  floorplan built on it (Figure 6): side length X(n), root-to-leaf wire
-  W(n), area.
+  floorplan built on it (Figure 6): side length X(n) and root-to-leaf
+  wire W(n).
 * :mod:`repro.vlsi.grid_layout` -- the Ultrascalar II floorplan
   (Figure 7): side Θ(n + L) linear, Θ((n+L) log(n+L)) for the tree
   variant, with the paper's mixed strategy in between.

@@ -26,24 +26,6 @@ def _alu_gate_count(width: int) -> int:
     return netlist.gate_count
 
 
-@lru_cache(maxsize=None)
-def prefix_node_gates_per_wire(value_bits: int = 32) -> float:
-    """Gates per datapath wire in one H-tree prefix node, measured.
-
-    Builds a real CSPP tree (:class:`repro.circuits.cspp.CsppTree`) for
-    one register of ``value_bits`` and divides its gate count by
-    (tree nodes x wires) — grounding the technology model's
-    ``prefix_node_pitch`` in the actual circuit construction rather
-    than a bare assumption.
-    """
-    from repro.circuits.cspp import build_copy_cspp
-
-    n = 16
-    tree = build_copy_cspp(n, width=value_bits + 1)
-    internal_nodes = n - 1  # binary tree over n leaves
-    return tree.gate_count / (internal_nodes * (value_bits + 1))
-
-
 @dataclass(frozen=True)
 class StationCell:
     """The physical footprint of one execution station."""
@@ -52,16 +34,6 @@ class StationCell:
     word_bits: int
     side_tracks: float
     alu_gates: int
-
-    @property
-    def area_tracks2(self) -> float:
-        """Station area in tracks squared."""
-        return self.side_tracks**2
-
-    @property
-    def datapath_wires(self) -> int:
-        """Wires a station exchanges with each register ring: L x (w + 1)."""
-        return self.num_registers * (self.word_bits + 1)
 
 
 def station_cell(

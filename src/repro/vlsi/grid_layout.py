@@ -133,11 +133,6 @@ class Ultrascalar2Layout:
         return side
 
     @property
-    def area(self) -> float:
-        """Area in tracks squared."""
-        return self.side_length() ** 2
-
-    @property
     def critical_wire(self) -> float:
         """Longest datapath wire: across the grid and back, Θ(side)."""
         return 2.0 * self.side_length()

@@ -115,11 +115,6 @@ class HTreeLayout:
         return total
 
     @property
-    def area(self) -> float:
-        """Chip area in tracks squared: X(n)^2."""
-        return self.side_length() ** 2
-
-    @property
     def critical_wire(self) -> float:
         """Longest datapath signal: up the tree and back down, 2 W(n)."""
         return 2.0 * self.root_to_leaf_wire()

@@ -77,10 +77,6 @@ class Technology:
         """Convert a track length to centimetres (1 um = 1e-4 cm)."""
         return tracks * self.track_um * 1e-4
 
-    def tracks_to_mm(self, tracks: float) -> float:
-        """Convert a track length to millimetres."""
-        return tracks * self.track_um * 1e-3
-
 
 #: The paper's empirical technology (0.35 um CMOS, 3 metal layers).
 PAPER_TECH = Technology()

@@ -15,11 +15,3 @@ def wire_delay(length_tracks: float, tech: Technology = PAPER_TECH) -> float:
     if length_tracks < 0:
         raise ValueError("length must be non-negative")
     return length_tracks * tech.wire_delay_per_track
-
-
-def total_delay(gate_delays: float, wire_length_tracks: float,
-                tech: Technology = PAPER_TECH) -> float:
-    """Gate delay plus wire delay — the paper's "Total Delay" row."""
-    if gate_delays < 0:
-        raise ValueError("gate delay must be non-negative")
-    return gate_delays + wire_delay(wire_length_tracks, tech)

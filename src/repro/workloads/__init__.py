@@ -9,7 +9,6 @@ pointer chasing (serial memory).
 
 from repro.workloads.kernels import (
     bubble_sort,
-    expected_matmul,
     fib_value,
     fibonacci,
     matmul,
@@ -20,7 +19,6 @@ from repro.workloads.generators import (
     dependency_chain,
     independent_ops,
     jump_chain,
-    memory_stream,
     paper_sequence,
     parallel_loads,
     spaced_chain,
@@ -34,7 +32,6 @@ from repro.workloads.generators import (
 __all__ = [
     "Workload",
     "bubble_sort",
-    "expected_matmul",
     "fib_value",
     "fibonacci",
     "matmul",
@@ -42,7 +39,6 @@ __all__ = [
     "dependency_chain",
     "independent_ops",
     "jump_chain",
-    "memory_stream",
     "paper_sequence",
     "parallel_loads",
     "spaced_chain",

@@ -415,26 +415,3 @@ def jump_chain(blocks: int, block_size: int = 3, spec: MachineSpec | None = None
         initial_registers=regs,
         description="Jump-chained blocks (trace-cache fetch stressor)",
     )
-
-
-def memory_stream(count: int, spec: MachineSpec | None = None) -> Workload:
-    """Independent store/load pairs: maximal memory-bandwidth pressure.
-
-    One memory operation per instruction (modulo address setup), the
-    M(n) = Θ(n) worst case of the paper's Section 7 discussion.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
-    insts = [Instruction(Opcode.LI, rd=1, imm=7)]
-    for i in range(count):
-        reg = 2 + (i % (L - 2))
-        insts.append(Instruction(Opcode.SW, rs2=1, rs1=0, imm=4 * i + 4))
-        insts.append(Instruction(Opcode.LW, rd=reg, rs1=0, imm=4 * i + 4))
-    insts.append(Instruction(Opcode.HALT))
-    return Workload(
-        name=f"stream-{count}",
-        program=Program.from_instructions(insts, spec),
-        description="Independent store/load pairs (bandwidth-bound)",
-    )

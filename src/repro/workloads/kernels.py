@@ -117,17 +117,6 @@ def matmul(size: int, spec: MachineSpec | None = None) -> Workload:
     )
 
 
-def expected_matmul(size: int, workload: Workload) -> dict[int, int]:
-    """The C-matrix words *matmul* must produce (for assertions)."""
-    a = [[workload.memory_image[4096 + 4 * (i * size + k)] for k in range(size)] for i in range(size)]
-    b = [[workload.memory_image[8192 + 4 * (k * size + j)] for j in range(size)] for k in range(size)]
-    out = {}
-    for i in range(size):
-        for j in range(size):
-            out[12288 + 4 * (i * size + j)] = sum(a[i][k] * b[k][j] for k in range(size))
-    return out
-
-
 def fibonacci(n: int, spec: MachineSpec | None = None) -> Workload:
     """Iterative Fibonacci: F(n) into r3 (serial RAW chain + loop)."""
     if n < 0:

@@ -13,12 +13,12 @@ from repro.memory import ClusteredMemory
 from repro.api import IdealMemory, ProcessorConfig, build_processor
 from repro.workloads import (
     bubble_sort,
-    expected_matmul,
     fib_value,
     fibonacci,
     matmul,
     repeated_reduction,
 )
+from tests.oracles import expected_matmul
 
 
 def run_on(workload, kind="us1", predictor=None, memory=None, window=16):

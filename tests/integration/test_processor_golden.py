@@ -18,12 +18,12 @@ from repro.workloads import (
     daxpy_loop,
     dependency_chain,
     independent_ops,
-    memory_stream,
     paper_sequence,
     pointer_chase,
     random_ilp,
     reduction_loop,
 )
+from tests.oracles import memory_stream
 
 WORKLOADS = [
     paper_sequence(),

@@ -16,7 +16,7 @@ from repro.isa.encoding import EncodingError, decode_instruction, encode_instruc
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, Opcode
 from repro.isa.program import Program
-from repro.util.bitops import sign_extend, to_signed, to_unsigned
+from repro.util.bitops import to_signed, to_unsigned
 
 REG = st.integers(0, 31)
 IMM16 = st.integers(-(1 << 15), (1 << 15) - 1)
@@ -115,7 +115,7 @@ class TestBitopsEdgeCases:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, (1 << 16) - 1), st.integers(1, 16))
     def test_sign_extend_preserves_signed_value(self, value, from_bits):
-        extended = sign_extend(to_unsigned(value, from_bits), from_bits, 32)
+        extended = to_unsigned(to_signed(to_unsigned(value, from_bits), from_bits), 32)
         assert to_signed(extended, 32) == to_signed(value, from_bits)
 
     def test_zero_width_field(self):
@@ -134,9 +134,5 @@ class TestBitopsEdgeCases:
         assert to_signed(top, bits) == -top
         # -1 is all ones
         assert to_unsigned(-1, bits) == (1 << bits) - 1
-        # sign_extend of the boundary keeps it negative at full width
-        assert to_signed(sign_extend(top, bits), 32) == -top
-
-    def test_sign_extend_to_narrower_is_rejected(self):
-        with pytest.raises(ValueError):
-            sign_extend(1, 8, 4)
+        # sign-extending the boundary keeps it negative at full width
+        assert to_signed(to_unsigned(to_signed(top, bits)), 32) == -top

@@ -7,6 +7,7 @@ from repro.memory.cluster_cache import ClusteredMemory
 from repro.memory.interleaved_cache import InterleavedCache, MemoryRequest
 from repro.network.fattree import FatTree, bandwidth_constant
 from repro.util.bitops import WORD_MASK
+from tests.oracles import drain
 
 
 @st.composite
@@ -57,7 +58,7 @@ def test_interleaved_cache_is_a_memory(ops, config):
     for rid, (is_store, address, value, leaf) in enumerate(ops):
         request = MemoryRequest(rid, address=address, is_store=is_store, value=value, leaf=leaf)
         cache.submit(request)
-        cache.drain()
+        drain(cache)
         if not is_store:
             got_loads.append(request.result)
     expected_loads, expected_memory = flat_reference(ops)
@@ -80,7 +81,7 @@ def test_interleaved_cache_pipelined_requests(ops):
         request = MemoryRequest(rid, address=address, is_store=is_store, value=value, leaf=leaf)
         requests.append(request)
         cache.submit(request)
-    cache.drain()
+    drain(cache)
     # same-address operations share a bank, hence complete in submission
     # order: each load returns the latest earlier store to its address
     last_value: dict[int, int] = {}
@@ -126,7 +127,8 @@ def test_fat_tree_admission_invariants(leaves, exponent):
     tree = FatTree(16, lambda s: float(s) ** exponent, radix=4)
     routing = tree.admit(leaves)
     assert sorted(routing.granted + routing.denied) == list(range(len(leaves)))
-    assert len(routing.granted) <= tree.root_capacity() or len(leaves) <= tree.root_capacity()
+    root_capacity = tree.level_capacity[-1]
+    assert len(routing.granted) <= root_capacity or len(leaves) <= root_capacity
     # oldest-first: every denied request is younger than some granted one
     # whenever anything was granted at all
     if routing.denied and routing.granted:

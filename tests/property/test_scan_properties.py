@@ -8,23 +8,11 @@ replaced".
 
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits.cspp import (
-    CsppTree,
-    build_copy_cspp,
-    cyclic_segmented_and,
-    cyclic_segmented_copy,
-)
+from repro.circuits.cspp import CsppTree, build_copy_cspp, cyclic_segmented_copy
 from repro.circuits.grid import GridNetwork, RegisterBinding, TreeGridNetwork, route_arguments
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import Netlist
-from repro.circuits.prefix import (
-    AndOp,
-    CopyOp,
-    build_linear_scan,
-    build_tree_scan,
-    segmented_scan,
-)
-from tests.unit.test_prefix_circuits import assign_scan_inputs, read_scan_outputs
+from repro.circuits.prefix import AndOp
+from tests.unit.test_prefix_circuits import cyclic_and
 
 # Keep circuit sizes modest: netlist construction is O(n^2) for grids.
 ring_inputs = st.integers(2, 12).flatmap(
@@ -84,34 +72,7 @@ def test_and_cspp_equals_reference(data):
     conditions, segs = data
     tree = CsppTree(len(conditions), op=AndOp(), name="cspp_and")
     got = [bool(v) for v in tree.evaluate([int(c) for c in conditions], segs)]
-    assert got == cyclic_segmented_and(conditions, segs)
-
-
-@given(
-    st.integers(1, 10).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(0, 15), min_size=n, max_size=n),
-            st.lists(st.booleans(), min_size=n, max_size=n),
-            st.integers(0, 15),
-        )
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_tree_scan_equals_linear_scan(data):
-    xs, segs, initial = data
-    n = len(xs)
-    ref = segmented_scan(xs, segs, lambda a, b: a, initial)
-
-    nl1 = Netlist()
-    ports1 = build_linear_scan(nl1, n, CopyOp(4))
-    out1 = read_scan_outputs(ports1, nl1.simulate(assign_scan_inputs(ports1, xs, segs, initial)))
-
-    nl2 = Netlist()
-    ports2 = build_tree_scan(nl2, n, CopyOp(4))
-    out2 = read_scan_outputs(ports2, nl2.simulate(assign_scan_inputs(ports2, xs, segs, initial)))
-
-    assert out1 == ref
-    assert out2 == ref
+    assert got == cyclic_and(conditions, segs)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.frontend.branch_predictor import AlwaysNotTaken
 from repro.isa import Instruction, Opcode, Program
 from repro.ultrascalar.station import StationState
+from tests.oracles import occupied_stations
 
 L = 6
 REGS = st.integers(0, L - 1)
@@ -53,7 +54,7 @@ def test_batch_views_equal_grid_router(program, cycles):
 
 def check_views(processor):
     """The producer-link reads of *processor*'s batch equal the grid's."""
-    batch = processor.occupied_stations()
+    batch = occupied_stations(processor)
     if not batch:
         return
 

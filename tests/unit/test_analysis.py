@@ -6,15 +6,16 @@ import math
 import pytest
 
 from repro.analysis.asymptotics import FIGURE11, evaluate_cell, figure11_table, lookup
-from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep, cluster_is_theta_L
+from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog
-from repro.analysis.recurrences import u_closed_form, x_closed_form
-from repro.analysis.regimes import Regime, classify_bandwidth, classify_exponent, regularity_holds
+from repro.analysis.recurrences import u_closed_form
+from repro.analysis.regimes import Regime, classify_exponent
 from repro.analysis.three_d import lookup as lookup_3d, three_d_table, volume_improvement_2d_to_3d
-from repro.network.fattree import bandwidth_constant, bandwidth_linear, bandwidth_power
+from repro.network.fattree import bandwidth_power
 from repro.vlsi.htree_layout import Ultrascalar1Layout
-from repro.vlsi.hybrid_layout import HybridLayout
+from repro.vlsi.hybrid_layout import HybridLayout, optimal_cluster_size
+from tests.oracles import x_closed_form
 
 
 class TestRegimes:
@@ -24,21 +25,6 @@ class TestRegimes:
     )
     def test_classify_exponent(self, exponent, expected):
         assert classify_exponent(exponent) is expected
-
-    def test_classify_bandwidth_functions(self):
-        assert classify_bandwidth(bandwidth_constant(5.0)) is Regime.CASE1
-        assert classify_bandwidth(bandwidth_power(0.5)) is Regime.CASE2
-        assert classify_bandwidth(bandwidth_linear(1.0)) is Regime.CASE3
-
-    def test_regularity(self):
-        assert regularity_holds(bandwidth_linear(1.0))       # M(n/4)=M(n)/4 <= M(n)/2
-        assert regularity_holds(bandwidth_power(0.75))
-        assert not regularity_holds(bandwidth_power(0.25))   # decays too slowly
-        assert not regularity_holds(bandwidth_constant(1.0))
-
-    def test_regularity_validation(self):
-        with pytest.raises(ValueError):
-            regularity_holds(bandwidth_linear(1.0), c=0)
 
 
 class TestRecurrences:
@@ -77,8 +63,6 @@ class TestRecurrences:
         assert best == 32
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            x_closed_form(0, 32, 0.0)
         with pytest.raises(ValueError):
             u_closed_form(4, 8, 32, 0.0)
 
@@ -190,7 +174,9 @@ class TestCluster:
         assert sweep[best] < sweep[4096]
 
     def test_cluster_is_theta_L(self):
-        assert cluster_is_theta_L(4096, 32)
+        # the layout model's best power-of-two C is within 4x of L
+        best, _ = optimal_cluster_size(4096, 32)
+        assert 32 / 4 <= best <= 32 * 4
 
 
 class TestThreeD:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.util.bitops import (
     WORD_MASK,
-    sign_extend,
     to_signed,
     to_unsigned,
     tree_level_distance,
@@ -45,18 +44,16 @@ class TestToSigned:
 
 
 class TestSignExtend:
+    """Sign extension is the signed view of the narrow field, re-read unsigned."""
+
     def test_positive_unchanged(self):
-        assert sign_extend(0x7FFF, 16) == 0x7FFF
+        assert to_unsigned(to_signed(0x7FFF, 16)) == 0x7FFF
 
     def test_negative_extends(self):
-        assert sign_extend(0x8000, 16) == 0xFFFF8000
+        assert to_unsigned(to_signed(0x8000, 16)) == 0xFFFF8000
 
     def test_roundtrip_with_to_signed(self):
-        assert to_signed(sign_extend(0xFFFF, 16)) == -1
-
-    def test_rejects_narrowing(self):
-        with pytest.raises(ValueError):
-            sign_extend(1, 32, 16)
+        assert to_signed(to_unsigned(to_signed(0xFFFF, 16))) == -1
 
 
 class TestInverses:

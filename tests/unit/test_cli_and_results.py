@@ -76,6 +76,21 @@ class TestRunnerCli:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fig12", "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--jobs", "0"), ("--jobs", "-2"), ("--timeout", "0"), ("--timeout", "-1"),
+         ("--retries", "-1")],
+    )
+    def test_out_of_range_option_exits_2(self, flag, value, capsys):
+        # rejected by argparse before any experiment runs
+        assert main(["all", "--no-cache", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: " in captured.err
+        assert captured.out == ""
+
+    def test_zero_retries_is_accepted(self, capsys):
+        assert main(["fig12", "--no-cache", "--retries", "0", "--jobs", "1"]) == 0
+
     def test_list_names_every_experiment(self, capsys):
         assert main(["list"]) == 0
         listing = capsys.readouterr().out.split("Experiments:\n", 1)[1]
@@ -199,7 +214,6 @@ class TestSpecValidation:
     def test_machine_spec_properties(self):
         spec = MachineSpec(num_registers=16, word_bits=8)
         assert spec.L == 16
-        assert spec.register_datapath_bits == 9
         with pytest.raises(ValueError):
             spec.validate_register(16)
 

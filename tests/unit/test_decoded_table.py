@@ -55,7 +55,7 @@ def test_every_opcode_has_exactly_one_semantics():
 def test_latency_is_looked_up_per_op_class():
     model = LatencyModel(alu=2, mul=3, div=4, load=5, store=6, branch=7, jump=8, system=9)
     for op in Opcode:
-        assert model.latency_of(op) == getattr(model, op.op_class.value)
+        assert model.by_code[op.code] == getattr(model, op.op_class.value)
 
 
 def test_stops_mark_the_next_control_transfer_or_halt():

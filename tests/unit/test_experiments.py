@@ -127,8 +127,10 @@ class TestClusterSweep:
             assert sides[best] < min(sides[1], sides[max(sides)])
             assert max(best, closed) / min(best, closed) <= 2.0
 
-    def test_report_marks_minimum(self):
-        assert "*" in cluster_sweep.report(n=1024)
+    def test_report_marks_minimum(self, monkeypatch):
+        small = cluster_sweep.run(1024)
+        monkeypatch.setattr(cluster_sweep, "run", lambda: small)
+        assert "*" in cluster_sweep.report()
 
 
 class TestMemoryBw:
@@ -201,8 +203,10 @@ class TestGateDepth:
         cspp = outcome.cspp_times
         assert max(b - a for a, b in zip(cspp, cspp[1:])) <= 3
 
-    def test_report(self):
-        assert "fitted exponents" in gate_depth.report(sizes=[4, 8])
+    def test_report(self, monkeypatch):
+        small = gate_depth.run(sizes=[4, 8])
+        monkeypatch.setattr(gate_depth, "run", lambda: small)
+        assert "fitted exponents" in gate_depth.report()
 
 
 class TestIpcEquivalence:

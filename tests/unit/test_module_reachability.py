@@ -8,6 +8,27 @@ A package ``__init__`` that re-exports names does not reach every
 submodule it imports: ``from package import name`` reaches only the
 submodule that *name* comes from.
 
+The same holds per function: every top-level function and method under
+``src/repro`` is named somewhere outside its own ``def``, or sits on a
+short allowlist with its reason.  A name counts when an ``ast.Name``,
+an ``ast.Attribute``, an imported name or an exact-match string constant
+(``func="shard_report"``, perfbench's ``(module, class, method)``
+targets) uses it in ``src/repro``, ``examples/*.py`` or
+``perfbench/*.py``, or when it appears as a word in
+``.github/workflows/*.yml``, whose heredocs call the artifact
+validators.  A package ``__init__``'s imports and ``__all__`` do not
+count, and tests never do: what only tests call belongs in ``tests/``
+(``tests/oracles.py`` holds the reference models moved there).
+Matching is by bare name, so a method is called when any object's
+attribute of that name is read.  Dunder methods are called by the
+language and are not checked.  Two categories need no entry: the
+functions of an allowlisted module, and the methods of the result
+classes in ``repro.experiments`` (the paper-claim predicates tier-1
+asserts).
+
+Parameters too: the runner calls each experiment's ``report()`` with
+no arguments, so a ``report`` parameter could only be set by a test.
+
 One construction site: only :mod:`repro.api` calls ``RingProcessor(...)``.
 
 Documentation: every public module, class and function carries a
@@ -15,7 +36,10 @@ docstring.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
+import re
 
 from repro.runner.registry import REGISTRY
 
@@ -28,6 +52,13 @@ ALLOWED_UNREACHED = {
     "repro.ultrascalar.scheduler": "the Memo 2 reference circuit",
     "repro.vlsi.three_d_layout": "the Section 7 measured model",
     "repro.runner._selftest": "runner test fixtures",
+}
+
+
+#: functions and methods nothing outside the tests names, and why each
+#: stays (beyond the two categories in the module docstring)
+ALLOWED_UNCALLED = {
+    "repro.util.log._StderrHandler.stream": "the property logging.StreamHandler reads and sets",
 }
 
 
@@ -103,6 +134,88 @@ def _module_name(path: pathlib.Path) -> str:
     return ".".join(path.relative_to(SRC).with_suffix("").parts)
 
 
+def _definitions(source: str):
+    """Yield ``(class name or None, function name)`` for each top-level
+    function and method in *source*, dunder methods left out."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(node.name, sub) for sub in node.body]
+        else:
+            defs = [(None, node)]
+        for owner, sub in defs:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                sub.name.startswith("__") and sub.name.endswith("__")
+            ):
+                yield owner, sub.name
+
+
+def _references(source: str, package_init: bool = False) -> set[str]:
+    """Names *source* uses: Name, Attribute, imported names and string
+    constants, each outside a ``def`` of the same name.  In a package
+    ``__init__`` the imports and ``__all__`` are re-exports, not uses."""
+    names: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if package_init and (
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            or isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        ):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in inside:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return names
+
+
+def _callers() -> set[str]:
+    """Every name the package, the examples, perfbench and CI use."""
+    names: set[str] = set()
+    for path in [*_modules(), *sorted(ROOT.glob("examples/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]:
+        names |= _references(path.read_text(), package_init=path.name == "__init__.py")
+    for workflow in sorted(ROOT.glob(".github/workflows/*.yml")):
+        names.update(re.findall(r"[A-Za-z_]\w*", workflow.read_text()))
+    return names
+
+
+def _uncalled(modules: dict[str, str], callers: set[str]) -> set[tuple[str, str | None, str]]:
+    """``(module, class or None, function)`` for each function in *modules*
+    (name -> source) whose name is not in *callers*."""
+    return {
+        (module, owner, name)
+        for module, source in modules.items()
+        for owner, name in _definitions(source)
+        if name not in callers
+    }
+
+
+def _qualified(module: str, owner: str | None, name: str) -> str:
+    return ".".join(part for part in (module, owner, name) if part)
+
+
+def _allowed_uncalled(module: str, owner: str | None, name: str) -> bool:
+    return (
+        _qualified(module, owner, name) in ALLOWED_UNCALLED
+        or module in ALLOWED_UNREACHED
+        or owner is not None and module.startswith("repro.experiments.")
+    )
+
+
 class TestModuleReachability:
     def test_every_module_is_reached_or_allowlisted(self):
         modules = {_module_name(path) for path in _modules() if path.name != "__init__.py"}
@@ -112,6 +225,42 @@ class TestModuleReachability:
             f"unreached and not allowlisted: {sorted(unreached - allowed)}; "
             f"allowlisted but reached or gone: {sorted(allowed - unreached)}"
         )
+
+
+class TestFunctionReachability:
+    def test_every_function_is_called_or_allowlisted(self):
+        modules = {_module_name(path): path.read_text() for path in _modules()}
+        uncalled = _uncalled(modules, _callers())
+        unexplained = sorted(_qualified(*item) for item in uncalled if not _allowed_uncalled(*item))
+        stale = sorted(set(ALLOWED_UNCALLED) - {_qualified(*item) for item in uncalled})
+        assert not unexplained, f"only tests call: {unexplained}"
+        assert not stale, f"allowlisted but called or gone: {stale}"
+
+    def test_an_unreferenced_function_is_reported(self):
+        source = "def used():\n    pass\n\ndef unused():\n    return unused\n\nused()\n"
+        assert _uncalled({"pkg.mod": source}, _references(source)) == {("pkg.mod", None, "unused")}
+
+    def test_a_method_is_reported_under_its_class(self):
+        source = "class Result:\n    def claim(self):\n        return True\n"
+        assert _uncalled({"pkg.mod": source}, _references(source)) == {("pkg.mod", "Result", "claim")}
+
+    def test_a_string_reference_counts_as_a_caller(self):
+        module = "def shard_report():\n    pass\n"
+        caller = 'spec = JobSpec(module="pkg.mod", func="shard_report")\n'
+        assert _uncalled({"pkg.mod": module}, _references(caller)) == set()
+
+    def test_package_reexports_are_not_callers(self):
+        init = 'from pkg.mod import helper\n\n__all__ = ["helper"]\n'
+        assert "helper" not in _references(init, package_init=True)
+        assert "helper" in _references(init)
+
+
+class TestParameterReachability:
+    def test_every_report_takes_no_arguments(self):
+        # the runner calls report() bare, so a parameter could only be set by a test
+        for spec in REGISTRY.values():
+            report = getattr(importlib.import_module(spec.module), spec.func)
+            assert not inspect.signature(report).parameters, spec.key
 
 
 class TestOneConstructionSite:
@@ -137,7 +286,7 @@ class TestDocstringContract:
         interface_methods = {
             "predict", "update", "reset",                      # BranchPredictor
             "submit_load", "submit_store", "tick",             # MemorySystem
-            "peek_word", "load_image", "final_state",
+            "load_image", "final_state",
             "counters",
             "combine",                                         # ScanOp
             "count", "event", "snapshot",                      # Tracer

@@ -2,7 +2,23 @@
 
 import pytest
 
-from repro.circuits.netlist import GateKind, GateRun, Netlist, assign_bus, bus, bus_value
+from repro.circuits.netlist import (
+    GateKind,
+    GateRun,
+    Netlist,
+    assign_bus,
+    bus,
+    bus_value,
+    reduction_pairs,
+)
+from tests.oracles import topological_depth
+
+
+def reduce_tree(netlist, kind, nets):
+    """A balanced binary reduction tree of *kind* gates over *nets*, as one
+    run of the pairs :func:`reduction_pairs` plans."""
+    pairs, root = reduction_pairs(nets, netlist.net_count)
+    return netlist.add_gates(kind, pairs)[-1] if pairs else root
 
 
 class TestConstruction:
@@ -11,11 +27,11 @@ class TestConstruction:
         a = nl.add_input("a")
         b = nl.add_input("b")
         out = nl.add_gate(GateKind.AND, a, b)
-        assert nl.driver(out) == 0
-        assert nl.driver(a) is None
+        assert nl._out == [out]
+        assert nl.inputs == [a, b]
         assert nl.gate_count == 1
-        assert nl.fanout(a) == nl.fanout(b) == (0,)
-        assert nl.fanout(out) == ()
+        assert nl._fanouts()[a] == nl._fanouts()[b] == [0]
+        assert nl._fanouts()[out] == []
         assert nl.name_of(out) == "and0"
 
     def test_arity_enforced(self):
@@ -34,13 +50,8 @@ class TestConstruction:
     def test_reduce_tree_depth_is_logarithmic(self):
         nl = Netlist()
         nets = [nl.add_input(f"i{k}") for k in range(64)]
-        nl.reduce_tree(GateKind.AND, nets)
-        assert nl.topological_depth() == 6
-
-    def test_reduce_tree_rejects_empty(self):
-        nl = Netlist()
-        with pytest.raises(ValueError):
-            nl.reduce_tree(GateKind.AND, [])
+        reduce_tree(nl, GateKind.AND, nets)
+        assert topological_depth(nl) == 6
 
 
 class TestBulkPath:
@@ -59,7 +70,6 @@ class TestBulkPath:
         )
         assert outs == [first, first + 1, first + 2]
         assert all(out is stored for out, stored in zip(outs, nl._out))
-        assert [nl.driver(out) for out in outs] == [0, 1, 2]
         assert nl.name_of(outs[1]) == "not1"
         result = nl.simulate({a: True, b: False})
         assert [result.value_of(out) for out in outs] == [False, True, False]  # a ? and : not
@@ -166,7 +176,7 @@ class TestTiming:
     def test_tree_settle_time_is_logarithmic(self):
         nl = Netlist()
         nets = [nl.add_input(f"i{k}") for k in range(32)]
-        nl.reduce_tree(GateKind.OR, nets)
+        reduce_tree(nl, GateKind.OR, nets)
         result = nl.simulate({nets[5]: True})
         assert result.settle_time == 5
 
@@ -203,11 +213,11 @@ class TestTie:
         first = nl.add_gate(GateKind.AND, a, placeholder)
         second = nl.add_gate(GateKind.BUF, placeholder)
         source = nl.add_gate(GateKind.NOT, a)
-        nl.fanout(a)  # fill the fan-out cache; tie must invalidate it
+        nl._fanouts()  # fill the fan-out cache; tie must invalidate it
         nl.tie(placeholder, source)
         assert nl.inputs == [a]
-        assert nl.fanout(placeholder) == ()
-        assert nl.fanout(source) == (0, 1)
+        assert nl._fanouts()[placeholder] == []
+        assert nl._fanouts()[source] == [0, 1]
         result = nl.simulate({a: False})
         assert result.value_of(first) is False
         assert result.value_of(second) is True
@@ -241,14 +251,14 @@ class TestTopology:
         x = nl.add_gate(GateKind.AND, a, b)
         y = nl.add_gate(GateKind.OR, x, b)
         nl.add_gate(GateKind.NOT, y)
-        assert nl.topological_depth() == 3
+        assert topological_depth(nl) == 3
 
     def test_cyclic_detection(self):
         from repro.circuits.mux_ring import MuxRing
 
         ring = MuxRing(4, 1)
         with pytest.raises(ValueError, match="cyclic"):
-            ring.netlist.topological_depth()
+            topological_depth(ring.netlist)
 
     def test_simulate_rejects_driving_internal_net(self):
         nl = Netlist()

@@ -59,8 +59,9 @@ class TestFatTree:
         assert tree.level_capacity[2] == math.ceil(64**0.5)
 
     def test_root_capacity_is_m_of_n(self):
-        assert FatTree(64, bandwidth_linear(1.0)).root_capacity() == 64
-        assert FatTree(64, bandwidth_constant(2.0)).root_capacity() == 2
+        # the top uplink carries the chip's memory bandwidth M(n)
+        assert FatTree(64, bandwidth_linear(1.0)).level_capacity[-1] == 64
+        assert FatTree(64, bandwidth_constant(2.0)).level_capacity[-1] == 2
 
     def test_admission_respects_root_capacity(self):
         tree = FatTree(16, bandwidth_constant(2.0), radix=4)
@@ -91,10 +92,6 @@ class TestFatTree:
         assert tree.path_groups(5) == [(0, 1), (1, 0)]
         with pytest.raises(ValueError):
             tree.path_groups(16)
-
-    def test_wire_count(self):
-        tree = FatTree(16, bandwidth_linear(1.0), radix=4)
-        assert tree.wire_count_at_level(0, 32) == tree.level_capacity[0] * 32
 
     def test_validation(self):
         with pytest.raises(ValueError):

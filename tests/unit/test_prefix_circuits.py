@@ -6,37 +6,20 @@ from repro.analysis.fitting import fit_exponent
 from repro.circuits.cspp import (
     CsppTree,
     build_copy_cspp,
-    cyclic_segmented_and,
     cyclic_segmented_copy,
     cyclic_segmented_scan,
 )
-from repro.circuits.fanout import build_fanout_tree
+from repro.circuits.fanout import FanoutShape
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import Netlist, assign_bus, bus_value
-from repro.circuits.prefix import (
-    AndOp,
-    CopyOp,
-    build_linear_scan,
-    build_tree_scan,
-    segmented_scan,
-)
+from repro.circuits.netlist import Netlist
+from repro.circuits.prefix import AndOp
+from tests.oracles import segmented_scan, topological_depth
 
 
-def assign_scan_inputs(ports, xs, segments, initial=0):
-    """A simulator assignment driving a scan netlist's inputs."""
-    assert len(xs) == len(ports.values) and len(segments) == len(ports.segments)
-    assignment = {}
-    for i, x in enumerate(xs):
-        assign_bus(assignment, ports.values[i], x)
-        assignment[ports.segments[i]] = bool(segments[i])
-    if ports.initial is not None:
-        assign_bus(assignment, ports.initial, initial)
-    return assignment
-
-
-def read_scan_outputs(ports, result):
-    """The integer scan outputs of a simulation result."""
-    return [bus_value(result, nets) for nets in ports.outputs]
+def cyclic_and(conditions, segments):
+    """The sequencing CSPP's reference (Figure 5): "all earlier stations
+    meet the condition"."""
+    return cyclic_segmented_scan([bool(c) for c in conditions], segments, lambda a, b: a and b)
 
 
 class TestSegmentedScanSemantics:
@@ -64,7 +47,7 @@ class TestSegmentedScanSemantics:
         conditions = [True, True, False, True, False, False, True, True]
         segments = [False] * 8
         segments[6] = True
-        out = cyclic_segmented_and(conditions, segments)
+        out = cyclic_and(conditions, segments)
         high = {i for i in range(8) if out[i]}
         assert high == {7, 0, 1, 2}
 
@@ -115,46 +98,6 @@ class TestNearestWriter:
             cyclic_segmented_copy(range(2), [False, False])
 
 
-class TestScanNetlists:
-    @pytest.mark.parametrize("builder", [build_linear_scan, build_tree_scan])
-    def test_and_scan_matches_reference(self, builder):
-        nl = Netlist()
-        ports = builder(nl, 8, AndOp())
-        xs = [1, 1, 0, 1, 1, 1, 0, 1]
-        segs = [True, False, False, True, False, False, False, False]
-        ref = segmented_scan([bool(x) for x in xs], segs, lambda a, b: a and b, True)
-        result = nl.simulate(assign_scan_inputs(ports, xs, segs, initial=1))
-        assert [bool(v) for v in read_scan_outputs(ports, result)] == ref
-
-    @pytest.mark.parametrize("builder", [build_linear_scan, build_tree_scan])
-    def test_copy_scan_matches_reference(self, builder):
-        nl = Netlist()
-        ports = builder(nl, 6, CopyOp(4))
-        xs = [3, 9, 12, 5, 7, 1]
-        segs = [False, True, False, False, True, False]
-        ref = segmented_scan(xs, segs, lambda a, b: a, 15)
-        result = nl.simulate(assign_scan_inputs(ports, xs, segs, initial=15))
-        assert read_scan_outputs(ports, result) == ref
-
-    def test_linear_scan_depth_grows_linearly(self):
-        depths = []
-        for n in (8, 16, 32):
-            nl = Netlist()
-            build_linear_scan(nl, n, CopyOp(1))
-            depths.append(nl.topological_depth())
-        assert depths[1] - depths[0] == 8
-        assert depths[2] - depths[1] == 16
-
-    def test_tree_scan_depth_grows_logarithmically(self):
-        depths = []
-        for n in (8, 16, 32, 64):
-            nl = Netlist()
-            build_tree_scan(nl, n, CopyOp(1))
-            depths.append(nl.topological_depth())
-        diffs = [b - a for a, b in zip(depths, depths[1:])]
-        assert all(d <= 3 for d in diffs)
-
-
 class TestCsppTree:
     def test_matches_reference_copy(self):
         tree = build_copy_cspp(8, width=4)
@@ -167,7 +110,7 @@ class TestCsppTree:
         cs = [True, True, False, True, True, True, True, False]
         segs = [False, False, False, False, False, True, False, False]
         got = [bool(v) for v in tree.evaluate([int(c) for c in cs], segs)]
-        assert got == cyclic_segmented_and(cs, segs)
+        assert got == cyclic_and(cs, segs)
 
     def test_non_power_of_two(self):
         tree = build_copy_cspp(5, width=2)
@@ -201,7 +144,7 @@ class TestCsppTree:
     def test_netlist_is_acyclic_dag(self):
         # The "cycle" is semantic (ring order); the tree netlist is a DAG.
         tree = build_copy_cspp(8)
-        assert tree.netlist.topological_depth() == 6  # raises on a cyclic netlist
+        assert topological_depth(tree.netlist) == 6  # raises on a cyclic netlist
 
     def test_settle_time_logarithmic(self):
         times = []
@@ -237,7 +180,7 @@ class TestMuxRing:
 
     def test_is_cyclic_netlist(self):
         with pytest.raises(ValueError, match="cyclic"):
-            MuxRing(4).netlist.topological_depth()
+            topological_depth(MuxRing(4).netlist)
 
     def test_settle_time_linear(self):
         times = []
@@ -259,7 +202,7 @@ class TestFanoutTree:
     def test_single_copy_is_source(self):
         nl = Netlist()
         src = nl.add_input("s")
-        tree = build_fanout_tree(nl, src, 1)
+        tree = FanoutShape.derive(1).build(nl, src)
         assert tree.leaves == (src,)
         assert tree.depth == 0
 
@@ -269,26 +212,24 @@ class TestFanoutTree:
 
         nl = Netlist()
         src = nl.add_input("s")
-        tree = build_fanout_tree(nl, src, copies)
+        tree = FanoutShape.derive(copies).build(nl, src)
         assert len(tree.leaves) == copies
         assert tree.depth == math.ceil(math.log2(copies))
 
     def test_all_leaves_carry_source_value(self):
         nl = Netlist()
         src = nl.add_input("s")
-        tree = build_fanout_tree(nl, src, 13)
+        tree = FanoutShape.derive(13).build(nl, src)
         result = nl.simulate({src: True})
         assert all(result.value_of(leaf) for leaf in tree.leaves)
 
     def test_radix_four_is_shallower(self):
         nl = Netlist()
         src = nl.add_input("s")
-        assert build_fanout_tree(nl, src, 64, radix=4).depth == 3
+        assert FanoutShape.derive(64, radix=4).build(nl, src).depth == 3
 
     def test_rejects_bad_args(self):
-        nl = Netlist()
-        src = nl.add_input("s")
         with pytest.raises(ValueError):
-            build_fanout_tree(nl, src, 0)
+            FanoutShape.derive(0)
         with pytest.raises(ValueError):
-            build_fanout_tree(nl, src, 4, radix=1)
+            FanoutShape.derive(4, radix=1)

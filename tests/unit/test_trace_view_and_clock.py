@@ -9,7 +9,7 @@ from repro.analysis.clock_period import (
     project_ultrascalar2,
 )
 from repro.api import IdealMemory, ProcessorConfig, build_processor
-from repro.ultrascalar.trace_view import render_pipeline, stall_breakdown
+from repro.ultrascalar.trace_view import render_pipeline
 from repro.workloads import paper_sequence
 
 
@@ -54,26 +54,6 @@ class TestRenderPipeline:
 
         empty = ProcessorResult(cycles=0, commit_log=[], registers=[], memory={}, halted=False)
         assert render_pipeline(empty) == "(no instructions)"
-
-
-class TestStallBreakdown:
-    def test_accounts_are_consistent(self, paper_result):
-        breakdown = stall_breakdown(paper_result)
-        assert breakdown["executing"] >= len(paper_result.timings)  # >= 1 cycle each
-        assert breakdown["waiting"] >= 10  # the dependent add alone waits 10
-
-    def test_serial_chain_has_no_waiting_beyond_forwarding(self):
-        from repro.workloads import dependency_chain
-
-        w = dependency_chain(10)
-        config = ProcessorConfig(window_size=16, fetch_width=16)
-        result = build_processor("us1", config).run(
-            w.program, memory=IdealMemory(), initial_registers=w.registers_for()
-        )
-        breakdown = stall_breakdown(result)
-        # each link waits exactly for its predecessor: n-1 single-cycle
-        # handoffs plus the halt
-        assert breakdown["executing"] == len(result.timings)
 
 
 class TestClockProjections:

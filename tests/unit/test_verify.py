@@ -31,7 +31,8 @@ from repro.verify import (
 )
 from repro.verify.cli import main as verify_main
 from repro.verify.fuzz import CaseFailure, parse_shard_report
-from repro.workloads import memory_stream, paper_sequence, random_ilp
+from repro.workloads import paper_sequence, random_ilp
+from tests.oracles import memory_stream, occupied_stations
 
 #: fuzz parameters kept small so the mutation tests stay fast
 FAST = dict(sizes=(4,), designs=("us1",), check_invariants=False)
@@ -203,7 +204,7 @@ def _both(first, second):
 
 def _deassert_ready_bit(engine):
     """Drop the ready bit of the oldest station DONE since an earlier cycle."""
-    for station in engine.occupied_stations():
+    for station in occupied_stations(engine):
         if station.state is StationState.DONE and station.complete_cycle < engine.cycle:
             station.state = StationState.EXECUTING
             return True
@@ -220,7 +221,7 @@ def _forget_store(engine):
 
 def _unlink_producer(engine):
     """Point the oldest station with a live producer at the register file."""
-    for station in engine.occupied_stations():
+    for station in occupied_stations(engine):
         if any(p is not None and p.state is not StationState.EMPTY for p in station.producers):
             station.producers = (None,) * len(station.producers)
             return True
@@ -229,7 +230,7 @@ def _unlink_producer(engine):
 
 def _inflate_pending(engine):
     """Count one operand too many on the oldest waiting station."""
-    for station in engine.occupied_stations():
+    for station in occupied_stations(engine):
         if station.state is StationState.WAITING and station.pending:
             station.pending += 1
             return True
@@ -569,6 +570,22 @@ class TestVerifyCli:
         assert verify_main(["--designs", "warp-drive"]) == 2
         assert verify_main(["--designs", "dataflow"]) == 2
         assert verify_main(["--sizes", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--jobs", "0"), ("--jobs", "-2"), ("--timeout", "0"), ("--timeout", "-1"),
+         ("--budget", "-5")],
+    )
+    def test_out_of_range_option_exits_2(self, flag, value, capsys):
+        # rejected by argparse before any shard runs
+        assert verify_main(["--seeds", "0:4", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: " in captured.err
+        assert captured.out == ""
+
+    def test_zero_budget_runs_only_the_corpus(self, tmp_path, capsys):
+        assert verify_main(["--seeds", "1", "--budget", "0", "--sizes", "4",
+                            "--failures-dir", str(tmp_path)]) == 0
 
 
 class TestMainDispatch:

@@ -8,7 +8,6 @@ from repro.workloads import (
     dependency_chain,
     independent_ops,
     jump_chain,
-    memory_stream,
     paper_sequence,
     parallel_loads,
     pointer_chase,
@@ -18,6 +17,7 @@ from repro.workloads import (
     spaced_chain,
     store_load_pairs,
 )
+from tests.oracles import memory_stream
 
 
 def run_workload(workload):
