@@ -150,10 +150,3 @@ def figure11_table(regime: Regime) -> Table:
             cells.append(lookup(regime, processor, quantity).formula)
         table.add_row(cells)
     return table
-
-
-def evaluate_cell(
-    regime: Regime, processor: str, quantity: str, n: float, L: float, M: float
-) -> float:
-    """Evaluate one Figure 11 Θ-expression at concrete (n, L, M(n))."""
-    return lookup(regime, processor, quantity).evaluate(n, L, M)

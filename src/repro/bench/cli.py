@@ -190,7 +190,3 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     return exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,10 +1,12 @@
 """Experiment drivers: one module per paper table/figure (see DESIGN.md §4).
 
-Each module exposes a ``run(...)`` function returning structured results
-and a ``report(...)`` / ``main()`` that renders the paper-shaped table.
-``tests/golden/`` pins each default report byte-for-byte, and the
-matching ``Test<Experiment>`` class under ``tests/unit/`` asserts the
-paper's qualitative claims on the default sweep (who wins, by what
+Each module exposes a ``run()`` returning structured results and a
+``report()`` that renders the paper-shaped table; both take no
+arguments, and ``python -m repro <key>`` is the one way to run a single
+experiment.
+``tests/golden/`` pins each report byte-for-byte, and the matching
+``Test<Experiment>`` class under ``tests/unit/`` asserts the paper's
+qualitative claims on the experiment's sweep (who wins, by what
 factor, where the crossovers fall).
 """
 

@@ -27,13 +27,13 @@ class ClusterSweepResult:
         return all(L / slack <= c <= L * slack for L, c in self.best.items())
 
 
-def run(n: int = 4096, L_values: list[int] | None = None) -> ClusterSweepResult:
+def run() -> ClusterSweepResult:
     """Sweep cluster sizes for several register-file sizes."""
-    L_values = L_values or [8, 16, 32, 64]
+    n = 4096
     sweeps: dict[int, dict[int, float]] = {}
     best: dict[int, int] = {}
     closed_best: dict[int, int] = {}
-    for L in L_values:
+    for L in [8, 16, 32, 64]:
         chosen, sides = optimal_cluster_size(n, L)
         sweeps[L] = sides
         best[L] = chosen
@@ -63,7 +63,3 @@ def report() -> str:
         for L in outcome.sweeps
     )
     return table.render() + footer
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

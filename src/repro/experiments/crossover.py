@@ -13,6 +13,9 @@ from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_dela
 from repro.analysis.fitting import fit_exponent
 from repro.util.tables import Table
 
+#: the large window the US1/hybrid advantage factor is evaluated at
+HYBRID_N = 65536
+
 
 @dataclass
 class CrossoverResult:
@@ -40,20 +43,15 @@ class CrossoverResult:
         return 0.3 <= exponent <= 0.7
 
 
-def run(
-    L_values: list[int] | None = None,
-    sizes: list[int] | None = None,
-    n: int = 65536,
-) -> CrossoverResult:
-    """Sweep the layout model over window sizes and L; ``n`` is the
-    large-window point the hybrid-advantage factor is evaluated at."""
-    L_values = L_values or [8, 16, 32, 64]
-    sizes = sizes or [16, 64, 256, 1024, 4096, 16384]
+def run() -> CrossoverResult:
+    """Sweep the layout model over window sizes and L."""
+    L_values = [8, 16, 32, 64]
+    sizes = [16, 64, 256, 1024, 4096, 16384]
     crossovers = {L: find_crossover(L) for L in L_values}
     ratio_sweep = {
         L: [(size, wire_delay_ratio(size, L)) for size in sizes] for L in L_values
     }
-    hybrid_factors = {L: hybrid_advantage(n, L) for L in L_values}
+    hybrid_factors = {L: hybrid_advantage(HYBRID_N, L) for L in L_values}
     return CrossoverResult(
         crossovers=crossovers,
         ratio_sweep=ratio_sweep,
@@ -65,7 +63,7 @@ def report() -> str:
     """Crossover and dominance tables."""
     outcome = run()
     table = Table(
-        ["L", "crossover n*", "n*/L²", "US1/hybrid wire ratio @ n=65536"],
+        ["L", "crossover n*", "n*/L²", f"US1/hybrid wire ratio @ n={HYBRID_N}"],
         title="E4 — dominance crossovers (US-II wins below n*, US-I above; "
         "paper: n* = Θ(L²), hybrid advantage Θ(√L))",
     )
@@ -86,7 +84,3 @@ def report() -> str:
     for i, n in enumerate(swept_sizes):
         sweep.add_row([n] + [round(outcome.ratio_sweep[L][i][1], 2) for L in outcome.ratio_sweep])
     return table.render() + "\n\n" + sweep.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

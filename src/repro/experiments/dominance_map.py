@@ -73,13 +73,10 @@ def _hybrid_for(n: int, L: int) -> HybridLayout:
     return HybridLayout(n, max(1, cluster), L)
 
 
-def run(
-    sizes: list[int] | None = None,
-    L_values: list[int] | None = None,
-) -> DominanceMap:
+def run() -> DominanceMap:
     """Evaluate the grid over window sizes (the n axis) and L."""
-    n_values = sizes or [16, 64, 256, 1024, 4096, 16384]
-    L_values = L_values or [8, 16, 32, 64, 128]
+    n_values = [16, 64, 256, 1024, 4096, 16384]
+    L_values = [8, 16, 32, 64, 128]
     pairwise: dict[tuple[int, int], str] = {}
     overall: dict[tuple[int, int], str] = {}
     for n in n_values:
@@ -115,7 +112,3 @@ def report() -> str:
     for n in outcome.n_values:
         full.add_row([n] + [outcome.winner_overall[(n, L)] for L in outcome.L_values])
     return pair.render() + "\n\n" + full.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

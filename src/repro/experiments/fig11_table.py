@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.asymptotics import evaluate_cell, figure11_table
+from repro.analysis.asymptotics import figure11_table
 from repro.analysis.fitting import fit_exponent
 from repro.analysis.regimes import Regime
 from repro.util.tables import Table
@@ -37,14 +37,15 @@ class Fig11Validation:
         return {"ultrascalar1": 0.5, "ultrascalar2": 1.0, "hybrid": 0.5}
 
 
-def validate(sizes: list[int] | None = None, L: int = 32) -> Fig11Validation:
+def validate() -> Fig11Validation:
     """Fit measured wire-delay exponents at fixed L (Case 1: M = 0).
 
     Exponents are fitted on the tail of the sweep: the Θ-bounds are
     asymptotic, and at small n the US-II station logic (a √n term) still
     contributes to the Θ(n + L) datapath side.
     """
-    sizes = sizes or [4**k for k in range(3, 11)]  # 64 .. ~1M
+    sizes = [4**k for k in range(3, 11)]  # 64 .. ~1M
+    L = 32
     tail = sizes[-4:]
     us1 = [Ultrascalar1Layout(n, L).critical_wire for n in tail]
     us2 = [Ultrascalar2Layout(n, L, variant="linear").critical_wire for n in tail]
@@ -71,31 +72,3 @@ def report() -> str:
     table.add_row(["Hybrid (C=L)", round(validation.hybrid_exponent, 3), "0.5  (Θ(√(n L)))"])
     return "\n\n".join(blocks + [table.render()])
 
-
-def example_values(n: int = 4096, L: int = 32) -> Table:
-    """Evaluate every Figure 11 cell at a concrete design point."""
-    table = Table(
-        ["Regime", "Processor", "Gate", "Wire", "Total", "Area"],
-        title=f"Figure 11 evaluated at n={n}, L={L} (M(n)=n^e per regime)",
-    )
-    m_for = {Regime.CASE1: 1.0, Regime.CASE2: n**0.5, Regime.CASE3: n**0.75}
-    for regime in Regime:
-        for processor in ("ultrascalar1", "ultrascalar2-linear", "ultrascalar2-log", "hybrid"):
-            m = m_for[regime]
-            table.add_row(
-                [
-                    regime.value,
-                    processor,
-                    round(evaluate_cell(regime, processor, "gate_delay", n, L, m), 1),
-                    round(evaluate_cell(regime, processor, "wire_delay", n, L, m), 1),
-                    round(evaluate_cell(regime, processor, "total_delay", n, L, m), 1),
-                    round(evaluate_cell(regime, processor, "area", n, L, m), 1),
-                ]
-            )
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())
-    print()
-    print(example_values().render())

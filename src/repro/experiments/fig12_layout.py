@@ -74,7 +74,3 @@ def report() -> str:
         ["—", "density ratio", format_ratio(PAPER_DENSITY_RATIO), format_ratio(outcome.density_ratio)]
     )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

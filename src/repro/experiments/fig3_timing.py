@@ -94,7 +94,3 @@ def report() -> str:
         + outcome.diagram
     )
     return table.render() + footer
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -51,9 +51,9 @@ class GateDepthResult:
         return fit_exponent(self.sizes, self.tree_grid_times)
 
 
-def run(sizes: list[int] | None = None) -> GateDepthResult:
-    """Measure worst-case settle times over *sizes* stations."""
-    sizes = sizes or [4, 8, 16, 32]
+def run() -> GateDepthResult:
+    """Measure worst-case settle times over a sweep of station counts."""
+    sizes = [4, 8, 16, 32]
     ring_times, cspp_times, grid_times, tree_grid_times = [], [], [], []
     for n in sizes:
         stimulus = [1] * n
@@ -100,7 +100,3 @@ def report() -> str:
         f" mesh-of-trees {outcome.tree_grid_exponent:.2f} (paper Θ(log(n+L)))"
     )
     return table.render() + footer
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -86,17 +86,12 @@ class IlpLimitsResult:
         return True
 
 
-def run(
-    densities: list[float] | None = None,
-    sizes: list[int] | None = None,
-    instructions: int = 4000,
-) -> IlpLimitsResult:
+def run() -> IlpLimitsResult:
     """Sweep (density, window size); IPC of the Ultrascalar I ring."""
-    densities = densities or [0.2, 0.5, 0.8]
-    windows = sizes or [8, 32, 128, 512, 2048]
+    windows = [8, 32, 128, 512, 2048]
     curves = []
-    for density in densities:
-        workload = random_ilp(instructions, density, seed=int(1000 * density) + 7)
+    for density in [0.2, 0.5, 0.8]:
+        workload = random_ilp(4000, density, seed=int(1000 * density) + 7)
         trace = run_program(
             workload.program, state=MachineState(workload.registers_for(), {})
         ).trace
@@ -129,7 +124,3 @@ def report() -> str:
             [curve.density] + [round(v, 2) for v in curve.ipc]
         )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -73,9 +73,9 @@ def _run_design(workload: Workload, kind: str, window: int) -> float:
     return result.ipc
 
 
-def run(workloads: list[Workload] | None = None) -> IpcResult:
+def run() -> IpcResult:
     """Measure IPC of all designs plus the conventional delay curve."""
-    workloads = workloads or [
+    workloads = [
         dependency_chain(40),
         independent_ops(40),
         random_ilp(60, 0.2, seed=101),
@@ -146,7 +146,3 @@ def report() -> str:
     for width, delay in outcome.conventional_delays.items():
         delays.add_row([width, round(delay, 2), round(outcome.ultrascalar_gate_delays[width], 2)])
     return table.render() + "\n\n" + delays.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

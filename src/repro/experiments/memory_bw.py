@@ -45,11 +45,7 @@ class MemoryBwResult:
         return all(0.2 <= r <= 3.0 for r in self.wire_over_side.values())
 
 
-def run(
-    sizes: list[int] | None = None,
-    L: int = 32,
-    exponents: list[float] | None = None,
-) -> MemoryBwResult:
+def run() -> MemoryBwResult:
     """Sweep the Ultrascalar I layout over M(n) = n^e for several e.
 
     The Θ-bounds are asymptotic: for Case 3 the M(n) term only dominates
@@ -57,12 +53,12 @@ def run(
     over the largest two decades of the sweep (the paper's claim is
     about exactly that asymptotic regime).
     """
-    sizes = sizes or [4**k for k in range(3, 15)]  # 64 .. 268M (arithmetic only)
-    exponents = exponents if exponents is not None else [0.0, 0.25, 0.5, 0.75, 1.0]
+    sizes = [4**k for k in range(3, 15)]  # 64 .. 268M (arithmetic only)
+    L = 32
     sweeps: dict[float, list[tuple[int, float]]] = {}
     fitted: dict[float, float] = {}
     wire_over_side: dict[float, float] = {}
-    for m_exp in exponents:
+    for m_exp in [0.0, 0.25, 0.5, 0.75, 1.0]:
         bandwidth = bandwidth_power(m_exp)
         series = []
         for n in sizes:
@@ -98,7 +94,3 @@ def report() -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

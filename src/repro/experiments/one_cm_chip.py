@@ -84,7 +84,3 @@ def report() -> str:
     table.add_row(["area (cm²)", "<= 1", round(outcome.area_cm2, 2)])
     table.add_row(["IPC (medium-ILP workload)", "—", round(outcome.ipc, 2)])
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

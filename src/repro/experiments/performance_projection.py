@@ -78,15 +78,15 @@ class ProjectionResult:
         return perf[-1] < max(perf)
 
 
-def run(sizes: list[int] | None = None, L: int = 32) -> ProjectionResult:
+def run() -> ProjectionResult:
     """Sweep window sizes; IPC of the Ultrascalar I ring, clocks from layouts."""
+    L = 32
     workload = random_ilp(3000, 0.35, seed=601)
     trace = run_program(
         workload.program, state=MachineState(workload.registers_for(), {})
     ).trace
-    sizes = sizes or [16, 64, 256, 1024]
     rows: list[ProjectionRow] = []
-    for n in sizes:
+    for n in [16, 64, 256, 1024]:
         schedule = dataflow_schedule(trace, fetch_width=min(n, 64), window_size=n)
         ipc = schedule.ipc
         rows.append(
@@ -125,7 +125,3 @@ def report() -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

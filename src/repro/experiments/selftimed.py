@@ -34,13 +34,12 @@ class SelfTimedResult:
         return all(fraction >= 0.5 for fraction in self.local_fraction.values())
 
 
-def run(sizes: list[int] | None = None) -> SelfTimedResult:
+def run() -> SelfTimedResult:
     """Census successor locality for each H-tree size."""
-    sizes = sizes or [16, 64, 256, 1024]
     local: dict[int, float] = {}
     mean_wire: dict[int, float] = {}
     max_wire: dict[int, float] = {}
-    for n in sizes:
+    for n in [16, 64, 256, 1024]:
         distances = successor_tree_distances(n)
         local[n] = sum(1 for d in distances if d <= 1) / n
         lengths = successor_wire_lengths(n)
@@ -67,7 +66,3 @@ def report() -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -23,9 +23,10 @@ class ThreeDResult:
         return values == sorted(values) and values[-1] > values[0]
 
 
-def run(n: int = 4096, L_values: list[int] | None = None) -> ThreeDResult:
+def run() -> ThreeDResult:
     """Evaluate the 3-D bounds across register-file sizes."""
-    L_values = L_values or [8, 16, 32, 64, 128]
+    n = 4096
+    L_values = [8, 16, 32, 64, 128]
     improvements = {L: volume_improvement_2d_to_3d(n, L) for L in L_values}
     clusters = {L: L**0.75 for L in L_values}
     return ThreeDResult(
@@ -45,7 +46,3 @@ def report() -> str:
     for L, improvement in outcome.hybrid_improvements.items():
         table.add_row([L, L, round(outcome.optimal_cluster_3d[L], 1), round(improvement, 2)])
     return outcome.bounds_table + "\n\n" + table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

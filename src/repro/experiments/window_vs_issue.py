@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
-from repro.workloads import Workload, random_ilp
+from repro.workloads import random_ilp
 
 
 @dataclass
@@ -51,15 +51,11 @@ class WindowIssueResult:
         return True
 
 
-def run(
-    workload: Workload | None = None,
-    sizes: list[int] | None = None,
-    alu_pools: list[int] | None = None,
-) -> WindowIssueResult:
+def run() -> WindowIssueResult:
     """Sweep the (window size, ALU pool) grid."""
-    workload = workload or random_ilp(400, 0.55, seed=401)
-    windows = sizes or [4, 8, 16, 32, 64]
-    alu_pools = alu_pools or [1, 2, 4, 8, 16]
+    workload = random_ilp(400, 0.55, seed=401)
+    windows = [4, 8, 16, 32, 64]
+    alu_pools = [1, 2, 4, 8, 16]
     grid: dict[int, dict[int, float]] = {}
     for window in windows:
         grid[window] = {}
@@ -88,7 +84,3 @@ def report() -> str:
             [window] + [round(outcome.ipc[window][a], 2) for a in outcome.alu_pools]
         )
     return table.render()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(report())

@@ -1,18 +1,17 @@
 """Declarative experiment registry: specs in, runnable jobs out.
 
-Each experiment is one job: its module's ``report`` function called
-with no arguments, so the report's defaults are the experiment's one
-configuration.  The registry pairs each experiment key with its title
-and module path, and :func:`build_jobs` turns specs into jobs without
-importing any experiment module; a job's module is imported only when
-it actually runs, so a fully warm run imports none.
+Each experiment is one job: its module's ``report()``, which takes no
+arguments, so each experiment has one configuration.  The registry
+pairs each experiment key with its title and module path, and
+:func:`build_jobs` turns specs into jobs without importing any
+experiment module; a job's module is imported only when it actually
+runs, so a fully warm run imports none.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -22,11 +21,6 @@ class ExperimentSpec:
     key: str
     title: str
     module: str
-    func: str = "report"
-
-    def load(self) -> Callable[..., str]:
-        """Import the experiment module and return its report function."""
-        return getattr(importlib.import_module(self.module), self.func)
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
 def build_jobs(specs: list[ExperimentSpec]) -> list[JobSpec]:
     """One job per spec, in order: each experiment's ``report()``."""
     return [
-        JobSpec(experiment=spec.key, title=spec.title, module=spec.module, func=spec.func)
+        JobSpec(experiment=spec.key, title=spec.title, module=spec.module, func="report")
         for spec in specs
     ]

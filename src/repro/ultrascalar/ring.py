@@ -57,6 +57,8 @@ state changes rather than ``n``:
   indexes the run's latencies (:class:`~repro.isa.latency.LatencyModel`)
   and the interpreter's semantics table, so no enum member is hashed
   per instruction;
+* freeing a station is a state write (see :func:`_release`): its slot
+  gets a fresh station at the next fetch;
 * commit builds no record objects: it appends one plain row to
   :attr:`RingProcessor.commit_log`, and the result's ``committed`` and
   ``timings`` views are built from the log only when first read.
@@ -91,8 +93,20 @@ NONE_PENDING = sys.maxsize
 _by_seq = attrgetter("seq")
 
 
+def _release(station: Station) -> None:
+    """Free *station* (deallocation or squash): mark it EMPTY.
+
+    The slot gets a fresh :class:`Station` at its next fetch, so nothing
+    else is reset; dropping the links to older stations keeps a freed
+    station from holding its predecessors alive.
+    """
+    station.state = EMPTY
+    station.producers = ()
+    station.prev_writer = None
+
+
 def _drop_squashed(queue) -> None:
-    """Pop squashed (cleared) stations off the young end of *queue*."""
+    """Pop squashed (freed) stations off the young end of *queue*."""
     while queue and queue[-1].state is EMPTY:
         queue.pop()
 
@@ -517,7 +531,7 @@ class RingProcessor:
             dest = current.decoded.dest
             if dest is not None:
                 self._writer[dest] = current.prev_writer
-            current.clear()
+            _release(current)
             self.squashed += 1
         self.count = keep
         for queue in (
@@ -604,7 +618,6 @@ class RingProcessor:
             self.predictor.update(static_index, bool(taken))
         if decoded.is_halt:
             self.halted = True
-        station.committed = True
         if self._tracing:
             self.tracer.count("commit.instructions")
             self.tracer.event(
@@ -622,7 +635,7 @@ class RingProcessor:
     def _free(self, stations: int) -> None:
         """Deallocate the leading cluster's first *stations* stations."""
         for k in range(stations):
-            self.stations[(self.oldest + k) % self.n].clear()
+            _release(self.stations[(self.oldest + k) % self.n])
         self.oldest = (self.oldest + self.cluster_size) % self.n
         self.count -= stations
         self.committed_count -= stations

@@ -15,6 +15,8 @@ EMPTY -> WAITING (arguments not all ready)
 
 Deallocation back to EMPTY happens when the station and every earlier
 station are DONE — computed, like everything else, by a CSPP condition.
+It is a state write that also drops the links to older stations; the
+engine builds a fresh station for the slot's next instruction.
 
 A station holds its instruction as a static index and that index's row
 of the program's decoded table (:class:`repro.isa.program.Decoded`),
@@ -78,9 +80,6 @@ class Station:
     taken: bool | None = None
     #: id of the outstanding memory request, if any
     memory_request_id: int | None = None
-    #: architecturally committed, but the station is not yet freed
-    #: (hybrid clusters deallocate as a unit)
-    committed: bool = False
     #: per source register, the nearest preceding station writing it at
     #: fetch; ``None`` (or a station since deallocated) means the
     #: committed register file supplies the value
@@ -94,25 +93,3 @@ class Station:
     #: the writer this station displaced as its destination's nearest
     #: writer (restored if the station is squashed)
     prev_writer: Station | None = field(default=None, repr=False)
-
-    def clear(self) -> None:
-        """Return the station to EMPTY (deallocation or squash)."""
-        self.static_index = -1
-        self.predicted_taken = None
-        self.state = StationState.EMPTY
-        self.seq = -1
-        self.fetch_cycle = -1
-        self.issue_cycle = -1
-        self.complete_cycle = -1
-        self.operands = ()
-        self.result = None
-        self.address = None
-        self.taken = None
-        self.memory_request_id = None
-        self.committed = False
-        self.decoded = None
-        self.producers = ()
-        self.consumers = []
-        self.pending = 0
-        self.ready_cycle = 0
-        self.prev_writer = None

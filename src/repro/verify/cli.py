@@ -235,7 +235,3 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

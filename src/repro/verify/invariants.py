@@ -136,7 +136,8 @@ class InvariantChecker:
                     cursors[2] = seq
 
             if link_failure is None:
-                link_failure = _check_links(engine, station, state, writer)
+                committed = k < engine.committed_count  # and not yet freed
+                link_failure = _check_links(engine, station, state, committed, writer)
                 if decoded.dest is not None:
                     writer[decoded.dest] = station
         self._done_seen[id(engine)] = done_now
@@ -155,7 +156,7 @@ class InvariantChecker:
             self._fail(engine, link_failure)
 
 
-def _check_links(engine: RingProcessor, station, state, writer) -> str | None:
+def _check_links(engine: RingProcessor, station, state, committed, writer) -> str | None:
     """Check *station*'s producer links and operand values against the
     CSPP walk's nearest preceding writers; the failure message, if any."""
     waiting = state is WAITING
@@ -170,7 +171,7 @@ def _check_links(engine: RingProcessor, station, state, writer) -> str | None:
                 f"r{reg} to {_describe(link)}, CSPP routes it from "
                 f"{_describe(want)}"
             )
-        if station.committed:
+        if committed:
             continue  # younger commits may have overwritten the register file
         if want is None:
             value = engine.committed_regs[reg]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.analysis.asymptotics import FIGURE11, evaluate_cell, figure11_table, lookup
+from repro.analysis.asymptotics import FIGURE11, figure11_table, lookup
 from repro.analysis.cluster import analytic_optimal_cluster, closed_form_sweep
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
 from repro.analysis.fitting import fit_exponent, fit_loglog
@@ -78,18 +78,18 @@ class TestFigure11:
 
     def test_gate_delays_match_paper(self):
         n, L = 1024, 32
-        assert evaluate_cell(Regime.CASE1, "ultrascalar1", "gate_delay", n, L, 0) == math.log2(n)
-        assert evaluate_cell(Regime.CASE1, "ultrascalar2-linear", "gate_delay", n, L, 0) == n + L
-        assert evaluate_cell(Regime.CASE1, "hybrid", "gate_delay", n, L, 0) == L + math.log2(n)
+        assert lookup(Regime.CASE1, "ultrascalar1", "gate_delay").evaluate(n, L, 0) == math.log2(n)
+        assert lookup(Regime.CASE1, "ultrascalar2-linear", "gate_delay").evaluate(n, L, 0) == n + L
+        assert lookup(Regime.CASE1, "hybrid", "gate_delay").evaluate(n, L, 0) == L + math.log2(n)
 
     def test_case1_wire_delays(self):
         n, L = 4096, 32
-        assert evaluate_cell(Regime.CASE1, "ultrascalar1", "wire_delay", n, L, 0) == 64 * 32
-        assert evaluate_cell(Regime.CASE1, "hybrid", "wire_delay", n, L, 0) == math.sqrt(n * L)
+        assert lookup(Regime.CASE1, "ultrascalar1", "wire_delay").evaluate(n, L, 0) == 64 * 32
+        assert lookup(Regime.CASE1, "hybrid", "wire_delay").evaluate(n, L, 0) == math.sqrt(n * L)
 
     def test_case3_includes_memory_term(self):
         n, L, M = 4096, 32, 10_000
-        us1 = evaluate_cell(Regime.CASE3, "ultrascalar1", "wire_delay", n, L, M)
+        us1 = lookup(Regime.CASE3, "ultrascalar1", "wire_delay").evaluate(n, L, M)
         assert us1 == math.sqrt(n) * L + M
 
     def test_hybrid_dominates_all_quantities(self):
@@ -98,9 +98,9 @@ class TestFigure11:
             for regime in Regime:
                 m = {Regime.CASE1: 1, Regime.CASE2: n**0.5, Regime.CASE3: n**0.75}[regime]
                 for quantity in ("wire_delay", "total_delay", "area"):
-                    hybrid = evaluate_cell(regime, "hybrid", quantity, n, L, m)
-                    us1 = evaluate_cell(regime, "ultrascalar1", quantity, n, L, m)
-                    us2 = evaluate_cell(regime, "ultrascalar2-linear", quantity, n, L, m)
+                    hybrid = lookup(regime, "hybrid", quantity).evaluate(n, L, m)
+                    us1 = lookup(regime, "ultrascalar1", quantity).evaluate(n, L, m)
+                    us2 = lookup(regime, "ultrascalar2-linear", quantity).evaluate(n, L, m)
                     assert hybrid <= min(us1, us2) * 1.001, (n, regime, quantity)
 
     def test_table_renders_formulas(self):

@@ -1,5 +1,6 @@
 """Unit tests for the CLI entry point and the result/timing helpers."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -37,7 +38,7 @@ class TestCli:
     def test_registry_is_complete(self):
         assert len(REGISTRY) >= 12
         for spec in REGISTRY.values():
-            assert callable(spec.load())
+            assert callable(importlib.import_module(spec.module).report)
 
 
 class TestRunnerCli:
@@ -154,11 +155,14 @@ class TestRunnerCli:
 
     def test_all_isolates_failures_and_returns_nonzero(self, capsys, monkeypatch):
         import repro.__main__ as cli
+        import repro.runner._selftest as selftest
 
+        # without --jobs every job runs in this process and calls the patch
+        monkeypatch.setattr(selftest, "report", selftest.boom, raising=False)
         fake = {
-            "good": ExperimentSpec("good", "EX1 — good", "repro.runner._selftest", "ok"),
-            "bad": ExperimentSpec("bad", "EX2 — bad", "repro.runner._selftest", "boom"),
-            "tail": ExperimentSpec("tail", "EX3 — tail", "repro.runner._selftest", "ok"),
+            "good": ExperimentSpec("good", "EX1 — good", "repro.experiments.fig12_layout"),
+            "bad": ExperimentSpec("bad", "EX2 — bad", "repro.runner._selftest"),
+            "tail": ExperimentSpec("tail", "EX3 — tail", "repro.experiments.fig12_layout"),
         }
         monkeypatch.setattr(cli, "REGISTRY", fake)
         assert main(["all", "--no-cache", "--retries", "0"]) == 1

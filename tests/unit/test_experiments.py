@@ -1,7 +1,9 @@
 """Unit tests for the experiment drivers E1-E10: structure, invariants,
-and the paper's quantitative claims on each default sweep."""
+and the paper's quantitative claims on each experiment's one sweep."""
 
-from repro.analysis.asymptotics import evaluate_cell
+import pytest
+
+from repro.analysis.asymptotics import lookup as figure11_cell
 from repro.analysis.regimes import Regime
 from repro.analysis.three_d import lookup
 from repro.experiments import (
@@ -42,20 +44,16 @@ class TestFig3:
 
 class TestFig11:
     def test_validation_exponents(self):
-        v = fig11_table.validate(sizes=[4**k for k in range(3, 8)])
-        assert 0.4 < v.us1_exponent < 0.6
-        assert 0.85 < v.us2_exponent < 1.1
-        assert 0.4 < v.hybrid_exponent < 0.65
-        full = fig11_table.validate()
-        assert abs(full.us1_exponent - 0.5) < 0.06
-        assert abs(full.us2_exponent - 1.0) < 0.06
-        assert abs(full.hybrid_exponent - 0.5) < 0.08
+        outcome = fig11_table.validate()
+        assert abs(outcome.us1_exponent - 0.5) < 0.06
+        assert abs(outcome.us2_exponent - 1.0) < 0.06
+        assert abs(outcome.hybrid_exponent - 0.5) < 0.08
 
     def test_us1_us2_incomparable(self):
         """Small n favours US-II's wire delay, large n US-I's."""
 
         def wire(kind, n):
-            return evaluate_cell(Regime.CASE1, kind, "wire_delay", n, 64, 1)
+            return figure11_cell(Regime.CASE1, kind, "wire_delay").evaluate(n, 64, 1)
 
         assert wire("ultrascalar2-linear", 64) < wire("ultrascalar1", 64)
         assert wire("ultrascalar1", 1 << 16) < wire("ultrascalar2-linear", 1 << 16)
@@ -63,10 +61,6 @@ class TestFig11:
     def test_report_renders_all_regimes(self):
         text = fig11_table.report()
         assert text.count("Figure 11") >= 3
-
-    def test_example_values_table(self):
-        table = fig11_table.example_values(n=64, L=8)
-        assert len(table.rows) == 12  # 3 regimes x 4 processors
 
 
 class TestFig12:
@@ -89,13 +83,16 @@ class TestFig12:
 
 
 class TestCrossover:
-    def test_structure(self):
-        outcome = crossover.run(L_values=[8, 16], sizes=[16, 256, 4096], n=16384)
-        assert set(outcome.crossovers) == {8, 16}
-        assert outcome.crossover_tracks_L_squared()
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return crossover.run()
 
-    def test_default_sweep(self):
-        outcome = crossover.run()
+    def test_structure(self, outcome):
+        L_values = {8, 16, 32, 64}
+        assert set(outcome.crossovers) == set(outcome.ratio_sweep) == L_values
+        assert set(outcome.hybrid_factors) == L_values
+
+    def test_default_sweep(self, outcome):
         assert None not in outcome.crossovers.values()
         assert outcome.crossover_tracks_L_squared()
         for L, sweep in outcome.ratio_sweep.items():
@@ -111,13 +108,15 @@ class TestCrossover:
 
 
 class TestClusterSweep:
-    def test_structure(self):
-        outcome = cluster_sweep.run(n=1024, L_values=[8, 32])
-        assert outcome.optimum_tracks_L()
-        assert set(outcome.best) == {8, 32}
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return cluster_sweep.run()
 
-    def test_default_sweep(self):
-        outcome = cluster_sweep.run()
+    def test_structure(self, outcome):
+        assert outcome.n == 4096
+        assert set(outcome.best) == set(outcome.closed_form_best) == {8, 16, 32, 64}
+
+    def test_default_sweep(self, outcome):
         assert outcome.optimum_tracks_L(slack=4.0)
         optima = [outcome.best[L] for L in sorted(outcome.best)]
         assert optima == sorted(optima)
@@ -127,20 +126,20 @@ class TestClusterSweep:
             assert sides[best] < min(sides[1], sides[max(sides)])
             assert max(best, closed) / min(best, closed) <= 2.0
 
-    def test_report_marks_minimum(self, monkeypatch):
-        small = cluster_sweep.run(1024)
-        monkeypatch.setattr(cluster_sweep, "run", lambda: small)
+    def test_report_marks_minimum(self):
         assert "*" in cluster_sweep.report()
 
 
 class TestMemoryBw:
-    def test_exponents(self):
-        outcome = memory_bw.run(exponents=[0.0, 1.0])
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return memory_bw.run()
+
+    def test_exponents(self, outcome):
         assert outcome.exponents_match_paper()
         assert outcome.wire_tracks_side()
 
-    def test_default_sweep(self):
-        outcome = memory_bw.run()
+    def test_default_sweep(self, outcome):
         assert outcome.exponents_match_paper(tolerance=0.1)
         assert outcome.wire_tracks_side()
         # bandwidth dominates: Case 3 sides grow faster than Case 1's sqrt(n)
@@ -168,12 +167,14 @@ class TestThreeD:
 
 
 class TestSelfTimed:
-    def test_locality(self):
-        outcome = selftimed.run(sizes=[16, 64])
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return selftimed.run()
+
+    def test_locality(self, outcome):
         assert outcome.at_least_half_local()
 
-    def test_default_sweep(self):
-        outcome = selftimed.run()
+    def test_default_sweep(self, outcome):
         assert all(abs(f - 0.75) < 0.01 for f in outcome.local_fraction.values())
         means = list(outcome.mean_wire.values())
         maxes = list(outcome.max_wire.values())
@@ -185,13 +186,16 @@ class TestSelfTimed:
 
 
 class TestGateDepth:
-    def test_small_sweep(self):
-        outcome = gate_depth.run(sizes=[4, 8, 16])
-        assert outcome.ring_times == [4, 8, 16]
-        assert outcome.cspp_exponent < 0.7
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return gate_depth.run()
 
-    def test_default_sweep(self):
-        outcome = gate_depth.run()
+    def test_small_sweep(self, outcome):
+        # E9's sweep is small (n = 4 to 32): the ring settles in exactly n
+        assert outcome.sizes == [4, 8, 16, 32]
+        assert outcome.ring_times == outcome.sizes
+
+    def test_default_sweep(self, outcome):
         assert 0.85 <= outcome.ring_exponent <= 1.1
         assert 0.85 <= outcome.grid_exponent <= 1.1
         assert outcome.cspp_exponent < 0.6
@@ -203,9 +207,7 @@ class TestGateDepth:
         cspp = outcome.cspp_times
         assert max(b - a for a, b in zip(cspp, cspp[1:])) <= 3
 
-    def test_report(self, monkeypatch):
-        small = gate_depth.run(sizes=[4, 8])
-        monkeypatch.setattr(gate_depth, "run", lambda: small)
+    def test_report(self):
         assert "fitted exponents" in gate_depth.report()
 
 

@@ -6,6 +6,7 @@ pinned byte-for-byte against a snapshot under ``tests/golden/``.  Run
 regenerate the snapshots (then review the diff like any other code).
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 def _render(key: str) -> str:
     """One experiment's full report: its ``report()`` with no arguments."""
-    return REGISTRY[key].load()()
+    return importlib.import_module(REGISTRY[key].module).report()
 
 
 @pytest.mark.parametrize("key", sorted(REGISTRY))

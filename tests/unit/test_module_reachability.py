@@ -26,8 +26,12 @@ functions of an allowlisted module, and the methods of the result
 classes in ``repro.experiments`` (the paper-claim predicates tier-1
 asserts).
 
-Parameters too: the runner calls each experiment's ``report()`` with
-no arguments, so a ``report`` parameter could only be set by a test.
+Parameters too: each experiment has one configuration, and the runner
+calls its ``report()`` with no arguments, so every public function a
+registered experiment module defines takes none; a parameter could only
+be set by a test.  And one way to run: ``python -m repro`` is the only
+``__main__`` block under ``src/repro``, so no module runs a report past
+the runner, its cache and its telemetry session.
 
 One construction site: only :mod:`repro.api` calls ``RingProcessor(...)``.
 
@@ -255,12 +259,36 @@ class TestFunctionReachability:
         assert "helper" in _references(init)
 
 
+def _is_main_guard(node: ast.stmt) -> bool:
+    """Whether *node* is ``if __name__ == "__main__":``."""
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and getattr(node.test.left, "id", None) == "__name__"
+        and [getattr(c, "value", None) for c in node.test.comparators] == ["__main__"]
+    )
+
+
 class TestParameterReachability:
-    def test_every_report_takes_no_arguments(self):
-        # the runner calls report() bare, so a parameter could only be set by a test
+    def test_every_experiment_function_takes_no_arguments(self):
+        # imported functions and the result classes' methods are not checked
+        with_parameters = []
         for spec in REGISTRY.values():
-            report = getattr(importlib.import_module(spec.module), spec.func)
-            assert not inspect.signature(report).parameters, spec.key
+            module = importlib.import_module(spec.module)
+            for name, func in inspect.getmembers(module, inspect.isfunction):
+                if name.startswith("_") or func.__module__ != spec.module:
+                    continue
+                if inspect.signature(func).parameters:
+                    with_parameters.append(f"{spec.module}.{name}")
+        assert not with_parameters, f"settable only by tests: {with_parameters}"
+
+    def test_only_the_cli_has_a_main_block(self):
+        blocks = {
+            _module_name(path)
+            for path in _modules()
+            if any(_is_main_guard(node) for node in ast.parse(path.read_text()).body)
+        }
+        assert blocks == {"repro.__main__"}
 
 
 class TestOneConstructionSite:

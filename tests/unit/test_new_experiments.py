@@ -27,7 +27,7 @@ def us1_ring_counts(workload, window):
 class TestWindowVsIssue:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return window_vs_issue.run(sizes=[4, 16], alu_pools=[1, 4])
+        return window_vs_issue.run()
 
     def test_monotone_both_axes(self, outcome):
         assert outcome.monotone_in_window()
@@ -36,15 +36,14 @@ class TestWindowVsIssue:
     def test_one_alu_pins_ipc(self, outcome):
         assert outcome.ipc_at(16, 1) <= 1.05
 
-    def test_default_grid(self):
-        full = window_vs_issue.run()
-        assert full.monotone_in_window()
-        assert full.monotone_in_alus()
+    def test_default_grid(self, outcome):
+        assert outcome.monotone_in_window()
+        assert outcome.monotone_in_alus()
         # the window discovers parallelism; ALUs merely retire it
-        assert full.ipc_at(64, 4) > 1.3 * full.ipc_at(4, 16)
-        one_alu = [full.ipc_at(w, 1) for w in full.windows]
+        assert outcome.ipc_at(64, 4) > 1.3 * outcome.ipc_at(4, 16)
+        one_alu = [outcome.ipc_at(w, 1) for w in outcome.windows]
         assert max(one_alu) - min(one_alu) < 0.1
-        assert full.ipc_at(4, 8) == full.ipc_at(4, 16)
+        assert outcome.ipc_at(4, 8) == outcome.ipc_at(4, 16)
 
     def test_report_renders(self):
         assert "window" in window_vs_issue.report()
@@ -53,7 +52,7 @@ class TestWindowVsIssue:
 class TestDominanceMap:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return dominance_map.run(sizes=[16, 256, 4096], L_values=[8, 64])
+        return dominance_map.run()
 
     def test_incomparability(self, outcome):
         assert outcome.us1_wins_somewhere()
@@ -63,18 +62,17 @@ class TestDominanceMap:
         assert outcome.pairwise_boundary_is_monotone()
 
     def test_full_coverage(self, outcome):
-        assert len(outcome.winner_pairwise) == 6
+        assert len(outcome.winner_pairwise) == 6 * 5  # n values x L values
         assert set(outcome.winner_overall.values()) <= {"US1", "US2", "HYB"}
 
-    def test_default_map(self):
-        full = dominance_map.run()
-        assert full.us1_wins_somewhere()
-        assert full.us2_wins_somewhere()
-        assert full.pairwise_boundary_is_monotone()
-        assert full.hybrid_wins_at_scale(factor=16)
+    def test_default_map(self, outcome):
+        assert outcome.us1_wins_somewhere()
+        assert outcome.us2_wins_somewhere()
+        assert outcome.pairwise_boundary_is_monotone()
+        assert outcome.hybrid_wins_at_scale(factor=16)
 
         def first_us1_n(L):
-            return next(n for n in full.n_values if full.winner_pairwise[(n, L)] == "US1")
+            return next(n for n in outcome.n_values if outcome.winner_pairwise[(n, L)] == "US1")
 
         # the Θ(L²) diagonal: quadrupling L moves the crossover 16x in n
         assert first_us1_n(32) == 16 * first_us1_n(8)
@@ -88,7 +86,7 @@ class TestDominanceMap:
 class TestPerformanceProjection:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return performance_projection.run(sizes=[16, 256])
+        return performance_projection.run()
 
     def test_conventional_collapses(self, outcome):
         perf = [row.conventional_performance for row in outcome.rows]
@@ -100,20 +98,19 @@ class TestPerformanceProjection:
             assert row.hybrid.clock.processor == "hybrid"
             assert row.ipc > 0
 
-    def test_default_sweep(self):
-        full = performance_projection.run()
-        assert full.conventional_collapses()
-        assert full.hybrid_wins_at_scale()
-        for row in full.rows:
+    def test_default_sweep(self, outcome):
+        assert outcome.conventional_collapses()
+        assert outcome.hybrid_wins_at_scale()
+        for row in outcome.rows:
             assert row.hybrid.instructions_per_time >= row.us1.instructions_per_time
-        us1 = [row.us1.clock.period for row in full.rows]
-        hybrid = [row.hybrid.clock.period for row in full.rows]
+        us1 = [row.us1.clock.period for row in outcome.rows]
+        hybrid = [row.hybrid.clock.period for row in outcome.rows]
         assert us1 == sorted(us1)
         assert hybrid == sorted(hybrid)
         assert hybrid[-1] < us1[-1]
         # the recurrence's IPC is the ring's, point for point
-        for row in full.rows:
-            assert us1_ring_counts(full.workload, row.n) == (
+        for row in outcome.rows:
+            assert us1_ring_counts(outcome.workload, row.n) == (
                 row.cycles,
                 round(row.ipc * row.cycles),
             )
@@ -125,7 +122,7 @@ class TestPerformanceProjection:
 class TestIlpLimits:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return ilp_limits.run(densities=[0.2, 0.8], sizes=[8, 64, 512], instructions=1500)
+        return ilp_limits.run()
 
     def test_curves_monotone(self, outcome):
         assert all(curve.monotone() for curve in outcome.curves)
@@ -136,27 +133,24 @@ class TestIlpLimits:
     def test_gain_beyond_uses_nearest_window(self, outcome):
         curve = outcome.curves[0]
         assert curve.gain_beyond(100) == pytest.approx(
-            curve.saturation_ipc / curve.ipc[curve.windows.index(512)]
+            curve.saturation_ipc / curve.ipc[curve.windows.index(128)]
         )
 
-    def test_default_sweep(self):
-        full = ilp_limits.run()
-        assert all(curve.monotone() for curve in full.curves)
-        assert full.looser_code_has_more_ilp()
+    def test_default_sweep(self, outcome):
+        assert all(curve.monotone() for curve in outcome.curves)
+        assert outcome.looser_code_has_more_ilp()
         # 128 -> 2048 still multiplies IPC by >= 1.5x at every density
-        assert full.thousand_wide_window_pays(factor=1.5)
+        assert outcome.thousand_wide_window_pays(factor=1.5)
         # the recurrence's IPC is the ring's, point for point
-        for curve in full.curves:
+        for curve in outcome.curves:
             for window, cycles, ipc in zip(curve.windows, curve.cycles, curve.ipc):
                 assert us1_ring_counts(curve.workload, window) == (
                     cycles,
                     round(ipc * cycles),
                 )
 
-    def test_report_renders(self, monkeypatch):
-        # the default table is pinned by tests/golden/ilp.txt
-        small = ilp_limits.run([0.5], [8, 64], instructions=300)
-        monkeypatch.setattr(ilp_limits, "run", lambda: small)
+    def test_report_renders(self):
+        # the full table is pinned by tests/golden/ilp.txt
         assert "IPC vs window" in ilp_limits.report()
 
 

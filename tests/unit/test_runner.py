@@ -76,7 +76,7 @@ class TestRegistry:
 
     def test_missing_module_fails_only_its_job(self):
         ghost = ExperimentSpec("ghost", "EX — ghost", "repro.runner._no_such_module")
-        good = ExperimentSpec("good", "EX — good", "repro.runner._selftest", "ok")
+        good = ExperimentSpec("good", "EX — good", "repro.experiments.fig12_layout")
         jobs = build_jobs([good, ghost, good])  # imports nothing, so cannot raise
         assert [j.experiment for j in jobs] == ["good", "ghost", "good"]
         results = run_jobs(jobs, retries=0)

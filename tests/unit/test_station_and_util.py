@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.isa import Instruction, Opcode, Program
+from repro.api import ProcessorConfig, build_processor
+from repro.frontend.branch_predictor import AlwaysNotTaken
+from repro.isa import Instruction, Opcode, Program, assemble
 from repro.ultrascalar.station import Station, StationState
 from repro.util.rng import make_rng
 from repro.util.tables import Table, format_float, format_ratio
@@ -33,36 +35,39 @@ class TestStation:
         assert station.fetch_cycle == 5
         assert station.decoded.dest == 1
 
-    def test_clear_resets_everything(self):
-        station = filled(seq=1, cycle=1)
-        station.result = 9
-        station.committed = True
-        station.clear()
-        assert station.state is StationState.EMPTY
-        assert station.result is None
-        assert not station.committed
-        assert station.seq == -1
-        assert station.static_index == -1
-        assert station.decoded is None
-
     def test_no_write_register_for_nop(self):
         assert filled(Opcode.NOP).decoded.dest is None
 
     def test_done_property(self):
-        # freeing a DONE station drops its result and its dataflow links
-        producer = filled(seq=0)
-        station = filled(seq=1)
-        station.producers = (producer,)
-        station.prev_writer = producer
-        station.consumers.append(filled(seq=2))
-        station.state = StationState.DONE
-        station.result = 9
-        station.ready_cycle = 4
-        station.clear()
-        assert station.state is StationState.EMPTY
-        assert station.result is None
-        assert station.producers == () and station.consumers == []
-        assert station.prev_writer is None and station.ready_cycle == 0
+        # after a run no freed station, committed or squashed, holds a
+        # link to an older station, so none keeps its predecessors alive
+        seen = {}
+
+        def watch(engine):
+            for station in engine.stations:
+                seen[id(station)] = station
+
+        program = assemble(
+            """
+            li   r2, 100
+            div  r1, r2, r2
+            beq  r0, r0, skip
+            add  r3, r1, r2
+            add  r2, r3, r1
+        skip:
+            add  r4, r1, r2
+            add  r2, r4, r1
+            halt
+            """
+        )
+        config = ProcessorConfig(window_size=4, fetch_width=4)
+        result = build_processor("us1", config).run(
+            program, predictor=AlwaysNotTaken(), cycle_hook=watch
+        )
+        assert result.mispredictions == 1 and result.squashed > 0
+        freed = [s for s in seen.values() if s.state is StationState.EMPTY and s.seq >= 0]
+        assert sum(1 for s in freed if s.decoded.sources) >= 4
+        assert all(s.producers == () and s.prev_writer is None for s in freed)
 
 
 class TestRng:
