@@ -1,9 +1,10 @@
 """The paper's Figure 11: the asymptotic comparison table, as evaluable data.
 
 Each entry stores both the Θ-expression string (exactly as printed in
-the paper) and a evaluable function of (n, L, M(n)) so experiments can
-plot and compare the growth laws.  The hybrid column assumes C = Θ(L)
-(the paper's "Hybrid (n = Ω(L))" column).
+the paper) and an evaluable function of (n, L, M(n)): E2 prints the
+string beside the growth exponent it fits from the function, next to
+the exponent measured on the layout model.  The hybrid column assumes
+C = Θ(L) (the paper's "Hybrid (n = Ω(L))" column).
 """
 
 from __future__ import annotations

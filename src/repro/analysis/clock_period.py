@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout
-from repro.vlsi.tech import Technology, PAPER_TECH
 from repro.vlsi.wires import wire_delay
 
 
@@ -54,40 +53,37 @@ def _log2(x: float) -> float:
     return math.log2(max(2.0, x))
 
 
-def project_ultrascalar1(n: int, L: int, tech: Technology = PAPER_TECH) -> ClockProjection:
+def project_ultrascalar1(n: int, L: int) -> ClockProjection:
     """US-I: Θ(log n) gates + H-tree critical wire."""
-    layout = Ultrascalar1Layout(n, L, tech=tech)
+    layout = Ultrascalar1Layout(n, L)
     return ClockProjection(
         processor="ultrascalar1",
         n=n,
         L=L,
         gate_delays=2.0 * _log2(n),  # CSPP up + down sweeps
-        wire_delay_units=wire_delay(layout.critical_wire, tech),
+        wire_delay_units=wire_delay(layout.critical_wire),
     )
 
 
-def project_ultrascalar2(
-    n: int, L: int, variant: str = "mixed", tech: Technology = PAPER_TECH
-) -> ClockProjection:
+def project_ultrascalar2(n: int, L: int, variant: str = "mixed") -> ClockProjection:
     """US-II: variant-dependent gates + grid critical wire."""
-    layout = Ultrascalar2Layout(n, L, variant=variant, tech=tech)
+    layout = Ultrascalar2Layout(n, L, variant=variant)
     return ClockProjection(
         processor=f"ultrascalar2-{variant}",
         n=n,
         L=L,
         gate_delays=layout.gate_delay(),
-        wire_delay_units=wire_delay(layout.critical_wire, tech),
+        wire_delay_units=wire_delay(layout.critical_wire),
     )
 
 
-def project_hybrid(
-    n: int, L: int, cluster_size: int | None = None, tech: Technology = PAPER_TECH
-) -> ClockProjection:
-    """Hybrid: cluster grid gates + inter-cluster CSPP gates + U(n) wire."""
-    c = cluster_size if cluster_size is not None else min(L, n)
+def project_hybrid(n: int, L: int) -> ClockProjection:
+    """Hybrid, with clusters of min(L, n) stations (halved until they
+    divide n): cluster grid gates + inter-cluster CSPP gates + U(n) wire."""
+    c = min(L, n)
     while n % c:
         c //= 2
-    layout = HybridLayout(n, max(1, c), L, tech=tech)
+    layout = HybridLayout(n, max(1, c), L)
     cluster_gates = layout.cluster.gate_delay()
     tree_gates = 2.0 * _log2(max(1, n // max(1, c)))
     return ClockProjection(
@@ -95,7 +91,7 @@ def project_hybrid(
         n=n,
         L=L,
         gate_delays=cluster_gates + tree_gates,
-        wire_delay_units=wire_delay(layout.critical_wire, tech),
+        wire_delay_units=wire_delay(layout.critical_wire),
     )
 
 

@@ -23,11 +23,12 @@ def analytic_optimal_cluster(L: int) -> float:
     return float(L)
 
 
-def closed_form_sweep(n: int, L: int, m_exponent: float = 0.0) -> dict[int, float]:
-    """U(C) from the closed form over power-of-two cluster sizes."""
+def closed_form_sweep(n: int, L: int) -> dict[int, float]:
+    """U(C) from the closed form over power-of-two cluster sizes, at
+    M(n) = O(1)."""
     sides: dict[int, float] = {}
     c = 1
     while c <= n:
-        sides[c] = u_closed_form(n, c, L, m_exponent)
+        sides[c] = u_closed_form(n, c, L, 0.0)
         c *= 2
     return sides

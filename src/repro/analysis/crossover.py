@@ -10,64 +10,45 @@ beats the Ultrascalar I by an additional factor of √L."
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.vlsi.grid_layout import Ultrascalar2Layout
-from repro.vlsi.htree_layout import Ultrascalar1Layout, zero_bandwidth
+from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout
-from repro.vlsi.tech import Technology, PAPER_TECH
 
 
-def wire_delay_ratio(
-    n: int,
-    L: int,
-    word_bits: int = 32,
-    bandwidth: Callable[[int], float] = zero_bandwidth,
-    tech: Technology = PAPER_TECH,
-) -> float:
+def wire_delay_ratio(n: int, L: int) -> float:
     """Ultrascalar I critical wire / Ultrascalar II critical wire at (n, L).
 
     > 1 means the Ultrascalar II wins (shorter wires); < 1 means the
     Ultrascalar I wins.
     """
-    us1 = Ultrascalar1Layout(n, L, word_bits, bandwidth, tech)
-    us2 = Ultrascalar2Layout(n, L, word_bits, variant="linear", tech=tech)
+    us1 = Ultrascalar1Layout(n, L)
+    us2 = Ultrascalar2Layout(n, L, variant="linear")
     return us1.critical_wire / us2.critical_wire
 
 
-def find_crossover(
-    L: int,
-    word_bits: int = 32,
-    max_n: int = 1 << 22,
-    tech: Technology = PAPER_TECH,
-) -> int | None:
+def find_crossover(L: int) -> int | None:
     """Smallest power-of-4 n at which the Ultrascalar I's wires get shorter.
 
     The paper predicts the crossover at n = Θ(L²).  Returns ``None`` if
-    no crossover occurs below *max_n*.
+    no crossover occurs up to n = 2^22.
     """
     n = 4
-    while n <= max_n:
-        if wire_delay_ratio(n, L, word_bits, tech=tech) < 1.0:
+    while n <= 1 << 22:
+        if wire_delay_ratio(n, L) < 1.0:
             return n
         n *= 4
     return None
 
 
-def hybrid_advantage(
-    n: int,
-    L: int,
-    cluster_size: int | None = None,
-    word_bits: int = 32,
-    tech: Technology = PAPER_TECH,
-) -> float:
-    """Ultrascalar I critical wire / hybrid critical wire at (n, L).
+def hybrid_advantage(n: int, L: int) -> float:
+    """Ultrascalar I critical wire / hybrid critical wire at (n, L), with
+    clusters of L stations (halved until they divide n).
 
     The paper predicts Θ(√L) for n = Ω(L) at low memory bandwidth.
     """
-    c = cluster_size if cluster_size is not None else max(1, L)
+    c = max(1, L)
     while n % c:
         c //= 2
-    us1 = Ultrascalar1Layout(n, L, word_bits, tech=tech)
-    hybrid = HybridLayout(n, c, L, word_bits, tech=tech)
+    us1 = Ultrascalar1Layout(n, L)
+    hybrid = HybridLayout(n, c, L)
     return us1.critical_wire / hybrid.critical_wire

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 
 
-def u_closed_form(n: int, cluster_size: int, L: int, m_exponent: float,
-                  m_scale: float = 1.0) -> float:
+def u_closed_form(n: int, cluster_size: int, L: int, m_exponent: float) -> float:
     """The paper's hybrid solution
     ``U(n) = Theta(M(n) + L sqrt(n)/sqrt(C) + sqrt(n C))`` for n >= C."""
     if n < cluster_size:
         raise ValueError("need n >= cluster_size")
     return (
-        m_scale * n**m_exponent
+        n**m_exponent
         + L * math.sqrt(n) / math.sqrt(cluster_size)
         + math.sqrt(n * cluster_size)
     )

@@ -67,8 +67,9 @@ def lookup(processor: str, quantity: str) -> ThreeDBound:
     raise KeyError(f"no 3-D bound for ({processor}, {quantity})")
 
 
-def three_d_table(n: int = 4096, L: int = 32, M: float = 0.0) -> Table:
-    """Render the 3-D bounds with example values at (n, L, M)."""
+def three_d_table(n: int = 4096) -> Table:
+    """Render the 3-D bounds with example values at n, L = 32 and M = 0."""
+    L = 32
     table = Table(
         ["Processor", "Quantity", "Bound", f"value @ n={n}, L={L}"],
         title="Section 7 — three-dimensional packaging bounds",
@@ -76,7 +77,7 @@ def three_d_table(n: int = 4096, L: int = 32, M: float = 0.0) -> Table:
     for bound in THREE_D_BOUNDS:
         table.add_row(
             [bound.processor, bound.quantity, bound.formula,
-             bound.evaluate(n, L, M)]
+             bound.evaluate(n, L, 0.0)]
         )
     return table
 

@@ -3,7 +3,7 @@
 Given a baseline ``repro-bench/1`` artifact (e.g. the committed
 ``BENCH_0.json``) and a fresh run, :func:`compare_artifacts` matches
 results by benchmark name and classifies each delta.  The comparison
-metric is the **minimum** repeat by default — the least-noise estimate
+metric is the **minimum** repeat (``best_s``) — the least-noise estimate
 of the true cost — and deltas are expressed as signed percentages
 (positive = the new run is slower).
 
@@ -52,8 +52,8 @@ class Delta:
     pct: float | None = None
 
 
-def _metric(entry: dict[str, Any], metric: str) -> float | None:
-    value = entry.get(metric)
+def _metric(entry: dict[str, Any]) -> float | None:
+    value = entry.get("best_s")
     return float(value) if isinstance(value, (int, float)) else None
 
 
@@ -62,7 +62,6 @@ def compare_artifacts(
     new: dict[str, Any],
     *,
     threshold_pct: float = 5.0,
-    metric: str = "best_s",
 ) -> list[Delta]:
     """Classify every benchmark present in either artifact.
 
@@ -75,11 +74,11 @@ def compare_artifacts(
     new_entries = {e["name"]: e for e in new.get("results", []) if "name" in e}
     deltas: list[Delta] = []
     for name, entry in new_entries.items():
-        new_s = _metric(entry, metric)
+        new_s = _metric(entry)
         if name not in base_entries:
             deltas.append(Delta(name=name, status=ADDED, new_s=new_s))
             continue
-        base_s = _metric(base_entries[name], metric)
+        base_s = _metric(base_entries[name])
         if base_s is None or new_s is None or base_s <= 0.0 or new_s <= 0.0:
             # zero-time guard: sub-resolution timings make ratios garbage
             deltas.append(
@@ -100,7 +99,7 @@ def compare_artifacts(
     for name, entry in base_entries.items():
         if name not in new_entries:
             deltas.append(
-                Delta(name=name, status=REMOVED, base_s=_metric(entry, metric))
+                Delta(name=name, status=REMOVED, base_s=_metric(entry))
             )
     return deltas
 

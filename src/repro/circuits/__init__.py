@@ -10,8 +10,9 @@ times with an event-driven simulator, rather than asserting the bounds.
 Modules:
 
 * :mod:`repro.circuits.netlist` -- flat-array netlists (a net is an
-  ``int`` index, a gate a row of parallel lists), the event-driven
-  simulator (cyclic netlists supported via fixed-point settling) and
+  ``int`` index, a gate a row of parallel lists), the unit-delay
+  simulator (every gate takes one gate delay; cyclic netlists supported
+  via fixed-point settling) and
   the bus codec (``assign_bus`` drives a bus with an integer,
   ``bus_value`` reads one back).
 * :mod:`repro.circuits.prefix` -- the behavioural cyclic segmented scan

@@ -60,7 +60,7 @@ def build_ripple_adder(
     return sums, carry
 
 
-def build_alu(netlist: Netlist, width: int = 32, name: str = "alu") -> AluPorts:
+def build_alu(netlist: Netlist, width: int = 32) -> AluPorts:
     """Build the 4-operation ALU; returns its port nets.
 
     Subtraction is implemented as ``a + ~b + 1`` by muxing inverted ``b``
@@ -68,9 +68,9 @@ def build_alu(netlist: Netlist, width: int = 32, name: str = "alu") -> AluPorts:
     """
     if width < 1:
         raise ValueError("width must be positive")
-    a = bus(netlist, f"{name}_a", width)
-    b = bus(netlist, f"{name}_b", width)
-    op = bus(netlist, f"{name}_op", 2)
+    a = bus(netlist, "alu_a", width)
+    b = bus(netlist, "alu_b", width)
+    op = bus(netlist, "alu_op", 2)
 
     is_sub = netlist.add_gate(
         GateKind.AND, op[0], netlist.add_gate(GateKind.NOT, op[1])
@@ -88,6 +88,6 @@ def build_alu(netlist: Netlist, width: int = 32, name: str = "alu") -> AluPorts:
         logic = netlist.mux(op[0], ors[i], ands[i])  # op=11 -> OR, op=10 -> AND
         result.append(netlist.mux(op[1], logic, sums[i]))  # op[1]=1 -> logic
     for i, net in enumerate(result):
-        netlist.mark_output(f"{name}_r[{i}]", net)
-    netlist.mark_output(f"{name}_cout", carry)
+        netlist.mark_output(f"alu_r[{i}]", net)
+    netlist.mark_output("alu_cout", carry)
     return AluPorts(a=a, b=b, op=op, result=result, carry_out=carry)

@@ -286,21 +286,21 @@ class GridNetwork(_GridBase):
 class TreeGridNetwork(_GridBase):
     """The mesh-of-trees grid of Figure 8 (Θ(log(n + L)) settle time).
 
-    Register numbers and bindings fan out through buffer trees; each
-    consumer column reduces its matching rows with a balanced segmented
-    reduction tree that selects the highest (nearest preceding) match.
+    Register numbers and bindings fan out through binary buffer trees;
+    each consumer column (two read ports per station) reduces its matching
+    rows with a balanced segmented reduction tree that selects the highest
+    (nearest preceding) match.
     """
 
-    def __init__(self, n: int, num_registers: int, reads_per_station: int = 2,
-                 value_bits: int = 1, fanout_radix: int = 2):
-        super().__init__(n, num_registers, reads_per_station, value_bits, name="tgrid")
+    def __init__(self, n: int, num_registers: int, value_bits: int = 1):
+        super().__init__(n, num_registers, 2, value_bits, name="tgrid")
         nl = self.netlist
-        consumers = n * reads_per_station + num_registers
+        consumers = n * self.reads_per_station + num_registers
 
         # Fan each station's binding (reg number, value, ready, enable)
         # out to every consumer column through buffer trees.
         comparator = ComparatorPlan(self.reg_bits)
-        to_consumers = FanoutShape.derive(consumers, fanout_radix)
+        to_consumers = FanoutShape.derive(consumers)
         and_ = GateKind.AND
         pair_kinds = [GateKind.MUX] * (value_bits + 1) + [GateKind.OR]
 
@@ -374,7 +374,7 @@ class TreeGridNetwork(_GridBase):
         consumer_index = 0
         for i in range(self.n):
             station_values, station_ready = [], []
-            to_rows = FanoutShape.derive(self.L + i, fanout_radix)  # for each read port
+            to_rows = FanoutShape.derive(self.L + i)  # for each read port
             for p in range(self.reads_per_station):
                 value_nets, ready_net = build_column(
                     self.read_reg[i][p], i, consumer_index, to_rows=to_rows

@@ -26,31 +26,31 @@ class MuxRing:
     nearest preceding writer's value.
     """
 
-    def __init__(self, n: int, width: int = 1, name: str = "muxring"):
+    def __init__(self, n: int, width: int = 1):
         if n < 1:
             raise ValueError("need at least one station")
         self.n = n
         self.width = width
-        self.netlist = Netlist(name=f"{name}(n={n})")
+        self.netlist = Netlist(name=f"muxring(n={n})")
         nl = self.netlist
         self.values: list[list[Net]] = [
-            [nl.add_input(f"{name}_x{i}[{b}]") for b in range(width)] for i in range(n)
+            [nl.add_input(f"muxring_x{i}[{b}]") for b in range(width)] for i in range(n)
         ]
-        self.modified: list[Net] = [nl.add_input(f"{name}_m{i}") for i in range(n)]
+        self.modified: list[Net] = [nl.add_input(f"muxring_m{i}") for i in range(n)]
 
         # The ring is a combinational loop, but a MUX needs its inputs when
         # it is built: each mux first reads a placeholder for its
         # predecessor's output, tied to that output once every mux exists.
-        feedback = [[nl.add_input(f"{name}_fb{i}[{b}]") for b in range(width)] for i in range(n)]
+        feedback = [[nl.add_input(f"muxring_fb{i}[{b}]") for b in range(width)] for i in range(n)]
         self.ring_out: list[list[Net]] = [
-            [nl.mux(self.modified[i], x, fb, name=f"{name}_out{i}[{b}]")
+            [nl.mux(self.modified[i], x, fb, name=f"muxring_out{i}[{b}]")
              for b, (x, fb) in enumerate(zip(self.values[i], feedback[i]))]
             for i in range(n)
         ]
         for i in range(n):
             for b in range(width):
                 nl.tie(feedback[i][b], self.ring_out[(i - 1) % n][b])
-                nl.mark_output(f"{name}_y{i}[{b}]", self.ring_out[i][b])
+                nl.mark_output(f"muxring_y{i}[{b}]", self.ring_out[i][b])
 
     @property
     def gate_count(self) -> int:

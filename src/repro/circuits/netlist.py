@@ -1,9 +1,9 @@
-"""Single-bit gate netlists with an event-driven timing simulator.
+"""Single-bit gate netlists with a unit-delay timing simulator.
 
 Representation.  A net is a plain ``int``: its index in the netlist.
 Primary inputs and gate outputs share that index space.  A gate is a
-row in parallel per-netlist lists (kind code, input-net tuple, delay,
-driven net).  Per gate, building allocates an input tuple (sibling
+row in parallel per-netlist lists (kind code, input-net tuple, driven
+net).  Per gate, building allocates an input tuple (sibling
 buffers of a fan-out tree share one) and the boxed int of the driven
 net, plus a second int when a later gate of its own run reads it.
 :meth:`Netlist.add_gates` is the bulk path: it checks a whole run of
@@ -14,23 +14,24 @@ derived from the gate rows and cached until the next gate is added or
 
 Simulation measures *settle time*: inputs are applied at time 0 with
 every net initialized to 0, and events propagate until the netlist is
-quiescent.  Values live in a list indexed by net; pending gate
-evaluations sit in one bucket per timestamp, with a per-gate marker so
-that a gate is queued at most once per timestamp.  For acyclic circuits
+quiescent.  Every gate takes one unit, so the simulation is a wavefront:
+the gates due at time *t* are those an input of which changed at
+*t - 1*.  Values live in a list indexed by net; the next wavefront is
+one list, with a per-gate marker so that a gate is queued at most once
+per time step.  For acyclic circuits
 the settle time is bounded by the topological critical path; for cyclic
 circuits (the mux rings and CSPP trees of the paper, which tie the top
 of the tree around) the simulator reaches the unique fixed point
 whenever one exists — which the Ultrascalar constructions guarantee by
 always having at least one segment bit set (the oldest station's).
 
-Gate delays default to 1 unit each, so settle times are in "gate delays"
-— the unit the paper's complexity results use.
+Settle times are therefore in "gate delays" — the unit the paper's
+complexity results use.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,10 +63,13 @@ _BUF, _NOT, _AND, _OR, _XOR, _XNOR, _NAND, _NOR, _MUX = range(len(_KINDS))
 #: (min, max) inputs; every other kind takes 2..64
 _ARITY = {GateKind.BUF: (1, 1), GateKind.NOT: (1, 1), GateKind.MUX: (3, 3)}
 
+#: time steps after which :meth:`Netlist.simulate` declares an oscillation
+_MAX_TIME = 1_000_000
+
 
 @dataclass
 class SimulationResult:
-    """Outcome of an event-driven simulation run."""
+    """Outcome of a unit-delay simulation run."""
 
     #: final value of every net, indexed by net
     values: list[bool]
@@ -91,10 +95,9 @@ class Netlist:
         self.outputs: dict[str, Net] = {}
         self._const_cache: dict[bool, Net] = {}
         self._nets = 0
-        # per gate: kind code, input nets, delay, driven net
+        # per gate: kind code, input nets, driven net
         self._kind: list[int] = []
         self._ins: list[tuple[Net, ...]] = []
-        self._delay: list[int] = []
         self._out: list[Net] = []
         # inputs and explicitly named gate outputs
         self._names: dict[Net, str] = {}
@@ -110,9 +113,9 @@ class Netlist:
         self.inputs.append(net)
         return net
 
-    def add_gate(self, kind: GateKind, *inputs: Net, name: str | None = None, delay: int = 1) -> Net:
+    def add_gate(self, kind: GateKind, *inputs: Net, name: str | None = None) -> Net:
         """Add a gate (a run of one); returns its output net."""
-        (out,) = self.add_gates(kind, (inputs,), delay)
+        (out,) = self.add_gates(kind, (inputs,))
         if name is not None:
             self._names[out] = name
         return out
@@ -121,13 +124,12 @@ class Netlist:
         self,
         kind: GateKind | Sequence[GateKind],
         inputs: Sequence[tuple[Net, ...]],
-        delay: int = 1,
     ) -> list[Net]:
         """Append one gate per input tuple, in order; returns their output nets.
 
         *kind* is one kind for the whole run or one kind per gate.  The
-        run is checked before anything is added, so a bad tuple or delay
-        raises ``ValueError`` and leaves the netlist as it was.  Gate *k*
+        run is checked before anything is added, so a bad tuple raises
+        ``ValueError`` and leaves the netlist as it was.  Gate *k*
         drives net ``net_count + k``; the netlist stores the returned ints.
         """
         count = len(inputs)
@@ -143,14 +145,11 @@ class Netlist:
             lo, hi = _ARITY.get(each, (2, 64))
             if not lo <= arity <= hi:
                 raise ValueError(f"{each.value} gate takes {lo}..{hi} inputs, got {arity}")
-        if delay < 0:
-            raise ValueError("gate delay must be non-negative")
         first = self._nets
         self._nets += count
         outs = list(range(first, first + count))
         self._kind += codes
         self._ins += inputs
-        self._delay += [delay] * count
         self._out += outs
         self._fanout = None
         return outs
@@ -218,14 +217,14 @@ class Netlist:
 
     # -- simulation ----------------------------------------------------
 
-    def simulate(self, assignments: dict[Net, bool], max_time: int = 1_000_000) -> SimulationResult:
-        """Event-driven simulation from an all-zeros initial state.
+    def simulate(self, assignments: dict[Net, bool]) -> SimulationResult:
+        """Unit-delay simulation from an all-zeros initial state.
 
         *assignments* gives the value of every primary input (missing
         inputs default to 0; constants are pinned automatically, and
         assigning one raises ``ValueError``).  Raises ``RuntimeError``
-        if the netlist has not settled by *max_time* (an oscillating
-        cycle).
+        if the netlist has not settled within ``_MAX_TIME`` gate delays
+        (an oscillating cycle).
         """
         values = [False] * self._nets
         for value, net in self._const_cache.items():
@@ -238,33 +237,26 @@ class Netlist:
                 raise ValueError(f"net {self.name_of(net)!r} is not a primary input")
             values[net] = bool(value)
 
-        # Schedule every gate once at its delay; thereafter only on input
-        # changes.  Evaluation is two-phase per timestamp: all gates due at
-        # time t read the pre-t values, then all output changes commit
-        # together — so a chain of unit-delay gates takes one time unit per
-        # stage, as real hardware timing requires.  pending[g] is the last
-        # time g was queued for (-1 once that evaluation ran); queue times
-        # per gate never decrease, so it alone blocks duplicate entries.
-        kinds, gate_inputs, delays, outs = self._kind, self._ins, self._delay, self._out
+        # Every gate is due at time 1; thereafter a gate is due one step
+        # after an input changes.  Evaluation is two-phase per step: all
+        # due gates read the pre-step values, then all output changes
+        # commit together — so a chain of gates takes one time unit per
+        # stage, as real hardware timing requires.  queued[g] is the last
+        # time g was queued for, which alone blocks duplicate entries.
+        kinds, gate_inputs, outs = self._kind, self._ins, self._out
         fanout = self._fanouts()
         get = values.__getitem__
-        pending = list(delays)
-        buckets: dict[int, list[int]] = {}
-        for gate, delay in enumerate(delays):
-            buckets.setdefault(delay, []).append(gate)
-        times = sorted(buckets)
+        due = list(range(len(kinds)))
+        queued = [1] * len(kinds)
 
-        settle_time = events = 0
-        while times:
-            time = heapq.heappop(times)
-            if time > max_time:
-                raise RuntimeError(f"netlist {self.name!r} did not settle by t={max_time}")
-            due = buckets.pop(time)
+        time = settle_time = events = 0
+        while due:
+            time += 1
+            if time > _MAX_TIME:
+                raise RuntimeError(f"netlist {self.name!r} did not settle by t={_MAX_TIME}")
             events += len(due)
             changed: list[Net] = []
             for gate in due:
-                if pending[gate] == time:
-                    pending[gate] = -1
                 code = kinds[gate]
                 ins = gate_inputs[gate]
                 if code == _BUF:
@@ -293,17 +285,13 @@ class Netlist:
                 settle_time = time
             for net in changed:  # every value is a bool, so a change is a toggle
                 values[net] = not values[net]
+            due = []
+            when = time + 1
             for net in changed:
                 for successor in fanout[net]:
-                    when = time + delays[successor]
-                    if pending[successor] != when:
-                        pending[successor] = when
-                        bucket = buckets.get(when)
-                        if bucket is None:
-                            buckets[when] = [successor]
-                            heapq.heappush(times, when)
-                        else:
-                            bucket.append(successor)
+                    if queued[successor] != when:
+                        queued[successor] = when
+                        due.append(successor)
 
         return SimulationResult(values=values, settle_time=settle_time, events=events)
 

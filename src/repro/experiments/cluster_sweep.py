@@ -22,9 +22,9 @@ class ClusterSweepResult:
     best: dict[int, int]                      # L -> best C (layout model)
     closed_form_best: dict[int, int]          # L -> best C (closed form)
 
-    def optimum_tracks_L(self, slack: float = 4.0) -> bool:
-        """Optimal C within a constant factor of L across all L."""
-        return all(L / slack <= c <= L * slack for L, c in self.best.items())
+    def optimum_tracks_L(self) -> bool:
+        """Optimal C within a factor of 4 of L across all L."""
+        return all(L / 4 <= c <= L * 4 for L, c in self.best.items())
 
 
 def run() -> ClusterSweepResult:

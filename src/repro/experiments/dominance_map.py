@@ -37,8 +37,8 @@ class DominanceMap:
         """... and US-I to win some other cell."""
         return any(w == "US1" for w in self.winner_pairwise.values())
 
-    def hybrid_wins_at_scale(self, factor: int = 16) -> bool:
-        """The hybrid dominates wherever n >= factor * L.
+    def hybrid_wins_at_scale(self) -> bool:
+        """The hybrid dominates wherever n >= 16 L.
 
         The paper's dominance claim is asymptotic ("For n >= L the
         hybrid dominates both"); at small n the hybrid degenerates to a
@@ -49,7 +49,7 @@ class DominanceMap:
             self.winner_overall[(n, L)] == "HYB"
             for n in self.n_values
             for L in self.L_values
-            if n >= factor * L
+            if n >= 16 * L
         )
 
     def pairwise_boundary_is_monotone(self) -> bool:

@@ -12,13 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.asymptotics import figure11_table
+from repro.analysis.asymptotics import figure11_table, lookup
 from repro.analysis.fitting import fit_exponent
 from repro.analysis.regimes import Regime
 from repro.util.tables import Table
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout
+
+
+#: (report row, Figure 11 column) of each design E2 measures
+_DESIGNS = (
+    ("Ultrascalar I", "ultrascalar1"),
+    ("Ultrascalar II", "ultrascalar2-linear"),
+    ("Hybrid (C=L)", "hybrid"),
+)
 
 
 @dataclass
@@ -30,11 +38,9 @@ class Fig11Validation:
     us1_exponent: float
     us2_exponent: float
     hybrid_exponent: float
-
-    @property
-    def predictions(self) -> dict[str, float]:
-        """The paper's Case-1 exponents in n: 0.5 / 1.0 / 0.5."""
-        return {"ultrascalar1": 0.5, "ultrascalar2": 1.0, "hybrid": 0.5}
+    #: per Figure 11 column, the exponent in n of the paper's Case-1
+    #: wire-delay law, fitted over the same sizes as the measurements
+    predictions: dict[str, float]
 
 
 def validate() -> Fig11Validation:
@@ -50,12 +56,17 @@ def validate() -> Fig11Validation:
     us1 = [Ultrascalar1Layout(n, L).critical_wire for n in tail]
     us2 = [Ultrascalar2Layout(n, L, variant="linear").critical_wire for n in tail]
     hybrid = [HybridLayout(n, L, L).critical_wire for n in tail]
+    law = {processor: lookup(Regime.CASE1, processor, "wire_delay") for _, processor in _DESIGNS}
     return Fig11Validation(
         sizes=sizes,
         L=L,
         us1_exponent=fit_exponent(tail, us1),
         us2_exponent=fit_exponent(tail, us2),
         hybrid_exponent=fit_exponent(tail, hybrid),
+        predictions={
+            processor: fit_exponent(tail, [row.evaluate(n, L, 0.0) for n in tail])
+            for processor, row in law.items()
+        },
     )
 
 
@@ -67,8 +78,10 @@ def report() -> str:
         ["Processor", "Measured wire exponent (in n)", "Paper (Case 1)"],
         title=f"E2 — measured layout-model growth at L={validation.L}, M=0",
     )
-    table.add_row(["Ultrascalar I", round(validation.us1_exponent, 3), "0.5  (Θ(√n L))"])
-    table.add_row(["Ultrascalar II", round(validation.us2_exponent, 3), "1.0  (Θ(n + L))"])
-    table.add_row(["Hybrid (C=L)", round(validation.hybrid_exponent, 3), "0.5  (Θ(√(n L)))"])
+    measured = (validation.us1_exponent, validation.us2_exponent, validation.hybrid_exponent)
+    for (label, processor), exponent in zip(_DESIGNS, measured):
+        formula = lookup(Regime.CASE1, processor, "wire_delay").formula
+        paper = f"{round(validation.predictions[processor], 1)}  ({formula})"
+        table.add_row([label, round(exponent, 3), paper])
     return "\n\n".join(blocks + [table.render()])
 

@@ -70,11 +70,11 @@ class IlpLimitsResult:
 
     curves: list[IlpCurve]
 
-    def thousand_wide_window_pays(self, factor: float = 1.5) -> bool:
+    def thousand_wide_window_pays(self) -> bool:
         """Patt et al.'s claim (as cited by the paper): thousand-wide
         windows are worth building — every density still gains at least
-        *factor* going from a 128-entry window to the largest swept."""
-        return all(curve.gain_beyond(128) >= factor for curve in self.curves)
+        1.5x going from a 128-entry window to the largest swept."""
+        return all(curve.gain_beyond(128) >= 1.5 for curve in self.curves)
 
     def looser_code_has_more_ilp(self) -> bool:
         """At every window, lower dependence density means higher IPC."""

@@ -32,11 +32,12 @@ class MemoryBwResult:
     #: m_exponent -> W(n)/X(n) at the largest n
     wire_over_side: dict[float, float]
 
-    def exponents_match_paper(self, tolerance: float = 0.1) -> bool:
-        """Case 1/2 fit ~0.5; Case 3 with exponent e fits ~max(0.5, e)."""
+    def exponents_match_paper(self) -> bool:
+        """Case 1/2 fit 0.5 and Case 3 with exponent e fits max(0.5, e),
+        each within 0.1."""
         for m_exp, fitted in self.fitted.items():
             expected = max(0.5, m_exp)
-            if abs(fitted - expected) > tolerance:
+            if abs(fitted - expected) > 0.1:
                 return False
         return True
 

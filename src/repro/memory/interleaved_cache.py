@@ -84,7 +84,6 @@ class InterleavedCache:
         lines_per_bank: direct-mapped lines in each bank.
         words_per_line: line size in 32-bit words (power of two).
         hit_latency: bank service cycles for a hit.
-        memory: backing store (its ``latency`` is the miss penalty).
         fat_tree: optional admission network; ``None`` = unlimited
             bandwidth (useful for unit tests).
     """
@@ -95,7 +94,6 @@ class InterleavedCache:
         lines_per_bank: int = 64,
         words_per_line: int = 4,
         hit_latency: int = 1,
-        memory: MainMemory | None = None,
         fat_tree: FatTree | None = None,
     ):
         if banks < 1 or banks & (banks - 1):
@@ -110,7 +108,8 @@ class InterleavedCache:
         self.lines_per_bank = lines_per_bank
         self.words_per_line = words_per_line
         self.hit_latency = hit_latency
-        self.memory = memory if memory is not None else MainMemory()
+        #: backing store; its ``latency`` is the miss penalty
+        self.memory = MainMemory()
         self.fat_tree = fat_tree
         self.stats = CacheStats()
 

@@ -99,14 +99,14 @@ def bandwidth_constant(total: float = 1.0) -> Callable[[int], float]:
     return lambda s: total
 
 
-def bandwidth_power(exponent: float, scale: float = 1.0) -> Callable[[int], float]:
-    """M(n) = scale * n**exponent; exponent selects the paper's case:
+def bandwidth_power(exponent: float) -> Callable[[int], float]:
+    """M(n) = n**exponent; exponent selects the paper's case:
 
     * exponent < 0.5  -> Case 1,  X(n) = Θ(sqrt(n) L)
     * exponent == 0.5 -> Case 2,  X(n) = Θ(sqrt(n) (L + log n))
     * exponent > 0.5  -> Case 3,  X(n) = Θ(sqrt(n) L + M(n))
     """
-    return lambda s: scale * float(s) ** exponent
+    return lambda s: float(s) ** exponent
 
 
 def bandwidth_linear(per_instruction: float = 1.0) -> Callable[[int], float]:

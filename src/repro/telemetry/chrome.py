@@ -26,15 +26,15 @@ from repro.util.artifact import NOT_AN_OBJECT, check_envelope, envelope, iter_en
 TRACE_SCHEMA = "repro-trace/1"
 
 
-def chrome_event(event: TraceEvent, *, pid: int = 0) -> dict[str, Any]:
-    """One :class:`TraceEvent` as a Chrome complete event dict."""
+def chrome_event(event: TraceEvent) -> dict[str, Any]:
+    """One :class:`TraceEvent` as a Chrome complete event dict (process 0)."""
     return {
         "name": event.name,
         "cat": event.cat,
         "ph": "X",
         "ts": event.ts,
         "dur": max(0, event.dur),
-        "pid": pid,
+        "pid": 0,
         "tid": event.tid,
         "args": dict(event.args),
     }

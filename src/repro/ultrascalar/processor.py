@@ -155,12 +155,13 @@ class ProcessorResult:
         """Committed instructions per cycle."""
         return self.instructions_committed / self.cycles if self.cycles else 0.0
 
-    def timing_diagram(self, width: int = 60) -> str:
-        """Render the committed instructions as a Figure 3 style bar chart."""
+    def timing_diagram(self) -> str:
+        """Render the committed instructions as a Figure 3 style bar chart,
+        at most 60 characters of bar wide."""
         if not self.timings:
             return "(no instructions)"
         horizon = max(t.complete_cycle for t in self.timings) + 1
-        scale = max(1, -(-horizon // width))  # cycles per character
+        scale = max(1, -(-horizon // 60))  # cycles per character
         lines = []
         for t in self.timings:
             start, end = t.execute_span

@@ -664,11 +664,21 @@ class RingProcessor:
     def _idle(self) -> bool:
         return self.count == 0 and self.fetch.stalled()
 
+    def _stuck(self) -> str:
+        """Why a run that reached ``max_cycles`` has not finished."""
+        why = [f"{len(self.commit_log)} committed", f"{self.count} stations occupied"]
+        if self.committed_count < self.count:
+            first = self.stations[(self.oldest + self.committed_count) % self.n]
+            instruction = self.program.instructions[first.static_index]
+            why.append(f"oldest uncommitted is seq {first.seq} ({instruction}) {first.state.value}")
+        why.append("fetch stalled" if self.fetch.stalled() else "fetch not stalled")
+        return f"exceeded max_cycles={self.config.max_cycles}: {', '.join(why)}"
+
     def run(self) -> ProcessorResult:
         """Run to completion (HALT committed, or program exhausted)."""
         while not self.halted and not self._idle():
             if self.cycle >= self.config.max_cycles:
-                raise RuntimeError(f"exceeded max_cycles={self.config.max_cycles}")
+                raise RuntimeError(self._stuck())
             self.step()
         if self._tracing:
             self.tracer.count("commit.squashed", self.squashed)

@@ -33,16 +33,13 @@ def _row(record: TimingRecord, horizon: int) -> str:
     return "".join(cells).rstrip()
 
 
-def render_pipeline(
-    result: ProcessorResult,
-    max_instructions: int = 40,
-    label_width: int = 22,
-) -> str:
+def render_pipeline(result: ProcessorResult, max_instructions: int = 40) -> str:
     """Render the committed instructions' lifecycles as a text chart.
 
     ``*`` marks a cycle where an instruction both finished executing and
     committed.  Truncates to *max_instructions* rows.
     """
+    label_width = 22
     records = sorted(result.timings, key=lambda t: t.seq)[:max_instructions]
     if not records:
         return "(no instructions)"

@@ -35,9 +35,6 @@ class _StderrHandler(logging.StreamHandler):
     stderr points now (pytest's capture, a redirected CLI, ...).
     """
 
-    def __init__(self, level: int = logging.NOTSET) -> None:
-        logging.Handler.__init__(self, level)
-
     @property
     def stream(self):
         return sys.stderr
@@ -54,13 +51,11 @@ def get_logger(name: str | None = None) -> logging.Logger:
     return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
-def level_from_env(default: int = logging.WARNING) -> int:
-    """The log level ``REPRO_LOG`` names, or *default* when unset/bad."""
+def level_from_env() -> int:
+    """The log level ``REPRO_LOG`` names, or ``WARNING`` when unset/bad."""
     name = os.environ.get(ENV_VAR, "").strip().upper()
-    if not name:
-        return default
-    level = logging.getLevelName(name)
-    return level if isinstance(level, int) else default
+    level = logging.getLevelName(name) if name else None
+    return level if isinstance(level, int) else logging.WARNING
 
 
 def setup_cli_logging() -> None:

@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
-def format_float(value: float, digits: int = 3) -> str:
-    """Format *value* compactly: fixed-point when sensible, else scientific."""
+def format_float(value: float) -> str:
+    """Format *value* compactly in 3 significant digits: fixed-point when
+    sensible, else scientific."""
     if value == 0:
         return "0"
-    if abs(value) >= 10 ** (digits + 3) or abs(value) < 10 ** (-digits):
-        return f"{value:.{digits}e}"
-    return f"{value:,.{digits}g}"
+    if abs(value) >= 1e6 or abs(value) < 1e-3:
+        return f"{value:.3e}"
+    return f"{value:,.3g}"
 
 
 def format_ratio(value: float) -> str:

@@ -37,6 +37,9 @@ from repro.verify.oracle import OracleResult, commit_stream, run_oracle
 #: designs run_differential knows how to drive
 DESIGNS = PROCESSOR_KINDS
 
+#: the oracle's step cap and each engine's cycle cap
+_MAX_STEPS = 200_000
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -107,7 +110,6 @@ def run_differential(
     window: int | None = None,
     designs: tuple[str, ...] | list[str] = DESIGNS,
     check_invariants: bool = True,
-    max_steps: int = 200_000,
 ) -> DiffReport:
     """Run *program* through *designs* and cross-check against the oracle.
 
@@ -125,11 +127,11 @@ def run_differential(
     unknown = sorted(set(designs) - set(DESIGNS))
     if unknown:
         raise ValueError(f"unknown design(s) {unknown}; expected {DESIGNS}")
-    oracle = run_oracle(program, initial_registers, memory_image, max_steps=max_steps)
+    oracle = run_oracle(program, initial_registers, memory_image, max_steps=_MAX_STEPS)
     dynamic = max(1, oracle.dynamic_length)
     wrap_free = window is None or window >= dynamic
     window = window if window is not None else dynamic
-    config = ProcessorConfig(window_size=window, fetch_width=window, max_cycles=max_steps)
+    config = ProcessorConfig(window_size=window, fetch_width=window, max_cycles=_MAX_STEPS)
     report = DiffReport(window=window, designs=tuple(designs), oracle=oracle)
     checker = InvariantChecker() if check_invariants else None
     schedules: dict[int, DataflowSchedule] = {}  # refill size -> recurrence

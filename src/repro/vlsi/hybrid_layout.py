@@ -106,13 +106,7 @@ class HybridLayout(HTreeLayout):
         }
 
 
-def optimal_cluster_size(
-    n: int,
-    num_registers: int,
-    word_bits: int = 32,
-    bandwidth: Callable[[int], float] = zero_bandwidth,
-    tech: Technology = PAPER_TECH,
-) -> tuple[int, dict[int, float]]:
+def optimal_cluster_size(n: int, num_registers: int) -> tuple[int, dict[int, float]]:
     """Sweep C over the divisors-of-n powers of two; return (best C, U(C) map).
 
     The paper: "one can differentiate and solve ... to conclude that the
@@ -125,15 +119,7 @@ def optimal_cluster_size(
     c = 1
     while c <= n:
         if n % c == 0:
-            layout = HybridLayout(
-                n=n,
-                cluster_size=c,
-                num_registers=num_registers,
-                word_bits=word_bits,
-                bandwidth=bandwidth,
-                tech=tech,
-            )
-            sides[c] = layout.side_length()
+            sides[c] = HybridLayout(n, c, num_registers).side_length()
         c *= 2
     best = min(sides, key=sides.get)
     return best, sides

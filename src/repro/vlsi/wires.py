@@ -7,11 +7,12 @@ terms wire delay and wire length interchangeably here."
 
 from __future__ import annotations
 
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import PAPER_TECH
 
 
-def wire_delay(length_tracks: float, tech: Technology = PAPER_TECH) -> float:
-    """Delay of a repeatered wire of *length_tracks*, in gate-delay units."""
+def wire_delay(length_tracks: float) -> float:
+    """Delay of a repeatered wire of *length_tracks*, in gate-delay units
+    of the paper's technology."""
     if length_tracks < 0:
         raise ValueError("length must be non-negative")
-    return length_tracks * tech.wire_delay_per_track
+    return length_tracks * PAPER_TECH.wire_delay_per_track

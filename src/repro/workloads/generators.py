@@ -11,6 +11,9 @@ from repro.isa.program import Program
 from repro.isa.registers import MachineSpec
 from repro.util.rng import make_rng
 
+#: the paper's L: every workload runs on the default 32-register machine
+L = MachineSpec().num_registers
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -22,9 +25,9 @@ class Workload:
     memory_image: dict[int, int] = field(default_factory=dict)
     description: str = ""
 
-    def registers_for(self, num_registers: int | None = None) -> list[int]:
+    def registers_for(self) -> list[int]:
         """Initial register file padded/truncated to the machine size."""
-        count = num_registers or self.program.spec.num_registers
+        count = self.program.spec.num_registers
         regs = list(self.initial_registers[:count])
         regs.extend([0] * (count - len(regs)))
         return regs
@@ -58,7 +61,7 @@ def paper_sequence() -> Workload:
         add r4, r0, r7
         halt
     """
-    regs = [0] * 32
+    regs = [0] * L
     regs[0] = 10
     regs[1] = 84
     regs[2] = 2
@@ -74,31 +77,26 @@ def paper_sequence() -> Workload:
     )
 
 
-def dependency_chain(length: int, spec: MachineSpec | None = None) -> Workload:
+def dependency_chain(length: int) -> Workload:
     """A serial chain ``r1 += r2`` repeated: ILP = 1, the worst case."""
     if length < 1:
         raise ValueError("length must be positive")
-    spec = spec or MachineSpec()
     insts = [Instruction(Opcode.ADD, rd=1, rs1=1, rs2=2) for _ in range(length)]
     insts.append(Instruction(Opcode.HALT))
-    regs = [0] * spec.num_registers
+    regs = [0] * L
     regs[2] = 1
     return Workload(
         name=f"chain-{length}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         initial_registers=regs,
         description="Serial dependency chain (ILP = 1)",
     )
 
 
-def independent_ops(count: int, spec: MachineSpec | None = None) -> Workload:
+def independent_ops(count: int) -> Workload:
     """Fully independent adds spread over the register file: ILP = count."""
     if count < 1:
         raise ValueError("count must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
-    if L < 4:
-        raise ValueError("need at least 4 registers")
     insts = []
     for i in range(count):
         rd = 2 + (i % (L - 2))
@@ -109,18 +107,13 @@ def independent_ops(count: int, spec: MachineSpec | None = None) -> Workload:
     regs[1] = 4
     return Workload(
         name=f"independent-{count}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         initial_registers=regs,
         description="Independent operations (maximal ILP)",
     )
 
 
-def random_ilp(
-    count: int,
-    dependency_fraction: float = 0.5,
-    seed: int | None = None,
-    spec: MachineSpec | None = None,
-) -> Workload:
+def random_ilp(count: int, dependency_fraction: float = 0.5, seed: int | None = None) -> Workload:
     """Random ALU instructions with a tunable dependence density.
 
     Each instruction's sources are, with probability
@@ -132,10 +125,6 @@ def random_ilp(
         raise ValueError("count must be positive")
     if not 0.0 <= dependency_fraction <= 1.0:
         raise ValueError("dependency_fraction must be in [0, 1]")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
-    if L < 8:
-        raise ValueError("need at least 8 registers")
     rng = make_rng(seed)
     inputs = list(range(0, L // 4))  # read-only inputs
     dests = list(range(L // 4, L))
@@ -157,13 +146,13 @@ def random_ilp(
     regs = [rng.integers(1, 100) for _ in range(L)]
     return Workload(
         name=f"random-ilp-{count}-{dependency_fraction}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         initial_registers=regs,
         description=f"Random dependence graph, density {dependency_fraction}",
     )
 
 
-def daxpy_loop(iterations: int, spec: MachineSpec | None = None) -> Workload:
+def daxpy_loop(iterations: int) -> Workload:
     """``y[i] = a * x[i] + y[i]`` over *iterations* elements.
 
     The memory-rich loop the paper's M(n) = Θ(n) regime models: two
@@ -171,7 +160,6 @@ def daxpy_loop(iterations: int, spec: MachineSpec | None = None) -> Workload:
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    spec = spec or MachineSpec()
     source = f"""
         li   r1, {iterations}   # counter
         li   r2, 1000           # x base
@@ -195,17 +183,16 @@ def daxpy_loop(iterations: int, spec: MachineSpec | None = None) -> Workload:
         image[2000 + 4 * i] = 10 * (i + 1)   # y[i]
     return Workload(
         name=f"daxpy-{iterations}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="daxpy loop: 2 loads + 1 store per iteration (memory-bound)",
     )
 
 
-def reduction_loop(iterations: int, spec: MachineSpec | None = None) -> Workload:
+def reduction_loop(iterations: int) -> Workload:
     """Sum an array: one load + one serial add per iteration."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    spec = spec or MachineSpec()
     source = f"""
         li   r1, {iterations}
         li   r2, 1000
@@ -221,17 +208,16 @@ def reduction_loop(iterations: int, spec: MachineSpec | None = None) -> Workload
     image = {1000 + 4 * i: i + 1 for i in range(iterations)}
     return Workload(
         name=f"reduce-{iterations}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="Array reduction (serial accumulator, parallel loads)",
     )
 
 
-def pointer_chase(length: int, spec: MachineSpec | None = None) -> Workload:
+def pointer_chase(length: int) -> Workload:
     """Follow a linked chain: fully serial loads (memory latency bound)."""
     if length < 1:
         raise ValueError("length must be positive")
-    spec = spec or MachineSpec()
     source = f"""
         li   r1, {length}
         li   r2, 1000           # head pointer
@@ -249,15 +235,13 @@ def pointer_chase(length: int, spec: MachineSpec | None = None) -> Workload:
         addr = next_addr
     return Workload(
         name=f"chase-{length}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="Pointer chase: serially dependent loads",
     )
 
 
-def spaced_chain(
-    length: int, distance: int, spec: MachineSpec | None = None
-) -> Workload:
+def spaced_chain(length: int, distance: int) -> Workload:
     """A dependency chain where each instruction depends on the one
     *distance* earlier (padded with independent filler in between).
 
@@ -270,8 +254,6 @@ def spaced_chain(
     """
     if length < 1 or distance < 1:
         raise ValueError("length and distance must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
     if L < distance + 4:
         raise ValueError("register file too small for the requested distance")
     insts: list[Instruction] = []
@@ -288,13 +270,13 @@ def spaced_chain(
     regs[2] = 1
     return Workload(
         name=f"spaced-{length}@{distance}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         initial_registers=regs,
         description=f"Dependency chain with producer-consumer distance {distance}",
     )
 
 
-def store_load_pairs(count: int, spec: MachineSpec | None = None) -> Workload:
+def store_load_pairs(count: int) -> Workload:
     """Store-then-load-same-address pairs under a long-latency shadow.
 
     A slow divide keeps the window from committing, so every load finds
@@ -304,8 +286,6 @@ def store_load_pairs(count: int, spec: MachineSpec | None = None) -> Workload:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
     insts = [
         Instruction(Opcode.LI, rd=1, imm=4096),
         Instruction(Opcode.LI, rd=2, imm=9),
@@ -319,14 +299,12 @@ def store_load_pairs(count: int, spec: MachineSpec | None = None) -> Workload:
     insts.append(Instruction(Opcode.HALT))
     return Workload(
         name=f"store-load-{count}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         description="Store/load-same-address pairs (memory-renaming best case)",
     )
 
 
-def repeated_reduction(
-    elements: int, passes: int, spec: MachineSpec | None = None
-) -> Workload:
+def repeated_reduction(elements: int, passes: int) -> Workload:
     """Sum the same array *passes* times: heavy read reuse.
 
     The workload for the Section 7 distributed-cluster-cache idea —
@@ -335,7 +313,6 @@ def repeated_reduction(
     """
     if elements < 1 or passes < 1:
         raise ValueError("elements and passes must be positive")
-    spec = spec or MachineSpec()
     source = f"""
         li   r1, {passes}
         li   r3, 0              # grand total
@@ -355,13 +332,13 @@ def repeated_reduction(
     image = {1024 + 4 * i: i + 1 for i in range(elements)}
     return Workload(
         name=f"rereduce-{elements}x{passes}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="Repeated array reduction (read reuse for cluster caches)",
     )
 
 
-def parallel_loads(count: int, spec: MachineSpec | None = None) -> Workload:
+def parallel_loads(count: int) -> Workload:
     """Independent loads from spread addresses: pure bandwidth pressure.
 
     Unlike stores (which the Ultrascalar serializes against all earlier
@@ -370,8 +347,6 @@ def parallel_loads(count: int, spec: MachineSpec | None = None) -> Workload:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
     insts = []
     image = {}
     for i in range(count):
@@ -382,13 +357,13 @@ def parallel_loads(count: int, spec: MachineSpec | None = None) -> Workload:
     insts.append(Instruction(Opcode.HALT))
     return Workload(
         name=f"loads-{count}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         memory_image=image,
         description="Independent parallel loads (bandwidth-bound)",
     )
 
 
-def jump_chain(blocks: int, block_size: int = 3, spec: MachineSpec | None = None) -> Workload:
+def jump_chain(blocks: int, block_size: int = 3) -> Workload:
     """Blocks of ALU work chained by unconditional jumps.
 
     Conventional fetch stops at each taken transfer, capping delivery at
@@ -397,8 +372,6 @@ def jump_chain(blocks: int, block_size: int = 3, spec: MachineSpec | None = None
     """
     if blocks < 1 or block_size < 1:
         raise ValueError("blocks and block_size must be positive")
-    spec = spec or MachineSpec()
-    L = spec.num_registers
     insts: list[Instruction] = []
     for b in range(blocks):
         for k in range(block_size):
@@ -411,7 +384,7 @@ def jump_chain(blocks: int, block_size: int = 3, spec: MachineSpec | None = None
     regs[0], regs[1] = 1, 2
     return Workload(
         name=f"jumps-{blocks}x{block_size}",
-        program=Program.from_instructions(insts, spec),
+        program=Program.from_instructions(insts),
         initial_registers=regs,
         description="Jump-chained blocks (trace-cache fetch stressor)",
     )

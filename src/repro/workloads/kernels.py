@@ -8,11 +8,10 @@ examples and integration tests programs with recognisable behaviour.
 from __future__ import annotations
 
 from repro.isa.assembler import assemble
-from repro.isa.registers import MachineSpec
 from repro.workloads.generators import Workload
 
 
-def bubble_sort(values: list[int], spec: MachineSpec | None = None) -> Workload:
+def bubble_sort(values: list[int]) -> Workload:
     """Bubble-sort *values* in memory (data-dependent branches).
 
     The array lives at address 1024; the result is the sorted array.
@@ -21,7 +20,6 @@ def bubble_sort(values: list[int], spec: MachineSpec | None = None) -> Workload:
         raise ValueError("need at least one value")
     if any(not 0 <= v < (1 << 31) for v in values):
         raise ValueError("values must be non-negative 31-bit ints")
-    spec = spec or MachineSpec()
     count = len(values)
     source = f"""
         # r1 = outer counter, r2 = inner pointer, r3 = inner limit
@@ -48,20 +46,19 @@ def bubble_sort(values: list[int], spec: MachineSpec | None = None) -> Workload:
     image = {1024 + 4 * i: v for i, v in enumerate(values)}
     return Workload(
         name=f"bubble-sort-{count}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="Bubble sort (data-dependent branches, swap stores)",
     )
 
 
-def matmul(size: int, spec: MachineSpec | None = None) -> Workload:
+def matmul(size: int) -> Workload:
     """Dense ``size x size`` integer matrix multiply C = A x B.
 
     A at 4096, B at 8192, C at 12288; row-major; triple nested loop.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    spec = spec or MachineSpec()
     row_bytes = 4 * size
     source = f"""
         li   r1, 0               # i
@@ -111,17 +108,16 @@ def matmul(size: int, spec: MachineSpec | None = None) -> Workload:
             image[8192 + 4 * (i * size + j)] = (i * j) % 5 + 1    # B
     return Workload(
         name=f"matmul-{size}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         memory_image=image,
         description="Dense integer matrix multiply (nested loops)",
     )
 
 
-def fibonacci(n: int, spec: MachineSpec | None = None) -> Workload:
+def fibonacci(n: int) -> Workload:
     """Iterative Fibonacci: F(n) into r3 (serial RAW chain + loop)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    spec = spec or MachineSpec()
     source = f"""
         li   r1, {n}
         li   r2, 0               # F(0)
@@ -142,7 +138,7 @@ def fibonacci(n: int, spec: MachineSpec | None = None) -> Workload:
     """
     return Workload(
         name=f"fib-{n}",
-        program=assemble(source, spec=spec),
+        program=assemble(source),
         description="Iterative Fibonacci (tight serial loop)",
     )
 

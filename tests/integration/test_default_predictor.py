@@ -5,6 +5,7 @@ at what the engine could commit, so the engine's own ``max_cycles``
 watchdog fires quickly.
 """
 
+import re
 import time
 
 import pytest
@@ -66,3 +67,24 @@ def test_runaway_loop_hits_max_cycles_quickly(kind):
     with pytest.raises(RuntimeError, match="max_cycles"):
         build_processor(kind, config, cluster_size=2).run(program)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_cycles_error_says_why(kind):
+    config = ProcessorConfig(window_size=8, fetch_width=4, max_cycles=20)
+    with pytest.raises(RuntimeError) as spin:
+        build_processor(kind, config, cluster_size=2).run(assemble("loop: j loop"))
+    assert re.fullmatch(
+        r"exceeded max_cycles=20: [1-9]\d* committed, [0-8] stations occupied, .*fetch not stalled",
+        str(spin.value),
+    )
+    # a serial multiply chain keeps the window full: the oldest uncommitted
+    # station is named
+    chain = assemble("loop: mul r1, r1, r1\n j loop")
+    with pytest.raises(RuntimeError) as stuck:
+        build_processor(kind, config, cluster_size=2).run(chain)
+    assert re.fullmatch(
+        r"exceeded max_cycles=20: \d+ committed, 8 stations occupied, "
+        r"oldest uncommitted is seq \d+ \(mul r1, r1, r1\) executing, fetch not stalled",
+        str(stuck.value),
+    )

@@ -83,7 +83,7 @@ def topological_depth(netlist) -> int:
     depth = [0] * netlist.net_count
     for gate in order:
         arrival = max(depth[net] for net in netlist._ins[gate])
-        depth[netlist._out[gate]] = netlist._delay[gate] + arrival
+        depth[netlist._out[gate]] = 1 + arrival
     return max(depth, default=0)
 
 

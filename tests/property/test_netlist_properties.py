@@ -42,7 +42,7 @@ def acyclic_netlists(draw):
         kind = draw(st.sampled_from(list(GateKind)))
         arity = _FIXED_ARITY.get(kind) or draw(st.integers(2, 4))
         ins = draw(st.lists(st.sampled_from(sorted(reference)), min_size=arity, max_size=arity))
-        out = nl.add_gate(kind, *ins, delay=draw(st.integers(0, 3)))
+        out = nl.add_gate(kind, *ins)
         reference[out] = bool(_REFERENCE[kind]([reference[net] for net in ins]))
     return nl, assignment, reference
 
@@ -58,12 +58,12 @@ def test_simulation_matches_topological_evaluation(case):
 
 
 def _arrays(nl):
-    return nl.net_count, nl.inputs, nl._kind, nl._ins, nl._delay, nl._out
+    return nl.net_count, nl.inputs, nl._kind, nl._ins, nl._out
 
 
 @st.composite
 def gate_runs(draw):
-    """(input count, runs), each run (delay, kinds or one kind, input tuples).
+    """(input count, runs), each run (kinds or one kind, input tuples).
 
     A gate reads primary inputs or any earlier gate, including earlier
     gates of its own run, so the netlist stays acyclic.
@@ -81,7 +81,7 @@ def gate_runs(draw):
             kinds.append(kind)
             inputs.append(tuple(ins))
             nets += 1
-        runs.append((draw(st.integers(0, 3)), one_kind or kinds, inputs))
+        runs.append((one_kind or kinds, inputs))
     return n_inputs, runs
 
 
@@ -93,10 +93,10 @@ def test_bulk_runs_build_the_netlist_gate_by_gate_does(case, data):
     for k in range(n_inputs):
         one.add_input(f"i{k}")
         bulk.add_input(f"i{k}")
-    for delay, kind, inputs in runs:
+    for kind, inputs in runs:
         kinds = [kind] * len(inputs) if isinstance(kind, GateKind) else kind
-        singles = [one.add_gate(k, *ins, delay=delay) for k, ins in zip(kinds, inputs)]
-        outs = bulk.add_gates(kind, inputs, delay=delay)
+        singles = [one.add_gate(k, *ins) for k, ins in zip(kinds, inputs)]
+        outs = bulk.add_gates(kind, inputs)
         assert outs == singles
         assert all(out is stored for out, stored in zip(outs, bulk._out[-len(outs):]))
     assert _arrays(bulk) == _arrays(one)

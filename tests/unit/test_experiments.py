@@ -117,7 +117,7 @@ class TestClusterSweep:
         assert set(outcome.best) == set(outcome.closed_form_best) == {8, 16, 32, 64}
 
     def test_default_sweep(self, outcome):
-        assert outcome.optimum_tracks_L(slack=4.0)
+        assert outcome.optimum_tracks_L()
         optima = [outcome.best[L] for L in sorted(outcome.best)]
         assert optima == sorted(optima)
         for L, sides in outcome.sweeps.items():
@@ -140,7 +140,7 @@ class TestMemoryBw:
         assert outcome.wire_tracks_side()
 
     def test_default_sweep(self, outcome):
-        assert outcome.exponents_match_paper(tolerance=0.1)
+        assert outcome.exponents_match_paper()
         assert outcome.wire_tracks_side()
         # bandwidth dominates: Case 3 sides grow faster than Case 1's sqrt(n)
         assert outcome.fitted[1.0] > outcome.fitted[0.0] + 0.3

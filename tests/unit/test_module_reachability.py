@@ -29,7 +29,17 @@ asserts).
 Parameters too: each experiment has one configuration, and the runner
 calls its ``report()`` with no arguments, so every public function a
 registered experiment module defines takes none; a parameter could only
-be set by a test.  And one way to run: ``python -m repro`` is the only
+be set by a test.  Beyond the experiments, a defaulted parameter that no
+caller sets is one value in use, so it is a constant, not a parameter:
+every defaulted parameter of a top-level function or method under
+``src/repro`` is set by some call in ``src/repro``, ``examples/*.py`` or
+``perfbench/*.py``, or sits on a short allowlist with its reason.  A call
+reaches a function by bare name (the class name for ``__init__``; a
+``super().__init__(...)`` call reaches the enclosing class's bases), and
+sets a parameter when it passes it by keyword, passes at least as many
+positional arguments as the parameter's position, or unpacks ``*`` or
+``**``.  A function named by a ``func="..."`` job string has every
+parameter set.  The functions of an allowlisted module are exempt.  And one way to run: ``python -m repro`` is the only
 ``__main__`` block under ``src/repro``, so no module runs a report past
 the runner, its cache and its telemetry session.
 
@@ -138,19 +148,25 @@ def _module_name(path: pathlib.Path) -> str:
     return ".".join(path.relative_to(SRC).with_suffix("").parts)
 
 
-def _definitions(source: str):
-    """Yield ``(class name or None, function name)`` for each top-level
-    function and method in *source*, dunder methods left out."""
+def _functions(source: str):
+    """Yield ``(class name or None, def node)`` for each top-level
+    function and method in *source*."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
             defs = [(node.name, sub) for sub in node.body]
         else:
             defs = [(None, node)]
         for owner, sub in defs:
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                sub.name.startswith("__") and sub.name.endswith("__")
-            ):
-                yield owner, sub.name
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield owner, sub
+
+
+def _definitions(source: str):
+    """Yield ``(class name or None, function name)`` for each top-level
+    function and method in *source*, dunder methods left out."""
+    for owner, node in _functions(source):
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            yield owner, node.name
 
 
 def _references(source: str, package_init: bool = False) -> set[str]:
@@ -187,10 +203,15 @@ def _references(source: str, package_init: bool = False) -> set[str]:
     return names
 
 
+def _caller_files() -> list[pathlib.Path]:
+    """The package, the examples and perfbench: every caller but the tests."""
+    return [*_modules(), *sorted(ROOT.glob("examples/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
+
+
 def _callers() -> set[str]:
     """Every name the package, the examples, perfbench and CI use."""
     names: set[str] = set()
-    for path in [*_modules(), *sorted(ROOT.glob("examples/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]:
+    for path in _caller_files():
         names |= _references(path.read_text(), package_init=path.name == "__init__.py")
     for workflow in sorted(ROOT.glob(".github/workflows/*.yml")):
         names.update(re.findall(r"[A-Za-z_]\w*", workflow.read_text()))
@@ -205,6 +226,97 @@ def _uncalled(modules: dict[str, str], callers: set[str]) -> set[tuple[str, str 
         for module, source in modules.items()
         for owner, name in _definitions(source)
         if name not in callers
+    }
+
+
+#: defaulted parameters only tests set, and why each stays a parameter
+ALLOWED_ONE_VALUE = {
+    "repro.analysis.clock_period.project_ultrascalar2(variant)":
+        "DESIGN §5 US-II mixed-strategy ablation (TestClockProjections::test_us2_variants_ordered)",
+    "repro.circuits.cspp.build_copy_cspp(radix)":
+        "DESIGN §5 CSPP radix ablation (TestCsppTree::test_radix_four_*)",
+    "repro.circuits.fanout.FanoutShape.derive(radix)":
+        "DESIGN §5 radix ablation for fan-out trees (TestFanoutTree::test_radix_four_is_shallower)",
+    "repro.circuits.grid.GridNetwork.__init__(reads_per_station)":
+        "a Figure 7 grid with three read ports is a pinned netlist (test_netlist_structure, grid_p3)",
+    "repro.isa.assembler.assemble(spec)":
+        "L is the paper's complexity parameter (TestMachineSpec assembles for 8 and 64 registers)",
+    "repro.memory.interleaved_cache.InterleavedCache.__init__(hit_latency)":
+        "multi-cycle bank hits (TestInterleavedCacheTiming::test_hit_latency, the cache property test)",
+}
+
+
+def _defaulted(source: str):
+    """Yield ``(class name or None, function, parameter, position)`` for
+    each defaulted parameter of a top-level function or method in
+    *source*.  *position* counts the positional parameters from 1,
+    ``self``/``cls`` left out; it is ``None`` for a keyword-only one."""
+    for owner, node in _functions(source):
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        bound = owner is not None and not static
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            yield owner, node.name, positional[index].arg, index + 1 - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield owner, node.name, arg.arg, None
+
+
+def _calls(source: str):
+    """Yield ``(name, call)`` for each call in *source*: the bare name it
+    calls, or for ``super().__init__(...)`` each base of its class.  Also
+    yield ``(name, None)`` for each ``func="name"`` job string."""
+    tree = ast.parse(source)
+    bases: dict[int, list[str]] = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names = [getattr(base, "id", None) or getattr(base, "attr", "") for base in cls.bases]
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "__init__"
+                    and isinstance(node.func.value, ast.Call)
+                    and getattr(node.func.value.func, "id", None) == "super"
+                ):
+                    bases[id(node)] = names
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for target in bases.get(id(node)) or [name]:
+            if target:
+                yield target, node
+        for keyword in node.keywords:
+            if keyword.arg == "func" and isinstance(keyword.value, ast.Constant):
+                yield keyword.value.value, None
+
+
+def _sets(call: ast.Call | None, parameter: str, position: int | None) -> bool:
+    """Whether *call* sets *parameter* (``None``: a job string sets all)."""
+    return (
+        call is None
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or any(keyword.arg in (None, parameter) for keyword in call.keywords)
+        or position is not None and len(call.args) >= position
+    )
+
+
+def _unset(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """``module.[Class.]function(parameter)`` for each defaulted parameter
+    in *modules* (name -> source) that no call in *callers* sets."""
+    calls: dict[str, list[ast.Call | None]] = {}
+    for source in callers:
+        for name, call in _calls(source):
+            calls.setdefault(name, []).append(call)
+    return {
+        f"{_qualified(module, owner, function)}({parameter})"
+        for module, source in modules.items()
+        for owner, function, parameter, position in _defaulted(source)
+        if not any(
+            _sets(call, parameter, position)
+            for call in calls.get(owner if function == "__init__" else function, [])
+        )
     }
 
 
@@ -259,6 +371,10 @@ class TestFunctionReachability:
         assert "helper" in _references(init)
 
 
+def _one_value(source: str, caller: str) -> set[str]:
+    return _unset({"pkg.mod": source}, [caller])
+
+
 def _is_main_guard(node: ast.stmt) -> bool:
     """Whether *node* is ``if __name__ == "__main__":``."""
     return (
@@ -281,6 +397,48 @@ class TestParameterReachability:
                 if inspect.signature(func).parameters:
                     with_parameters.append(f"{spec.module}.{name}")
         assert not with_parameters, f"settable only by tests: {with_parameters}"
+
+    def test_every_defaulted_parameter_is_set_or_allowlisted(self):
+        modules = {
+            name: path.read_text()
+            for path in _modules()
+            if (name := _module_name(path)) not in ALLOWED_UNREACHED
+        }
+        unset = _unset(modules, [path.read_text() for path in _caller_files()])
+        allowed = set(ALLOWED_ONE_VALUE)
+        assert not unset - allowed, f"no caller sets: {sorted(unset - allowed)}"
+        assert not allowed - unset, f"allowlisted but set or gone: {sorted(allowed - unset)}"
+        assert all(ALLOWED_ONE_VALUE.values())
+
+    def test_a_parameter_nothing_sets_is_reported(self):
+        source = "def scale(x, factor=2):\n    return x * factor\n"
+        assert _one_value(source, "scale(3)\n") == {"pkg.mod.scale(factor)"}
+
+    def test_a_keyword_sets_a_parameter(self):
+        source = "def scale(x, factor=2, *, bias=0):\n    return x * factor + bias\n"
+        assert _one_value(source, "scale(3, bias=1)\nscale(3, factor=4)\n") == set()
+
+    def test_a_positional_argument_sets_a_method_parameter(self):
+        source = "class Ruler:\n    def scale(self, x, factor=2, bias=0):\n        return x\n"
+        assert _one_value(source, "ruler.scale(3, 4)\n") == {"pkg.mod.Ruler.scale(bias)"}
+
+    def test_unpacking_sets_every_parameter(self):
+        source = "def scale(x, factor=2, *, bias=0):\n    return x\n"
+        assert _one_value(source, "scale(**options)\n") == set()
+        assert _one_value(source, "scale(*values)\n") == set()
+
+    def test_a_job_string_sets_every_parameter(self):
+        source = "def shard_report(shard=0, shards=1):\n    pass\n"
+        assert _one_value(source, 'JobSpec(module="pkg.mod", func="shard_report")\n') == set()
+
+    def test_init_is_set_through_its_class_name_and_super(self):
+        source = (
+            "class Base:\n    def __init__(self, n, name='base'):\n        pass\n\n"
+            "class Grid(Base):\n    def __init__(self, n, bits=1):\n"
+            "        super().__init__(n, name='grid')\n"
+        )
+        assert _unset({"pkg.mod": source}, [source, "Grid(4, bits=8)\n"]) == set()
+        assert _unset({"pkg.mod": source}, [source, "Grid(4)\n"]) == {"pkg.mod.Grid.__init__(bits)"}
 
     def test_only_the_cli_has_a_main_block(self):
         blocks = {

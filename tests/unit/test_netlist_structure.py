@@ -1,11 +1,11 @@
 """Pins the exact structure of every netlist E9 builds.
 
 A SHA-256 digest per netlist covers, in gate order, each gate's kind,
-input nets in port order, delay and driven net, then the primary
-inputs, the named outputs and every explicit net name.  Any change to
-how the builders emit gates — a different gate, order, input tuple,
-delay or name — changes the digest, even when the settle times that
-``test_e9_circuit_timings_are_pinned`` checks stay the same.
+input nets in port order, delay (every gate's is one unit) and driven
+net, then the primary inputs, the named outputs and every explicit net
+name.  Any change to how the builders emit gates — a different gate,
+order, input tuple or name — changes the digest, even when the settle
+times that ``test_e9_circuit_timings_are_pinned`` checks stay the same.
 """
 
 import hashlib
@@ -20,8 +20,8 @@ from repro.circuits.netlist import Netlist, _KINDS
 
 def netlist_digest(nl: Netlist) -> str:
     h = hashlib.sha256()
-    for code, ins, delay, out in zip(nl._kind, nl._ins, nl._delay, nl._out):
-        h.update(f"{_KINDS[code].name}({','.join(map(str, ins))})/{delay}->{out};".encode())
+    for code, ins, out in zip(nl._kind, nl._ins, nl._out):
+        h.update(f"{_KINDS[code].name}({','.join(map(str, ins))})/1->{out};".encode())
     h.update(f"inputs={nl.inputs};".encode())
     h.update(f"outputs={sorted(nl.outputs.items())};".encode())
     h.update(f"names={sorted(nl._names.items())};".encode())
@@ -34,8 +34,7 @@ BUILDERS = {
     "cspp": lambda n: build_copy_cspp(n, 1),
     "grid": lambda n: GridNetwork(n, n),
     "tgrid": lambda n: TreeGridNetwork(n, n),
-    # off-default shapes: radix-3 fan-out, L != n, multi-bit values, 3 read ports
-    "tgrid_r3": lambda n: TreeGridNetwork(n, 5, value_bits=2, fanout_radix=3),
+    # off-default shapes: L != n, multi-bit values, 3 read ports
     "grid_p3": lambda n: GridNetwork(n, 7, reads_per_station=3, value_bits=2),
 }
 
@@ -70,12 +69,6 @@ DIGESTS = {
         "e4dfbf4ee9a419c597fde8d939c2be7874797513ff8f3195eb800ff65d76136a",
         "796f1fd0e891da4a348ac245dca98e82825a7398efa3541cc1fb5f45c33ee973",
         "07c299d99668b65ee5032ff8fd15693f1bea159d830af110a9def209c82efa64",
-    ],
-    "tgrid_r3": [
-        "48aa15a67750a4bc423f05d0e2e3cf48ef22fd23ef8f56c8cb3141d691faa30c",
-        "3c846576444cdbdf0116c661409a49c2e78406d8cf060d57920c8b4be8a66d45",
-        "4ca8504b7ec79e9a9edb8e99d0562dc1d19f848a69fce4349a90e669b165a958",
-        "c9b2dcd7303ecc2a33e456a347839d60d38fe7ee7b843ea3476f6736682e59e1",
     ],
 }
 

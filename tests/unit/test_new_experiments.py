@@ -69,7 +69,7 @@ class TestDominanceMap:
         assert outcome.us1_wins_somewhere()
         assert outcome.us2_wins_somewhere()
         assert outcome.pairwise_boundary_is_monotone()
-        assert outcome.hybrid_wins_at_scale(factor=16)
+        assert outcome.hybrid_wins_at_scale()
 
         def first_us1_n(L):
             return next(n for n in outcome.n_values if outcome.winner_pairwise[(n, L)] == "US1")
@@ -140,7 +140,7 @@ class TestIlpLimits:
         assert all(curve.monotone() for curve in outcome.curves)
         assert outcome.looser_code_has_more_ilp()
         # 128 -> 2048 still multiplies IPC by >= 1.5x at every density
-        assert outcome.thousand_wide_window_pays(factor=1.5)
+        assert outcome.thousand_wide_window_pays()
         # the recurrence's IPC is the ring's, point for point
         for curve in outcome.curves:
             for window, cycles, ipc in zip(curve.windows, curve.cycles, curve.ipc):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.interpreter import MachineState, run_program
 from repro.workloads import (
+    Workload,
     daxpy_loop,
     dependency_chain,
     independent_ops,
@@ -105,10 +106,9 @@ class TestGenerators:
             random_ilp(5, dependency_fraction=1.5)
 
     def test_registers_for_pads(self):
-        w = paper_sequence()
-        regs = w.registers_for(64)
-        assert len(regs) == 64
-        assert regs[:32] == w.initial_registers
+        w = Workload("short", paper_sequence().program, initial_registers=[10, 84])
+        assert w.registers_for() == [10, 84] + [0] * 30
+        assert store_load_pairs(2).registers_for() == [0] * 32
 
 
 class TestRemainingWorkloads:
