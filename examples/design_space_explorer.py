@@ -14,7 +14,13 @@ import sys
 from repro.analysis.crossover import find_crossover, hybrid_advantage, wire_delay_ratio
 from repro.network.fattree import bandwidth_power
 from repro.util.tables import Table
-from repro.vlsi import HybridLayout, Ultrascalar1Layout, Ultrascalar2Layout, optimal_cluster_size
+from repro.vlsi import (
+    HybridLayout,
+    Ultrascalar1Layout,
+    Ultrascalar2Layout,
+    optimal_cluster_size,
+    tracks_to_cm,
+)
 
 
 def main(L: int = 32) -> None:
@@ -35,9 +41,9 @@ def main(L: int = 32) -> None:
         table.add_row(
             [
                 n,
-                round(us1.tech.tracks_to_cm(us1.side_length()), 2),
-                round(us2.tech.tracks_to_cm(us2.side_length()), 2),
-                round(hybrid.tech.tracks_to_cm(hybrid.side_length()), 2),
+                round(tracks_to_cm(us1.side_length()), 2),
+                round(tracks_to_cm(us2.side_length()), 2),
+                round(tracks_to_cm(hybrid.side_length()), 2),
                 round(wire_delay_ratio(n, L), 2),
                 round(hybrid_advantage(n, L), 2),
             ]
@@ -60,7 +66,7 @@ def main(L: int = 32) -> None:
         layout = Ultrascalar1Layout(4096, L, bandwidth=bandwidth_power(exponent))
         side = layout.side_length()
         bw_table.add_row(
-            [f"n^{exponent}", round(layout.tech.tracks_to_cm(side), 2), f"{side / base:.2f}x"]
+            [f"n^{exponent}", round(tracks_to_cm(side), 2), f"{side / base:.2f}x"]
         )
     print()
     print(bw_table.render())

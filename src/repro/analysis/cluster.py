@@ -29,6 +29,6 @@ def closed_form_sweep(n: int, L: int) -> dict[int, float]:
     sides: dict[int, float] = {}
     c = 1
     while c <= n:
-        sides[c] = u_closed_form(n, c, L, 0.0)
+        sides[c] = u_closed_form(n, c, L)
         c *= 2
     return sides

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 
 
-def u_closed_form(n: int, cluster_size: int, L: int, m_exponent: float) -> float:
+def u_closed_form(n: int, cluster_size: int, L: int) -> float:
     """The paper's hybrid solution
-    ``U(n) = Theta(M(n) + L sqrt(n)/sqrt(C) + sqrt(n C))`` for n >= C."""
+    ``U(n) = Theta(M(n) + L sqrt(n)/sqrt(C) + sqrt(n C))`` for n >= C,
+    with the register-datapath layouts' constant ``M(n) = 1``."""
     if n < cluster_size:
         raise ValueError("need n >= cluster_size")
     return (
-        n**m_exponent
+        1.0
         + L * math.sqrt(n) / math.sqrt(cluster_size)
         + math.sqrt(n * cluster_size)
     )

@@ -63,9 +63,6 @@ _BUF, _NOT, _AND, _OR, _XOR, _XNOR, _NAND, _NOR, _MUX = range(len(_KINDS))
 #: (min, max) inputs; every other kind takes 2..64
 _ARITY = {GateKind.BUF: (1, 1), GateKind.NOT: (1, 1), GateKind.MUX: (3, 3)}
 
-#: time steps after which :meth:`Netlist.simulate` declares an oscillation
-_MAX_TIME = 1_000_000
-
 
 @dataclass
 class SimulationResult:
@@ -223,8 +220,7 @@ class Netlist:
         *assignments* gives the value of every primary input (missing
         inputs default to 0; constants are pinned automatically, and
         assigning one raises ``ValueError``).  Raises ``RuntimeError``
-        if the netlist has not settled within ``_MAX_TIME`` gate delays
-        (an oscillating cycle).
+        if the netlist oscillates, i.e. the simulation's state repeats.
         """
         values = [False] * self._nets
         for value, net in self._const_cache.items():
@@ -249,11 +245,22 @@ class Netlist:
         due = list(range(len(kinds)))
         queued = [1] * len(kinds)
 
+        # An acyclic netlist settles within its depth, so only feedback runs
+        # past the gate count.  A step's whole state is the values plus the
+        # due set; once one repeats, the netlist oscillates forever.  Brent's
+        # check compares each step with the state at the last power of two.
         time = settle_time = events = 0
+        seen = None
         while due:
             time += 1
-            if time > _MAX_TIME:
-                raise RuntimeError(f"netlist {self.name!r} did not settle by t={_MAX_TIME}")
+            if time > len(kinds):
+                state = (tuple(values), frozenset(due))
+                if state == seen:
+                    raise RuntimeError(
+                        f"netlist {self.name!r} did not settle: it oscillates by t={time}"
+                    )
+                if time & (time - 1) == 0:
+                    seen = state
             events += len(due)
             changed: list[Net] = []
             for gate in due:

@@ -4,8 +4,8 @@
 Ultrascalar with a window-size of 128 and 16 shared ALUs (with
 floating-point) should fit easily within a chip 1 cm on a side."
 
-We scale the calibrated 0.35 µm technology constants to 0.1 µm (a 3.5×
-linear shrink), add back the space the paper's register-datapath-only
+We scale the calibrated 0.35 µm track to 0.1 µm (a 3.5× linear
+shrink), add back the space the paper's register-datapath-only
 layouts left out (ALU sharing means only 16 ALU blocks instead of 128),
 and check the resulting hybrid's side; then run the same configuration
 behaviourally (window 128, Memo-2 pool of 16 ALUs) for its IPC.
@@ -13,22 +13,16 @@ behaviourally (window 128, Memo-2 pool of 16 ALUs) for its IPC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.api import ProcessorConfig, build_processor
 from repro.util.tables import Table
 from repro.vlsi.hybrid_layout import HybridLayout
-from repro.vlsi.tech import PAPER_TECH
+from repro.vlsi.tech import TRACK_UM
 from repro.workloads import random_ilp
 
 #: 0.35 um -> 0.1 um linear shrink
 SHRINK = 0.1 / 0.35
-
-TECH_01UM = replace(
-    PAPER_TECH,
-    name="projected-0.1um",
-    track_um=PAPER_TECH.track_um * SHRINK,
-)
 
 
 @dataclass
@@ -48,14 +42,8 @@ class OneCmResult:
 
 def run() -> OneCmResult:
     """Scale the layout and run the matching configuration."""
-    layout = HybridLayout(
-        n=128,
-        cluster_size=32,
-        num_registers=32,
-        word_bits=32,
-        tech=TECH_01UM,
-    )
-    side_cm = layout.tech.tracks_to_cm(layout.side_length())
+    layout = HybridLayout(n=128, cluster_size=32, num_registers=32, word_bits=32)
+    side_cm = layout.side_length() * (TRACK_UM * SHRINK) * 1e-4
 
     workload = random_ilp(600, 0.4, seed=701)
     config = ProcessorConfig(window_size=128, fetch_width=16, num_alus=16)
@@ -78,7 +66,7 @@ def report() -> str:
         title="E16 — 'a hybrid Ultrascalar with a window-size of 128 and 16 "
         "shared ALUs should fit easily within a chip 1 cm on a side' (0.1 um)",
     )
-    table.add_row(["technology", "0.1 um CMOS", TECH_01UM.name])
+    table.add_row(["technology", "0.1 um CMOS", "projected-0.1um"])
     table.add_row(["window / ALUs", "128 / 16 shared", "128 / 16 (Memo-2 scheduler)"])
     table.add_row(["side (cm)", "<= 1", round(outcome.side_cm, 2)])
     table.add_row(["area (cm²)", "<= 1", round(outcome.area_cm2, 2)])

@@ -54,13 +54,12 @@ class BimodalPredictor(BranchPredictor):
     """A table of 2-bit saturating counters indexed by PC."""
 
     size: int = 512
-    counters: list[int] = field(default_factory=list)
+    counters: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("predictor table must be non-empty")
-        if not self.counters:
-            self.counters = [1] * self.size  # weakly not-taken
+        self.counters = [1] * self.size  # weakly not-taken
 
     def _index(self, pc: int) -> int:
         return pc % self.size
@@ -85,16 +84,15 @@ class GSharePredictor(BranchPredictor):
 
     size: int = 1024
     history_bits: int = 8
-    counters: list[int] = field(default_factory=list)
-    history: int = 0
+    counters: list[int] = field(init=False)
+    history: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.size & (self.size - 1):
             raise ValueError("gshare table size must be a power of two")
         if not 0 <= self.history_bits <= 30:
             raise ValueError("history_bits out of range")
-        if not self.counters:
-            self.counters = [1] * self.size
+        self.counters = [1] * self.size
 
     def _index(self, pc: int) -> int:
         return (pc ^ self.history) % self.size

@@ -21,14 +21,17 @@ from dataclasses import dataclass, field
 
 from repro.util.bitops import WORD_MASK
 
+#: cycles for a load that hits its cluster's cache
+LOCAL_LATENCY = 1
+
 
 @dataclass
 class ClusterCacheStats:
     """Traffic accounting for the bandwidth-reduction experiment."""
 
-    local_hits: int = 0
-    shared_accesses: int = 0
-    invalidations: int = 0
+    local_hits: int = field(default=0, init=False)
+    shared_accesses: int = field(default=0, init=False)
+    invalidations: int = field(default=0, init=False)
 
     @property
     def total(self) -> int:
@@ -59,19 +62,17 @@ class ClusteredMemory:
     Args:
         cluster_size: stations per cluster (the hybrid's C).
         words_per_cluster: capacity of each private cache, in words.
-        local_latency: cycles for a local hit.
         shared_latency: cycles for any access that reaches shared memory.
     """
 
     cluster_size: int = 8
     words_per_cluster: int = 64
-    local_latency: int = 1
     shared_latency: int = 6
-    words: dict[int, int] = field(default_factory=dict)
-    stats: ClusterCacheStats = field(default_factory=ClusterCacheStats)
-    _caches: dict[int, dict[int, int]] = field(default_factory=dict)
-    _next_id: int = 0
-    _in_flight: list[tuple[int, int, bool, int]] = field(default_factory=list)
+    words: dict[int, int] = field(default_factory=dict, init=False)
+    stats: ClusterCacheStats = field(default_factory=ClusterCacheStats, init=False)
+    _caches: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
+    _next_id: int = field(default=0, init=False)
+    _in_flight: list[tuple[int, int, bool, int]] = field(default_factory=list, init=False)
     # (request_id, remaining cycles, is_store, value)
 
     def __post_init__(self) -> None:
@@ -79,8 +80,8 @@ class ClusteredMemory:
             raise ValueError("cluster_size must be positive")
         if self.words_per_cluster < 1:
             raise ValueError("words_per_cluster must be positive")
-        if self.local_latency < 1 or self.shared_latency < 1:
-            raise ValueError("latencies must be >= 1")
+        if self.shared_latency < 1:
+            raise ValueError("shared_latency must be >= 1")
 
     def _check(self, address: int) -> None:
         if address % 4 != 0:
@@ -106,7 +107,7 @@ class ClusteredMemory:
         cache = self._cache(cluster)
         if address in cache:
             self.stats.local_hits += 1
-            self._in_flight.append((request_id, self.local_latency, False, cache[address]))
+            self._in_flight.append((request_id, LOCAL_LATENCY, False, cache[address]))
         else:
             self.stats.shared_accesses += 1
             value = self.words.get(address, 0)

@@ -11,8 +11,8 @@ Timing model per request:
    capacities model ``M(n)``).
 2. It then queues at its bank; the bank serves one request per cycle.
 3. A hit completes after ``hit_latency`` cycles of bank service; a miss
-   additionally pays the main memory latency (plus one more trip if a
-   dirty victim must be written back).
+   additionally pays the main memory's ``MISS_LATENCY`` (plus one more
+   trip if a dirty victim must be written back).
 
 All state transitions happen in :meth:`InterleavedCache.tick`, which the
 processor calls once per cycle.
@@ -20,9 +20,9 @@ processor calls once per cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.memory.mainmem import MainMemory
+from repro.memory.mainmem import MISS_LATENCY, MainMemory
 from repro.network.fattree import FatTree
 from repro.util.bitops import WORD_MASK
 
@@ -38,18 +38,18 @@ class MemoryRequest:
     #: the requesting station's leaf index in the fat-tree (0 if n/a)
     leaf: int = 0
     #: filled in at completion for loads
-    result: int | None = None
+    result: int | None = field(default=None, init=False)
 
 
 @dataclass
 class CacheStats:
     """Aggregate statistics, for experiments and tests."""
 
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-    bank_conflict_cycles: int = 0
-    network_denied_cycles: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    writebacks: int = field(default=0, init=False)
+    bank_conflict_cycles: int = field(default=0, init=False)
+    network_denied_cycles: int = field(default=0, init=False)
 
     def counters(self) -> dict[str, int]:
         """The stats as telemetry counters (``mem.cache.*`` namespace)."""
@@ -66,7 +66,7 @@ class CacheStats:
 class _Line:
     tag: int
     words: list[int]
-    dirty: bool = False
+    dirty: bool = field(default=False, init=False)
 
 
 @dataclass
@@ -108,7 +108,6 @@ class InterleavedCache:
         self.lines_per_bank = lines_per_bank
         self.words_per_line = words_per_line
         self.hit_latency = hit_latency
-        #: backing store; its ``latency`` is the miss penalty
         self.memory = MainMemory()
         self.fat_tree = fat_tree
         self.stats = CacheStats()
@@ -205,9 +204,9 @@ class InterleavedCache:
         is_hit = line is not None and line.tag == tag
         latency = self.hit_latency
         if not is_hit:
-            latency += self.memory.latency
+            latency += MISS_LATENCY
             if line is not None and line.dirty:
-                latency += self.memory.latency  # write back the victim first
+                latency += MISS_LATENCY  # write back the victim first
         return _InFlight(
             request=request, finish_cycle=self._cycle + latency - 1, is_hit=is_hit
         )

@@ -6,22 +6,19 @@ from dataclasses import dataclass, field
 
 from repro.util.bitops import WORD_MASK
 
+#: the additional cycles a cache miss pays to reach main memory
+MISS_LATENCY = 10
+
 
 @dataclass
 class MainMemory:
     """Sparse word-addressed backing store.
 
     Addresses are byte addresses that must be 4-aligned; uninitialized
-    words read as zero.  ``latency`` is the additional cycles a cache
-    miss pays to reach this memory.
+    words read as zero.
     """
 
-    latency: int = 10
-    words: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
+    words: dict[int, int] = field(default_factory=dict, init=False)
 
     def _check(self, address: int) -> None:
         if address % 4 != 0:

@@ -30,9 +30,9 @@ class TraceKey:
 class TraceCacheStats:
     """Hit/miss counters."""
 
-    hits: int = 0
-    misses: int = 0
-    fills: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    fills: int = field(default=0, init=False)
 
 
 @dataclass
@@ -48,8 +48,8 @@ class TraceCache:
     num_sets: int = 256
     trace_length: int = 16
     max_branches: int = 3
-    stats: TraceCacheStats = field(default_factory=TraceCacheStats)
-    _lines: dict[int, tuple[TraceKey, tuple[int, ...]]] = field(default_factory=dict)
+    stats: TraceCacheStats = field(default_factory=TraceCacheStats, init=False)
+    _lines: dict[int, tuple[TraceKey, tuple[int, ...]]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.num_sets < 1:

@@ -4,8 +4,9 @@ Two implementations of one small protocol:
 
 * :class:`IdealMemory` — a flat store with a fixed load latency: loads
   complete ``load_latency`` cycles after issue, stores are visible
-  immediately at execution.  Used for scheduling-equivalence experiments
-  where memory contention must not add noise.
+  immediately at execution and complete one cycle later.  Used for
+  scheduling-equivalence experiments where memory contention must not
+  add noise.
 * :class:`CachedMemory` — the paper's proposal: an interleaved banked
   cache reached through a fat-tree of bandwidth ``M(n)``.  Load/store
   completion times become dynamic (bank conflicts, misses, network
@@ -54,15 +55,14 @@ class IdealMemory:
     """Fixed-latency magic memory (see module docstring)."""
 
     load_latency: int = 1
-    store_latency: int = 1
-    words: dict[int, int] = field(default_factory=dict)
-    _next_id: int = 0
-    _in_flight: list[tuple[int, int, bool, int, int]] = field(default_factory=list)
+    words: dict[int, int] = field(default_factory=dict, init=False)
+    _next_id: int = field(default=0, init=False)
+    _in_flight: list[tuple[int, int, bool, int, int]] = field(default_factory=list, init=False)
     # each entry: (request_id, finish_in, is_store, address, value)
 
     def __post_init__(self) -> None:
-        if self.load_latency < 1 or self.store_latency < 1:
-            raise ValueError("latencies must be >= 1")
+        if self.load_latency < 1:
+            raise ValueError("load_latency must be >= 1")
 
     def _check(self, address: int) -> None:
         if address % 4 != 0:
@@ -81,9 +81,9 @@ class IdealMemory:
         self._next_id += 1
         # Stores take effect immediately (the ring's ordering conditions
         # already guarantee no earlier load can still need the old value),
-        # but completion is signalled after store_latency cycles.
+        # and complete at the next tick.
         self.words[address] = value & WORD_MASK
-        self._in_flight.append((request_id, self.store_latency, True, address, value))
+        self._in_flight.append((request_id, 1, True, address, value))
         return request_id
 
     def tick(self) -> dict[int, int | None]:

@@ -50,8 +50,10 @@ class StationState(enum.Enum):
 class Station:
     """One execution station's dynamic state.
 
-    The fields set at fetch come first, so the engine builds a station
-    positionally (cheaper than keywords, once per dynamic instruction).
+    The fields set at fetch are the constructor's arguments, so the
+    engine builds a station positionally (cheaper than keywords, once per
+    dynamic instruction); the runtime fields after them start at their
+    defaults.
     """
 
     index: int
@@ -67,29 +69,29 @@ class Station:
     #: the held instruction, decoded
     decoded: Decoded | None = None
     #: cycle execution began (arguments became ready), -1 until issue
-    issue_cycle: int = -1
+    issue_cycle: int = field(default=-1, init=False)
     #: cycle the result became available to consumers (DONE), -1 until then
-    complete_cycle: int = -1
+    complete_cycle: int = field(default=-1, init=False)
     #: resolved operand values (filled at issue)
-    operands: tuple[int, ...] = ()
+    operands: tuple[int, ...] = field(default=(), init=False)
     #: result value (valid when DONE and the instruction writes a register)
-    result: int | None = None
+    result: int | None = field(default=None, init=False)
     #: effective address for memory operations
-    address: int | None = None
+    address: int | None = field(default=None, init=False)
     #: actual branch outcome (valid when DONE for control instructions)
-    taken: bool | None = None
+    taken: bool | None = field(default=None, init=False)
     #: id of the outstanding memory request, if any
-    memory_request_id: int | None = None
+    memory_request_id: int | None = field(default=None, init=False)
     #: per source register, the nearest preceding station writing it at
     #: fetch; ``None`` (or a station since deallocated) means the
     #: committed register file supplies the value
-    producers: tuple[Station | None, ...] = field(default=(), repr=False)
+    producers: tuple[Station | None, ...] = field(default=(), repr=False, init=False)
     #: younger stations whose operands wait on this station's result
-    consumers: list[Station] = field(default_factory=list, repr=False)
+    consumers: list[Station] = field(default_factory=list, repr=False, init=False)
     #: source operands whose producer has not finished yet
-    pending: int = 0
+    pending: int = field(default=0, init=False)
     #: first cycle at which every source operand has reached this station
-    ready_cycle: int = 0
+    ready_cycle: int = field(default=0, init=False)
     #: the writer this station displaced as its destination's nearest
     #: writer (restored if the station is squashed)
-    prev_writer: Station | None = field(default=None, repr=False)
+    prev_writer: Station | None = field(default=None, repr=False, init=False)

@@ -37,7 +37,7 @@ class Table:
 
     headers: Sequence[str]
     title: str | None = None
-    rows: list[list[str]] = field(default_factory=list)
+    rows: list[list[str]] = field(default_factory=list, init=False)
 
     def add_row(self, cells: Iterable[object]) -> None:
         """Append a row; cells are stringified (floats via :func:`format_float`)."""

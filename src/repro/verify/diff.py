@@ -57,9 +57,9 @@ class DiffReport:
     window: int
     designs: tuple[str, ...]
     oracle: OracleResult
-    cycles: dict[str, int] = field(default_factory=dict)
-    divergences: list[Divergence] = field(default_factory=list)
-    invariant_checks: int = 0
+    cycles: dict[str, int] = field(default_factory=dict, init=False)
+    divergences: list[Divergence] = field(default_factory=list, init=False)
+    invariant_checks: int = field(default=0, init=False)
 
     @property
     def ok(self) -> bool:

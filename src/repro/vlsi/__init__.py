@@ -7,8 +7,9 @@ the fabricated layouts with a parametric model that keeps the same
 recurrences — so that relative areas, wire lengths, and growth
 exponents are preserved (see DESIGN.md, substitution table).
 
-* :mod:`repro.vlsi.tech` -- technology parameters and the calibrated
-  constants (documented against the paper's published absolute sizes).
+* :mod:`repro.vlsi.tech` -- the paper's one technology as module
+  constants, calibrated against its published absolute sizes, and
+  ``tracks_to_cm``.
 * :mod:`repro.vlsi.cells` -- the station footprint, with the ALU's
   gate count taken from the gate-level netlist of :mod:`repro.circuits`.
 * :mod:`repro.vlsi.htree_layout` -- the H-tree recurrence, said once
@@ -32,7 +33,7 @@ from repro.vlsi.cells import station_cell, StationCell
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout, optimal_cluster_size
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import tracks_to_cm
 from repro.vlsi.three_d_layout import (
     ThreeDHybridLayout,
     ThreeDUltrascalar1Layout,
@@ -50,7 +51,6 @@ __all__ = [
     "Ultrascalar1Layout",
     "HybridLayout",
     "optimal_cluster_size",
-    "Technology",
-    "PAPER_TECH",
+    "tracks_to_cm",
     "wire_delay",
 ]

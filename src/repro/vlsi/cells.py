@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import PREFIX_NODE_PITCH, REGFILE_BIT_TRACKS, STATION_LOGIC_TRACKS
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +39,6 @@ class StationCell:
 def station_cell(
     num_registers: int = 32,
     word_bits: int = 32,
-    tech: Technology = PAPER_TECH,
     full_register_interface: bool = True,
 ) -> StationCell:
     """Estimate the station footprint for an (L, w) machine.
@@ -57,14 +56,14 @@ def station_cell(
         raise ValueError("L and w must be positive")
     alu_gates = _alu_gate_count(min(word_bits, 64))
     regfile_area = (
-        num_registers * (word_bits + 1) * tech.regfile_bit_tracks**2 * 40.0
+        num_registers * (word_bits + 1) * REGFILE_BIT_TRACKS**2 * 40.0
     )  # bit cell ~ (0.55 * sqrt(40))^2 tracks^2
     alu_area = alu_gates * 9.0  # ~3x3 tracks per gate
-    control_area = tech.station_logic_tracks**2 * 0.05
+    control_area = STATION_LOGIC_TRACKS**2 * 0.05
     content_side = math.sqrt(regfile_area + alu_area + control_area)
     side = content_side
     if full_register_interface:
-        wire_side = num_registers * (word_bits + 1) * tech.prefix_node_pitch * 0.75
+        wire_side = num_registers * (word_bits + 1) * PREFIX_NODE_PITCH * 0.75
         side = max(content_side, wire_side)
     return StationCell(
         num_registers=num_registers,

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 from repro.circuits.comparator import register_number_bits
 from repro.vlsi.cells import StationCell, station_cell
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import GRID_ROW_PITCH_PER_BIT, tracks_to_cm
+
+#: tree levels the mixed variant absorbs without area growth (the
+#: paper's layouts fit "about three levels ... without impacting the
+#: total layout area")
+FREE_TREE_LEVELS = 3
 
 
 @dataclass(eq=False)
@@ -38,33 +43,27 @@ class Ultrascalar2Layout:
         num_registers: ``L``.
         word_bits: ``w``.
         variant: ``"linear"``, ``"tree"``, or ``"mixed"``.
-        free_tree_levels: tree levels absorbable without area growth in
-            the mixed variant (the paper's layouts had about three).
     """
 
     n: int
     num_registers: int = 32
     word_bits: int = 32
     variant: str = "linear"
-    free_tree_levels: int = 3
     #: the paper: "it appears to cost nearly a factor of two in area to
     #: implement the wrap-around mechanism" — set True to model the
     #: wrap-around Ultrascalar II (which then refills per-station like
     #: the ring instead of idling)
     wraparound: bool = False
-    tech: Technology = PAPER_TECH
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.variant not in ("linear", "tree", "mixed"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.free_tree_levels < 0:
-            raise ValueError("free_tree_levels must be non-negative")
         # Grid stations receive only their arguments, not the whole
         # register file — no L(w+1)-wire perimeter requirement.
         self.station: StationCell = station_cell(
-            self.num_registers, self.word_bits, self.tech, full_register_interface=False
+            self.num_registers, self.word_bits, full_register_interface=False
         )
 
     # -- geometry -------------------------------------------------------
@@ -83,7 +82,7 @@ class Ultrascalar2Layout:
     def row_pitch(self) -> float:
         """Tracks per row: value + ready + register-number wires."""
         bits = self.word_bits + 1 + register_number_bits(self.num_registers)
-        return bits * self.tech.grid_row_pitch_per_bit
+        return bits * GRID_ROW_PITCH_PER_BIT
 
     def _tree_blowup(self) -> float:
         """Side multiplier of the chosen variant.
@@ -113,7 +112,7 @@ class Ultrascalar2Layout:
         levels = math.ceil(math.log2(max(2, size)))
         if self.variant == "tree":
             return float(levels)
-        covered = min(self.free_tree_levels, levels)
+        covered = min(FREE_TREE_LEVELS, levels)
         return size / float(2**covered) + covered
 
     def side_length(self) -> float:
@@ -140,18 +139,18 @@ class Ultrascalar2Layout:
     @property
     def stations_per_m2(self) -> float:
         """Density in stations per square metre."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
+        side_cm = tracks_to_cm(self.side_length())
         return self.n / (side_cm / 100.0) ** 2
 
     def summary(self) -> dict[str, float]:
         """Headline numbers in physical units."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
+        side_cm = tracks_to_cm(self.side_length())
         return {
             "n": self.n,
             "L": self.num_registers,
             "variant": self.variant,
             "side_cm": side_cm,
             "area_cm2": side_cm**2,
-            "critical_wire_cm": self.tech.tracks_to_cm(self.critical_wire),
+            "critical_wire_cm": tracks_to_cm(self.critical_wire),
             "stations_per_m2": self.stations_per_m2,
         }

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.vlsi.cells import StationCell, station_cell
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import MEMORY_WIRE_PITCH, PREFIX_NODE_PITCH, tracks_to_cm
 
 
 def zero_bandwidth(_: int) -> float:
@@ -51,9 +51,9 @@ class HTreeLayout:
 
     where ``B(m)`` is the block side at a subtree of ``m`` stations.  The
     leaf count is rounded up to a power of ``radix``.  Subclasses are
-    dataclasses providing ``n``, ``num_registers``, ``word_bits``,
-    ``bandwidth`` and ``tech`` fields, the ``leaf_stations`` and
-    ``leaf_side`` attributes, and a ``_side_memo`` dict.
+    dataclasses providing ``n``, ``num_registers``, ``word_bits`` and
+    ``bandwidth`` fields, the ``leaf_stations`` and ``leaf_side``
+    attributes, and a ``_side_memo`` dict.
     """
 
     #: children per tree node; a structural constant of each floorplan
@@ -76,8 +76,8 @@ class HTreeLayout:
         Θ(L) register-prefix cells plus Θ(M(stations)) memory-tree cells,
         as in Figure 6's central cross of P and M nodes.
         """
-        register_part = self.register_wires * self.tech.prefix_node_pitch
-        memory_part = self.bandwidth(stations) * self.word_bits * self.tech.memory_wire_pitch
+        register_part = self.register_wires * PREFIX_NODE_PITCH
+        memory_part = self.bandwidth(stations) * self.word_bits * MEMORY_WIRE_PITCH
         return register_part + memory_part
 
     def side_length(self, leaves: int | None = None) -> float:
@@ -122,7 +122,7 @@ class HTreeLayout:
     @property
     def stations_per_m2(self) -> float:
         """Density in stations per square metre (the paper's metric)."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
+        side_cm = tracks_to_cm(self.side_length())
         return self.n / (side_cm / 100.0) ** 2
 
 
@@ -138,23 +138,19 @@ class Ultrascalar1Layout(HTreeLayout):
         bandwidth: the memory-bandwidth function ``M`` (subtree size ->
             words/cycle); default zero to match the paper's Figure 12
             register-datapath-only layouts.
-        tech: technology constants.
     """
 
     n: int
     num_registers: int = 32
     word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
-    tech: Technology = PAPER_TECH
 
     leaf_stations = 1
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        self.station: StationCell = station_cell(
-            self.num_registers, self.word_bits, self.tech
-        )
+        self.station: StationCell = station_cell(self.num_registers, self.word_bits)
         self._side_memo: dict[int, float] = {}
 
     @property
@@ -164,12 +160,12 @@ class Ultrascalar1Layout(HTreeLayout):
 
     def summary(self) -> dict[str, float]:
         """Headline numbers in physical units."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
+        side_cm = tracks_to_cm(self.side_length())
         return {
             "n": self.n,
             "L": self.num_registers,
             "side_cm": side_cm,
             "area_cm2": side_cm**2,
-            "critical_wire_cm": self.tech.tracks_to_cm(self.critical_wire),
+            "critical_wire_cm": tracks_to_cm(self.critical_wire),
             "stations_per_m2": self.stations_per_m2,
         }

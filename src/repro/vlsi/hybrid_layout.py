@@ -11,11 +11,9 @@ has solution ``U(n) = Theta(M(n) + L sqrt(n)/sqrt(C) + sqrt(n C))`` for
 n >= C, minimized at C = Theta(L), giving the optimal
 ``U(n) = Theta(M(n) + sqrt(n L))``.
 
-The paper's Magic layouts route incoming registers over the datapath on
-spare metal and pack ALUs in columns off the diagonal, shrinking the
-cluster below the schematic Figure 10 floorplan; the
-``cluster_packing`` factor models that (documented calibration, see
-EXPERIMENTS.md E3).
+Each cluster is the linear Ultrascalar II grid, whose √n station
+packing models the paper's Magic layouts' ALU columns off the diagonal
+(:meth:`repro.vlsi.grid_layout.Ultrascalar2Layout.side_length`).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Callable
 
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import HTreeLayout, zero_bandwidth
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import tracks_to_cm
 
 
 @dataclass(eq=False)
@@ -40,9 +38,6 @@ class HybridLayout(HTreeLayout):
         bandwidth: memory-bandwidth function M (default zero, matching
             the paper's register-datapath-only empirical layouts, which
             "left space ... for a small datapath of size M(n) = O(1)").
-        cluster_packing: linear shrink factor for the Magic-layout
-            optimizations described in Section 7 (over-the-cell routing
-            of incoming registers, ALU columns off the diagonal).
     """
 
     n: int
@@ -50,24 +45,13 @@ class HybridLayout(HTreeLayout):
     num_registers: int = 32
     word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
-    cluster_packing: float = 1.0
-    variant: str = "linear"
-    tech: Technology = PAPER_TECH
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.cluster_size < 1:
             raise ValueError("n and cluster_size must be positive")
         if self.n % self.cluster_size:
             raise ValueError("cluster_size must divide n")
-        if not 0 < self.cluster_packing <= 1.0:
-            raise ValueError("cluster_packing must be in (0, 1]")
-        self.cluster = Ultrascalar2Layout(
-            n=self.cluster_size,
-            num_registers=self.num_registers,
-            word_bits=self.word_bits,
-            variant=self.variant,
-            tech=self.tech,
-        )
+        self.cluster = Ultrascalar2Layout(self.cluster_size, self.num_registers, self.word_bits)
         self._side_memo: dict[int, float] = {}
 
     @property
@@ -77,8 +61,8 @@ class HybridLayout(HTreeLayout):
 
     @property
     def cluster_side(self) -> float:
-        """One cluster's side in tracks (packed Ultrascalar II grid)."""
-        return self.cluster.side_length() * self.cluster_packing
+        """One cluster's side in tracks (an Ultrascalar II grid)."""
+        return self.cluster.side_length()
 
     @property
     def leaf_stations(self) -> int:
@@ -93,7 +77,7 @@ class HybridLayout(HTreeLayout):
 
     def summary(self) -> dict[str, float]:
         """Headline numbers in physical units."""
-        side_cm = self.tech.tracks_to_cm(self.side_length())
+        side_cm = tracks_to_cm(self.side_length())
         return {
             "n": self.n,
             "C": self.cluster_size,
@@ -101,7 +85,7 @@ class HybridLayout(HTreeLayout):
             "clusters": self.num_clusters,
             "side_cm": side_cm,
             "area_cm2": side_cm**2,
-            "critical_wire_cm": self.tech.tracks_to_cm(self.critical_wire),
+            "critical_wire_cm": tracks_to_cm(self.critical_wire),
             "stations_per_m2": self.stations_per_m2,
         }
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import HTreeLayout, zero_bandwidth
-from repro.vlsi.tech import Technology, PAPER_TECH
+from repro.vlsi.tech import MEMORY_WIRE_PITCH, PREFIX_NODE_PITCH
 
 
 @dataclass(eq=False)
@@ -44,7 +44,6 @@ class ThreeDUltrascalar1Layout(HTreeLayout):
     num_registers: int = 32
     word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
-    tech: Technology = PAPER_TECH
 
     radix = 8
     leaf_stations = 1
@@ -57,16 +56,16 @@ class ThreeDUltrascalar1Layout(HTreeLayout):
     @property
     def leaf_side(self) -> float:
         """One station's side: its content packs in 3-D, its wires land on a face."""
-        wire_face = math.sqrt(self.register_wires) * self.tech.prefix_node_pitch
+        wire_face = math.sqrt(self.register_wires) * PREFIX_NODE_PITCH
         content = (self.register_wires * 20.0) ** (1.0 / 3.0)
         return max(wire_face, content)
 
     def switch_block_side(self, stations: int) -> float:
         """Side of the central block: register wires + memory wires
         crossing a face, Θ(√wires) each."""
-        register_part = math.sqrt(self.register_wires) * self.tech.prefix_node_pitch
+        register_part = math.sqrt(self.register_wires) * PREFIX_NODE_PITCH
         memory_wires = self.bandwidth(stations) * self.word_bits
-        memory_part = math.sqrt(memory_wires) * self.tech.memory_wire_pitch
+        memory_part = math.sqrt(memory_wires) * MEMORY_WIRE_PITCH
         return register_part + memory_part
 
     @property
@@ -88,7 +87,6 @@ class ThreeDHybridLayout:
     num_registers: int = 32
     word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
-    tech: Technology = PAPER_TECH
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.cluster_size < 1:
@@ -97,9 +95,7 @@ class ThreeDHybridLayout:
             raise ValueError("cluster_size must divide n")
         # an Ultrascalar II cluster is planar logic; in 3-D it folds into
         # a cube of equal volume
-        planar = Ultrascalar2Layout(
-            self.cluster_size, self.num_registers, self.word_bits, tech=self.tech
-        )
+        planar = Ultrascalar2Layout(self.cluster_size, self.num_registers, self.word_bits)
         self.cluster_side = planar.side_length() ** (2.0 / 3.0)
 
     register_wires = HTreeLayout.register_wires
@@ -128,7 +124,6 @@ def optimal_cluster_size_3d(
     n: int,
     num_registers: int,
     word_bits: int = 32,
-    tech: Technology = PAPER_TECH,
 ) -> tuple[int, dict[int, float]]:
     """Sweep power-of-two C; the paper predicts the optimum at Θ(L^(3/4))."""
     if n < 1:
@@ -137,7 +132,7 @@ def optimal_cluster_size_3d(
     c = 1
     while c <= n:
         if n % c == 0:
-            layout = ThreeDHybridLayout(n, c, num_registers, word_bits, tech=tech)
+            layout = ThreeDHybridLayout(n, c, num_registers, word_bits)
             sides[c] = layout.side_length()
         c *= 2
     best = min(sides, key=sides.get)

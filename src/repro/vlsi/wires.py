@@ -7,7 +7,7 @@ terms wire delay and wire length interchangeably here."
 
 from __future__ import annotations
 
-from repro.vlsi.tech import PAPER_TECH
+from repro.vlsi.tech import WIRE_DELAY_PER_TRACK
 
 
 def wire_delay(length_tracks: float) -> float:
@@ -15,4 +15,4 @@ def wire_delay(length_tracks: float) -> float:
     of the paper's technology."""
     if length_tracks < 0:
         raise ValueError("length must be non-negative")
-    return length_tracks * PAPER_TECH.wire_delay_per_track
+    return length_tracks * WIRE_DELAY_PER_TRACK

@@ -58,13 +58,13 @@ class TestRecurrences:
         assert layout.root_to_leaf_wire() == layout.cluster_side
 
     def test_u_closed_form_minimized_at_L(self):
-        values = {c: u_closed_form(4096, c, 32, 0.0) for c in (4, 8, 16, 32, 64, 128, 256)}
+        values = {c: u_closed_form(4096, c, 32) for c in (4, 8, 16, 32, 64, 128, 256)}
         best = min(values, key=values.get)
         assert best == 32
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            u_closed_form(4, 8, 32, 0.0)
+            u_closed_form(4, 8, 32)
 
 
 class TestFigure11:

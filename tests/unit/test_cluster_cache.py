@@ -33,7 +33,7 @@ class TestBasics:
         assert mem.stats.local_hits == 0
 
     def test_local_hits_are_faster(self):
-        mem = ClusteredMemory(cluster_size=4, local_latency=1, shared_latency=6)
+        mem = ClusteredMemory(cluster_size=4, shared_latency=6)
         mem.load_image({8: 1})
         first = mem.submit_load(8, leaf=0)
         cycles_miss = 0
@@ -96,7 +96,7 @@ class TestBasics:
         with pytest.raises(ValueError):
             ClusteredMemory(words_per_cluster=0)
         with pytest.raises(ValueError):
-            ClusteredMemory(local_latency=0)
+            ClusteredMemory(shared_latency=0)
         mem = ClusteredMemory()
         with pytest.raises(ValueError):
             mem.submit_load(2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.interleaved_cache import InterleavedCache, MemoryRequest
-from repro.memory.mainmem import MainMemory
+from repro.memory.mainmem import MISS_LATENCY, MainMemory
 from repro.memory.trace_cache import TraceCache
 from repro.network.fattree import FatTree, bandwidth_constant
 from tests.oracles import drain
@@ -38,10 +38,6 @@ class TestMainMemory:
         mem = MainMemory()
         mem.load_image({0: 1, 4: 2})
         assert mem.snapshot() == {0: 1, 4: 2}
-
-    def test_latency_validation(self):
-        with pytest.raises(ValueError):
-            MainMemory(latency=-1)
 
 
 def make_cache(**kwargs):
@@ -127,31 +123,31 @@ class TestInterleavedCacheTiming:
 
     def test_miss_pays_memory_latency(self):
         cache = make_cache(hit_latency=1)
-        cache.memory.latency = 5
         start = cache.cycle
         load = MemoryRequest(0, address=0, is_store=False)
         cache.submit(load)
         drain(cache)
-        assert cache.cycle - start == 6
+        assert cache.cycle - start == 1 + MISS_LATENCY
 
     def test_bank_conflicts_serialize(self):
-        # two requests to the same bank take twice as long as to two banks
-        same = make_cache(hit_latency=1)
-        same.memory.latency = 0
-        for rid, addr in enumerate([0, 16]):  # both bank 0
-            same.submit(MemoryRequest(rid, address=addr, is_store=True, value=1))
-        drain(same)
-        spread = make_cache(hit_latency=1)
-        spread.memory.latency = 0
-        for rid, addr in enumerate([0, 4]):  # banks 0 and 1
-            spread.submit(MemoryRequest(rid, address=addr, is_store=True, value=1))
-        drain(spread)
-        assert same.cycle > spread.cycle
+        # two hits to the same bank take longer than hits to two banks
+        def hit_cycles(addresses):
+            cache = make_cache(hit_latency=1)
+            for rid, addr in enumerate(addresses):  # fill the lines first
+                cache.submit(MemoryRequest(rid, address=addr, is_store=True, value=1))
+                drain(cache)
+            start, misses = cache.cycle, cache.stats.misses
+            for rid, addr in enumerate(addresses, len(addresses)):
+                cache.submit(MemoryRequest(rid, address=addr, is_store=True, value=2))
+            drain(cache)
+            assert cache.stats.misses == misses
+            return cache.cycle - start
+
+        assert hit_cycles([0, 16]) > hit_cycles([0, 4])  # bank 0 twice; banks 0 and 1
 
     def test_fat_tree_throttles_admission(self):
         tree = FatTree(4, bandwidth_constant(1.0), radix=4)
         cache = make_cache(fat_tree=tree)
-        cache.memory.latency = 0
         for rid in range(4):
             cache.submit(MemoryRequest(rid, address=4 * rid, is_store=True, value=rid, leaf=rid))
         drain(cache)

@@ -39,9 +39,19 @@ reaches a function by bare name (the class name for ``__init__``; a
 sets a parameter when it passes it by keyword, passes at least as many
 positional arguments as the parameter's position, or unpacks ``*`` or
 ``**``.  A function named by a ``func="..."`` job string has every
-parameter set.  The functions of an allowlisted module are exempt.  And one way to run: ``python -m repro`` is the only
-``__main__`` block under ``src/repro``, so no module runs a report past
-the runner, its cache and its telemetry session.
+parameter set.  The functions of an allowlisted module are exempt.
+
+Fields too, by the same rule: every defaulted init field of a dataclass
+or ``NamedTuple`` under ``src/repro`` is set by a construction in the
+same callers, or sits on the same allowlist.  A construction calls the
+class by name and sets a field by keyword, by position or by unpacking;
+``replace(obj, field=...)`` sets a field by keyword only.  Per-instance
+state is ``field(init=False)``, not a constructor argument, and is not
+checked.  The fields of an allowlisted module are exempt.
+
+And one way to run: ``python -m repro`` is the only ``__main__`` block
+under ``src/repro``, so no module runs a report past the runner, its
+cache and its telemetry session.
 
 One construction site: only :mod:`repro.api` calls ``RingProcessor(...)``.
 
@@ -229,7 +239,8 @@ def _uncalled(modules: dict[str, str], callers: set[str]) -> set[tuple[str, str 
     }
 
 
-#: defaulted parameters only tests set, and why each stays a parameter
+#: defaulted parameters (``function(parameter)``) and fields
+#: (``Class.field``) only tests set, and why each stays settable
 ALLOWED_ONE_VALUE = {
     "repro.analysis.clock_period.project_ultrascalar2(variant)":
         "DESIGN §5 US-II mixed-strategy ablation (TestClockProjections::test_us2_variants_ordered)",
@@ -243,6 +254,15 @@ ALLOWED_ONE_VALUE = {
         "L is the paper's complexity parameter (TestMachineSpec assembles for 8 and 64 registers)",
     "repro.memory.interleaved_cache.InterleavedCache.__init__(hit_latency)":
         "multi-cycle bank hits (TestInterleavedCacheTiming::test_hit_latency, the cache property test)",
+    "repro.memory.cluster_cache.ClusteredMemory.words_per_cluster":
+        "§7's distributed cache stays coherent under eviction "
+        "(TestBasics::test_capacity_eviction, the clustered-memory property test's 4-word caches)",
+    "repro.vlsi.grid_layout.Ultrascalar2Layout.wraparound":
+        "§5: wrap-around 'appears to cost nearly a factor of two in area' "
+        "(TestUltrascalar2Layout::test_wraparound_costs_about_twice_the_area)",
+    "repro.vlsi.hybrid_layout.HybridLayout.bandwidth":
+        "§6: U(n) = Θ(M(n) + sqrt(n L)) (TestHybridLayout::test_memory_bandwidth_term, "
+        "the pinned hybrid-1024-power layout floats)",
 }
 
 
@@ -320,6 +340,73 @@ def _unset(modules: dict[str, str], callers: list[str]) -> set[str]:
     }
 
 
+def _bare_name(node: ast.expr) -> str | None:
+    """The bare name *node* refers to, or calls: ``dataclass``,
+    ``dataclass(frozen=True)`` and ``typing.NamedTuple`` alike."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", None) or getattr(target, "attr", None)
+
+
+def _field_call(value: ast.expr | None) -> ast.Call | None:
+    """The ``field(...)`` call a dataclass field is assigned, if any."""
+    if isinstance(value, ast.Call) and _bare_name(value) == "field":
+        return value
+    return None
+
+
+def _defaulted_fields(source: str):
+    """Yield ``(class name, field, position)`` for each defaulted init
+    field of a dataclass or ``NamedTuple`` in *source*.  *position*
+    counts the init fields from 1.  A ``field(init=False)`` is not an
+    init field, and a ``ClassVar`` or an unannotated class attribute is
+    not a field at all."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not (
+            any(_bare_name(d) == "dataclass" for d in cls.decorator_list)
+            or any(_bare_name(base) == "NamedTuple" for base in cls.bases)
+        ):
+            continue
+        position = 0
+        for node in cls.body:
+            if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
+                continue
+            if "ClassVar" in ast.unparse(node.annotation):
+                continue
+            options = _field_call(node.value)
+            keywords = {k.arg: k.value for k in options.keywords} if options else {}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            position += 1
+            if node.value is not None and (
+                options is None or {"default", "default_factory"} & set(keywords)
+            ):
+                yield cls.name, node.target.id, position
+
+
+def _unset_fields(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """``module.Class.field`` for each defaulted init field in *modules*
+    (name -> source) that no construction and no ``replace`` keyword in
+    *callers* sets.  A construction calls the class by name;
+    ``replace(obj, field=...)`` sets a field of every class, by keyword
+    only, since its positional arguments name no field."""
+    calls: dict[str, list[ast.Call | None]] = {}
+    replaced: set[str | None] = set()
+    for source in callers:
+        for name, call in _calls(source):
+            if name in ("replace", "_replace") and call is not None:
+                replaced.update(keyword.arg for keyword in call.keywords)
+            else:
+                calls.setdefault(name, []).append(call)
+    return {
+        f"{module}.{owner}.{name}"
+        for module, source in modules.items()
+        for owner, name, position in _defaulted_fields(source)
+        if None not in replaced
+        and name not in replaced
+        and not any(_sets(call, name, position) for call in calls.get(owner, []))
+    }
+
+
 def _qualified(module: str, owner: str | None, name: str) -> str:
     return ".".join(part for part in (module, owner, name) if part)
 
@@ -371,8 +458,33 @@ class TestFunctionReachability:
         assert "helper" in _references(init)
 
 
+def _checked_modules() -> dict[str, str]:
+    """Name -> source of each module the one-value checks cover: every
+    module under ``src/repro`` but those on ``ALLOWED_UNREACHED``."""
+    return {
+        name: path.read_text()
+        for path in _modules()
+        if (name := _module_name(path)) not in ALLOWED_UNREACHED
+    }
+
+
 def _one_value(source: str, caller: str) -> set[str]:
     return _unset({"pkg.mod": source}, [caller])
+
+
+def _one_value_field(source: str, caller: str) -> set[str]:
+    return _unset_fields({"pkg.mod": source}, [caller])
+
+
+#: a dataclass with two defaulted fields, per-instance state, and a
+#: ``ClassVar`` that is not a field
+_RULER = (
+    "from dataclasses import dataclass, field\n\n"
+    "@dataclass\nclass Ruler:\n"
+    "    length: int\n    scale: int = 2\n    bias: int = 0\n"
+    "    marks: list = field(default_factory=list, init=False)\n"
+    "    unit: ClassVar[str] = 'cm'\n"
+)
 
 
 def _is_main_guard(node: ast.stmt) -> bool:
@@ -399,16 +511,17 @@ class TestParameterReachability:
         assert not with_parameters, f"settable only by tests: {with_parameters}"
 
     def test_every_defaulted_parameter_is_set_or_allowlisted(self):
-        modules = {
-            name: path.read_text()
-            for path in _modules()
-            if (name := _module_name(path)) not in ALLOWED_UNREACHED
-        }
-        unset = _unset(modules, [path.read_text() for path in _caller_files()])
-        allowed = set(ALLOWED_ONE_VALUE)
+        unset = _unset(_checked_modules(), [path.read_text() for path in _caller_files()])
+        allowed = {entry for entry in ALLOWED_ONE_VALUE if entry.endswith(")")}
         assert not unset - allowed, f"no caller sets: {sorted(unset - allowed)}"
         assert not allowed - unset, f"allowlisted but set or gone: {sorted(allowed - unset)}"
         assert all(ALLOWED_ONE_VALUE.values())
+
+    def test_every_defaulted_field_is_set_or_allowlisted(self):
+        unset = _unset_fields(_checked_modules(), [path.read_text() for path in _caller_files()])
+        allowed = {entry for entry in ALLOWED_ONE_VALUE if not entry.endswith(")")}
+        assert not unset - allowed, f"no caller sets: {sorted(unset - allowed)}"
+        assert not allowed - unset, f"allowlisted but set or gone: {sorted(allowed - unset)}"
 
     def test_a_parameter_nothing_sets_is_reported(self):
         source = "def scale(x, factor=2):\n    return x * factor\n"
@@ -439,6 +552,46 @@ class TestParameterReachability:
         )
         assert _unset({"pkg.mod": source}, [source, "Grid(4, bits=8)\n"]) == set()
         assert _unset({"pkg.mod": source}, [source, "Grid(4)\n"]) == {"pkg.mod.Grid.__init__(bits)"}
+
+    def test_an_unset_field_is_reported(self):
+        unset = {"pkg.mod.Ruler.scale", "pkg.mod.Ruler.bias"}
+        assert _one_value_field(_RULER, "Ruler(3)\n") == unset
+
+    def test_a_keyword_sets_a_field(self):
+        assert _one_value_field(_RULER, "Ruler(3, bias=1)\n") == {"pkg.mod.Ruler.scale"}
+
+    def test_a_positional_argument_sets_a_field(self):
+        assert _one_value_field(_RULER, "Ruler(3, 4)\n") == {"pkg.mod.Ruler.bias"}
+        assert _one_value_field(_RULER, "Ruler(*sizes)\n") == set()
+
+    def test_a_replace_keyword_sets_a_field(self):
+        assert _one_value_field(_RULER, "replace(ruler, scale=4)\n") == {"pkg.mod.Ruler.bias"}
+        assert _one_value_field(_RULER, "dataclasses.replace(ruler, **changes)\n") == set()
+
+    def test_replace_positional_arguments_set_nothing(self):
+        # str.replace and dataclasses.replace alike: no positional argument names a field
+        unset = {"pkg.mod.Ruler.scale", "pkg.mod.Ruler.bias"}
+        assert _one_value_field(_RULER, "name.replace('a', 'b')\nreplace(ruler, 4)\n") == unset
+
+    def test_init_false_state_is_exempt(self):
+        source = (
+            "@dataclass\nclass Stats:\n"
+            "    hits: int = field(default=0, init=False)\n"
+            "    log: list = field(default_factory=list, init=False)\n"
+        )
+        assert _one_value_field(source, "Stats()\n") == set()
+
+    def test_a_named_tuple_field_is_checked(self):
+        source = "class Point(NamedTuple):\n    x: int\n    y: int = 0\n"
+        assert _one_value_field(source, "Point(1)\n") == {"pkg.mod.Point.y"}
+        assert _one_value_field(source, "Point(1, 2)\n") == set()
+
+    def test_an_allowlisted_modules_fields_are_exempt(self):
+        # the octree's bandwidth only tests set; its module is on ALLOWED_UNREACHED
+        module = "repro.vlsi.three_d_layout"
+        callers = [path.read_text() for path in _caller_files()]
+        assert _unset_fields({module: _path(module).read_text()}, callers)
+        assert module not in _checked_modules()
 
     def test_only_the_cli_has_a_main_block(self):
         blocks = {

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.circuits import netlist
 from repro.circuits.netlist import (
     GateKind,
     GateRun,
@@ -185,8 +184,7 @@ class TestTiming:
         nl.add_gate(GateKind.BUF, a)
         assert nl.simulate({a: False}).settle_time == 0
 
-    def test_oscillator_detected(self, monkeypatch):
-        monkeypatch.setattr(netlist, "_MAX_TIME", 100)
+    def test_oscillator_detected(self):
         nl = Netlist()
         a = nl.add_input("enable")
         # ring oscillator: out = NOT(AND(enable, out))
@@ -194,7 +192,7 @@ class TestTiming:
         inner = nl.add_gate(GateKind.AND, a, feedback)
         out = nl.add_gate(GateKind.NOT, inner)
         nl.tie(feedback, out)
-        with pytest.raises(RuntimeError, match="did not settle by t=100"):
+        with pytest.raises(RuntimeError, match="did not settle"):
             nl.simulate({a: True})
 
 

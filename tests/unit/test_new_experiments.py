@@ -11,7 +11,7 @@ from repro.experiments import (
     window_vs_issue,
 )
 from repro.vlsi.hybrid_layout import HybridLayout
-from repro.vlsi.tech import PAPER_TECH
+from repro.vlsi.tech import TRACK_UM, tracks_to_cm
 
 
 def us1_ring_counts(workload, window):
@@ -164,13 +164,13 @@ class TestOneCmChip:
         assert outcome.area_cm2 < 1.0
         assert outcome.ipc > 4.0
 
-    def test_shrink_factor(self):
+    def test_shrink_factor(self, outcome):
         assert one_cm_chip.SHRINK == pytest.approx(0.1 / 0.35)
-        assert one_cm_chip.TECH_01UM.track_um < 2.0
+        assert TRACK_UM * one_cm_chip.SHRINK < 2.0
         # a linear shrink: the same tracks, each one smaller
-        big = HybridLayout(128, 32, 32, tech=PAPER_TECH)
-        small = HybridLayout(128, 32, 32, tech=one_cm_chip.TECH_01UM)
-        assert big.side_length() == small.side_length()
+        side = HybridLayout(128, 32, 32).side_length()
+        assert outcome.side_cm == pytest.approx(tracks_to_cm(side) * one_cm_chip.SHRINK)
+        assert repr(outcome.side_cm) == "0.8195813949410585"
 
     def test_report_renders(self):
         text = one_cm_chip.report()
