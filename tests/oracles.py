@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, TypeVar
 
+from repro.circuits.netlist import _KINDS, GateKind, SimulationResult
 from repro.isa import Instruction, MachineSpec, Opcode, Program
 from repro.workloads import Workload
 
@@ -59,6 +60,16 @@ def segmented_scan(
     return ys
 
 
+def net_readers(netlist) -> list[list[int]]:
+    """Per net, the gates that read it, in gate order (a gate that reads
+    a net twice is listed twice), built from the gate rows alone."""
+    readers: list[list[int]] = [[] for _ in range(netlist.net_count)]
+    for gate, ins in enumerate(netlist._ins):
+        for net in ins:
+            readers[net].append(gate)
+    return readers
+
+
 def topological_depth(netlist) -> int:
     """Critical-path length of an acyclic netlist, in gate delays.
 
@@ -69,12 +80,12 @@ def topological_depth(netlist) -> int:
     primary = set(netlist.inputs)
     indegree = [sum(net not in primary for net in ins) for ins in netlist._ins]
     ready = [gate for gate, deg in enumerate(indegree) if deg == 0]
-    fanouts = netlist._fanouts()
+    readers = net_readers(netlist)
     order: list[int] = []
     while ready:
         gate = ready.pop()
         order.append(gate)
-        for successor in fanouts[netlist._out[gate]]:
+        for successor in readers[netlist._out[gate]]:
             indegree[successor] -= 1
             if indegree[successor] == 0:
                 ready.append(successor)
@@ -85,6 +96,71 @@ def topological_depth(netlist) -> int:
         arrival = max(depth[net] for net in netlist._ins[gate])
         depth[netlist._out[gate]] = 1 + arrival
     return max(depth, default=0)
+
+
+#: what each gate kind computes from its input values, in input order
+GATE_FUNCTIONS = {
+    GateKind.BUF: lambda v: v[0],
+    GateKind.NOT: lambda v: not v[0],
+    GateKind.AND: all,
+    GateKind.OR: any,
+    GateKind.XOR: lambda v: sum(v) % 2 == 1,
+    GateKind.XNOR: lambda v: sum(v) % 2 == 0,
+    GateKind.NAND: lambda v: not all(v),
+    GateKind.NOR: lambda v: not any(v),
+    GateKind.MUX: lambda v: v[1] if v[0] else v[2],
+}
+
+
+def reference_simulate(netlist, assignments: dict[int, bool]) -> SimulationResult:
+    """Unit-delay simulation in which every gate is due at time 1.
+
+    The straightforward wavefront :meth:`Netlist.simulate` refines: all
+    nets start at 0 with the inputs applied, every gate is evaluated at
+    time 1, and thereafter a gate is due one step after an input of it
+    changed (two-phase: a step's gates all read the pre-step values).
+    Fan-out comes from :func:`net_readers`.  Past the gate count a
+    repeat of the state (values plus due set), checked against a
+    snapshot taken at powers of two, raises the simulator's
+    ``RuntimeError``.  Its ``events`` bounds the simulator's from above.
+    """
+    kinds = [_KINDS[code] for code in netlist._kind]
+    values = [False] * netlist.net_count
+    for value, net in netlist._const_cache.items():
+        if net in assignments:
+            raise ValueError(f"net {netlist.name_of(net)!r} is a constant")
+        values[net] = value
+    for net, value in assignments.items():
+        if net not in netlist.inputs:
+            raise ValueError(f"net {netlist.name_of(net)!r} is not a primary input")
+        values[net] = bool(value)
+    readers = net_readers(netlist)
+    due = set(range(len(kinds)))
+    time = settle_time = events = 0
+    seen = None
+    while due:
+        time += 1
+        if time > len(kinds):
+            state = (tuple(values), frozenset(due))
+            if state == seen:
+                raise RuntimeError(
+                    f"netlist {netlist.name!r} did not settle: it oscillates by t={time}"
+                )
+            if time & (time - 1) == 0:
+                seen = state
+        events += len(due)
+        changed = []
+        for gate in due:
+            inputs = [values[net] for net in netlist._ins[gate]]
+            value = bool(GATE_FUNCTIONS[kinds[gate]](inputs))
+            if value != values[netlist._out[gate]]:
+                changed.append((netlist._out[gate], value))
+        if changed:
+            settle_time = time
+        for net, value in changed:
+            values[net] = value
+        due = {gate for net, _ in changed for gate in readers[net]}
+    return SimulationResult(values=values, settle_time=settle_time, events=events)
 
 
 def drain(cache, max_cycles: int = 100_000) -> list:

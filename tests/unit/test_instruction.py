@@ -1,5 +1,7 @@
 """Unit tests for the Instruction value type and its operand invariants."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import Instruction, Opcode
@@ -52,6 +54,40 @@ class TestPaperConstraint:
         inst = _make_any(op)
         assert len(inst.reads) <= 2
         assert len(inst.writes) <= 1
+
+
+_OPERANDS = ("rd", "rs1", "rs2", "imm", "target")
+
+
+class TestOperandMessages:
+    """The exact error for each operand an opcode's format misses or forbids."""
+
+    @pytest.mark.parametrize("field", _OPERANDS)
+    @pytest.mark.parametrize("op", list(Opcode))
+    def test_one_wrong_operand(self, op, field):
+        valid = _make_any(op)
+        if getattr(valid, field) is None:
+            message = f"{op.mnemonic}: unexpected operand {field}=9"
+            wrong = 9
+        else:
+            message = f"{op.mnemonic}: missing operand {field}"
+            wrong = None
+        with pytest.raises(ValueError) as raised:
+            replace(valid, **{field: wrong})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rs1": 2, "rs2": 3, "imm": 4}, "add: missing operand rd"),
+            ({"rd": 1, "rs1": 2, "imm": 4, "target": 5}, "add: missing operand rs2"),
+            ({"rd": 1, "rs1": 2, "rs2": 3, "imm": 4, "target": 5}, "add: unexpected operand imm=4"),
+        ],
+    )
+    def test_the_first_wrong_operand_is_named(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            Instruction(Opcode.ADD, **kwargs)
+        assert str(raised.value) == message
 
 
 def _make_any(op: Opcode) -> Instruction:
