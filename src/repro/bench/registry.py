@@ -27,7 +27,7 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``network`` — the Ultrascalar II argument-routing reference;
 * ``circuits`` — building and settling E9's two Ultrascalar II grid
   netlists, the mesh-of-trees grid (the largest of E9's gate-level
-  circuits) and the linear grid;
+  circuits) and the linear grid, timed with the garbage collector on;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation, and the differential runs under
@@ -60,6 +60,9 @@ class Benchmark:
     quick: bool = False
     #: structural parameters (design, window, size, ...) for the artifact
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: time with the garbage collector on, so the row's cost includes the
+    #: collections its allocations set off (recorded as metadata ``gc``)
+    gc: bool = False
 
 
 def register(benchmark: Benchmark) -> Benchmark:
@@ -375,6 +378,7 @@ def _register_circuits() -> None:
                 make=lambda network=network, n=n: _grid_thunk(network, n),
                 quick=quick,
                 metadata={"stations": n, "num_registers": n},
+                gc=True,
             )
         )
 

@@ -27,7 +27,7 @@ def run_benchmark(
 ) -> BenchRecord:
     """Measure one benchmark under the protocol; see module docs."""
     thunk = benchmark.make()
-    timing = measure(thunk, repeats=repeats, warmup=warmup)
+    timing = measure(thunk, repeats=repeats, warmup=warmup, collect=benchmark.gc)
     tracer = CountingTracer()
     with collecting(tracer):
         thunk()
@@ -35,7 +35,7 @@ def run_benchmark(
         name=benchmark.name,
         group=benchmark.group,
         title=benchmark.title,
-        metadata=dict(benchmark.metadata),
+        metadata={**benchmark.metadata, "gc": benchmark.gc},
         timing=timing,
         stats=tracer.snapshot(),
     )

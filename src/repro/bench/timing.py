@@ -7,7 +7,9 @@ numbers comparable across commits:
   monotonic clock Python exposes);
 * **GC disabled** — the collector is paused around every timed region
   and restored afterwards, so a collection pause never lands inside a
-  repeat;
+  repeat; rows whose cost includes the collections their allocations
+  set off (``circuits``, whose netlists hold many objects) time with it
+  on instead, and record ``"gc": true`` in their metadata;
 * **warmup** — untimed calls first, so import caches and allocator
   pools are hot before the first measurement;
 * **repeats** — each benchmark is timed several times and the artifact
@@ -90,12 +92,14 @@ def measure(
     *,
     repeats: int = 5,
     warmup: int = 1,
+    collect: bool = False,
 ) -> Timing:
     """Time ``fn()`` under the protocol; returns every repeat.
 
-    The GC is disabled only around the timed region (warmup runs with
-    the collector in whatever state the caller left it), and its
-    enabled/disabled state is restored even when *fn* raises.
+    The GC is disabled around the timed region, or enabled there when
+    *collect* is set (warmup runs with the collector in whatever state
+    the caller left it), and its enabled/disabled state is restored even
+    when *fn* raises.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -105,7 +109,10 @@ def measure(
         fn()
     samples: list[float] = []
     was_enabled = gc.isenabled()
-    gc.disable()
+    if collect:
+        gc.enable()
+    else:
+        gc.disable()
     try:
         for _ in range(repeats):
             start = perf_counter()
@@ -114,6 +121,8 @@ def measure(
     finally:
         if was_enabled:
             gc.enable()
+        else:
+            gc.disable()
     return Timing(repeats=tuple(samples), warmup=warmup)
 
 

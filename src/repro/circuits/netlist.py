@@ -9,16 +9,19 @@ net, plus a second int when a later gate of its own run reads it.
 :meth:`Netlist.add_gates` is the bulk path: it checks a whole run of
 gates once (a fan-out tree, or a column of comparators and muxes planned
 in a :class:`GateRun`), then extends the lists in one step.  Fan-out is
-derived from the gate rows and cached until the next gate is added or
-:meth:`Netlist.tie` rewires one.
+derived from the gate rows as one linked list of input pins per net,
+held in three flat lists however many nets there are, and cached until
+the next gate is added or :meth:`Netlist.tie` rewires one.
 
 Simulation measures *settle time*: inputs are applied at time 0 with
 every net initialized to 0, and events propagate until the netlist is
 quiescent.  Every gate takes one unit, so the simulation is a wavefront:
 the gates due at time *t* are those an input of which changed at
-*t - 1*.  Values live in a list indexed by net; the next wavefront is
-one list, with a per-gate marker so that a gate is queued at most once
-per time step.  For acyclic circuits
+*t - 1*.  At time 1 those are the readers of the inputs that are 1, plus
+the inverting gates (NOT, NAND, NOR, XNOR), which output 1 from all-0
+inputs; no other gate can change then.  Values live in a list indexed by
+net; the next wavefront is one list, with a per-gate marker so that a
+gate is queued at most once per time step.  For acyclic circuits
 the settle time is bounded by the topological critical path; for cyclic
 circuits (the mux rings and CSPP trees of the paper, which tie the top
 of the tree around) the simulator reaches the unique fixed point
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 #: a single-bit wire, identified by its index in its netlist
@@ -59,6 +63,8 @@ class GateKind(enum.Enum):
 _KINDS = tuple(GateKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _BUF, _NOT, _AND, _OR, _XOR, _XNOR, _NAND, _NOR, _MUX = range(len(_KINDS))
+#: per kind code, 1 if the gate's output is 1 when every input is 0
+_INVERTS = tuple(int(code in (_NOT, _XNOR, _NAND, _NOR)) for code in range(len(_KINDS)))
 
 #: (min, max) inputs; every other kind takes 2..64
 _ARITY = {GateKind.BUF: (1, 1), GateKind.NOT: (1, 1), GateKind.MUX: (3, 3)}
@@ -98,7 +104,7 @@ class Netlist:
         self._out: list[Net] = []
         # inputs and explicitly named gate outputs
         self._names: dict[Net, str] = {}
-        self._fanout: list[list[int]] | None = None
+        self._fanout: tuple[list[int], list[int], list[int]] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -203,13 +209,22 @@ class Netlist:
         gate = self._out.index(net)
         return f"{_KINDS[self._kind[gate]].value}{gate}"
 
-    def _fanouts(self) -> list[list[int]]:
+    def _fanouts(self) -> tuple[list[int], list[int], list[int]]:
+        """Fan-out as linked lists of pins, one chain per net.
+
+        A pin is one (gate, input) pair, numbered in gate-row order:
+        ``head[net]`` is the first pin reading *net*, ``reader[pin]`` its
+        gate, ``after[pin]`` the net's next pin, and -1 ends a chain.
+        """
         if self._fanout is None:
-            fanout: list[list[int]] = [[] for _ in range(self._nets)]
-            for gate, ins in enumerate(self._ins):
-                for net in ins:
-                    fanout[net].append(gate)
-            self._fanout = fanout
+            head = [-1] * self._nets
+            reader = [gate for gate, ins in enumerate(self._ins) for _ in ins]
+            after: list[int] = []
+            link = after.append
+            for pin, net in enumerate(chain.from_iterable(self._ins)):
+                link(head[net])
+                head[net] = pin
+            self._fanout = head, reader, after
         return self._fanout
 
     # -- simulation ----------------------------------------------------
@@ -233,17 +248,23 @@ class Netlist:
                 raise ValueError(f"net {self.name_of(net)!r} is not a primary input")
             values[net] = bool(value)
 
-        # Every gate is due at time 1; thereafter a gate is due one step
-        # after an input changes.  Evaluation is two-phase per step: all
-        # due gates read the pre-step values, then all output changes
-        # commit together — so a chain of gates takes one time unit per
-        # stage, as real hardware timing requires.  queued[g] is the last
-        # time g was queued for, which alone blocks duplicate entries.
+        # The wavefront: a gate is due one step after an input of it
+        # changes.  Every net starts at 0, so the inputs that are 1 (an
+        # input assigned 1, or the constant 1) count as changed at time 0,
+        # and at time 1 the gates due are their readers plus every gate
+        # that inverts (NOT, NAND, NOR, XNOR: 1 from all-0 inputs).  Any
+        # other gate reads only 0s then and already outputs what it would
+        # compute.  Evaluation is two-phase per step: all due gates read
+        # the pre-step values, then all output changes commit together —
+        # so a chain of gates takes one time unit per stage, as real
+        # hardware timing requires.  queued[g] is the last time g was
+        # queued for, which alone blocks duplicate entries.
         kinds, gate_inputs, outs = self._kind, self._ins, self._out
-        fanout = self._fanouts()
+        head, reader, after = self._fanouts()
         get = values.__getitem__
-        due = list(range(len(kinds)))
-        queued = [1] * len(kinds)
+        queued = list(map(_INVERTS.__getitem__, kinds))
+        due = list(compress(range(len(kinds)), queued))
+        changed: list[Net] = list(compress(range(self._nets), values))
 
         # An acyclic netlist settles within its depth, so only feedback runs
         # past the gate count.  A step's whole state is the values plus the
@@ -251,8 +272,19 @@ class Netlist:
         # check compares each step with the state at the last power of two.
         time = settle_time = events = 0
         seen = None
-        while due:
-            time += 1
+        while True:
+            when = time + 1
+            for net in changed:
+                pin = head[net]
+                while pin >= 0:
+                    gate = reader[pin]
+                    if queued[gate] != when:
+                        queued[gate] = when
+                        due.append(gate)
+                    pin = after[pin]
+            if not due:
+                break
+            time = when
             if time > len(kinds):
                 state = (tuple(values), frozenset(due))
                 if state == seen:
@@ -262,7 +294,7 @@ class Netlist:
                 if time & (time - 1) == 0:
                     seen = state
             events += len(due)
-            changed: list[Net] = []
+            changed = []
             for gate in due:
                 code = kinds[gate]
                 ins = gate_inputs[gate]
@@ -293,12 +325,6 @@ class Netlist:
             for net in changed:  # every value is a bool, so a change is a toggle
                 values[net] = not values[net]
             due = []
-            when = time + 1
-            for net in changed:
-                for successor in fanout[net]:
-                    if queued[successor] != when:
-                        queued[successor] = when
-                        due.append(successor)
 
         return SimulationResult(values=values, settle_time=settle_time, events=events)
 

@@ -28,6 +28,14 @@ _FIELDS: dict[Format, tuple[str, ...]] = {
 }
 #: ``sw rs2, imm(rs1)`` stores rs2 where a load writes rd
 _SW_FIELDS = ("rs1", "rs2", "imm")
+_OPERANDS = ("rd", "rs1", "rs2", "imm", "target")
+#: per opcode code, whether each of ``_OPERANDS`` must be None
+_ABSENT = {
+    op.code: tuple(
+        field not in (_SW_FIELDS if op is Opcode.SW else _FIELDS[op.fmt]) for field in _OPERANDS
+    )
+    for op in Opcode
+}
 
 
 @dataclass(frozen=True)
@@ -55,13 +63,23 @@ class Instruction:
     target: int | None = None
 
     def __post_init__(self) -> None:
-        expect = _SW_FIELDS if self.op is Opcode.SW else _FIELDS[self.op.fmt]
-        for field in ("rd", "rs1", "rs2", "imm", "target"):
-            value = getattr(self, field)
-            if field in expect and value is None:
+        absent = (
+            self.rd is None,
+            self.rs1 is None,
+            self.rs2 is None,
+            self.imm is None,
+            self.target is None,
+        )
+        expected = _ABSENT[self.op.code]
+        if absent == expected:
+            return
+        for field, is_absent, must_be in zip(_OPERANDS, absent, expected):
+            if is_absent and not must_be:
                 raise ValueError(f"{self.op.mnemonic}: missing operand {field}")
-            if field not in expect and value is not None:
-                raise ValueError(f"{self.op.mnemonic}: unexpected operand {field}={value}")
+            if must_be and not is_absent:
+                raise ValueError(
+                    f"{self.op.mnemonic}: unexpected operand {field}={getattr(self, field)}"
+                )
 
     @property
     def reads(self) -> tuple[int, ...]:

@@ -45,6 +45,18 @@ class TestTimingProtocol:
             measure(boom, repeats=1, warmup=0)
         assert gc.isenabled()
 
+    def test_measure_times_with_the_collector_on_when_asked(self):
+        seen = []
+        measure(lambda: seen.append(gc.isenabled()), repeats=2, warmup=0)
+        measure(lambda: seen.append(gc.isenabled()), repeats=2, warmup=0, collect=True)
+        assert seen == [False, False, True, True]
+        gc.disable()
+        try:
+            measure(lambda: None, repeats=1, warmup=0, collect=True)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_measure_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             measure(lambda: None, repeats=0)
@@ -96,6 +108,12 @@ class TestRegistry:
         assert [b.name for b in select(quick=True) if b.group == "circuits"] == [
             "circuits.tgrid.n16"
         ]
+
+    def test_only_the_circuits_rows_time_with_the_collector_on(self):
+        assert {b.group for b in REGISTRY.values() if b.gc} == {"circuits"}
+        assert all(b.gc for b in REGISTRY.values() if b.group == "circuits")
+        record = run_benchmark(REGISTRY["circuits.tgrid.n16"], repeats=1, warmup=0)
+        assert record.metadata == {"stations": 16, "num_registers": 16, "gc": True}
 
     def test_workloads_row_draws_an_e15_program(self):
         [row] = [b for b in select(quick=True) if b.group == "workloads"]
