@@ -15,16 +15,13 @@ baseline comparator can match entries by name.  Schema::
         "python": "3.12.1", "implementation": "CPython",
         "platform": "...", "machine": "...", "cpu_count": <int>
       },
-      "protocol": {
-        "clock": "perf_counter", "gc_disabled": true,
-        "warmup": <int>, "repeats": <int>
-      },
+      "protocol": {"clock": "perf_counter", "warmup": <int>, "repeats": <int>},
       "totals": {"benchmarks": <int>, "wall_time_s": <float>},
       "results": [
         {
           "name": "engine.us1.w8", "group": "engine",
           "title": "<display title>", "units": "s",
-          "metadata": {...},            # structural parameters
+          "metadata": {...},            # structural parameters, and "gc"
           "repeats_s": [<float>, ...],  # every timed repeat, in order
           "best_s": <float>, "median_s": <float>, "mean_s": <float>,
           "stats": {"<counter>": <int>, ...},  # telemetry join ({} if none)
@@ -33,10 +30,15 @@ baseline comparator can match entries by name.  Schema::
       ]
     }
 
-Artifacts written before the package dropped NumPy also carry
-``host.numpy`` (its version, or null).  Neither the validator nor
-``hosts_differ`` reads that key, so those artifacts (``BENCH_0.json``
-among them) still validate and compare.
+``metadata["gc"]`` says whether the row was timed with the garbage
+collector on (the ``circuits`` rows) or paused (every other row).
+
+Older artifacts carry two keys this one does not: ``host.numpy`` (the
+NumPy version, or null, from before the package dropped NumPy) and
+``protocol.gc_disabled`` (always true, even once the ``circuits`` rows
+timed with the collector on).  Neither the validator nor the comparator
+reads them, so those artifacts (``BENCH_0.json`` among them) still
+validate and compare.
 
 ``stats`` comes from an extra *untimed* pass inside a telemetry
 session, so the timed repeats measure exactly the untraced hot path;

@@ -16,8 +16,8 @@ Usage::
 
 Options::
 
-    --quick           run the CI subset (one representative per group;
-                      always covers us1, us2, and hybrid)
+    --quick           run the CI subset (at least one representative per
+                      group; always covers us1, us2, and hybrid)
     --filter S        keep benchmarks whose name contains S (repeatable)
     --list            print the selected benchmarks and exit
     --repeats N       timed repeats per benchmark (default 5, quick 3)

@@ -32,10 +32,12 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation, and the differential runs under
   the invariant checker that ``repro verify`` makes of each case (the
-  verify CLI's hot loop).
+  verify CLI's hot loop), next to the same runs without the checker:
+  the gap between those two rows is the checker's cost.
 
-The ``--quick`` subset keeps one representative per group (always
-covering all three processor designs) sized for CI smoke runs.
+The ``--quick`` subset keeps at least one representative per group
+(always covering all three processor designs, and all three ``verify``
+rows) sized for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -470,14 +472,14 @@ def _fuzz_thunk(cases: int, size: int) -> Callable[[], Any]:
     return thunk
 
 
-def _fuzz_run_thunk(cases: int, size: int) -> Callable[[], Any]:
+def _fuzz_run_thunk(cases: int, size: int, check_invariants: bool) -> Callable[[], Any]:
     from repro.verify.fuzz import generate_case, run_case
 
     generated = [generate_case(seed, size) for seed in range(cases)]
 
     def thunk() -> None:
         for case in generated:
-            run_case(case)
+            run_case(case, check_invariants=check_invariants)
 
     return thunk
 
@@ -498,9 +500,19 @@ def _register_verify() -> None:
             name="verify.fuzz.run_case",
             group="verify",
             title="differential runs with invariant checks (16 cases of 48)",
-            make=lambda: _fuzz_run_thunk(16, 48),
+            make=lambda: _fuzz_run_thunk(16, 48, check_invariants=True),
             quick=True,
             metadata={"cases": 16, "size": 48},
+        )
+    )
+    register(
+        Benchmark(
+            name="verify.fuzz.run_case.unchecked",
+            group="verify",
+            title="differential runs without invariant checks (16 cases of 48)",
+            make=lambda: _fuzz_run_thunk(16, 48, check_invariants=False),
+            quick=True,
+            metadata={"cases": 16, "size": 48, "check_invariants": False},
         )
     )
 

@@ -9,7 +9,9 @@ numbers comparable across commits:
   and restored afterwards, so a collection pause never lands inside a
   repeat; rows whose cost includes the collections their allocations
   set off (``circuits``, whose netlists hold many objects) time with it
-  on instead, and record ``"gc": true`` in their metadata;
+  on instead.  Each record's metadata says which (``"gc": true`` or
+  ``false``); the artifact's ``protocol`` block says nothing about the
+  collector, since no single value holds for every row;
 * **warmup** — untimed calls first, so import caches and allocator
   pools are hot before the first measurement;
 * **repeats** — each benchmark is timed several times and the artifact
@@ -54,7 +56,6 @@ def protocol_description(repeats: int, warmup: int) -> dict[str, Any]:
     """The ``protocol`` artifact block for one run's settings."""
     return {
         "clock": "perf_counter",
-        "gc_disabled": True,
         "warmup": warmup,
         "repeats": repeats,
     }

@@ -120,6 +120,28 @@ class TestRegistry:
         assert row.name == "workloads.random_ilp.n4000"
         assert row.metadata == {"instructions": 4000, "density": 0.5, "seed": 507}
 
+    def test_verify_rows_show_the_checker_as_their_gap(self, monkeypatch):
+        # the same cases, with and without the invariant checker
+        checked = REGISTRY["verify.fuzz.run_case"]
+        unchecked = REGISTRY["verify.fuzz.run_case.unchecked"]
+        assert checked.quick and unchecked.quick
+        assert unchecked.metadata == {**checked.metadata, "check_invariants": False}
+
+        import repro.verify.diff as diff
+
+        checkers = []
+
+        class Counting(diff.InvariantChecker):
+            def __init__(self):
+                super().__init__()
+                checkers.append(self)
+
+        monkeypatch.setattr(diff, "InvariantChecker", Counting)
+        unchecked.make()()
+        assert checkers == []
+        checked.make()()
+        assert checkers and all(checker.checks > 0 for checker in checkers)
+
     def test_filter_selects_substrings(self):
         engines = select(substrings=("engine.",))
         assert engines and all(b.name.startswith("engine.") for b in engines)
@@ -206,6 +228,15 @@ class TestArtifact:
         del current["host"]["numpy"]
         assert validate_bench_artifact(current) == []
         assert not hosts_differ(baseline, current)
+
+    def test_protocol_says_nothing_a_row_contradicts(self):
+        # the circuits rows time with the collector on and every other row
+        # with it paused, so the protocol block cannot state one GC setting
+        records = run_benchmarks(select(quick=True), repeats=1, warmup=0)
+        document = build_bench_artifact(records, mode="quick", repeats=1, warmup=0)
+        assert validate_bench_artifact(document) == []
+        assert {entry["metadata"]["gc"] for entry in document["results"]} == {True, False}
+        assert not [key for key in document["protocol"] if "gc" in key], document["protocol"]
 
     def test_validate_duck_types_results(self):
         document = build_bench_artifact([], mode="full", repeats=1, warmup=0)
