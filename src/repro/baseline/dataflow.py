@@ -22,6 +22,7 @@ the reference for Figure 3 and E10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.isa.interpreter import StepOutcome
@@ -41,23 +42,52 @@ class ScheduledInstruction(NamedTuple):
 
 @dataclass
 class DataflowSchedule:
-    """The whole schedule plus summary statistics."""
+    """The whole schedule plus summary statistics.
 
-    entries: list[ScheduledInstruction]
+    The recurrence builds no record per instruction: it keeps each
+    dynamic instruction's fetch, issue, complete and commit cycles as
+    four int columns, indexed by ``seq``.  :attr:`entries` is built
+    from the columns and the trace the first time it is read, then
+    cached; a caller that reads only :attr:`cycles`, :attr:`ipc` or the
+    columns never pays for it.
+    """
+
+    #: the scheduled dynamic trace, by ``seq``
+    trace: list[StepOutcome]
+    fetch_cycles: list[int]
+    issue_cycles: list[int]
+    complete_cycles: list[int]
+    commit_cycles: list[int]
+
+    @cached_property
+    def entries(self) -> list[ScheduledInstruction]:
+        """One record per dynamic instruction, in ``seq`` order."""
+        return list(
+            map(
+                ScheduledInstruction,
+                range(len(self.trace)),
+                self.trace,
+                self.fetch_cycles,
+                self.issue_cycles,
+                self.complete_cycles,
+                self.commit_cycles,
+            )
+        )
 
     @property
     def cycles(self) -> int:
         """Total cycles: the last commit happens in cycle ``cycles - 1``.
 
-        Commit is in order, so the last entry commits last.
+        Commit is in order, so the last instruction commits last.
         """
-        return self.entries[-1].commit_cycle + 1 if self.entries else 0
+        commits = self.commit_cycles
+        return commits[-1] + 1 if commits else 0
 
     @property
     def ipc(self) -> float:
         """Dynamic instructions per cycle."""
         cycles = self.cycles
-        return len(self.entries) / cycles if cycles else 0.0
+        return len(self.commit_cycles) / cycles if cycles else 0.0
 
 
 def dataflow_schedule(
@@ -81,7 +111,9 @@ def dataflow_schedule(
     """
     latencies = latencies or PAPER_LATENCIES
     by_code = latencies.by_code
-    entries: list[ScheduledInstruction] = []
+    fetches: list[int] = []
+    issues: list[int] = []
+    completes: list[int] = []
 
     #: result-availability cycle per register (complete + 1)
     reg_available: dict[int, int] = {}
@@ -146,7 +178,9 @@ def dataflow_schedule(
         complete = issue if is_memory else issue + by_code[op.code] - 1
         commit = complete if complete > prev_commit else prev_commit
 
-        entries.append(ScheduledInstruction(seq, step, fetch, issue, complete, commit))
+        fetches.append(fetch)
+        issues.append(issue)
+        completes.append(complete)
         commits.append(commit)
         prev_commit = commit
 
@@ -161,4 +195,4 @@ def dataflow_schedule(
         elif op.is_control and complete > last_branch_done:
             last_branch_done = complete
 
-    return DataflowSchedule(entries=entries)
+    return DataflowSchedule(trace, fetches, issues, completes, commits)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import gc
 import os
 import platform
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable

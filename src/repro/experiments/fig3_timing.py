@@ -57,7 +57,8 @@ def run() -> Fig3Result:
     )
     schedule = dataflow_schedule(golden.trace)
     oracle_spans = [
-        (e.issue_cycle, e.complete_cycle + 1) for e in schedule.entries
+        (issue, complete + 1)
+        for issue, complete in zip(schedule.issue_cycles, schedule.complete_cycles)
     ][:8]
 
     return Fig3Result(

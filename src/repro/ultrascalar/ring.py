@@ -62,12 +62,22 @@ state changes rather than ``n``:
 * commit builds no record objects: it appends one plain row to
   :attr:`RingProcessor.commit_log`, and the result's ``committed`` and
   ``timings`` views are built from the log only when first read.
+
+Host work per instruction, not per cycle, bounds a run, so the path
+from fetch to commit makes few calls per instruction: one
+:meth:`~RingProcessor._allocate`, one :meth:`~RingProcessor._operand`
+per issued operand (read by source count, in one issue loop for every
+kind), one :func:`_release` when its station frees and one
+:meth:`~RingProcessor._commit`.  Readying, issuing and finishing are
+loops inside the phases, and a finished producer wakes its consumers in
+one loop, :meth:`~RingProcessor._wake_consumers`; self-timed and
+global-clock runs share these loops and differ only in the latency term.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import deque
+from collections import defaultdict, deque
 from operator import attrgetter
 
 from repro.frontend.branch_predictor import BranchPredictor
@@ -103,12 +113,6 @@ def _release(station: Station) -> None:
     station.state = EMPTY
     station.producers = ()
     station.prev_writer = None
-
-
-def _drop_squashed(queue) -> None:
-    """Pop squashed (freed) stations off the young end of *queue*."""
-    while queue and queue[-1].state is EMPTY:
-        queue.pop()
 
 
 class RingProcessor:
@@ -154,6 +158,8 @@ class RingProcessor:
         else:
             self._refill_mode = "per_cluster"
         self.fetch = FetchUnit(program, predictor, width=config.fetch_width)
+        self.fetch_width = config.fetch_width
+        self.self_timed = config.self_timed
         self.cycle = 0
         self.seq = 0
         #: one CommitRow per committed instruction, in commit order
@@ -173,14 +179,20 @@ class RingProcessor:
         # per register, its youngest allocated writer: the nearest
         # preceding writer CSPP routes the next fetched station's value from
         self._writer: list[Station | None] = [None] * self.L
-        # WAITING stations whose operands have all arrived, by kind
+        # WAITING stations whose operands have all arrived, by kind, each
+        # list kept in place; _ready_of maps a static index to its kind's
         self._ready_alu: list[Station] = []
         self._ready_loads: list[Station] = []
         self._ready_stores: list[Station] = []
+        self._ready_of = [
+            self._ready_loads if row.is_load else self._ready_stores if row.is_store
+            else self._ready_alu
+            for row in self._rows
+        ]
         # cycle -> stations whose last operand arrives that cycle
-        self._arrivals: dict[int, list[Station]] = {}
+        self._arrivals: defaultdict[int, list[Station]] = defaultdict(list)
         # cycle -> EXECUTING stations whose functional unit finishes then
-        self._finishing: dict[int, list[Station]] = {}
+        self._finishing: defaultdict[int, list[Station]] = defaultdict(list)
         self._alu_busy = 0  # EXECUTING stations holding a shared ALU
         self._in_memory: dict[int, Station] = {}  # request id -> station
         # not yet DONE, oldest first: the Figure 5 conditions' cursors
@@ -201,9 +213,10 @@ class RingProcessor:
         components being completed in one clock cycle").  Self-timed:
         one cycle per H-tree level the signal must climb — neighbouring
         stations communicate in a single cycle, far stations pay for the
-        longer wires (the paper's Section 7 pipelining discussion).
+        longer wires (the paper's Section 7 pipelining discussion).  The
+        per-instruction path calls it only when self-timed.
         """
-        if not self.config.self_timed:
+        if not self.self_timed:
             return 1
         return max(1, tree_level_distance(producer_pos, consumer_pos))
 
@@ -212,7 +225,8 @@ class RingProcessor:
 
         A producer still allocated supplies its result; once it has
         been deallocated its value is in the committed register file,
-        which the oldest station inserts into the CSPP.
+        which the oldest station inserts into the CSPP.  Every issued
+        operand is read here.
         """
         if producer is None or producer.state is EMPTY:
             return self.committed_regs[reg]
@@ -254,10 +268,11 @@ class RingProcessor:
         empty positions always form the contiguous tail of the ring
         order, so filling them in order preserves ring contiguity.
         """
-        budget = min(self.config.fetch_width, self.n - self.count)
-        if budget == 0 or self.fetch.stalled():
+        budget = min(self.fetch_width, self.n - self.count)
+        stalled = self.fetch.stalled()
+        if budget == 0 or stalled:
             if self._tracing:
-                if self.fetch.stalled():
+                if stalled:
                     self.tracer.count("fetch.stall_cycles.starved")
                 else:
                     self.tracer.count("fetch.stall_cycles.window_full")
@@ -267,11 +282,11 @@ class RingProcessor:
             self.tracer.count("fetch.cycles_active")
             self.tracer.count("fetch.instructions", len(group))
         rows = self._rows
+        allocate = self._allocate
         predictions = iter(self.fetch.predictions)
         for static_index in group:
             decoded = rows[static_index]
-            predicted = next(predictions) if decoded.is_branch else None
-            self._allocate(static_index, decoded, predicted)
+            allocate(static_index, decoded, next(predictions) if decoded.is_branch else None)
 
     def _allocate(self, static_index: int, decoded: Decoded, predicted: bool | None) -> None:
         """Load an instruction into the next free station and link its operands."""
@@ -284,23 +299,27 @@ class RingProcessor:
         # Link each source to its nearest preceding writer.  A finished
         # producer's value arrives a forwarding latency after it
         # completed; an unfinished one will wake this station.
-        self_timed = self.config.self_timed
+        writers = self._writer
+        self_timed = self.self_timed
         ready_cycle = 0
         pending = 0
         producers = []
         for reg in decoded.sources:
-            producer = self._writer[reg]
-            if producer is not None and producer.state is EMPTY:
-                producer = None  # deallocated: the register file holds it
-            producers.append(producer)
-            if producer is None:
-                source_pos = self._reg_source_pos[reg]
-                if self_timed and source_pos is not None:
+            producer = writers[reg]
+            if producer is None or producer.state is EMPTY:
+                producers.append(None)  # deallocated: the register file holds it
+                source_pos = self._reg_source_pos[reg] if self_timed else None
+                if source_pos is not None:
                     arrival = self._reg_source_cycle[reg] + self._forward_latency(source_pos, pos)
-                    ready_cycle = max(ready_cycle, arrival)
-            elif producer.state is DONE:
-                arrival = producer.complete_cycle + self._forward_latency(producer.index, pos)
-                ready_cycle = max(ready_cycle, arrival)
+                    if arrival > ready_cycle:
+                        ready_cycle = arrival
+                continue
+            producers.append(producer)
+            if producer.state is DONE:
+                latency = self._forward_latency(producer.index, pos) if self_timed else 1
+                arrival = producer.complete_cycle + latency
+                if arrival > ready_cycle:
+                    ready_cycle = arrival
             else:
                 pending += 1
                 producer.consumers.append(station)
@@ -310,8 +329,8 @@ class RingProcessor:
 
         dest = decoded.dest
         if dest is not None:
-            station.prev_writer = self._writer[dest]
-            self._writer[dest] = station
+            station.prev_writer = writers[dest]
+            writers[dest] = station
         if decoded.is_memory:
             self._memory_ops.append(station)
             if decoded.is_store:
@@ -324,60 +343,65 @@ class RingProcessor:
     def _schedule(self, station: Station) -> None:
         """Make *station* issuable from its ``ready_cycle`` on."""
         if station.ready_cycle > self.cycle:
-            self._arrivals.setdefault(station.ready_cycle, []).append(station)
-            return
-        decoded = station.decoded
-        if decoded.is_load:
-            self._ready_loads.append(station)
-        elif decoded.is_store:
-            self._ready_stores.append(station)
+            self._arrivals[station.ready_cycle].append(station)
         else:
-            self._ready_alu.append(station)
+            self._ready_of[station.static_index].append(station)
 
     def _wake_consumers(self, producer: Station) -> None:
-        """*producer* just finished: its value starts towards each consumer."""
+        """*producer* finished this cycle: its value starts towards each
+        consumer, and arrives on a later cycle."""
+        complete = producer.complete_cycle
+        arrival = complete + 1
+        self_timed = self.self_timed
+        arrivals = self._arrivals
         for consumer in producer.consumers:
             if consumer.state is not WAITING:
                 continue  # squashed
-            arrival = producer.complete_cycle + self._forward_latency(
-                producer.index, consumer.index
-            )
+            if self_timed:
+                arrival = complete + self._forward_latency(producer.index, consumer.index)
             if arrival > consumer.ready_cycle:
                 consumer.ready_cycle = arrival
             consumer.pending -= 1
             if not consumer.pending:
-                self._schedule(consumer)
+                arrivals[consumer.ready_cycle].append(consumer)
         producer.consumers = []
 
     def _phase_issue(self) -> None:
-        arrived = self._arrivals.pop(self.cycle, None)
+        """Issue this cycle's ready stations: each reads its operands
+        through its producer links, then executes or goes to memory."""
+        cycle = self.cycle
+        arrived = self._arrivals.pop(cycle, None)
         if arrived:
+            ready_of = self._ready_of
             for station in arrived:
                 if station.state is WAITING:
-                    self._schedule(station)
-        issued = 0
+                    ready_of[station.static_index].append(station)
 
         # Shared-ALU arbitration (Memo 2): the oldest requesters win the
         # ALUs that stations executing since earlier cycles leave free;
         # NOP and HALT need none.  (It runs before memory operations
         # issue: a store-forwarded load holds an ALU from the next cycle.)
+        issuing = []
         pool = self._ready_alu
         if pool:
             pool.sort(key=_by_seq)
             num_alus = self.config.num_alus
-            free = len(pool) if num_alus is None else num_alus - self._alu_busy
-            denied = []
-            for station in pool:
-                if station.decoded.uses_alu:
-                    if free <= 0:
-                        denied.append(station)
-                        continue
-                    free -= 1
-                self._issue_execute(station)
-                issued += 1
-            if self._tracing and denied:
-                self.tracer.count("issue.alu_denied", len(denied))
-            self._ready_alu = denied
+            if num_alus is None:
+                issuing = pool[:]
+                pool.clear()
+            else:
+                free = num_alus - self._alu_busy
+                denied = []
+                for station in pool:
+                    if station.decoded.uses_alu:
+                        if free <= 0:
+                            denied.append(station)
+                            continue
+                        free -= 1
+                    issuing.append(station)
+                if self._tracing and denied:
+                    self.tracer.count("issue.alu_denied", len(denied))
+                pool[:] = denied
 
         # Loads wait for every older store; a store waits for every older
         # memory operation and control transfer.  A load and a store
@@ -391,52 +415,62 @@ class RingProcessor:
             for station in loads:
                 if station.seq > first_store:
                     break
-                self._issue_load(station)
                 passed += 1
+            issuing += loads[:passed]
             del loads[:passed]
-            issued += passed
         stores = self._ready_stores
         if stores:
             stores.sort(key=_by_seq)
             oldest = stores[0]
             older_memory_done = oldest.seq == self._first_pending(self._memory_ops)
             if older_memory_done and oldest.seq < self._first_pending(self._controls):
-                self._issue_store(oldest)
+                issuing.append(oldest)
                 del stores[0]
-                issued += 1
-        if self._tracing and issued:
+        if not issuing:
+            return
+
+        operand = self._operand
+        latency = self._latency
+        finishing = self._finishing
+        tracing = self._tracing
+        for station in issuing:
+            decoded = station.decoded
+            # read the operands through the producer links, by source
+            # count (the sources are rs1, then rs2)
+            sources = decoded.sources
+            if len(sources) == 2:
+                producers = station.producers
+                operands = station.operands = (
+                    operand(producers[0], sources[0]),
+                    operand(producers[1], sources[1]),
+                )
+            elif sources:
+                operands = station.operands = (operand(station.producers[0], sources[0]),)
+            else:
+                operands = ()
+            station.issue_cycle = cycle
+            if tracing:
+                self._trace_issue(station)
+            if decoded.is_memory:
+                self._issue_memory(station, operands)
+                continue
+            if decoded.uses_alu:
+                self._alu_busy += 1
+            station.state = EXECUTING
+            finishing[cycle + latency[decoded.code] - 1].append(station)
+        if tracing:
             self.tracer.count("issue.cycles_active")
-            self.tracer.count("issue.instructions", issued)
+            self.tracer.count("issue.instructions", len(issuing))
 
-    def _begin_issue(self, station: Station) -> tuple[int, ...]:
-        """Read *station*'s operands through its producer links."""
-        operands = tuple(
-            [
-                self._operand(producer, reg)
-                for reg, producer in zip(station.decoded.sources, station.producers)
-            ]
-        )
-        station.operands = operands
-        station.issue_cycle = self.cycle
-        if self._tracing:
-            self._trace_issue(station)
-        return operands
-
-    def _start_executing(self, station: Station, latency: int) -> None:
-        station.state = EXECUTING
-        if station.decoded.uses_alu:
-            self._alu_busy += 1
-        self._finishing.setdefault(self.cycle + latency - 1, []).append(station)
-
-    def _issue_execute(self, station: Station) -> None:
-        self._begin_issue(station)
-        self._start_executing(station, self._latency[station.decoded.code])
-
-    def _issue_load(self, station: Station) -> None:
-        operands = self._begin_issue(station)
-        address = to_unsigned(operands[0] + station.decoded.imm)
-        station.address = address
-        if self.config.store_forwarding:
+    def _issue_memory(self, station: Station, operands: tuple[int, ...]) -> None:
+        """Send an issued load or store to memory, or forward a load."""
+        decoded = station.decoded
+        address = station.address = to_unsigned(operands[0] + decoded.imm)
+        if decoded.is_store:
+            request_id = self.memory.submit_store(address, operands[1], leaf=station.index)
+            if self.config.store_forwarding:
+                self._last_store[address] = station
+        else:
             # memory renaming: stores issue in age order and all older
             # ones have, so the youngest store issued to this address is
             # the nearest preceding one — if it is still allocated
@@ -446,23 +480,15 @@ class RingProcessor:
                 if self._tracing:
                     self.tracer.count("mem.store_forward_hits")
                 station.result = forwarder.operands[1]
-                self._start_executing(station, 1)
+                # one cycle on an ALU: it finishes in this cycle's execute phase
+                station.state = EXECUTING
+                self._alu_busy += 1
+                self._finishing[self.cycle].append(station)
                 return
-        request_id = self.memory.submit_load(address, leaf=station.index)
+            request_id = self.memory.submit_load(address, leaf=station.index)
         station.memory_request_id = request_id
         station.state = MEMORY
         self._in_memory[request_id] = station
-
-    def _issue_store(self, station: Station) -> None:
-        operands = self._begin_issue(station)
-        address = to_unsigned(operands[0] + station.decoded.imm)
-        station.address = address
-        request_id = self.memory.submit_store(address, operands[1], leaf=station.index)
-        station.memory_request_id = request_id
-        station.state = MEMORY
-        self._in_memory[request_id] = station
-        if self.config.store_forwarding:
-            self._last_store[address] = station
 
     def _trace_issue(self, station: Station) -> None:
         """Record forwarding provenance and memory traffic for one issue."""
@@ -485,16 +511,18 @@ class RingProcessor:
 
     def _phase_execute(self) -> None:
         """Finish functional units; resolve branches; handle squashes."""
-        finishing = self._finishing.pop(self.cycle, None)
+        cycle = self.cycle
+        finishing = self._finishing.pop(cycle, None)
         if not finishing:
             return
-        finishing.sort(key=_by_seq)
+        if len(finishing) > 1:
+            finishing.sort(key=_by_seq)
         for station in finishing:
             if station.state is not EXECUTING:
                 continue  # squashed
             decoded = station.decoded
             station.state = DONE
-            station.complete_cycle = self.cycle
+            station.complete_cycle = cycle
             if decoded.uses_alu:
                 self._alu_busy -= 1
             if decoded.is_branch:
@@ -534,15 +562,10 @@ class RingProcessor:
             _release(current)
             self.squashed += 1
         self.count = keep
-        for queue in (
-            self._stores,
-            self._memory_ops,
-            self._controls,
-            self._ready_alu,
-            self._ready_loads,
-            self._ready_stores,
-        ):
-            _drop_squashed(queue)
+        cursors = (self._stores, self._memory_ops, self._controls)
+        for queue in (*cursors, self._ready_alu, self._ready_loads, self._ready_stores):
+            while queue and queue[-1].state is EMPTY:
+                queue.pop()  # squashed, at the young end
         # rewind the fetch sequence numbering to just after the branch
         self.seq = station.seq + 1
         self.fetch.redirect(actual_next)
@@ -572,17 +595,23 @@ class RingProcessor:
         station" behaviour.  With ``cluster_size == 1`` this is exactly
         the Ultrascalar I's per-station reuse.
         """
-        while self.committed_count < self.count:
-            station = self.stations[(self.oldest + self.committed_count) % self.n]
-            if station.state is not DONE:
-                break
-            self._commit(station)
-            self.committed_count += 1
+        count, committed = self.count, self.committed_count
+        if committed < count:
+            stations, oldest, n = self.stations, self.oldest, self.n
+            commit = self._commit
+            while committed < count:
+                station = stations[(oldest + committed) % n]
+                if station.state is not DONE:
+                    break
+                commit(station)
+                committed += 1
+            self.committed_count = committed
 
         # `oldest` is always cluster-aligned: the initial fill starts at
         # position 0 and clusters free as aligned units.
-        while self.committed_count >= self.cluster_size:
-            self._free(self.cluster_size)
+        cluster_size = self.cluster_size
+        while self.committed_count >= cluster_size:
+            self._free(cluster_size)
         if self.count and self.committed_count == self.count and self.fetch.stalled():
             self._free(self.count)  # partly filled, and nothing more will come
 
@@ -593,8 +622,9 @@ class RingProcessor:
         reg = decoded.dest
         if reg is not None and result is not None:
             self.committed_regs[reg] = result
-            self._reg_source_pos[reg] = station.index
-            self._reg_source_cycle[reg] = station.complete_cycle
+            if self.self_timed:
+                self._reg_source_pos[reg] = station.index
+                self._reg_source_cycle[reg] = station.complete_cycle
         taken = station.taken
         next_pc = static_index + 1
         if decoded.is_control and taken:
@@ -634,9 +664,10 @@ class RingProcessor:
 
     def _free(self, stations: int) -> None:
         """Deallocate the leading cluster's first *stations* stations."""
+        ring, oldest, n = self.stations, self.oldest, self.n
         for k in range(stations):
-            _release(self.stations[(self.oldest + k) % self.n])
-        self.oldest = (self.oldest + self.cluster_size) % self.n
+            _release(ring[(oldest + k) % n])
+        self.oldest = (oldest + self.cluster_size) % n
         self.count -= stations
         self.committed_count -= stations
         if self._tracing:
@@ -661,9 +692,6 @@ class RingProcessor:
             self._cycle_hook(self)
         self.cycle += 1
 
-    def _idle(self) -> bool:
-        return self.count == 0 and self.fetch.stalled()
-
     def _stuck(self) -> str:
         """Why a run that reached ``max_cycles`` has not finished."""
         why = [f"{len(self.commit_log)} committed", f"{self.count} stations occupied"]
@@ -676,10 +704,11 @@ class RingProcessor:
 
     def run(self) -> ProcessorResult:
         """Run to completion (HALT committed, or program exhausted)."""
-        while not self.halted and not self._idle():
-            if self.cycle >= self.config.max_cycles:
+        step, stalled, max_cycles = self.step, self.fetch.stalled, self.config.max_cycles
+        while not self.halted and (self.count or not stalled()):
+            if self.cycle >= max_cycles:
                 raise RuntimeError(self._stuck())
-            self.step()
+            step()
         if self._tracing:
             self.tracer.count("commit.squashed", self.squashed)
             self.tracer.count("commit.mispredictions", self.mispredictions)

@@ -94,7 +94,14 @@ def _timing_mismatch(commit_log: list, cycles: int, schedule: DataflowSchedule) 
     then the total cycle count.
     """
     got = [row[7:] for row in commit_log]
-    want = [entry[2:] for entry in schedule.entries]
+    want = list(
+        zip(
+            schedule.fetch_cycles,
+            schedule.issue_cycles,
+            schedule.complete_cycles,
+            schedule.commit_cycles,
+        )
+    )
     if got != want:
         return _first_mismatch(got, want)
     if cycles != schedule.cycles:

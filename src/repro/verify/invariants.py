@@ -24,12 +24,13 @@ Checked properties (violations raise :class:`InvariantViolation`):
 * **Producer links equal CSPP routing** — for every occupied station and
   every register it reads, a walk of the occupied stations in CSPP
   order (oldest first, the committed register file inserted at the
-  oldest) gives the nearest preceding writer.  The engine's producer
-  link must be that writer (or the register file), on committed
-  stations too.  A WAITING station must read the walk's value through
-  the link wherever it is ready and count the rest as pending; an
-  issued, uncommitted station must have issued with exactly the walk's
-  values.  For the one-cluster ring (the Ultrascalar II) this walk is
+  oldest) gives the nearest preceding writer.  A station holds one
+  producer link per source register, and the link must be that writer
+  (or the register file), on committed stations too.  A WAITING
+  station must read the walk's value through the link wherever it is
+  ready and count the rest as pending; an issued, uncommitted station
+  must have issued with exactly the walk's values, one per source
+  register.  For the one-cluster ring (the Ultrascalar II) this walk is
   the grid routing :func:`repro.circuits.grid.route_arguments` computes.
 
 The last three properties are checked in one walk of the occupied
@@ -194,6 +195,8 @@ class InvariantChecker:
             sources = decoded.sources
             if link_failure is not None:
                 pass
+            elif len(station.producers) != len(sources):
+                link_failure = _wrong_arity(station, "producer links", station.producers)
             elif not sources or k < committed:
                 # a committed station's values go unchecked: younger
                 # commits may have overwritten the register file since
@@ -236,6 +239,8 @@ class InvariantChecker:
                 else:
                     if station.pending != pending:
                         link_failure = _miscounted(station, pending)
+            elif len(station.operands) != len(sources):
+                link_failure = _wrong_arity(station, "issued operands", station.operands)
             else:
                 # issued, with exactly the walk's values
                 operands = station.operands
@@ -302,6 +307,13 @@ def _misrouted(station, reg: int, link, want) -> str:
         f"station {station.index} (seq {station.seq}) links "
         f"r{reg} to {_describe(link)}, CSPP routes it from "
         f"{_describe(want)}"
+    )
+
+
+def _wrong_arity(station, what: str, values: tuple) -> str:
+    return (
+        f"station {station.index} (seq {station.seq}) has {len(values)} {what} "
+        f"for {len(station.decoded.sources)} source registers"
     )
 
 

@@ -488,6 +488,24 @@ def _empty_in_window(engine):
     return False
 
 
+def _truncate_settled_operands(engine):
+    """Drop the last issued operand of a long-finished, uncommitted station."""
+    for station in _uncommitted(engine):
+        if _settled(engine, station) and len(station.operands) > 1:
+            station.operands = station.operands[:1]
+            return True
+    return False
+
+
+def _truncate_new_links(engine):
+    """Drop the last producer link of the station just allocated."""
+    station = engine.stations[(engine.oldest + engine.count - 1) % engine.n]
+    if len(station.producers) < 2:
+        return False
+    station.producers = station.producers[:1]
+    return True
+
+
 def _swap_us2_first_commits(engine):
     """Swap the first two rows the Ultrascalar II commits in cycle 0."""
     if engine.cluster_size != engine.n or engine.cycle or len(engine.commit_log) < 2:
@@ -555,6 +573,20 @@ class TestInvariantCheckerMutations:
             "station 1 (seq 1) links r1 to the register file, "
             "CSPP routes it from station 0 (seq 0)"
         ) in detail
+
+    def test_fewer_issued_operands_than_sources(self, monkeypatch):
+        # a short operands tuple is an invariant divergence, not a checker crash
+        _break_once(monkeypatch, "_phase_commit", _truncate_settled_operands)
+        detail = _invariant_detail("div r5, r6, r7\nadd r1, r2, r3\nhalt")
+        assert "station 1 (seq 1) has 1 issued operands for 2 source registers" in detail
+
+    def test_fewer_producer_links_than_sources(self, monkeypatch):
+        # the dropped link is r5's, which is ready: the pending count
+        # still agrees, so only the link count shows the loss
+        _break_once(monkeypatch, "_allocate", _truncate_new_links)
+        detail = _invariant_detail("li r5, 7\nmuli r1, r2, 3\nadd r4, r1, r5\nhalt")
+        assert "@ cycle 0:" in detail
+        assert "station 2 (seq 2) has 1 producer links for 2 source registers" in detail
 
     def test_engines_at_one_address_keep_their_own_commit_cursor(self, monkeypatch):
         # a finished engine's address can be reused by the next design's
