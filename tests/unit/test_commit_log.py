@@ -20,7 +20,7 @@ from repro.isa.interpreter import MachineState, StepOutcome, run_program
 from repro.isa.latency import PAPER_LATENCIES
 from repro.ultrascalar import IdealMemory, TimingRecord
 from repro.verify.oracle import commit_stream, run_oracle
-from repro.workloads.generators import daxpy_loop, paper_sequence, random_ilp
+from repro.workloads.generators import daxpy_loop, paper_sequence, random_ilp, store_load_pairs
 from repro.workloads.kernels import bubble_sort, matmul
 
 
@@ -71,6 +71,13 @@ def _programs():
         ProcessorConfig(window_size=16, fetch_width=4, num_alus=2),
         BimodalPredictor,
     )
+    # loads that really take a store's value (daxpy forwards none)
+    yield (
+        "forwarding",
+        store_load_pairs(8),
+        ProcessorConfig(window_size=16, fetch_width=4, store_forwarding=True),
+        None,
+    )
 
 
 def _run(workload, config, predictor, design):
@@ -89,6 +96,7 @@ COMMITTED_SHA = {
     "paper": "ec49e3750543649f924ac2d3de0c1d4059d2e5ad49a442d88b6a2dcd21c1131c",
     "bubble": "70b1d20bd3624c9ff989e843ffa9654514d22d3fdd35803f10ef8d872ba3fd29",
     "daxpy": "4c4000c228a58e867e3fc95eb39a69fcb7a28683435e69609f304670e037dbd1",
+    "forwarding": "07b1de9c7ab69563a8b601ab744f8dad6684eaff46533499f0862240c867965d",
     "selftimed": "4c4000c228a58e867e3fc95eb39a69fcb7a28683435e69609f304670e037dbd1",
     "alus": "80d80a6fdb940fb5f26277d6a1c4be560270af44fce8570970895e9482248839",
 }
@@ -104,6 +112,9 @@ TIMINGS_SHA = {
     ("daxpy", "us1"): "c830bf1b4882c88cd4516c2c97f0eb85152f2db6abcc8a7870d5fb32b4ec8a54",
     ("daxpy", "us2"): "89ff18a324920353f83e7c96bee7032b4ac682b6303973acfb47b12c1511fc1d",
     ("daxpy", "hybrid"): "7e51aa68c1c6f94f5de54504c1a0dbd119c9a69e436c2a95962b67dd90229b86",
+    ("forwarding", "us1"): "4128cdd227c993cd62a9802173dd37ed128b4fb6b6bd0548397d225d8335ac55",
+    ("forwarding", "us2"): "4e7e91c6be7982a63d1cf6b58efb40fff9afe4aaaf49abca36196a4f7fd2c022",
+    ("forwarding", "hybrid"): "b48bf502001c858f989eac8794ce1cf0a840d67a9999aac17540d11cbcf3d369",
     ("selftimed", "us1"): "b8ab7676051ca1a1a11120c48dbb1e4f3b2990515fb34d3133c7e579e8316516",
     ("selftimed", "us2"): "5f02b02eeef4849fa5ea55ecc8850482ff57f88b0594d606f71c495711f55bf7",
     ("selftimed", "hybrid"): "78cf075be1dc6500c559a2f4c5dd3b96e587979a71b669b1b0d90353d83aacfb",
@@ -123,6 +134,8 @@ def test_views_equal_the_per_commit_records(name, workload, config, predictor, d
     result = _run(workload, config, predictor, design)
     if name in ("bubble", "alus"):
         assert result.mispredictions > 0
+    if name == "forwarding":
+        assert result.forwarded_loads > 0
     assert all(type(step) is StepOutcome for step in result.committed)
     assert all(type(record) is TimingRecord for record in result.timings)
     assert _sha(result.committed) == COMMITTED_SHA[name]
