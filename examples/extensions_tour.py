@@ -18,8 +18,14 @@ from repro.util.tables import Table
 from repro.workloads import independent_ops, spaced_chain, store_load_pairs
 
 
-def run(workload, load_latency=1, **config_kwargs):
-    config = ProcessorConfig(window_size=16, fetch_width=8, **config_kwargs)
+def run(workload, load_latency=1, num_alus=None, store_forwarding=False, self_timed=False):
+    config = ProcessorConfig(
+        window_size=16,
+        fetch_width=8,
+        num_alus=num_alus,
+        store_forwarding=store_forwarding,
+        self_timed=self_timed,
+    )
     memory = IdealMemory(load_latency=load_latency)
     memory.load_image(workload.memory_image)
     return build_processor("us1", config).run(

@@ -40,7 +40,7 @@ def main() -> None:
         ("oracle", None),
         ("not-taken", AlwaysNotTaken()),
         ("bimodal", BimodalPredictor(size=128)),
-        ("gshare", GSharePredictor(size=512, history_bits=8)),
+        ("gshare", GSharePredictor(size=512)),
     ]:
         result = run(bubble_sort(data), predictor=predictor)
         sorted_out = [result.memory[1024 + 4 * i] for i in range(len(data))]
@@ -70,7 +70,7 @@ def main() -> None:
         title="Distributed cluster cache on repeated reductions",
     )
     for passes in (1, 4, 8):
-        memory = ClusteredMemory(cluster_size=16, shared_latency=6)
+        memory = ClusteredMemory(cluster_size=16)
         run(repeated_reduction(8, passes), memory=memory)
         stats = memory.stats
         table.add_row([passes, stats.local_hits, stats.shared_accesses,

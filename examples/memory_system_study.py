@@ -22,7 +22,7 @@ from repro.workloads import jump_chain, parallel_loads
 
 
 def run_loads(workload, bandwidth, banks=8):
-    tree = FatTree(64, bandwidth, radix=4)
+    tree = FatTree(64, bandwidth)
     cache = InterleavedCache(banks=banks, lines_per_bank=64, words_per_line=1, fat_tree=tree)
     memory = CachedMemory(cache)
     memory.load_image(workload.memory_image)
@@ -43,7 +43,7 @@ def main() -> None:
         (bandwidth_constant(1.0), "Θ(1)"),
         (bandwidth_constant(4.0), "Θ(1), 4 wide"),
         (bandwidth_power(0.5), "Θ(√n)"),
-        (bandwidth_linear(1.0), "Θ(n)"),
+        (bandwidth_linear(), "Θ(n)"),
     ]:
         result, stats = run_loads(workload, bandwidth)
         table.add_row([label, result.cycles, round(result.ipc, 2), stats.network_denied_cycles])
@@ -55,13 +55,13 @@ def main() -> None:
         title=f"Bank sweep on {workload.name} at full root bandwidth",
     )
     for banks in (1, 2, 4, 8, 16):
-        result, stats = run_loads(workload, bandwidth_linear(1.0), banks=banks)
+        result, stats = run_loads(workload, bandwidth_linear(), banks=banks)
         banked.add_row([banks, result.cycles, stats.bank_conflict_cycles])
     print(banked.render())
     print()
 
     # --- trace cache: fetching across taken control transfers ---
-    chain = jump_chain(blocks=16, block_size=3)
+    chain = jump_chain(blocks=16)
     plain = FetchUnit(chain.program, AlwaysNotTaken(), width=16)
     traced = FetchUnit(
         chain.program, AlwaysNotTaken(), width=16,

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from repro.isa.interpreter import StepOutcome
-from repro.isa.latency import PAPER_LATENCIES, LatencyModel
+from repro.isa.latency import PAPER_LATENCIES
 
 
 class ScheduledInstruction(NamedTuple):
@@ -92,7 +92,6 @@ class DataflowSchedule:
 
 def dataflow_schedule(
     trace: list[StepOutcome],
-    latencies: LatencyModel | None = None,
     fetch_width: int | None = None,
     window_size: int | None = None,
     cluster_size: int = 1,
@@ -101,7 +100,6 @@ def dataflow_schedule(
 
     Args:
         trace: dynamic instruction stream (golden interpreter output).
-        latencies: functional-unit latencies (Figure 3 defaults).
         fetch_width: instructions entering per cycle (``None`` = no
             fetch limit: each enters once its station is free, all at
             cycle 0 without a window — the pure-dataflow limit).
@@ -109,8 +107,7 @@ def dataflow_schedule(
         cluster_size: stations freed at a time, ``C``: 1 (Ultrascalar
             I), ``n`` (Ultrascalar II) or the hybrid's cluster size.
     """
-    latencies = latencies or PAPER_LATENCIES
-    by_code = latencies.by_code
+    by_code = PAPER_LATENCIES
     fetches: list[int] = []
     issues: list[int] = []
     completes: list[int] = []

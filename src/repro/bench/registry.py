@@ -28,7 +28,7 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``circuits`` — building and settling E9's two Ultrascalar II grid
   netlists, the mesh-of-trees grid (the largest of E9's gate-level
   circuits) and the linear grid, timed with the garbage collector on;
-* ``isa`` — assemble → encode → decode round-trip throughput;
+* ``isa`` — the two-pass assembler's throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation, and the differential runs under
   the invariant checker that ``repro verify`` makes of each case (the
@@ -386,20 +386,17 @@ def _register_circuits() -> None:
 
 
 # ----------------------------------------------------------------------
-# assembler / encoding round-trip
+# assembler
 
 
 def _isa_thunk(size: int) -> Callable[[], Any]:
     from repro.isa.assembler import assemble
-    from repro.isa.encoding import decode_instruction, encode_instruction
     from repro.workloads.kernels import matmul
 
     source = matmul(size).program.disassemble()
 
     def thunk() -> None:
-        program = assemble(source)
-        for inst in program:
-            decode_instruction(encode_instruction(inst))
+        assemble(source)
 
     return thunk
 
@@ -407,9 +404,9 @@ def _isa_thunk(size: int) -> Callable[[], Any]:
 def _register_isa() -> None:
     register(
         Benchmark(
-            name="isa.roundtrip.matmul",
+            name="isa.assemble.matmul",
             group="isa",
-            title="assemble + encode/decode the matmul kernel",
+            title="assemble the matmul kernel",
             make=lambda: _isa_thunk(4),
             quick=True,
             metadata={"kernel": "matmul", "size": 4},

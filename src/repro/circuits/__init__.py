@@ -18,8 +18,7 @@ Modules:
 * :mod:`repro.circuits.prefix` -- the behavioural cyclic segmented scan
   (the reference used for property testing) and the one segmented-scan
   tree builder (:func:`~repro.circuits.prefix.build_segmented_scan`, any
-  radix and operator) behind every prefix tree: the CSPPs and the ALU
-  scheduler.
+  radix and operator) behind every prefix tree.
 * :mod:`repro.circuits.cspp` -- the cyclic segmented parallel prefix of
   Ultrascalar Memo 1: the CSPP tree netlist and its behavioural copy
   model.

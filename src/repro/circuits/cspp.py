@@ -42,7 +42,7 @@ class CsppTree:
     Parameters:
         n: number of leaf positions (execution stations).
         op: the scan operator (:class:`CopyOp` for register datapaths,
-            :class:`AndOp` for sequencing circuits).
+            an AND operator for sequencing circuits).
         radix: arity of the tree (2 = binary as in the paper's figures;
             4 matches the H-tree floorplan's 4-way recursion).
 

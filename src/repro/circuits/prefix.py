@@ -7,12 +7,14 @@ The paper builds everything from segmented scans:
   propagates); see :mod:`repro.circuits.cspp`.
 * The instruction-sequencing circuits (oldest-station tracking,
   load/store ordering, branch commit) are cyclic segmented scans with
-  the AND operator (Figure 5).
+  the AND operator (Figure 5); the tests build them at gate level, with
+  Figure 4's whole datapath, in ``tests/datapath.py``.
 * The Ultrascalar II columns are *noncyclic* segmented scans with the
   copy operator, with the comparator match bits as segment bits
   (Figure 7/8).
 * The shared-ALU scheduler of Memo 2 is one more cyclic segmented scan,
-  with the + operator (:mod:`repro.ultrascalar.scheduler`).
+  with the + operator (the tests' reference circuit,
+  ``tests/scheduler.py``).
 
 This module defines the reference semantics of the cyclic scan
 (:func:`cyclic_segmented_scan`, against which every CSPP netlist is
@@ -77,15 +79,6 @@ class ScanOp:
     def combine(self, netlist: Netlist, a: list[Net], b: list[Net]) -> list[Net]:
         """Build gates computing ``a (x) b``; returns the output nets."""
         raise NotImplementedError
-
-
-class AndOp(ScanOp):
-    """The 1-bit AND operator of the paper's Figure 5 sequencing circuits."""
-
-    width = 1
-
-    def combine(self, netlist: Netlist, a: list[Net], b: list[Net]) -> list[Net]:
-        return [netlist.add_gate(GateKind.AND, a[0], b[0])]
 
 
 class CopyOp(ScanOp):

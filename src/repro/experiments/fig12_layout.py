@@ -43,8 +43,8 @@ class Fig12Result:
 
 def run() -> Fig12Result:
     """Build the two Figure 12 layouts in the parametric model."""
-    us1 = Ultrascalar1Layout(64, num_registers=32, word_bits=32)
-    hybrid = HybridLayout(128, cluster_size=32, num_registers=32, word_bits=32)
+    us1 = Ultrascalar1Layout(64, num_registers=32)
+    hybrid = HybridLayout(128, cluster_size=32, num_registers=32)
     return Fig12Result(
         us1=us1.summary(),
         hybrid=hybrid.summary(),

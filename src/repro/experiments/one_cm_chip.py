@@ -42,7 +42,7 @@ class OneCmResult:
 
 def run() -> OneCmResult:
     """Scale the layout and run the matching configuration."""
-    layout = HybridLayout(n=128, cluster_size=32, num_registers=32, word_bits=32)
+    layout = HybridLayout(n=128, cluster_size=32, num_registers=32)
     side_cm = layout.side_length() * (TRACK_UM * SHRINK) * 1e-4
 
     workload = random_ilp(600, 0.4, seed=701)

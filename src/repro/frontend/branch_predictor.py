@@ -78,20 +78,21 @@ class BimodalPredictor(BranchPredictor):
         self.counters = [1] * self.size
 
 
+#: gshare's global history: the last 8 branch outcomes
+_HISTORY_MASK = (1 << 8) - 1
+
+
 @dataclass
 class GSharePredictor(BranchPredictor):
     """gshare: global history XORed into the counter index."""
 
     size: int = 1024
-    history_bits: int = 8
     counters: list[int] = field(init=False)
     history: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.size & (self.size - 1):
             raise ValueError("gshare table size must be a power of two")
-        if not 0 <= self.history_bits <= 30:
-            raise ValueError("history_bits out of range")
         self.counters = [1] * self.size
 
     def _index(self, pc: int) -> int:
@@ -106,8 +107,7 @@ class GSharePredictor(BranchPredictor):
             self.counters[index] = min(3, self.counters[index] + 1)
         else:
             self.counters[index] = max(0, self.counters[index] - 1)
-        mask = (1 << self.history_bits) - 1
-        self.history = ((self.history << 1) | int(taken)) & mask
+        self.history = ((self.history << 1) | int(taken)) & _HISTORY_MASK
 
     def reset(self) -> None:
         self.counters = [1] * self.size

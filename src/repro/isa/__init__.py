@@ -9,20 +9,17 @@ subpackage provides exactly that ISA:
 * :mod:`repro.isa.instruction` -- the :class:`Instruction` value type and
   the read-set / write-set accessors the datapaths use.
 * :mod:`repro.isa.registers` -- the :class:`MachineSpec` describing ``L``
-  logical registers of ``w`` bits.
+  logical registers.
 * :mod:`repro.isa.assembler` -- a two-pass text assembler with labels.
-* :mod:`repro.isa.encoding` -- a MIPS-like 32-bit binary encoding.
-* :mod:`repro.isa.latency` -- configurable functional-unit latencies
-  (the paper's Figure 3 uses divide=10, multiply=3, add=1).
+* :mod:`repro.isa.latency` -- the functional-unit latencies, a constant
+  table (the paper's Figure 3 uses divide=10, multiply=3, add=1).
 * :mod:`repro.isa.interpreter` -- the golden sequential interpreter that
   every processor model is differentially tested against.
 """
 
 from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import InterpreterError, MachineState, StepOutcome, run_program
-from repro.isa.latency import LatencyModel
 from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.program import Program
 from repro.isa.registers import MachineSpec
@@ -30,15 +27,11 @@ from repro.isa.registers import MachineSpec
 __all__ = [
     "AssemblerError",
     "assemble",
-    "EncodingError",
-    "decode_instruction",
-    "encode_instruction",
     "Instruction",
     "InterpreterError",
     "MachineState",
     "StepOutcome",
     "run_program",
-    "LatencyModel",
     "Opcode",
     "OpClass",
     "Program",

@@ -164,7 +164,7 @@ BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
 
 
 def _by_code() -> list[Callable | None]:
-    table: list[Callable | None] = [None] * 64  # Opcode.code has six bits
+    table: list[Callable | None] = [None] * len(Opcode)
     for op, semantics in (*ALU_OPS.items(), *BRANCH_OPS.items()):
         table[op.code] = semantics
     return table

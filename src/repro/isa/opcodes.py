@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 
 class OpClass(enum.Enum):
-    """Functional classes; the latency model assigns cycles per class."""
+    """Functional classes; Figure 3's latency table assigns cycles per class."""
 
     ALU = "alu"            # single-cycle integer ops
     MUL = "mul"            # multiply
@@ -45,7 +45,8 @@ class OpInfo:
     mnemonic: str
     op_class: OpClass
     fmt: Format
-    #: fixed numeric code used by the binary encoding (6 bits)
+    #: the opcode's index, from 0: the latency and semantics tables
+    #: are indexed by it
     code: int
 
 
@@ -127,9 +128,5 @@ class Opcode(enum.Enum):
 #: mnemonic -> Opcode lookup used by the assembler
 MNEMONICS: dict[str, Opcode] = {op.mnemonic: op for op in Opcode}
 
-#: numeric code -> Opcode lookup used by the decoder
-CODES: dict[int, Opcode] = {op.code: op for op in Opcode}
-
-# The encoding reserves 6 bits for the opcode.
-assert all(0 <= op.code < 64 for op in Opcode)
-assert len(CODES) == len(list(Opcode)), "duplicate opcode codes"
+# the tables indexed by ``Opcode.code`` hold one entry per opcode, in order
+assert [op.code for op in Opcode] == list(range(len(Opcode)))

@@ -34,7 +34,7 @@ class Decoded(NamedTuple):
     is_control: bool
     is_halt: bool
     uses_alu: bool
-    #: ``op.code``: the engines index ``LatencyModel.by_code`` and the
+    #: ``op.code``: the engines index ``PAPER_LATENCIES`` and the
     #: interpreter's ``SEMANTICS`` by it, which hashes no enum member
     code: int
 

@@ -23,6 +23,8 @@ from repro.util.bitops import WORD_MASK
 
 #: cycles for a load that hits its cluster's cache
 LOCAL_LATENCY = 1
+#: cycles for any access that reaches shared memory
+SHARED_LATENCY = 6
 
 
 @dataclass
@@ -62,12 +64,10 @@ class ClusteredMemory:
     Args:
         cluster_size: stations per cluster (the hybrid's C).
         words_per_cluster: capacity of each private cache, in words.
-        shared_latency: cycles for any access that reaches shared memory.
     """
 
     cluster_size: int = 8
     words_per_cluster: int = 64
-    shared_latency: int = 6
     words: dict[int, int] = field(default_factory=dict, init=False)
     stats: ClusterCacheStats = field(default_factory=ClusterCacheStats, init=False)
     _caches: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
@@ -80,8 +80,6 @@ class ClusteredMemory:
             raise ValueError("cluster_size must be positive")
         if self.words_per_cluster < 1:
             raise ValueError("words_per_cluster must be positive")
-        if self.shared_latency < 1:
-            raise ValueError("shared_latency must be >= 1")
 
     def _check(self, address: int) -> None:
         if address % 4 != 0:
@@ -112,7 +110,7 @@ class ClusteredMemory:
             self.stats.shared_accesses += 1
             value = self.words.get(address, 0)
             self._fill(cluster, address, value)
-            self._in_flight.append((request_id, self.shared_latency, False, value))
+            self._in_flight.append((request_id, SHARED_LATENCY, False, value))
         return request_id
 
     def submit_store(self, address: int, value: int, leaf: int = 0) -> int:
@@ -128,7 +126,7 @@ class ClusteredMemory:
                 del cache[address]  # broadcast invalidate
                 self.stats.invalidations += 1
         self._fill(owner, address, value)
-        self._in_flight.append((request_id, self.shared_latency, True, value))
+        self._in_flight.append((request_id, SHARED_LATENCY, True, value))
         return request_id
 
     def tick(self) -> dict[int, int | None]:

@@ -39,16 +39,16 @@ class FatTree:
         bandwidth: the paper's ``M``: subtree size -> words per cycle.
             Evaluated per level; capacities are ``max(1, ceil(M(s)))``
             so that the tree is always connected.
-        radix: tree arity (4 matches the H-tree floorplan).
     """
 
-    def __init__(self, n: int, bandwidth: Callable[[int], float], radix: int = 4):
+    #: tree arity: 4, matching the H-tree floorplan
+    radix = 4
+
+    def __init__(self, n: int, bandwidth: Callable[[int], float]):
         if n < 1:
             raise ValueError("need at least one leaf")
-        if radix < 2:
-            raise ValueError("radix must be >= 2")
+        radix = self.radix
         self.n = n
-        self.radix = radix
         self.bandwidth = bandwidth
         # levels[k] = capacity of an uplink out of a subtree of radix**k leaves
         self.num_levels = max(1, math.ceil(math.log(n, radix))) if n > 1 else 1
@@ -109,6 +109,6 @@ def bandwidth_power(exponent: float) -> Callable[[int], float]:
     return lambda s: float(s) ** exponent
 
 
-def bandwidth_linear(per_instruction: float = 1.0) -> Callable[[int], float]:
+def bandwidth_linear() -> Callable[[int], float]:
     """M(n) = Θ(n): full memory bandwidth (one access per instruction)."""
-    return lambda s: per_instruction * s
+    return lambda s: float(s)

@@ -137,6 +137,5 @@ def build_run_trace(results: list[JobResult]) -> dict[str, Any]:
     return build_chrome_trace(
         events,
         process_name="repro-runner",
-        time_unit="ms",
         metadata={"jobs": len(results)},
     )

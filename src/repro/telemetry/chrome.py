@@ -44,7 +44,6 @@ def build_chrome_trace(
     events: Iterable[TraceEvent],
     *,
     process_name: str = "repro",
-    time_unit: str = "ms",
     metadata: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the full trace document from *events*."""
@@ -60,7 +59,7 @@ def build_chrome_trace(
     trace_events.extend(chrome_event(e) for e in events)
     return {
         "traceEvents": trace_events,
-        "displayTimeUnit": time_unit,
+        "displayTimeUnit": "ms",
         "otherData": envelope(TRACE_SCHEMA, **(metadata or {})),
     }
 

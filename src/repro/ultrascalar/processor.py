@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import StepOutcome
-from repro.isa.latency import PAPER_LATENCIES, LatencyModel
 from repro.isa.program import Program
 from repro.frontend.branch_predictor import BranchPredictor, PerfectPredictor
 
@@ -30,7 +29,6 @@ class ProcessorConfig:
         window_size: ``n``, the number of execution stations.
         fetch_width: instructions fetched per cycle (the paper assumes
             fetch width scales with issue width).
-        latencies: functional-unit latencies (defaults match Figure 3).
         num_alus: shared-ALU pool size (Ultrascalar Memo 2 scheduler);
             ``None`` replicates an ALU per station, as the paper's
             layouts do.  Separates window size from issue width.
@@ -43,11 +41,13 @@ class ProcessorConfig:
             distance between the stations, instead of one global clock
             (the paper's Section 7 self-timed discussion).
         max_cycles: watchdog against livelock in broken configurations.
+
+    Functional-unit latencies are Figure 3's, for every run
+    (:data:`repro.isa.latency.PAPER_LATENCIES`).
     """
 
     window_size: int = 8
     fetch_width: int = 4
-    latencies: LatencyModel = PAPER_LATENCIES
     num_alus: int | None = None
     store_forwarding: bool = False
     self_timed: bool = False

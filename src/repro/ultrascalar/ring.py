@@ -54,7 +54,7 @@ state changes rather than ``n``:
   station points at its row of the program's decoded table
   (:attr:`repro.isa.program.Program.decoded`, built on the program's
   first run and shared by every later one); the row's int opcode code
-  indexes the run's latencies (:class:`~repro.isa.latency.LatencyModel`)
+  indexes Figure 3's latencies (:data:`~repro.isa.latency.PAPER_LATENCIES`)
   and the interpreter's semantics table, so no enum member is hashed
   per instruction;
 * freeing a station is a state write (see :func:`_release`): its slot
@@ -83,6 +83,7 @@ from operator import attrgetter
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchUnit
 from repro.isa.interpreter import SEMANTICS
+from repro.isa.latency import PAPER_LATENCIES
 from repro.isa.program import Decoded, Program
 from repro.telemetry.session import resolve_tracer
 from repro.telemetry.tracer import Tracer
@@ -175,7 +176,7 @@ class RingProcessor:
         self._reg_source_cycle: list[int] = [0] * self.L
 
         self._rows = program.decoded
-        self._latency = config.latencies.by_code
+        self._latency = PAPER_LATENCIES
         # per register, its youngest allocated writer: the nearest
         # preceding writer CSPP routes the next fetched station's value from
         self._writer: list[Station | None] = [None] * self.L
@@ -712,10 +713,8 @@ class RingProcessor:
         if self._tracing:
             self.tracer.count("commit.squashed", self.squashed)
             self.tracer.count("commit.mispredictions", self.mispredictions)
-            memory_counters = getattr(self.memory, "counters", None)
-            if memory_counters is not None:
-                for name, value in memory_counters().items():
-                    self.tracer.count(name, value)
+            for name, value in self.memory.counters().items():
+                self.tracer.count(name, value)
             for name, value in self.fetch.counters().items():
                 self.tracer.count(name, value)
         return ProcessorResult(

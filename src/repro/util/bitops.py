@@ -12,16 +12,16 @@ WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
 
-def to_unsigned(value: int, bits: int = WORD_BITS) -> int:
-    """Reduce *value* into the unsigned ``bits``-wide range ``[0, 2**bits)``."""
-    return value & ((1 << bits) - 1)
+def to_unsigned(value: int) -> int:
+    """Reduce *value* into the unsigned word range ``[0, 2**32)``."""
+    return value & WORD_MASK
 
 
-def to_signed(value: int, bits: int = WORD_BITS) -> int:
-    """Interpret the low ``bits`` of *value* as a two's-complement integer."""
-    value &= (1 << bits) - 1
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
+def to_signed(value: int) -> int:
+    """Interpret the low 32 bits of *value* as a two's-complement integer."""
+    value &= WORD_MASK
+    if value >= 1 << (WORD_BITS - 1):
+        value -= 1 << WORD_BITS
     return value
 
 

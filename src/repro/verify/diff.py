@@ -182,7 +182,6 @@ def run_differential(
             if refill not in schedules:
                 schedules[refill] = dataflow_schedule(
                     oracle.trace,
-                    config.latencies,
                     fetch_width=window,
                     window_size=window,
                     cluster_size=refill,

@@ -23,9 +23,6 @@ exponents are preserved (see DESIGN.md, substitution table).
   by the Ultrascalar I H-tree (Figure 10), the same ``HTreeLayout``
   recurrence with one cluster per leaf: side U(n), optimal cluster
   size C = Θ(L).
-* :mod:`repro.vlsi.three_d_layout` -- the Section 7 octree: the same
-  ``HTreeLayout`` recurrence with 8 children per node and face-crossing
-  switch blocks, and the 3-D hybrid's closed form.
 * :mod:`repro.vlsi.wires` -- repeatered wire delay, linear in length.
 """
 
@@ -34,17 +31,9 @@ from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout, optimal_cluster_size
 from repro.vlsi.tech import tracks_to_cm
-from repro.vlsi.three_d_layout import (
-    ThreeDHybridLayout,
-    ThreeDUltrascalar1Layout,
-    optimal_cluster_size_3d,
-)
 from repro.vlsi.wires import wire_delay
 
 __all__ = [
-    "ThreeDHybridLayout",
-    "ThreeDUltrascalar1Layout",
-    "optimal_cluster_size_3d",
     "station_cell",
     "StationCell",
     "Ultrascalar2Layout",

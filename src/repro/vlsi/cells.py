@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.util.bitops import WORD_BITS
 from repro.vlsi.tech import PREFIX_NODE_PITCH, REGFILE_BIT_TRACKS, STATION_LOGIC_TRACKS
 
 
@@ -38,7 +39,7 @@ class StationCell:
 
 def station_cell(
     num_registers: int = 32,
-    word_bits: int = 32,
+    word_bits: int = WORD_BITS,
     full_register_interface: bool = True,
 ) -> StationCell:
     """Estimate the station footprint for an (L, w) machine.

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from repro.circuits.comparator import register_number_bits
+from repro.util.bitops import WORD_BITS
 from repro.vlsi.cells import StationCell, station_cell
 from repro.vlsi.tech import GRID_ROW_PITCH_PER_BIT, tracks_to_cm
 
@@ -40,14 +41,12 @@ class Ultrascalar2Layout:
 
     Args:
         n: stations in the (non-wrap-around) batch.
-        num_registers: ``L``.
-        word_bits: ``w``.
+        num_registers: ``L`` (of ``w`` = 32 bits each).
         variant: ``"linear"``, ``"tree"``, or ``"mixed"``.
     """
 
     n: int
     num_registers: int = 32
-    word_bits: int = 32
     variant: str = "linear"
     #: the paper: "it appears to cost nearly a factor of two in area to
     #: implement the wrap-around mechanism" — set True to model the
@@ -62,9 +61,7 @@ class Ultrascalar2Layout:
             raise ValueError(f"unknown variant {self.variant!r}")
         # Grid stations receive only their arguments, not the whole
         # register file — no L(w+1)-wire perimeter requirement.
-        self.station: StationCell = station_cell(
-            self.num_registers, self.word_bits, full_register_interface=False
-        )
+        self.station: StationCell = station_cell(self.num_registers, full_register_interface=False)
 
     # -- geometry -------------------------------------------------------
 
@@ -81,7 +78,7 @@ class Ultrascalar2Layout:
     @property
     def row_pitch(self) -> float:
         """Tracks per row: value + ready + register-number wires."""
-        bits = self.word_bits + 1 + register_number_bits(self.num_registers)
+        bits = WORD_BITS + 1 + register_number_bits(self.num_registers)
         return bits * GRID_ROW_PITCH_PER_BIT
 
     def _tree_blowup(self) -> float:

@@ -16,8 +16,8 @@ and the empirical density comparison regenerated (experiment E3).
 :class:`HTreeLayout` holds the recurrence once, over leaves of any
 size and any number of children per node: the Ultrascalar I's leaves
 are single stations, the hybrid (:mod:`repro.vlsi.hybrid_layout`)
-reuses it with one Ultrascalar II cluster per leaf, and the 3-D octree
-(:mod:`repro.vlsi.three_d_layout`) with 8 children per node.
+reuses it with one Ultrascalar II cluster per leaf, and the tests' 3-D
+octree model (``tests/three_d_layout.py``) with 8 children per node.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.util.bitops import WORD_BITS
 from repro.vlsi.cells import StationCell, station_cell
 from repro.vlsi.tech import MEMORY_WIRE_PITCH, PREFIX_NODE_PITCH, tracks_to_cm
 
@@ -41,8 +42,7 @@ class HTreeLayout:
 
     Leaves of ``leaf_stations`` stations, each a square of side
     ``leaf_side`` tracks, hang off a ``radix``-way tree: 4 for the planar
-    H-tree, 8 for the octree of
-    :class:`repro.vlsi.three_d_layout.ThreeDUltrascalar1Layout`.  Every
+    H-tree, 8 for the tests' 3-D octree model.  Every
     level halves the side, so a subtree of ``k`` leaves is two of its
     children wide plus its central switch block::
 
@@ -51,8 +51,8 @@ class HTreeLayout:
 
     where ``B(m)`` is the block side at a subtree of ``m`` stations.  The
     leaf count is rounded up to a power of ``radix``.  Subclasses are
-    dataclasses providing ``n``, ``num_registers``, ``word_bits`` and
-    ``bandwidth`` fields, the ``leaf_stations`` and ``leaf_side``
+    dataclasses providing ``n``, ``num_registers`` and ``bandwidth``
+    fields, the ``leaf_stations`` and ``leaf_side``
     attributes, and a ``_side_memo`` dict.
     """
 
@@ -68,7 +68,7 @@ class HTreeLayout:
     @property
     def register_wires(self) -> int:
         """Datapath wires per H-tree link: L x (w + 1)."""
-        return self.num_registers * (self.word_bits + 1)
+        return self.num_registers * (WORD_BITS + 1)
 
     def switch_block_side(self, stations: int) -> float:
         """Side of the central block at a subtree of *stations* stations.
@@ -77,7 +77,7 @@ class HTreeLayout:
         as in Figure 6's central cross of P and M nodes.
         """
         register_part = self.register_wires * PREFIX_NODE_PITCH
-        memory_part = self.bandwidth(stations) * self.word_bits * MEMORY_WIRE_PITCH
+        memory_part = self.bandwidth(stations) * WORD_BITS * MEMORY_WIRE_PITCH
         return register_part + memory_part
 
     def side_length(self, leaves: int | None = None) -> float:
@@ -133,8 +133,7 @@ class Ultrascalar1Layout(HTreeLayout):
     Args:
         n: number of execution stations (power of 4 for the H-tree;
             other sizes are rounded up for the recurrence).
-        num_registers: ``L``.
-        word_bits: ``w``.
+        num_registers: ``L`` (of ``w`` = 32 bits each).
         bandwidth: the memory-bandwidth function ``M`` (subtree size ->
             words/cycle); default zero to match the paper's Figure 12
             register-datapath-only layouts.
@@ -142,7 +141,6 @@ class Ultrascalar1Layout(HTreeLayout):
 
     n: int
     num_registers: int = 32
-    word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
 
     leaf_stations = 1
@@ -150,7 +148,7 @@ class Ultrascalar1Layout(HTreeLayout):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        self.station: StationCell = station_cell(self.num_registers, self.word_bits)
+        self.station: StationCell = station_cell(self.num_registers)
         self._side_memo: dict[int, float] = {}
 
     @property

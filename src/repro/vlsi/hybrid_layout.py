@@ -33,8 +33,7 @@ class HybridLayout(HTreeLayout):
     Args:
         n: total stations.
         cluster_size: ``C`` stations per Ultrascalar II cluster.
-        num_registers: ``L``.
-        word_bits: ``w``.
+        num_registers: ``L`` (of ``w`` = 32 bits each).
         bandwidth: memory-bandwidth function M (default zero, matching
             the paper's register-datapath-only empirical layouts, which
             "left space ... for a small datapath of size M(n) = O(1)").
@@ -43,7 +42,6 @@ class HybridLayout(HTreeLayout):
     n: int
     cluster_size: int
     num_registers: int = 32
-    word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
 
     def __post_init__(self) -> None:
@@ -51,7 +49,7 @@ class HybridLayout(HTreeLayout):
             raise ValueError("n and cluster_size must be positive")
         if self.n % self.cluster_size:
             raise ValueError("cluster_size must divide n")
-        self.cluster = Ultrascalar2Layout(self.cluster_size, self.num_registers, self.word_bits)
+        self.cluster = Ultrascalar2Layout(self.cluster_size, self.num_registers)
         self._side_memo: dict[int, float] = {}
 
     @property

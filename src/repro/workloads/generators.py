@@ -363,15 +363,16 @@ def parallel_loads(count: int) -> Workload:
     )
 
 
-def jump_chain(blocks: int, block_size: int = 3) -> Workload:
-    """Blocks of ALU work chained by unconditional jumps.
+def jump_chain(blocks: int) -> Workload:
+    """Blocks of three ALU instructions chained by unconditional jumps.
 
     Conventional fetch stops at each taken transfer, capping delivery at
-    ``block_size + 1`` per cycle; a trace cache fetches across the jumps
+    four instructions per cycle; a trace cache fetches across the jumps
     — the fetch-bandwidth scenario trace caches exist for.
     """
-    if blocks < 1 or block_size < 1:
-        raise ValueError("blocks and block_size must be positive")
+    if blocks < 1:
+        raise ValueError("blocks must be positive")
+    block_size = 3
     insts: list[Instruction] = []
     for b in range(blocks):
         for k in range(block_size):

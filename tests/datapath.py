@@ -15,7 +15,8 @@ This assembles, at gate level, everything Section 2 describes:
 
 The construction is validated against the behavioural register-view
 walk used by :class:`repro.ultrascalar.ring.RingProcessor`, closing the
-loop between the circuit level and the processor model.
+loop between the circuit level and the processor model.  Only the tests
+build it, so it lives beside them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuits.cspp import CsppTree
-from repro.circuits.netlist import bus_value
-from repro.circuits.prefix import AndOp, CopyOp
+from repro.circuits.netlist import GateKind, Net, Netlist, bus_value
+from repro.circuits.prefix import CopyOp, ScanOp
+
+
+class AndOp(ScanOp):
+    """The 1-bit AND operator of the paper's Figure 5 sequencing circuits."""
+
+    width = 1
+
+    def combine(self, netlist: Netlist, a: list[Net], b: list[Net]) -> list[Net]:
+        return [netlist.add_gate(GateKind.AND, a[0], b[0])]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.circuits.datapath import StationSnapshot, Ultrascalar1Datapath
+from tests.datapath import StationSnapshot, Ultrascalar1Datapath
 
 
 def reference_views(stations, oldest, committed, L):

@@ -61,7 +61,7 @@ class TestBubbleSort:
 
         workload = bubble_sort(self.VALUES)
         static = run_on(workload, predictor=AlwaysNotTaken())
-        gshare = run_on(workload, predictor=GSharePredictor(size=256, history_bits=6))
+        gshare = run_on(workload, predictor=GSharePredictor(size=256))
         assert gshare.mispredictions < static.mispredictions
 
 
@@ -110,14 +110,14 @@ class TestClusteredMemoryIntegration:
             workload.program,
             state=MachineState(workload.registers_for(), dict(workload.memory_image)),
         )
-        memory = ClusteredMemory(cluster_size=8, shared_latency=6)
+        memory = ClusteredMemory(cluster_size=8)
         result = run_on(workload, memory=memory)
         assert result.registers == golden.state.registers
         assert memory.stats.bandwidth_saved > 0.3
 
     def test_sort_correct_through_cluster_caches(self):
         workload = bubble_sort([9, 3, 7, 1])
-        memory = ClusteredMemory(cluster_size=4, shared_latency=4)
+        memory = ClusteredMemory(cluster_size=4)
         result = run_on(workload, memory=memory)
         got = [result.memory[1024 + 4 * i] for i in range(4)]
         assert got == [1, 3, 7, 9]

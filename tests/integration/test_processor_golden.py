@@ -154,7 +154,7 @@ class TestCachedMemory:
 
     def test_correct_through_fat_tree_throttling(self):
         workload = memory_stream(8)
-        tree = FatTree(16, bandwidth_constant(1.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(1.0))
         cache = InterleavedCache(banks=2, lines_per_bank=4, fat_tree=tree)
         result = run_on(workload, "us2", memory=CachedMemory(cache))
         assert_matches_golden(workload, result)
@@ -162,7 +162,7 @@ class TestCachedMemory:
     def test_bandwidth_throttling_costs_cycles(self):
         workload = memory_stream(12)
         fast = run_on(workload, "us1")
-        tree = FatTree(16, bandwidth_constant(1.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(1.0))
         cache = InterleavedCache(banks=1, lines_per_bank=4, fat_tree=tree)
         slow = run_on(workload, "us1", memory=CachedMemory(cache))
         assert slow.cycles > fast.cycles

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits.datapath import StationSnapshot, Ultrascalar1Datapath
+from tests.datapath import StationSnapshot, Ultrascalar1Datapath
 
 N, L, W = 8, 3, 3
 

@@ -28,7 +28,7 @@ PREDICTORS = {
     "always-not-taken": lambda program: AlwaysNotTaken(),
     "backward-taken": lambda program: BackwardTaken(),
     "bimodal": lambda program: BimodalPredictor(size=16),
-    "gshare": lambda program: GSharePredictor(size=16, history_bits=4),
+    "gshare": lambda program: GSharePredictor(size=16),
     "perfect": lambda program: PerfectPredictor.from_trace(run_program(program).trace),
 }
 

@@ -1,18 +1,14 @@
-"""Property tests: the ISA's textual and binary codecs are lossless.
+"""Property tests: the ISA's textual codec is lossless.
 
-Round trip one: ``Program -> disassemble -> assemble`` reproduces the
-exact instruction tuple (the contract the fuzz reproducer files in
-:mod:`repro.verify.fuzz` rely on).  Round trip two: ``encode -> decode``
-over the 32-bit binary format reproduces every encodable instruction.
-Plus the :mod:`repro.util.bitops` edge cases the codecs sit on: zero
-width fields and the power-of-two boundary values.
+``Program -> disassemble -> assemble`` reproduces the exact instruction
+tuple (the contract the fuzz reproducer files in :mod:`repro.verify.fuzz`
+rely on).  Plus the :mod:`repro.util.bitops` word views the interpreter
+sits on: reducing then re-reducing a value is stable in both.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, Opcode
 from repro.isa.program import Program
@@ -28,7 +24,7 @@ _BY_FORMAT = {
 
 @st.composite
 def instructions(draw, max_target: int = (1 << 16) - 1):
-    """Any single encodable instruction (targets bounded by *max_target*)."""
+    """Any single instruction (targets bounded by *max_target*)."""
     fmt = draw(st.sampled_from(list(Format)))
     op = draw(st.sampled_from(_BY_FORMAT[fmt]))
     if fmt is Format.R3:
@@ -78,61 +74,12 @@ class TestTextualRoundTrip:
         assert rebuilt.instructions[-1] == inst
 
 
-class TestBinaryRoundTrip:
-    @settings(max_examples=300, deadline=None)
-    @given(instructions())
-    def test_decode_of_encode_is_identity(self, inst):
-        assert decode_instruction(encode_instruction(inst)) == inst
-
-    @settings(max_examples=300, deadline=None)
-    @given(instructions())
-    def test_encoding_fits_a_word(self, inst):
-        assert 0 <= encode_instruction(inst) < (1 << 32)
-
-    def test_out_of_range_operands_are_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_instruction(
-                Instruction(Opcode.ADDI, rd=0, rs1=0, imm=1 << 15)
-            )
-        with pytest.raises(EncodingError):
-            encode_instruction(
-                Instruction(Opcode.BEQ, rs1=0, rs2=0, target=1 << 16)
-            )
-        with pytest.raises(EncodingError):
-            encode_instruction(Instruction(Opcode.J, target=1 << 26))
-
-
 class TestBitopsEdgeCases:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(-(1 << 40), 1 << 40), st.integers(1, 64))
-    def test_signed_unsigned_round_trip(self, value, bits):
+    @given(st.integers(-(1 << 40), 1 << 40))
+    def test_signed_unsigned_round_trip(self, value):
         # reducing then re-reducing is stable in both views
-        unsigned = to_unsigned(value, bits)
-        assert 0 <= unsigned < (1 << bits)
-        assert to_unsigned(to_signed(value, bits), bits) == unsigned
-        assert to_signed(to_unsigned(value, bits), bits) == to_signed(value, bits)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, (1 << 16) - 1), st.integers(1, 16))
-    def test_sign_extend_preserves_signed_value(self, value, from_bits):
-        extended = to_unsigned(to_signed(to_unsigned(value, from_bits), from_bits), 32)
-        assert to_signed(extended, 32) == to_signed(value, from_bits)
-
-    def test_zero_width_field(self):
-        # a 0-bit field holds only the value 0 in the unsigned view...
-        assert to_unsigned(12345, 0) == 0
-        # ...and has no signed interpretation at all
-        with pytest.raises(ValueError):
-            to_signed(12345, 0)
-
-    @pytest.mark.parametrize("bits", [1, 2, 8, 16, 31, 32])
-    def test_power_of_two_boundaries(self, bits):
-        top = 1 << (bits - 1)
-        # the most positive value stays itself
-        assert to_signed(top - 1, bits) == top - 1
-        # the sign-boundary value wraps to the most negative
-        assert to_signed(top, bits) == -top
-        # -1 is all ones
-        assert to_unsigned(-1, bits) == (1 << bits) - 1
-        # sign-extending the boundary keeps it negative at full width
-        assert to_signed(to_unsigned(to_signed(top, bits)), 32) == -top
+        unsigned = to_unsigned(value)
+        assert 0 <= unsigned < (1 << 32)
+        assert to_unsigned(to_signed(value)) == unsigned
+        assert to_signed(to_unsigned(value)) == to_signed(value)

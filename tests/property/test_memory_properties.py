@@ -96,7 +96,7 @@ def test_interleaved_cache_pipelined_requests(ops):
 @settings(max_examples=50, deadline=None)
 def test_clustered_memory_is_a_memory(ops):
     """The write-through + invalidate protocol never serves stale data."""
-    memory = ClusteredMemory(cluster_size=4, words_per_cluster=4, shared_latency=2)
+    memory = ClusteredMemory(cluster_size=4, words_per_cluster=4)
     got_loads = []
     for is_store, address, value, leaf in ops:
         if is_store:
@@ -124,7 +124,7 @@ def test_clustered_memory_is_a_memory(ops):
 def test_fat_tree_admission_invariants(leaves, exponent):
     """Admission never exceeds the root capacity, preserves priority,
     and partitions requests exactly into granted + denied."""
-    tree = FatTree(16, lambda s: float(s) ** exponent, radix=4)
+    tree = FatTree(16, lambda s: float(s) ** exponent)
     routing = tree.admit(leaves)
     assert sorted(routing.granted + routing.denied) == list(range(len(leaves)))
     root_capacity = tree.level_capacity[-1]
@@ -141,7 +141,7 @@ def test_fat_tree_admission_invariants(leaves, exponent):
 @settings(max_examples=30, deadline=None)
 def test_fat_tree_no_starvation(leaves):
     """Retrying denied requests round by round eventually admits all."""
-    tree = FatTree(16, bandwidth_constant(1.0), radix=4)
+    tree = FatTree(16, bandwidth_constant(1.0))
     pending = list(leaves)
     rounds = 0
     while pending:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.cspp import CsppTree, build_copy_cspp, cyclic_segmented_copy
 from repro.circuits.grid import GridNetwork, RegisterBinding, TreeGridNetwork, route_arguments
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.prefix import AndOp
+from tests.datapath import AndOp
 from tests.unit.test_prefix_circuits import cyclic_and
 
 # Keep circuit sizes modest: netlist construction is O(n^2) for grids.

@@ -1,9 +1,9 @@
 """Tiny importable jobs for exercising the runner itself.
 
 The pool executes jobs by (module path, function name), so tests need
-target functions that resolve in worker processes regardless of how the
-test session was launched.  These live inside the package to guarantee
-that; they are not part of the public API.
+target functions that resolve in worker processes.  Workers inherit the
+test session's ``sys.path`` under fork, forkserver and spawn alike, so
+``tests.runner_jobs`` resolves in them as it does in the session.
 """
 
 from __future__ import annotations

@@ -16,7 +16,10 @@ free ALUs.
 
 Both a behavioural function and a gate-level netlist are provided; the
 netlist's count scan is a balanced tree of ripple adders, keeping the
-Θ(log n) gate-delay bound (times the counter width log k).
+Θ(log n) gate-delay bound (times the counter width log k).  The ring
+engine schedules shared ALUs behaviourally, oldest first
+(``ProcessorConfig.num_alus``); only the tests run this reference
+circuit, so it lives beside them.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ delay Θ(n^(1/3) √L'), the paper's bounds.  The octree is the planar
 and a face-crossing switch block, not a second copy of it.  The 3-D
 hybrid packs Ultrascalar II clusters into the octree, evaluated in
 closed form; sweeping the cluster size reproduces the paper's optimal
-C = Θ(L^(3/4)).
+C = Θ(L^(3/4)).  Experiment E7 reports the paper's closed-form 3-D
+bounds (:mod:`repro.analysis.three_d`); only the tests measure this
+model against them, so it lives beside the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.util.bitops import WORD_BITS
 from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import HTreeLayout, zero_bandwidth
 from repro.vlsi.tech import MEMORY_WIRE_PITCH, PREFIX_NODE_PITCH
@@ -42,7 +45,6 @@ class ThreeDUltrascalar1Layout(HTreeLayout):
 
     n: int
     num_registers: int = 32
-    word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
 
     radix = 8
@@ -64,7 +66,7 @@ class ThreeDUltrascalar1Layout(HTreeLayout):
         """Side of the central block: register wires + memory wires
         crossing a face, Θ(√wires) each."""
         register_part = math.sqrt(self.register_wires) * PREFIX_NODE_PITCH
-        memory_wires = self.bandwidth(stations) * self.word_bits
+        memory_wires = self.bandwidth(stations) * WORD_BITS
         memory_part = math.sqrt(memory_wires) * MEMORY_WIRE_PITCH
         return register_part + memory_part
 
@@ -85,7 +87,6 @@ class ThreeDHybridLayout:
     n: int
     cluster_size: int
     num_registers: int = 32
-    word_bits: int = 32
     bandwidth: Callable[[int], float] = zero_bandwidth
 
     def __post_init__(self) -> None:
@@ -95,7 +96,7 @@ class ThreeDHybridLayout:
             raise ValueError("cluster_size must divide n")
         # an Ultrascalar II cluster is planar logic; in 3-D it folds into
         # a cube of equal volume
-        planar = Ultrascalar2Layout(self.cluster_size, self.num_registers, self.word_bits)
+        planar = Ultrascalar2Layout(self.cluster_size, self.num_registers)
         self.cluster_side = planar.side_length() ** (2.0 / 3.0)
 
     register_wires = HTreeLayout.register_wires
@@ -120,11 +121,7 @@ class ThreeDHybridLayout:
         return block * (scale - 1.0) + scale * self.cluster_side
 
 
-def optimal_cluster_size_3d(
-    n: int,
-    num_registers: int,
-    word_bits: int = 32,
-) -> tuple[int, dict[int, float]]:
+def optimal_cluster_size_3d(n: int, num_registers: int) -> tuple[int, dict[int, float]]:
     """Sweep power-of-two C; the paper predicts the optimum at Θ(L^(3/4))."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -132,7 +129,7 @@ def optimal_cluster_size_3d(
     c = 1
     while c <= n:
         if n % c == 0:
-            layout = ThreeDHybridLayout(n, c, num_registers, word_bits)
+            layout = ThreeDHybridLayout(n, c, num_registers)
             sides[c] = layout.side_length()
         c *= 2
     best = min(sides, key=sides.get)

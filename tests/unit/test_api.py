@@ -10,7 +10,8 @@ from repro.api import (
     TimingRecord,
     build_processor,
 )
-from repro.isa import LatencyModel, assemble
+from repro.isa import Opcode, assemble
+from repro.isa.latency import PAPER_LATENCIES
 from repro.workloads import paper_sequence
 
 SOURCE = """
@@ -44,12 +45,11 @@ class TestBuildProcessor:
         assert build_processor("us1").config == ProcessorConfig()
 
     def test_default_latencies_are_the_papers(self):
-        config = ProcessorConfig()
-        assert config.latencies == LatencyModel()
-        assert config.latencies.by_code == LatencyModel().by_code
-        assert repr(config) == (
-            "ProcessorConfig(window_size=8, fetch_width=4, latencies=LatencyModel("
-            "alu=1, mul=3, div=10, load=1, store=1, branch=1, jump=1, system=1), "
+        # Figure 3: division 10 cycles, multiplication 3, addition 1
+        cycles = [PAPER_LATENCIES[op.code] for op in (Opcode.DIV, Opcode.MUL, Opcode.ADD)]
+        assert cycles == [10, 3, 1]
+        assert repr(ProcessorConfig()) == (
+            "ProcessorConfig(window_size=8, fetch_width=4, "
             "num_alus=None, store_forwarding=False, self_timed=False, max_cycles=1000000)"
         )
 

@@ -10,7 +10,7 @@ from repro.baseline.complexity import (
     wakeup_delay,
 )
 from repro.baseline.dataflow import dataflow_schedule
-from repro.isa import LatencyModel, assemble, run_program
+from repro.isa import assemble, run_program
 from repro.isa.interpreter import MachineState
 from repro.workloads import paper_sequence
 
@@ -33,7 +33,7 @@ class TestDataflowSchedule:
 
     def test_latency_propagates(self):
         golden = run_program(assemble("li r1, 8\nli r2, 2\nmul r3, r1, r2\nadd r4, r3, r3\nhalt"))
-        schedule = dataflow_schedule(golden.trace, LatencyModel(mul=3))
+        schedule = dataflow_schedule(golden.trace)
         entries = schedule.entries
         assert entries[2].issue_cycle == 1       # waits for both LIs (avail at 1)
         assert entries[2].complete_cycle == 3    # 3-cycle multiply

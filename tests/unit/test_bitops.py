@@ -1,4 +1,4 @@
-"""Unit tests for fixed-width two's-complement helpers."""
+"""Unit tests for the 32-bit two's-complement helpers."""
 
 import pytest
 
@@ -21,10 +21,6 @@ class TestToUnsigned:
         assert to_unsigned(1 << 32) == 0
         assert to_unsigned((1 << 32) + 5) == 5
 
-    def test_custom_width(self):
-        assert to_unsigned(-1, bits=8) == 255
-        assert to_unsigned(256, bits=8) == 0
-
 
 class TestToSigned:
     def test_positive_below_midpoint(self):
@@ -35,25 +31,8 @@ class TestToSigned:
         assert to_signed(WORD_MASK) == -1
         assert to_signed(1 << 31) == -(1 << 31)
 
-    def test_custom_width(self):
-        assert to_signed(0x80, bits=8) == -128
-        assert to_signed(0x7F, bits=8) == 127
-
     def test_masks_out_high_bits_first(self):
         assert to_signed((1 << 40) | 3) == 3
-
-
-class TestSignExtend:
-    """Sign extension is the signed view of the narrow field, re-read unsigned."""
-
-    def test_positive_unchanged(self):
-        assert to_unsigned(to_signed(0x7FFF, 16)) == 0x7FFF
-
-    def test_negative_extends(self):
-        assert to_unsigned(to_signed(0x8000, 16)) == 0xFFFF8000
-
-    def test_roundtrip_with_to_signed(self):
-        assert to_signed(to_unsigned(to_signed(0xFFFF, 16))) == -1
 
 
 class TestInverses:

@@ -17,7 +17,7 @@ def drain(mem, request_id):
 
 class TestBasics:
     def test_first_load_misses_second_hits(self):
-        mem = ClusteredMemory(cluster_size=4, shared_latency=5)
+        mem = ClusteredMemory(cluster_size=4)
         mem.load_image({8: 42})
         assert drain(mem, mem.submit_load(8, leaf=0)) == 42
         assert mem.stats.shared_accesses == 1
@@ -33,7 +33,7 @@ class TestBasics:
         assert mem.stats.local_hits == 0
 
     def test_local_hits_are_faster(self):
-        mem = ClusteredMemory(cluster_size=4, shared_latency=6)
+        mem = ClusteredMemory(cluster_size=4)
         mem.load_image({8: 1})
         first = mem.submit_load(8, leaf=0)
         cycles_miss = 0
@@ -95,8 +95,6 @@ class TestBasics:
             ClusteredMemory(cluster_size=0)
         with pytest.raises(ValueError):
             ClusteredMemory(words_per_cluster=0)
-        with pytest.raises(ValueError):
-            ClusteredMemory(shared_latency=0)
         mem = ClusteredMemory()
         with pytest.raises(ValueError):
             mem.submit_load(2)
@@ -109,7 +107,7 @@ class TestRepeatedReduction:
         savings = []
         for passes in (1, 2, 4, 8):
             workload = repeated_reduction(8, passes)
-            memory = ClusteredMemory(cluster_size=16, shared_latency=6)
+            memory = ClusteredMemory(cluster_size=16)
             memory.load_image(workload.memory_image)
             build_processor("us1", ProcessorConfig(window_size=16, fetch_width=8)).run(
                 workload.program, memory=memory, initial_registers=workload.registers_for()

@@ -17,7 +17,6 @@ from repro.api import ProcessorConfig, build_processor
 from repro.baseline.dataflow import ScheduledInstruction, dataflow_schedule
 from repro.frontend.branch_predictor import BimodalPredictor
 from repro.isa.interpreter import MachineState, StepOutcome, run_program
-from repro.isa.latency import PAPER_LATENCIES
 from repro.ultrascalar import IdealMemory, TimingRecord
 from repro.verify.oracle import commit_stream, run_oracle
 from repro.workloads.generators import daxpy_loop, paper_sequence, random_ilp, store_load_pairs
@@ -42,7 +41,7 @@ def _programs():
     yield (
         "paper",
         paper_sequence(),
-        ProcessorConfig(window_size=8, fetch_width=4, latencies=PAPER_LATENCIES),
+        ProcessorConfig(window_size=8, fetch_width=4),
         None,
     )
     yield (

@@ -3,7 +3,8 @@
 import itertools
 
 from repro.api import ProcessorConfig, build_processor
-from repro.isa import Instruction, LatencyModel, Opcode, OpClass, Program, assemble
+from repro.isa import Instruction, Opcode, OpClass, Program, assemble
+from repro.isa.latency import PAPER_LATENCIES
 from repro.isa.interpreter import ALU_OPS, BRANCH_OPS, SEMANTICS
 from repro.isa.opcodes import Format
 from repro.workloads.generators import random_ilp
@@ -53,9 +54,10 @@ def test_every_opcode_has_exactly_one_semantics():
 
 
 def test_latency_is_looked_up_per_op_class():
-    model = LatencyModel(alu=2, mul=3, div=4, load=5, store=6, branch=7, jump=8, system=9)
+    cycles = {OpClass.MUL: 3, OpClass.DIV: 10}
+    assert len(PAPER_LATENCIES) == len(Opcode)
     for op in Opcode:
-        assert model.by_code[op.code] == getattr(model, op.op_class.value)
+        assert PAPER_LATENCIES[op.code] == cycles.get(op.op_class, 1), op
 
 
 def test_stops_mark_the_next_control_transfer_or_halt():

@@ -72,8 +72,8 @@ class TestFig12:
 
     def test_win_holds_across_scales(self):
         for n in (64, 256, 1024):
-            us1 = Ultrascalar1Layout(n, 32, 32)
-            hybrid = HybridLayout(2 * n, 32, 32, 32)
+            us1 = Ultrascalar1Layout(n, 32)
+            hybrid = HybridLayout(2 * n, 32, 32)
             assert hybrid.stations_per_m2 / us1.stations_per_m2 > 8.0
 
     def test_report_shows_both_layouts(self):

@@ -72,7 +72,7 @@ class TestBimodal:
 
 class TestGShare:
     def test_history_differentiates_contexts(self):
-        predictor = GSharePredictor(size=64, history_bits=4)
+        predictor = GSharePredictor(size=64)
         # alternating pattern at one PC: plain bimodal would stay confused,
         # gshare separates the two history contexts
         for _ in range(20):
@@ -90,8 +90,6 @@ class TestGShare:
     def test_validation(self):
         with pytest.raises(ValueError):
             GSharePredictor(size=100)  # not a power of two
-        with pytest.raises(ValueError):
-            GSharePredictor(history_bits=31)
 
     def test_reset(self):
         predictor = GSharePredictor()

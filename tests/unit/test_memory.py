@@ -146,7 +146,7 @@ class TestInterleavedCacheTiming:
         assert hit_cycles([0, 16]) > hit_cycles([0, 4])  # bank 0 twice; banks 0 and 1
 
     def test_fat_tree_throttles_admission(self):
-        tree = FatTree(4, bandwidth_constant(1.0), radix=4)
+        tree = FatTree(4, bandwidth_constant(1.0))
         cache = make_cache(fat_tree=tree)
         for rid in range(4):
             cache.submit(MemoryRequest(rid, address=4 * rid, is_store=True, value=rid, leaf=rid))

@@ -1,30 +1,32 @@
 """Static checks over the package source, walked with :mod:`ast`.
 
 Reachability: every module under ``src/repro`` is reached from an entry
-point, or sits on a short allowlist with its reason.  The entry points
+point; what only tests run lives in ``tests/``.  The entry points
 are the CLI (``repro.__main__``), the public API (``repro.api``), the
 experiment modules the runner registry names, and ``examples/*.py``.
 A package ``__init__`` that re-exports names does not reach every
 submodule it imports: ``from package import name`` reaches only the
 submodule that *name* comes from.
 
-The same holds per function: every top-level function and method under
-``src/repro`` is named somewhere outside its own ``def``, or sits on a
-short allowlist with its reason.  A name counts when an ``ast.Name``,
-an ``ast.Attribute``, an imported name or an exact-match string constant
+The same holds per function: every top-level function, method and
+constant under ``src/repro`` is named somewhere outside its own ``def``
+(a constant: outside its own assignment), or sits on a short allowlist
+with its reason.  A name counts when an ``ast.Name``, an
+``ast.Attribute``, an imported name or an exact-match string constant
 (``func="shard_report"``, perfbench's ``(module, class, method)``
 targets) uses it in ``src/repro``, ``examples/*.py`` or
 ``perfbench/*.py``, or when it appears as a word in
 ``.github/workflows/*.yml``, whose heredocs call the artifact
 validators.  A package ``__init__``'s imports and ``__all__`` do not
 count, and tests never do: what only tests call belongs in ``tests/``
-(``tests/oracles.py`` holds the reference models moved there).
-Matching is by bare name, so a method is called when any object's
-attribute of that name is read.  Dunder methods are called by the
-language and are not checked.  Two categories need no entry: the
-functions of an allowlisted module, and the methods of the result
-classes in ``repro.experiments`` (the paper-claim predicates tier-1
-asserts).
+(``tests/oracles.py`` and its neighbours hold the reference models
+moved there).  Nor does a name only the bench registry uses count for a
+function outside ``repro.bench``: a row that times a function is no use
+of it.  Matching is by bare name, so a method is called when any
+object's attribute of that name is read.  Dunder methods are called by
+the language and are not checked.  One category needs no entry: the
+methods of the result classes in ``repro.experiments`` (the paper-claim
+predicates tier-1 asserts).
 
 Parameters too: each experiment has one configuration, and the runner
 calls its ``report()`` with no arguments, so every public function a
@@ -36,10 +38,11 @@ every defaulted parameter of a top-level function or method under
 ``perfbench/*.py``, or sits on a short allowlist with its reason.  A call
 reaches a function by bare name (the class name for ``__init__``; a
 ``super().__init__(...)`` call reaches the enclosing class's bases), and
-sets a parameter when it passes it by keyword, passes at least as many
-positional arguments as the parameter's position, or unpacks ``*`` or
+sets a parameter when it passes it by keyword, or passes at least as
+many positional arguments as the parameter's position, a value other
+than the parameter's own default literal; or when it unpacks ``*`` or
 ``**``.  A function named by a ``func="..."`` job string has every
-parameter set.  The functions of an allowlisted module are exempt.
+parameter set.
 
 Fields too, by the same rule: every defaulted init field of a dataclass
 or ``NamedTuple`` under ``src/repro`` is set by a construction in the
@@ -47,7 +50,7 @@ same callers, or sits on the same allowlist.  A construction calls the
 class by name and sets a field by keyword, by position or by unpacking;
 ``replace(obj, field=...)`` sets a field by keyword only.  Per-instance
 state is ``field(init=False)``, not a constructor argument, and is not
-checked.  The fields of an allowlisted module are exempt.
+checked.
 
 And one way to run: ``python -m repro`` is the only ``__main__`` block
 under ``src/repro``, so no module runs a report past the runner, its
@@ -70,19 +73,17 @@ from repro.runner.registry import REGISTRY
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 
-#: modules no entry point reaches, and why each stays
-ALLOWED_UNREACHED = {
-    "repro.circuits.datapath": "the Figure 4 gate-level check against the ring's register views",
-    "repro.ultrascalar.scheduler": "the Memo 2 reference circuit",
-    "repro.vlsi.three_d_layout": "the Section 7 measured model",
-    "repro.runner._selftest": "runner test fixtures",
-}
+#: the bench registry: a name only it uses reaches only ``repro.bench``
+BENCH_REGISTRY = "repro.bench.registry"
 
-
-#: functions and methods nothing outside the tests names, and why each
-#: stays (beyond the two categories in the module docstring)
+#: functions, methods and top-level constants nothing outside the tests
+#: names, and why each stays (beyond the category in the module docstring)
 ALLOWED_UNCALLED = {
     "repro.util.log._StderrHandler.stream": "the property logging.StreamHandler reads and sets",
+    "repro.circuits.alu.OP_ADD": "the ALU's op-select codes, which only test_alu_circuit.py drives",
+    "repro.circuits.alu.OP_SUB": "the ALU's op-select codes, which only test_alu_circuit.py drives",
+    "repro.circuits.alu.OP_AND": "the ALU's op-select codes, which only test_alu_circuit.py drives",
+    "repro.circuits.alu.OP_OR": "the ALU's op-select codes, which only test_alu_circuit.py drives",
 }
 
 
@@ -171,18 +172,40 @@ def _functions(source: str):
                 yield owner, sub
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _constants(source: str):
+    """Yield the name of each top-level constant in *source*: a plain or
+    annotated assignment to one name, dunders such as ``__all__`` left out."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                yield target.id
+
+
 def _definitions(source: str):
-    """Yield ``(class name or None, function name)`` for each top-level
-    function and method in *source*, dunder methods left out."""
+    """Yield ``(class name or None, name)`` for each top-level function,
+    method and constant in *source*, dunder methods left out."""
     for owner, node in _functions(source):
-        if not (node.name.startswith("__") and node.name.endswith("__")):
+        if not _is_dunder(node.name):
             yield owner, node.name
+    for name in _constants(source):
+        yield None, name
 
 
 def _references(source: str, package_init: bool = False) -> set[str]:
-    """Names *source* uses: Name, Attribute, imported names and string
-    constants, each outside a ``def`` of the same name.  In a package
-    ``__init__`` the imports and ``__all__`` are re-exports, not uses."""
+    """Names *source* uses: Name (but an assignment's target), Attribute,
+    imported names and string constants, each outside a ``def`` of the
+    same name.  In a package ``__init__`` the imports and ``__all__`` are
+    re-exports, not uses."""
     names: set[str] = set()
 
     def visit(node: ast.AST, inside: frozenset[str]) -> None:
@@ -195,7 +218,7 @@ def _references(source: str, package_init: bool = False) -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Name):
-            name = node.id
+            name = None if isinstance(node.ctx, ast.Store) else node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.alias):
@@ -218,24 +241,58 @@ def _caller_files() -> list[pathlib.Path]:
     return [*_modules(), *sorted(ROOT.glob("examples/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
 
 
-def _callers() -> set[str]:
-    """Every name the package, the examples, perfbench and CI use."""
+def _caller_sources() -> dict[str, str]:
+    """Label -> source of every caller but the tests: the package's
+    modules by module name, the examples and perfbench by path."""
+    return {
+        _module_name(path) if path.is_relative_to(SRC) else str(path.relative_to(ROOT)):
+            path.read_text()
+        for path in _caller_files()
+    }
+
+
+def _callers(sources: dict[str, str]) -> set[str]:
+    """Every name *sources* (label -> source) use."""
     names: set[str] = set()
-    for path in _caller_files():
-        names |= _references(path.read_text(), package_init=path.name == "__init__.py")
-    for workflow in sorted(ROOT.glob(".github/workflows/*.yml")):
-        names.update(re.findall(r"[A-Za-z_]\w*", workflow.read_text()))
+    for label, source in sources.items():
+        names |= _references(source, package_init=label.endswith(".__init__"))
     return names
 
 
+def _workflow_words() -> set[str]:
+    """Every word of CI's workflows."""
+    words: set[str] = set()
+    for workflow in sorted(ROOT.glob(".github/workflows/*.yml")):
+        words.update(re.findall(r"[A-Za-z_]\w*", workflow.read_text()))
+    return words
+
+
 def _uncalled(modules: dict[str, str], callers: set[str]) -> set[tuple[str, str | None, str]]:
-    """``(module, class or None, function)`` for each function in *modules*
-    (name -> source) whose name is not in *callers*."""
+    """``(module, class or None, name)`` for each function and constant
+    in *modules* (name -> source) whose name is not in *callers*."""
     return {
         (module, owner, name)
         for module, source in modules.items()
         for owner, name in _definitions(source)
         if name not in callers
+    }
+
+
+def _unreached(
+    modules: dict[str, str], sources: dict[str, str], words: set[str] = frozenset()
+) -> set[tuple[str, str | None, str]]:
+    """:func:`_uncalled` over *modules* with *sources* (label -> source)
+    and *words* as the callers, except that a name only the bench
+    registry uses reaches only ``repro.bench``'s own functions: a row
+    that times a function is no use of it."""
+    everyone = _callers(sources) | words
+    past_bench = _callers({k: v for k, v in sources.items() if k != BENCH_REGISTRY}) | words
+    return {
+        item
+        for module, source in modules.items()
+        for item in _uncalled(
+            {module: source}, everyone if module.startswith("repro.bench.") else past_bench
+        )
     }
 
 
@@ -252,11 +309,24 @@ ALLOWED_ONE_VALUE = {
         "a Figure 7 grid with three read ports is a pinned netlist (test_netlist_structure, grid_p3)",
     "repro.isa.assembler.assemble(spec)":
         "L is the paper's complexity parameter (TestMachineSpec assembles for 8 and 64 registers)",
+    "repro.isa.registers.MachineSpec.num_registers":
+        "L is the paper's complexity parameter (TestMachineSpec assembles for 8 and 64 registers)",
     "repro.memory.interleaved_cache.InterleavedCache.__init__(hit_latency)":
         "multi-cycle bank hits (TestInterleavedCacheTiming::test_hit_latency, the cache property test)",
+    "repro.memory.interleaved_cache.InterleavedCache.__init__(lines_per_bank)":
+        "a one-line bank forces write-back evictions (TestWriteback::test_dirty_eviction_reaches_memory, "
+        "the cache property test's geometries)",
+    "repro.memory.trace_cache.TraceCache.trace_length":
+        "fetch slicing stays exact for any trace shape (test_slice_fetch_matches_reference_walk, "
+        "TestTraceCache::test_fill_limits_enforced)",
+    "repro.memory.trace_cache.TraceCache.max_branches":
+        "fetch slicing stays exact for any trace shape (test_slice_fetch_matches_reference_walk, "
+        "TestTraceCache::test_fill_limits_enforced)",
     "repro.memory.cluster_cache.ClusteredMemory.words_per_cluster":
         "§7's distributed cache stays coherent under eviction "
         "(TestBasics::test_capacity_eviction, the clustered-memory property test's 4-word caches)",
+    "repro.vlsi.cells.station_cell(word_bits)":
+        "a station's area grows with w (TestStationCell::test_area_grows_with_word_width)",
     "repro.vlsi.grid_layout.Ultrascalar2Layout.wraparound":
         "§5: wrap-around 'appears to cost nearly a factor of two in area' "
         "(TestUltrascalar2Layout::test_wraparound_costs_about_twice_the_area)",
@@ -267,20 +337,22 @@ ALLOWED_ONE_VALUE = {
 
 
 def _defaulted(source: str):
-    """Yield ``(class name or None, function, parameter, position)`` for
-    each defaulted parameter of a top-level function or method in
-    *source*.  *position* counts the positional parameters from 1,
-    ``self``/``cls`` left out; it is ``None`` for a keyword-only one."""
+    """Yield ``(class name or None, function, parameter, position,
+    default)`` for each defaulted parameter of a top-level function or
+    method in *source*.  *position* counts the positional parameters
+    from 1, ``self``/``cls`` left out; it is ``None`` for a keyword-only
+    one.  *default* is the default's expression."""
     for owner, node in _functions(source):
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         bound = owner is not None and not static
-        for index in range(len(positional) - len(args.defaults), len(positional)):
-            yield owner, node.name, positional[index].arg, index + 1 - bound
+        first = len(positional) - len(args.defaults)
+        for index, default in enumerate(args.defaults, first):
+            yield owner, node.name, positional[index].arg, index + 1 - bound, default
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield owner, node.name, arg.arg, None
+                yield owner, node.name, arg.arg, None, default
 
 
 def _calls(source: str):
@@ -312,14 +384,30 @@ def _calls(source: str):
                 yield keyword.value.value, None
 
 
-def _sets(call: ast.Call | None, parameter: str, position: int | None) -> bool:
-    """Whether *call* sets *parameter* (``None``: a job string sets all)."""
-    return (
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _sets(
+    call: ast.Call | None, parameter: str, position: int | None, default: ast.expr | None = None
+) -> bool:
+    """Whether *call* sets *parameter* (``None``: a job string sets all)
+    to anything but its own *default* literal."""
+    if (
         call is None
         or any(isinstance(arg, ast.Starred) for arg in call.args)
-        or any(keyword.arg in (None, parameter) for keyword in call.keywords)
-        or position is not None and len(call.args) >= position
-    )
+        or any(keyword.arg is None for keyword in call.keywords)
+    ):
+        return True
+    values = [keyword.value for keyword in call.keywords if keyword.arg == parameter]
+    if position is not None and len(call.args) >= position:
+        values.append(call.args[position - 1])
+    same = default is not None and _is_literal(default)
+    return any(not same or ast.dump(value) != ast.dump(default) for value in values)
 
 
 def _unset(modules: dict[str, str], callers: list[str]) -> set[str]:
@@ -332,9 +420,9 @@ def _unset(modules: dict[str, str], callers: list[str]) -> set[str]:
     return {
         f"{_qualified(module, owner, function)}({parameter})"
         for module, source in modules.items()
-        for owner, function, parameter, position in _defaulted(source)
+        for owner, function, parameter, position, default in _defaulted(source)
         if not any(
-            _sets(call, parameter, position)
+            _sets(call, parameter, position, default)
             for call in calls.get(owner if function == "__init__" else function, [])
         )
     }
@@ -355,11 +443,12 @@ def _field_call(value: ast.expr | None) -> ast.Call | None:
 
 
 def _defaulted_fields(source: str):
-    """Yield ``(class name, field, position)`` for each defaulted init
-    field of a dataclass or ``NamedTuple`` in *source*.  *position*
-    counts the init fields from 1.  A ``field(init=False)`` is not an
-    init field, and a ``ClassVar`` or an unannotated class attribute is
-    not a field at all."""
+    """Yield ``(class name, field, position, default)`` for each
+    defaulted init field of a dataclass or ``NamedTuple`` in *source*.
+    *position* counts the init fields from 1; *default* is the default's
+    expression, ``None`` for a ``default_factory``.  A
+    ``field(init=False)`` is not an init field, and a ``ClassVar`` or an
+    unannotated class attribute is not a field at all."""
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef) or not (
             any(_bare_name(d) == "dataclass" for d in cls.decorator_list)
@@ -380,7 +469,8 @@ def _defaulted_fields(source: str):
             if node.value is not None and (
                 options is None or {"default", "default_factory"} & set(keywords)
             ):
-                yield cls.name, node.target.id, position
+                default = node.value if options is None else keywords.get("default")
+                yield cls.name, node.target.id, position, default
 
 
 def _unset_fields(modules: dict[str, str], callers: list[str]) -> set[str]:
@@ -400,10 +490,10 @@ def _unset_fields(modules: dict[str, str], callers: list[str]) -> set[str]:
     return {
         f"{module}.{owner}.{name}"
         for module, source in modules.items()
-        for owner, name, position in _defaulted_fields(source)
+        for owner, name, position, default in _defaulted_fields(source)
         if None not in replaced
         and name not in replaced
-        and not any(_sets(call, name, position) for call in calls.get(owner, []))
+        and not any(_sets(call, name, position, default) for call in calls.get(owner, []))
     }
 
 
@@ -414,7 +504,6 @@ def _qualified(module: str, owner: str | None, name: str) -> str:
 def _allowed_uncalled(module: str, owner: str | None, name: str) -> bool:
     return (
         _qualified(module, owner, name) in ALLOWED_UNCALLED
-        or module in ALLOWED_UNREACHED
         or owner is not None and module.startswith("repro.experiments.")
     )
 
@@ -423,17 +512,12 @@ class TestModuleReachability:
     def test_every_module_is_reached_or_allowlisted(self):
         modules = {_module_name(path) for path in _modules() if path.name != "__init__.py"}
         unreached = modules - _reached(_entry_points())
-        allowed = set(ALLOWED_UNREACHED)
-        assert unreached == allowed, (
-            f"unreached and not allowlisted: {sorted(unreached - allowed)}; "
-            f"allowlisted but reached or gone: {sorted(allowed - unreached)}"
-        )
+        assert not unreached, f"no entry point reaches: {sorted(unreached)}"
 
 
 class TestFunctionReachability:
     def test_every_function_is_called_or_allowlisted(self):
-        modules = {_module_name(path): path.read_text() for path in _modules()}
-        uncalled = _uncalled(modules, _callers())
+        uncalled = _unreached(_checked_modules(), _caller_sources(), _workflow_words())
         unexplained = sorted(_qualified(*item) for item in uncalled if not _allowed_uncalled(*item))
         stale = sorted(set(ALLOWED_UNCALLED) - {_qualified(*item) for item in uncalled})
         assert not unexplained, f"only tests call: {unexplained}"
@@ -452,6 +536,21 @@ class TestFunctionReachability:
         caller = 'spec = JobSpec(module="pkg.mod", func="shard_report")\n'
         assert _uncalled({"pkg.mod": module}, _references(caller)) == set()
 
+    def test_an_unreferenced_constant_is_reported(self):
+        source = "LIMIT = 3\nUNUSED: int = 4\n__all__ = []\n\ndef cap(x):\n    return min(x, LIMIT)\n\ncap(5)\n"
+        assert _uncalled({"pkg.mod": source}, _references(source)) == {("pkg.mod", None, "UNUSED")}
+
+    def test_only_the_bench_registry_does_not_reach_a_function(self):
+        module = "def encode(x):\n    return x\n"
+        registry = "from pkg.mod import encode\n\ndef timed():\n    encode(1)\n"
+        sources = {BENCH_REGISTRY: registry}
+        assert _unreached({"pkg.mod": module}, sources) == {("pkg.mod", None, "encode")}
+        # the registry still reaches the bench package's own functions
+        assert _unreached({"repro.bench.cli": module}, sources) == set()
+        # and a use anywhere else reaches the function
+        sources["repro.api"] = "encode(2)\n"
+        assert _unreached({"pkg.mod": module}, sources) == set()
+
     def test_package_reexports_are_not_callers(self):
         init = 'from pkg.mod import helper\n\n__all__ = ["helper"]\n'
         assert "helper" not in _references(init, package_init=True)
@@ -459,13 +558,8 @@ class TestFunctionReachability:
 
 
 def _checked_modules() -> dict[str, str]:
-    """Name -> source of each module the one-value checks cover: every
-    module under ``src/repro`` but those on ``ALLOWED_UNREACHED``."""
-    return {
-        name: path.read_text()
-        for path in _modules()
-        if (name := _module_name(path)) not in ALLOWED_UNREACHED
-    }
+    """Name -> source of every module under ``src/repro``."""
+    return {_module_name(path): path.read_text() for path in _modules()}
 
 
 def _one_value(source: str, caller: str) -> set[str]:
@@ -531,6 +625,16 @@ class TestParameterReachability:
         source = "def scale(x, factor=2, *, bias=0):\n    return x * factor + bias\n"
         assert _one_value(source, "scale(3, bias=1)\nscale(3, factor=4)\n") == set()
 
+    def test_passing_the_default_literal_sets_nothing(self):
+        source = "def scale(x, factor=2, *, bias=0):\n    return x * factor + bias\n"
+        both = {"pkg.mod.scale(factor)", "pkg.mod.scale(bias)"}
+        assert _one_value(source, "scale(3, factor=2, bias=0)\nscale(3, 2)\n") == both
+        assert _one_value(source, "scale(3, 2.5, bias=-1)\n") == set()
+        # a name is no literal: it may hold any value
+        assert _one_value(source, "scale(3, factor=2)\nscale(3, factor=k)\n") == {
+            "pkg.mod.scale(bias)"
+        }
+
     def test_a_positional_argument_sets_a_method_parameter(self):
         source = "class Ruler:\n    def scale(self, x, factor=2, bias=0):\n        return x\n"
         assert _one_value(source, "ruler.scale(3, 4)\n") == {"pkg.mod.Ruler.scale(bias)"}
@@ -560,6 +664,10 @@ class TestParameterReachability:
     def test_a_keyword_sets_a_field(self):
         assert _one_value_field(_RULER, "Ruler(3, bias=1)\n") == {"pkg.mod.Ruler.scale"}
 
+    def test_passing_a_fields_default_literal_sets_nothing(self):
+        unset = {"pkg.mod.Ruler.scale", "pkg.mod.Ruler.bias"}
+        assert _one_value_field(_RULER, "Ruler(3, 2, bias=0)\n") == unset
+
     def test_a_positional_argument_sets_a_field(self):
         assert _one_value_field(_RULER, "Ruler(3, 4)\n") == {"pkg.mod.Ruler.bias"}
         assert _one_value_field(_RULER, "Ruler(*sizes)\n") == set()
@@ -585,13 +693,6 @@ class TestParameterReachability:
         source = "class Point(NamedTuple):\n    x: int\n    y: int = 0\n"
         assert _one_value_field(source, "Point(1)\n") == {"pkg.mod.Point.y"}
         assert _one_value_field(source, "Point(1, 2)\n") == set()
-
-    def test_an_allowlisted_modules_fields_are_exempt(self):
-        # the octree's bandwidth only tests set; its module is on ALLOWED_UNREACHED
-        module = "repro.vlsi.three_d_layout"
-        callers = [path.read_text() for path in _caller_files()]
-        assert _unset_fields({module: _path(module).read_text()}, callers)
-        assert module not in _checked_modules()
 
     def test_only_the_cli_has_a_main_block(self):
         blocks = {

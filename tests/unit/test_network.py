@@ -53,42 +53,42 @@ class TestSuccessorCensus:
 
 class TestFatTree:
     def test_level_capacities_follow_bandwidth(self):
-        tree = FatTree(64, bandwidth_power(0.5), radix=4)
+        tree = FatTree(64, bandwidth_power(0.5))
         # level k uplink leaves a subtree of 4**(k+1) leaves
         assert tree.level_capacity[0] == math.ceil(4**0.5)
         assert tree.level_capacity[2] == math.ceil(64**0.5)
 
     def test_root_capacity_is_m_of_n(self):
         # the top uplink carries the chip's memory bandwidth M(n)
-        assert FatTree(64, bandwidth_linear(1.0)).level_capacity[-1] == 64
+        assert FatTree(64, bandwidth_linear()).level_capacity[-1] == 64
         assert FatTree(64, bandwidth_constant(2.0)).level_capacity[-1] == 2
 
     def test_admission_respects_root_capacity(self):
-        tree = FatTree(16, bandwidth_constant(2.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(2.0))
         routing = tree.admit([0, 5, 10, 15])
         assert len(routing.granted) == 2
         assert len(routing.denied) == 2
 
     def test_oldest_first_priority(self):
-        tree = FatTree(16, bandwidth_constant(1.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(1.0))
         routing = tree.admit([3, 7])
         assert routing.granted == (0,)
         assert routing.denied == (1,)
 
     def test_leaf_level_conflicts(self):
-        tree = FatTree(16, bandwidth_constant(16.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(16.0))
         # both requests from the same 4-leaf subtree share the level-0 uplink
         tree.level_capacity[0] = 1
         routing = tree.admit([0, 1])
         assert routing.granted == (0,)
 
     def test_full_bandwidth_admits_everything(self):
-        tree = FatTree(16, bandwidth_linear(1.0), radix=4)
+        tree = FatTree(16, bandwidth_linear())
         routing = tree.admit(list(range(16)))
         assert len(routing.granted) == 16
 
     def test_path_groups(self):
-        tree = FatTree(16, bandwidth_constant(1.0), radix=4)
+        tree = FatTree(16, bandwidth_constant(1.0))
         assert tree.path_groups(5) == [(0, 1), (1, 0)]
         with pytest.raises(ValueError):
             tree.path_groups(16)
@@ -96,5 +96,3 @@ class TestFatTree:
     def test_validation(self):
         with pytest.raises(ValueError):
             FatTree(0, bandwidth_constant())
-        with pytest.raises(ValueError):
-            FatTree(4, bandwidth_constant(), radix=1)

@@ -12,7 +12,7 @@ from repro.circuits.cspp import (
 from repro.circuits.fanout import FanoutShape
 from repro.circuits.mux_ring import MuxRing
 from repro.circuits.netlist import Netlist
-from repro.circuits.prefix import AndOp
+from tests.datapath import AndOp
 from tests.oracles import segmented_scan, topological_depth
 
 

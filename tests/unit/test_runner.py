@@ -17,7 +17,7 @@ def _job(func: str, kwargs: dict | None = None, experiment: str = "t") -> JobSpe
     return JobSpec(
         experiment=experiment,
         title=f"T — {experiment}",
-        module="repro.runner._selftest",
+        module="tests.runner_jobs",
         func=func,
         kwargs=kwargs or {},
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ultrascalar.scheduler import AddOp, SchedulerCircuit, prioritized_grants
+from tests.scheduler import AddOp, SchedulerCircuit, prioritized_grants
 
 
 class TestBehavioural:

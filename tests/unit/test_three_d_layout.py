@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.fitting import fit_exponent
-from repro.vlsi.three_d_layout import (
+from repro.vlsi.htree_layout import Ultrascalar1Layout
+from tests.three_d_layout import (
     ThreeDHybridLayout,
     ThreeDUltrascalar1Layout,
     optimal_cluster_size_3d,
 )
-from repro.vlsi.htree_layout import Ultrascalar1Layout
 
 
 class TestThreeDUltrascalar1:

@@ -95,7 +95,7 @@ class TestUltrascalar1Layout:
 
     def test_memory_bandwidth_inflates_side(self):
         lean = Ultrascalar1Layout(4096, 32, bandwidth=zero_bandwidth)
-        fat = Ultrascalar1Layout(4096, 32, bandwidth=bandwidth_linear(1.0))
+        fat = Ultrascalar1Layout(4096, 32, bandwidth=bandwidth_linear())
         assert fat.side_length() > lean.side_length() * 2
 
     def test_non_power_of_4_rounds_up(self):
@@ -107,7 +107,7 @@ class TestUltrascalar1Layout:
 
     def test_paper_calibration_point(self):
         """The Figure 12 anchor: 64 stations, L=32x32b -> ~7 cm, ~13k/m2."""
-        layout = Ultrascalar1Layout(64, 32, 32)
+        layout = Ultrascalar1Layout(64, 32)
         summary = layout.summary()
         assert 6.0 < summary["side_cm"] < 8.0
         assert 11_000 < summary["stations_per_m2"] < 16_000
@@ -214,7 +214,7 @@ class TestWireDelay:
 LAYOUT_FLOATS = [
     (lambda: Ultrascalar1Layout(64, 32),
      ("17160.0", "18150.0", "36300.0", "13583.92966784575")),
-    (lambda: Ultrascalar1Layout(4096, 32, bandwidth=bandwidth_linear(1.0)),
+    (lambda: Ultrascalar1Layout(4096, 32, bandwidth=bandwidth_linear()),
      ("469080.0", "581250.0", "1162500.0", "1163.445736225517")),
     (lambda: HybridLayout(128, 32, 32),
      ("7171.337205734261", "7831.33720573426", "15662.67441146852",

@@ -142,8 +142,8 @@ class TestRemainingWorkloads:
             assert result.state.memory[4096 + 4 * i] == 9
 
     def test_jump_chain_shape(self):
-        workload = jump_chain(blocks=5, block_size=2)
-        assert len(workload.program) == 5 * 3 + 1
+        workload = jump_chain(blocks=5)
+        assert len(workload.program) == 5 * 4 + 1
         result = run_program(
             workload.program, state=MachineState(workload.registers_for())
         )
